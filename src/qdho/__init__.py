@@ -48,10 +48,8 @@ from .liouville import (
     vectorize,
 )
 from .observables import (
-    SpectrumResult,
     expect_n,
     frobenius_distance,
-    hermitian_eigenvalues,
     photon_distribution,
     purity,
 )

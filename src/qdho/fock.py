@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import observables
-
 
 class ValidationError(ValueError):
     """A matrix offered as a density matrix failed its invariants."""
@@ -102,10 +100,11 @@ class FockOperatorSet:
 class DensityMatrix:
     """A D x D state matrix together with its truncation metadata.
 
-    Construction checks shape and finiteness only; the physical invariants
+    Construction checks shape and finiteness only. The physical invariants
     (Hermiticity, unit trace, positivity) are certified by
-    :func:`validate_density`, which every state constructor in this module
-    runs at tol = 1e-10.
+    :func:`validate_density`, which the evolution entry points run on their
+    initial state (:func:`check_evolution_args`) and the CLI runs on every
+    state it writes out.
     """
 
     mat: np.ndarray
@@ -261,10 +260,10 @@ def validate_density(
     """Measure Hermiticity, trace and positivity deviations of a candidate state.
 
     Hermiticity is judged relative to the matrix scale, the trace deviation
-    absolutely, and positivity as smallest eigenvalue >= -tol (eigenvalues
-    from the Jacobi solver in :mod:`qdho.observables`). Per-check tolerances
-    default to ``tol``. This is a reporting operation and never raises for a
-    bad state.
+    absolutely, and positivity as smallest eigenvalue >= -tol (LAPACK
+    ``eigvalsh`` on the Hermitian part, which shares no code with the
+    evolution paths). Per-check tolerances default to ``tol``. This is a
+    reporting operation and never raises for a bad state.
     """
     m = np.asarray(getattr(rho, "mat", rho), dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -276,8 +275,7 @@ def validate_density(
     scale = max(1.0, float(np.abs(m).max()))
     herm_dev = float(np.abs(m - m.conj().T).max())
     trace_dev = abs(complex(np.trace(m)) - 1.0)
-    spectrum = observables.hermitian_eigenvalues(0.5 * (m + m.conj().T), tol=1e-13)
-    min_eig = float(spectrum.eigenvalues[0])
+    min_eig = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
     return ValidationReport(
         hermiticity_dev=herm_dev,
         trace_dev=trace_dev,
@@ -287,3 +285,28 @@ def validate_density(
         positive_ok=min_eig >= -p_tol,
         dim=m.shape[0],
     )
+
+
+def check_evolution_args(rho0: DensityMatrix, t: float, tolerances=None):
+    """Reject a negative evolution time or an invalid initial state.
+
+    ``tolerances`` is a :class:`qdho.config.ToleranceConfig` (the defaults
+    when None); its Hermiticity, trace and positivity tolerances gate
+    :func:`validate_density`. Returns the tolerance bundle in force.
+    """
+    from .config import DEFAULT_TOLERANCES  # config imports this module
+
+    if t < 0:
+        raise ValueError(f"evolution time must be non-negative, got {t}")
+    tols = DEFAULT_TOLERANCES if tolerances is None else tolerances
+    report = validate_density(
+        rho0.mat,
+        hermiticity_tol=tols.hermiticity_tol,
+        trace_tol=tols.trace_tol,
+        positivity_tol=tols.positivity_tol,
+    )
+    if not report.ok:
+        raise ValidationError(
+            f"initial state is not a valid density matrix: {report.describe()}", report
+        )
+    return tols

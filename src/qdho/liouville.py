@@ -20,14 +20,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import ToleranceConfig, DEFAULT_TOLERANCES
+from .config import ToleranceConfig
 from .fock import (
     DensityMatrix,
     ModelParams,
     TruncationConfig,
-    ValidationError,
     build_operators,
-    validate_density,
+    check_evolution_args,
 )
 
 #: Taylor scaling threshold for the matrix exponential (max-row-sum norm).
@@ -35,6 +34,9 @@ _EXPM_SCALE_LIMIT = 0.5
 _EXPM_MAX_TERMS = 100
 #: RK4 stability heuristic: step * (omega + mu + nu) * dim must not exceed this.
 RK4_STABILITY_LIMIT = 0.1
+#: Step budget of one RK4 call. Tier-1 needs at most ~1.1e4 steps; a call
+#: asking for more than this fails at once instead of running for hours.
+RK4_MAX_STEPS = 10_000_000
 
 
 def vectorize(x: np.ndarray) -> np.ndarray:
@@ -158,7 +160,7 @@ def evolve_numeric_expm(
     tolerances: ToleranceConfig | None = None,
 ) -> DensityMatrix:
     """Evolve by literally applying exp(tL) to the vectorized state."""
-    _check_evolution_args(rho0, t, tolerances)
+    check_evolution_args(rho0, t, tolerances)
     propagator = _cached_propagator(params, rho0.trunc, float(t))
     evolved = devectorize(propagator @ vectorize(rho0.mat), rho0.dim)
     return DensityMatrix(mat=evolved, trunc=rho0.trunc)
@@ -187,11 +189,16 @@ def evolve_numeric_rk4(
     - (nu/2)(a a^dag rho + rho a a^dag - 2 a^dag rho a) with the truncated
     operators, making it independent of both the closed form and the
     Liouvillian construction. ``steps`` must satisfy the stability bound
-    step * (omega + mu + nu) * D <= 0.1.
+    step * (omega + mu + nu) * D <= 0.1 and stay within ``RK4_MAX_STEPS``.
     """
-    _check_evolution_args(rho0, t, tolerances)
+    check_evolution_args(rho0, t, tolerances)
     if steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps}")
+    if steps > RK4_MAX_STEPS:
+        raise ValueError(
+            f"{steps} RK4 steps exceed the budget of {RK4_MAX_STEPS}; lower omega, "
+            f"mu + nu, the dimension or the time step"
+        )
     needed = stability_steps(params, rho0.dim, t)
     if steps < needed:
         raise ValueError(
@@ -228,18 +235,3 @@ def evolve_numeric_rk4(
         r = r + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return DensityMatrix(mat=r, trunc=rho0.trunc)
 
-
-def _check_evolution_args(rho0: DensityMatrix, t: float, tolerances: ToleranceConfig | None):
-    if t < 0:
-        raise ValueError(f"evolution time must be non-negative, got {t}")
-    tols = DEFAULT_TOLERANCES if tolerances is None else tolerances
-    report = validate_density(
-        rho0.mat,
-        hermiticity_tol=tols.hermiticity_tol,
-        trace_tol=tols.trace_tol,
-        positivity_tol=tols.positivity_tol,
-    )
-    if not report.ok:
-        raise ValidationError(
-            f"initial state is not a valid density matrix: {report.describe()}", report
-        )

@@ -1,117 +1,16 @@
-"""Scalar diagnostics of density matrices: moments, purity, distances, spectra.
+"""Scalar diagnostics of density matrices: moments, purity, distances, populations.
 
 All functions accept either a :class:`~qdho.fock.DensityMatrix` or a bare
 complex square array; wrappers are unwrapped via their ``mat`` attribute.
-The Hermitian eigensolver is a cyclic Jacobi sweep, kept dependency-free so
-positivity certificates do not share code with any evolution path.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
-
-_MAX_SWEEPS = 100
 
 
 def _as_matrix(x) -> np.ndarray:
     return np.asarray(getattr(x, "mat", x), dtype=complex)
-
-
-@dataclass(frozen=True)
-class SpectrumResult:
-    """Eigenvalues of a Hermitian matrix, ascending, with solver diagnostics.
-
-    ``iterations`` counts individual Jacobi rotations; ``residual`` is the
-    largest off-diagonal magnitude left when the sweep terminated.
-    ``eigenvectors`` holds the accumulated rotations, column k belonging to
-    ``eigenvalues[k]``.
-    """
-
-    eigenvalues: np.ndarray
-    iterations: int
-    residual: float
-    eigenvectors: np.ndarray
-
-
-def hermitian_eigenvalues(m, tol: float = 1e-13) -> SpectrumResult:
-    """Diagonalize a Hermitian matrix by cyclic Jacobi rotations.
-
-    Rotations continue until every off-diagonal magnitude is below ``tol``
-    (absolute; callers with badly scaled input should scale first). Input
-    must be Hermitian within 1e-10 of its own scale and is symmetrized
-    before sweeping.
-    """
-    a = _as_matrix(m)
-    n = a.shape[0]
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("hermitian_eigenvalues requires a square matrix")
-    scale = max(1.0, float(np.abs(a).max()))
-    herm_dev = float(np.abs(a - a.conj().T).max())
-    if herm_dev > 1e-10 * scale:
-        raise ValueError(
-            f"matrix is not Hermitian: max |m - m^H| = {herm_dev:.3e} at scale {scale:.3e}"
-        )
-    a = 0.5 * (a + a.conj().T)
-    v = np.eye(n, dtype=complex)
-    rotations = 0
-    sweeps = 0
-    skip = 0.01 * tol
-    while _max_offdiag(a) >= tol:
-        if sweeps >= _MAX_SWEEPS:
-            raise ArithmeticError(
-                f"Jacobi sweep did not reach tol={tol:.1e} in {_MAX_SWEEPS} sweeps "
-                f"(residual {_max_offdiag(a):.3e}); tol may be below machine precision at this scale"
-            )
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r <= skip:
-                    continue
-                theta = 0.5 * math.atan2(2.0 * r, (a[q, q] - a[p, p]).real)
-                c = math.cos(theta)
-                s_phase = math.sin(theta) * (apq / r)
-                _rotate(a, p, q, c, s_phase)
-                _rotate_columns(v, p, q, c, s_phase)
-                rotations += 1
-        sweeps += 1
-    eigenvalues = np.real(np.diag(a))
-    order = np.argsort(eigenvalues, kind="stable")
-    return SpectrumResult(
-        eigenvalues=eigenvalues[order],
-        iterations=rotations,
-        residual=_max_offdiag(a),
-        eigenvectors=v[:, order],
-    )
-
-
-def _max_offdiag(a: np.ndarray) -> float:
-    off = np.abs(a - np.diag(np.diag(a)))
-    return float(off.max()) if a.shape[0] > 1 else 0.0
-
-
-def _rotate(a: np.ndarray, p: int, q: int, c: float, s_phase: complex) -> None:
-    # Unitary R with R[p,p]=R[q,q]=c, R[p,q]=s_phase, R[q,p]=-conj(s_phase);
-    # applies A <- R^H A R touching only rows/columns p and q.
-    _rotate_columns(a, p, q, c, s_phase)
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p - s_phase * row_q
-    a[q, :] = np.conj(s_phase) * row_p + c * row_q
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
-
-
-def _rotate_columns(a: np.ndarray, p: int, q: int, c: float, s_phase: complex) -> None:
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p - np.conj(s_phase) * col_q
-    a[:, q] = s_phase * col_p + c * col_q
 
 
 def expect_n(rho, ops=None) -> float:

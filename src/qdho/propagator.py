@@ -30,9 +30,8 @@ from .fock import (
     DensityMatrix,
     ModelParams,
     TruncationConfig,
-    ValidationError,
     build_operators,
-    validate_density,
+    check_evolution_args,
 )
 
 #: Doubling-D truncation certificates must come in below this (Frobenius
@@ -98,7 +97,8 @@ def evolve_analytic(
     tolerances: ToleranceConfig | None = None,
 ) -> DensityMatrix:
     """Evolve rho0 to time t under loss mu, pump nu and rotation omega."""
-    tols = _check_args(rho0, params.mu, params.nu, t, tolerances)
+    _check_rates(params.mu, params.nu)
+    tols = check_evolution_args(rho0, t, tolerances)
     plan = make_plan(params, rho0.trunc, t, degeneracy_threshold=tols.degeneracy_threshold)
     return _apply_plan(rho0, plan)
 
@@ -112,7 +112,8 @@ def evolve_lindblad_only(
     tolerances: ToleranceConfig | None = None,
 ) -> DensityMatrix:
     """Evolution with the dissipator alone (omega = 0)."""
-    tols = _check_args(rho0, mu, nu, t, tolerances)
+    _check_rates(mu, nu)
+    tols = check_evolution_args(rho0, t, tolerances)
     plan = make_plan(
         ModelParams(omega=0.0, mu=mu, nu=nu),
         rho0.trunc,
@@ -140,7 +141,8 @@ def evolve_nu_zero(
     expm1 directly, which keeps this route independent of :mod:`qdho.su11`
     while agreeing with ``evolve_analytic(nu=0)`` to 1e-12.
     """
-    _check_args(rho0, mu, 0.0, t, tolerances)
+    _check_rates(mu, 0.0)
+    check_evolution_args(rho0, t, tolerances)
     ops = build_operators(rho0.trunc, theta=0.0)
     weight = -math.expm1(-mu * t)  # 1 - e^{-mu t}
     inner = _lowering_series(rho0.mat, ops.a, ops.a_dagger, weight)
@@ -178,15 +180,7 @@ def doubled_truncation_distance(
     return float(np.linalg.norm(big.mat - padded))
 
 
-def _check_args(
-    rho0: DensityMatrix,
-    mu: float,
-    nu: float,
-    t: float,
-    tolerances: ToleranceConfig | None,
-) -> ToleranceConfig:
-    if t < 0:
-        raise ValueError(f"evolution time must be non-negative, got {t}")
+def _check_rates(mu: float, nu: float) -> None:
     if mu < 0 or nu < 0:
         raise ValueError(f"rates must be non-negative, got mu={mu}, nu={nu}")
     if nu > mu:
@@ -196,18 +190,6 @@ def _check_args(
             GainWarning,
             stacklevel=3,
         )
-    tols = DEFAULT_TOLERANCES if tolerances is None else tolerances
-    report = validate_density(
-        rho0.mat,
-        hermiticity_tol=tols.hermiticity_tol,
-        trace_tol=tols.trace_tol,
-        positivity_tol=tols.positivity_tol,
-    )
-    if not report.ok:
-        raise ValidationError(
-            f"initial state is not a valid density matrix: {report.describe()}", report
-        )
-    return tols
 
 
 def _apply_plan(rho0: DensityMatrix, plan: PropagatorPlan) -> DensityMatrix:

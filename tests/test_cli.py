@@ -363,6 +363,19 @@ class TestMainEntry:
         cfg_path = write(tmp_path, COMPARE_CONFIG)
         assert cli.main(["compare", "--config", cfg_path, "--tol-override", "bogus"]) == cli.EXIT_VALIDATION
 
+    def test_rk4_over_step_budget_exits_1(self, tmp_path, monkeypatch):
+        text = QUANTUM_CONFIG.replace("omega = 0.0", "omega = 1e8").replace(
+            "method = analytic", "method = rk4"
+        )
+        cfg_path = write(tmp_path, text)
+
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("RK4 set up its operators despite the step budget")
+
+        # 2 x 7e9 steps are asked for; the budget must refuse them before any step.
+        monkeypatch.setattr(cli.liouville, "build_operators", no_stepping)
+        assert cli.main(["evolve", "--config", cfg_path]) == cli.EXIT_VALIDATION
+
     def test_numeric_failure_exits_3(self, tmp_path, monkeypatch):
         cfg_path = write(tmp_path, QUANTUM_CONFIG)
 

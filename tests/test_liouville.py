@@ -247,6 +247,21 @@ class TestEvolveNumericRk4:
         with pytest.raises(ValueError):
             liouville.evolve_numeric_rk4(rho0, params, 2.0, needed - 1)
 
+    def test_rejects_step_count_over_budget(self, monkeypatch):
+        # omega = 1e8 at D = 24, t = 3 would need 7.2e10 steps. The call must
+        # fail on the count alone; the oversized integration never starts.
+        params = fock.ModelParams(omega=1e8, mu=1.0, nu=0.4)
+        needed = liouville.stability_steps(params, 24, 3.0)
+        assert needed == 72_000_001_008 > liouville.RK4_MAX_STEPS
+
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("RK4 set up its operators despite the step budget")
+
+        monkeypatch.setattr(liouville, "build_operators", no_stepping)
+        rho0 = fock.fock_state(0, trunc_of(24))
+        with pytest.raises(ValueError, match="budget"):
+            liouville.evolve_numeric_rk4(rho0, params, 3.0, needed)
+
     def test_stability_steps_edge_cases(self):
         assert liouville.stability_steps(fock.ModelParams(), 10, 5.0) == 1
         assert liouville.stability_steps(fock.ModelParams(mu=1.0), 10, 0.0) == 1

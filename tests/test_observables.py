@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qdho import fock, observables
 
@@ -80,40 +81,63 @@ class TestFrobeniusDistance:
 
 
 class TestHermitianEigenvalues:
+    """Smallest eigenvalue as reported by the positivity check of validate_density."""
+
     def test_diagonal_is_sorted(self):
-        result = observables.hermitian_eigenvalues(np.diag([3.0, 1.0, 2.0]).astype(complex))
-        np.testing.assert_allclose(result.eigenvalues, [1.0, 2.0, 3.0], atol=1e-14)
+        report = fock.validate_density(np.diag([3.0, 1.0, 2.0]).astype(complex))
+        assert abs(report.min_eigenvalue - 1.0) <= 1e-14
 
     def test_pauli_x_spectrum(self):
-        result = observables.hermitian_eigenvalues(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        np.testing.assert_allclose(result.eigenvalues, [-1.0, 1.0], atol=1e-14)
+        report = fock.validate_density(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert abs(report.min_eigenvalue + 1.0) <= 1e-14
 
-    def test_random_hermitian_residuals_and_oracle(self):
+    def test_random_hermitian_against_oracle(self):
         rng = np.random.default_rng(17)
         for _ in range(5):
             m = random_hermitian(8, rng)
-            result = observables.hermitian_eigenvalues(m, tol=1e-13)
-            # Eigenpair residual against the returned eigenvectors.
-            for k in range(8):
-                v = result.eigenvectors[:, k]
-                residual = np.linalg.norm(m @ v - result.eigenvalues[k] * v)
-                assert residual <= 1e-9 * max(1.0, np.abs(m).max())
-            # Independent oracle.
-            np.testing.assert_allclose(
-                result.eigenvalues, np.linalg.eigvalsh(m), atol=1e-11
-            )
-            assert abs(result.eigenvalues.sum() - np.trace(m).real) <= 1e-10
-            assert result.residual <= 1e-13
-            assert result.iterations > 0
+            min_eig = fock.validate_density(m).min_eigenvalue
+            assert abs(min_eig - np.linalg.eigvalsh(m)[0]) <= 1e-11
+            assert abs(min_eig - scipy.linalg.eigvalsh(m)[0]) <= 1e-11
 
     def test_complex_phase_handling(self):
         m = np.array([[1.0, 1j], [-1j, 1.0]])
-        result = observables.hermitian_eigenvalues(m)
-        np.testing.assert_allclose(result.eigenvalues, [0.0, 2.0], atol=1e-13)
+        assert abs(fock.validate_density(m).min_eigenvalue) <= 1e-13
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            observables.hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        report = fock.validate_density(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert not report.hermitian_ok
+        assert not report.ok
+
+
+class TestKnownSpectrumPositivity:
+    """min_eigenvalue of U diag(lam) U^dag with one eigenvalue near zero."""
+
+    @staticmethod
+    def known_spectrum(dim, smallest, seed):
+        rng = np.random.default_rng(seed)
+        q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        u = q * (np.diag(r) / np.abs(np.diag(r)))  # Haar-distributed unitary
+        lam = rng.uniform(0.5, 1.5, dim)
+        lam[0] = 0.0
+        lam *= (1.0 - smallest) / lam.sum()
+        lam[0] = smallest
+        return (u * lam) @ u.conj().T, lam
+
+    @pytest.mark.parametrize("dim", [24, 48])
+    @pytest.mark.parametrize("smallest", [1e-9, -1e-9, 1e-11, -1e-11])
+    def test_min_eigenvalue_and_positivity_flag(self, dim, smallest):
+        rho, lam = self.known_spectrum(dim, smallest, seed=dim)
+        assert abs(lam.sum() - 1.0) <= 1e-15
+        assert abs(fock.validate_density(rho).min_eigenvalue - lam.min()) <= 1e-12
+        # Just below and just above |min lam|, the flag follows the exact spectrum:
+        # it flips across the tolerance for a negative eigenvalue only.
+        for tol in (abs(smallest) * (1 - 1e-3), abs(smallest) * (1 + 1e-3)):
+            expected = smallest >= -tol
+            assert fock.validate_density(rho, positivity_tol=tol).positive_ok == expected
+
+    def test_rank_one_coherent_state(self):
+        rho = fock.coherent_state(2.0, trunc_of(48, support=23))
+        assert fock.validate_density(rho).min_eigenvalue >= -1e-13
 
 
 class TestPhotonDistribution:

@@ -2,8 +2,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from qdho import fock, liouville, observables, propagator
+from qdho import config, fock, liouville, observables, propagator
 from qdho.verification import random_interior_density
 
 
@@ -237,3 +239,48 @@ class TestTruncationBehaviour:
                 rho0, fock.ModelParams(omega=0.0, mu=0.5, nu=0.5), 3.0
             )
         assert dist > 1e-6
+
+
+_PROPERTY_TRUNC = trunc_of(16, support=7)
+
+
+@st.composite
+def initial_states(draw):
+    """A coherent state or a Fock mixture supported on levels 0..7 of D = 16."""
+    if draw(st.booleans()):
+        r = draw(st.floats(0.0, 1.5))
+        phase = draw(st.floats(0.0, 2 * np.pi))
+        return fock.coherent_state(r * np.exp(1j * phase), _PROPERTY_TRUNC)
+    levels = draw(st.lists(st.integers(0, 7), min_size=1, max_size=4, unique=True))
+    raw = draw(st.lists(st.floats(0.1, 1.0), min_size=len(levels), max_size=len(levels)))
+    weights = [w / sum(raw) for w in raw[:-1]]
+    weights.append(1.0 - sum(weights))
+    return fock.mixture_state(list(zip(levels, weights)), _PROPERTY_TRUNC)
+
+
+class TestAnalyticOutputIsAState:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        rho0=initial_states(),
+        mu=st.floats(0.0, 3.0),
+        pump_fraction=st.floats(0.0, 1.0),
+        omega=st.floats(0.0, 3.0),
+        t=st.floats(0.0, 3.0),
+    )
+    def test_certified_output_is_a_density_matrix(self, rho0, mu, pump_fraction, omega, t):
+        params = fock.ModelParams(omega=omega, mu=mu, nu=pump_fraction * mu)
+        assume(
+            propagator.doubled_truncation_distance(rho0, params, t)
+            <= propagator.TRUNCATION_DOUBLING_TOL
+        )
+        tols = config.DEFAULT_TOLERANCES
+        out = propagator.evolve_analytic(rho0, params, t)
+        report = fock.validate_density(
+            out,
+            hermiticity_tol=tols.hermiticity_tol,
+            trace_tol=tols.trace_tol,
+            positivity_tol=tols.positivity_tol,
+        )
+        assert report.hermitian_ok, report.describe()
+        assert report.positive_ok, report.describe()
+        assert np.trace(out.mat).real <= 1.0 + tols.trace_tol
