@@ -57,6 +57,7 @@ from .propagator import (
     GainWarning,
     PropagatorPlan,
     doubled_truncation_distance,
+    escape_distance,
     evolve_analytic,
     evolve_lindblad_only,
     evolve_nu_zero,

@@ -100,12 +100,19 @@ def _rk4_on_grid(rho0: DensityMatrix, cfg: RunConfig, times: np.ndarray) -> list
     return out
 
 
-def _check_truncation(rho0: DensityMatrix, cfg: RunConfig, times: np.ndarray) -> None:
-    # The certificate always uses the closed form at D and 2D, whatever the
-    # method: it certifies the truncation, not the integrator.
+def _check_truncation(
+    rho0: DensityMatrix, cfg: RunConfig, times: np.ndarray
+) -> list[DensityMatrix]:
+    """Certify every grid time; return the dim-D closed-form states it certified.
+
+    The certificate always uses the closed form at D and 2D, whatever the
+    method: it certifies the truncation, not the integrator.
+    """
+    evolved = []
     for t in times:
-        dist = propagator.doubled_truncation_distance(
-            rho0, cfg.params, float(t), tolerances=cfg.tolerances
+        state = propagator.evolve_analytic(rho0, cfg.params, float(t), tolerances=cfg.tolerances)
+        dist = propagator.escape_distance(
+            rho0, state, cfg.params, float(t), tolerances=cfg.tolerances
         )
         if not np.isfinite(dist):
             raise NumericFailure(f"truncation check produced {dist} at t={float(t):.6g}")
@@ -114,15 +121,19 @@ def _check_truncation(rho0: DensityMatrix, cfg: RunConfig, times: np.ndarray) ->
                 f"truncation not converged at t={float(t):.6g}: doubling-D distance "
                 f"{dist:.3e} > {propagator.TRUNCATION_DOUBLING_TOL:.1e}"
             )
+        evolved.append(state)
+    return evolved
 
 
 def cmd_evolve(cfg: RunConfig) -> str:
     """Time series of observables as CSV, one row per grid point."""
     rho0 = build_initial_state(cfg.state, cfg.trunc)
     times = cfg.grid.times()
-    if cfg.check_truncation:
-        _check_truncation(rho0, cfg, times)
-    states = _evolve_on_grid(rho0, cfg, times)
+    certified = _check_truncation(rho0, cfg, times) if cfg.check_truncation else None
+    if certified is not None and cfg.method == "analytic":
+        states = certified
+    else:
+        states = _evolve_on_grid(rho0, cfg, times)
     k_max = min(cfg.photon_levels, cfg.trunc.dim - 1)
     header = (
         ["t", "trace_re", "expect_n", "purity"]
@@ -155,12 +166,13 @@ def cmd_compare(cfg: RunConfig) -> tuple[str, int]:
     """Closed form vs both oracles on one grid; fails on oracle_tol breach."""
     rho0 = build_initial_state(cfg.state, cfg.trunc)
     times = cfg.grid.times()
-    if cfg.check_truncation:
-        _check_truncation(rho0, cfg, times)
     tols = cfg.tolerances
-    analytic = [
-        propagator.evolve_analytic(rho0, cfg.params, float(t), tolerances=tols) for t in times
-    ]
+    if cfg.check_truncation:
+        analytic = _check_truncation(rho0, cfg, times)
+    else:
+        analytic = [
+            propagator.evolve_analytic(rho0, cfg.params, float(t), tolerances=tols) for t in times
+        ]
     via_expm = [
         liouville.evolve_numeric_expm(rho0, cfg.params, float(t), tolerances=tols) for t in times
     ]

@@ -37,6 +37,10 @@ RK4_STABILITY_LIMIT = 0.1
 #: Step budget of one RK4 call. Tier-1 needs at most ~1.1e4 steps; a call
 #: asking for more than this fails at once instead of running for hours.
 RK4_MAX_STEPS = 10_000_000
+#: Size budget of the dense oracle. Each D^2 x D^2 superoperator takes
+#: 16 D^4 bytes (268 MB at D = 64, 1.36 GB at D = 96) and building the
+#: Liouvillian holds five of them; a larger D fails before allocating.
+DENSE_MAX_DIM = 64
 
 
 def vectorize(x: np.ndarray) -> np.ndarray:
@@ -77,7 +81,17 @@ def sandwich_check(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
 def k_superoperators(
     trunc: TruncationConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(K0, K+, K-, K3) as dense D^2 x D^2 matrices, from phase-free operators."""
+    """(K0, K+, K-, K3) as dense D^2 x D^2 matrices, from phase-free operators.
+
+    Raises ValueError, before allocating anything, when D exceeds
+    ``DENSE_MAX_DIM``.
+    """
+    if trunc.dim > DENSE_MAX_DIM:
+        gigabytes = 5 * 16 * trunc.dim**4 / 1e9
+        raise ValueError(
+            f"the dense oracle at D = {trunc.dim} would hold {gigabytes:.1f} GB of "
+            f"superoperators; its budget is D <= {DENSE_MAX_DIM}"
+        )
     ops = build_operators(trunc, theta=0.0)
     b = ops.a
     bd = ops.a_dagger

@@ -10,10 +10,18 @@ scalars E, F, G of :mod:`qdho.su11`:
 
 On a D-level truncation both sums terminate exactly at index D-1 because
 a and a^dag are nilpotent there, so the only approximation in this module
-is the truncation itself. Powers are accumulated incrementally (one
-multiplication by a or a^dag per term) and the diagonal exponentials of N
-are applied as entrywise row/column scalings, never through a general
-matrix exponential.
+is the truncation itself.
+
+No operator matrix is built. Every factor keeps the off-diagonal index
+k = j - i of an entry rho[i, j]: (a X a^dag)[i, j] = sqrt((i+1)(j+1))
+X[i+1, j+1], (a^dag X a)[i, j] = sqrt(i j) X[i-1, j-1], and the number
+exponentials scale entry (i, j) by e^{l i + r j}. The phase theta of a
+cancels from both sandwiches. So the series runs on the diagonals of
+rho(0) alone, stored skewed: row r of a (rows x D) array holds
+rho[i, (i + k_r) mod D] for i = 0..D-1, i.e. diagonal k_r for i < D - k_r
+followed by diagonal k_r - D. A term is a shift along the rows plus an
+entrywise scaling, O((2K+1) D) work where K is the widest nonzero
+diagonal of rho(0); a diagonal state costs O(D) per term, a full one O(D^2).
 """
 
 from __future__ import annotations
@@ -30,7 +38,6 @@ from .fock import (
     DensityMatrix,
     ModelParams,
     TruncationConfig,
-    build_operators,
     check_evolution_args,
 )
 
@@ -143,11 +150,9 @@ def evolve_nu_zero(
     """
     _check_rates(mu, 0.0)
     check_evolution_args(rho0, t, tolerances)
-    ops = build_operators(rho0.trunc, theta=0.0)
     weight = -math.expm1(-mu * t)  # 1 - e^{-mu t}
-    inner = _lowering_series(rho0.mat, ops.a, ops.a_dagger, weight)
     exponent = -(0.5 * mu + 1j * omega) * t
-    evolved = _number_sandwich(inner, exponent, np.conj(exponent))
+    evolved = _band_series(rho0.mat, weight, exponent, np.conj(exponent))
     return _finish(evolved, rho0.trunc)
 
 
@@ -165,15 +170,33 @@ def doubled_truncation_distance(
     Frobenius norm. A small value certifies the retained dimension holds the
     evolution; the CLI --check-truncation flag gates runs on it at 1e-9.
     """
+    evolved = evolve_analytic(rho0, params, t, tolerances=tolerances)
+    return escape_distance(rho0, evolved, params, t, tolerances=tolerances)
+
+
+def escape_distance(
+    rho0: DensityMatrix,
+    evolved: DensityMatrix,
+    params: ModelParams,
+    t: float,
+    *,
+    tolerances: ToleranceConfig | None = None,
+) -> float:
+    """:func:`doubled_truncation_distance` for a dim-D state already evolved.
+
+    ``evolved`` is ``evolve_analytic(rho0, params, t)``; only the dim-2D run
+    happens here, so a caller that needs the dim-D state anyway evolves it
+    once.
+    """
     d = rho0.dim
-    big_trunc = rho0.trunc.doubled()
+    if evolved.dim != d:
+        raise ValueError(f"evolved state has dim {evolved.dim}, initial state {d}")
     big_mat = np.zeros((2 * d, 2 * d), dtype=complex)
     big_mat[:d, :d] = rho0.mat
-    big0 = DensityMatrix(mat=big_mat, trunc=big_trunc)
-    small = evolve_analytic(rho0, params, t, tolerances=tolerances)
+    big0 = DensityMatrix(mat=big_mat, trunc=rho0.trunc.doubled())
     big = evolve_analytic(big0, params, t, tolerances=tolerances)
     padded = np.zeros((2 * d, 2 * d), dtype=complex)
-    padded[:d, :d] = small.mat
+    padded[:d, :d] = evolved.mat
     # The shared block agrees identically (the series never feeds population
     # back down across the cutoff), so this distance is exactly the weight
     # the dim-D run lost above its top level.
@@ -193,46 +216,70 @@ def _check_rates(mu: float, nu: float) -> None:
 
 
 def _apply_plan(rho0: DensityMatrix, plan: PropagatorPlan) -> DensityMatrix:
-    ops = build_operators(rho0.trunc, plan.params.theta)
     coeffs = plan.coeffs
-    inner = _lowering_series(rho0.mat, ops.a, ops.a_dagger, coeffs.e_coef)
     phase = plan.params.omega * coeffs.t
     log_f = math.log(coeffs.f_coef)
-    core = _number_sandwich(inner, complex(-log_f, -phase), complex(-log_f, phase))
-    outer = _raising_series(core, ops.a, ops.a_dagger, coeffs.g_coef)
-    return _finish(plan.prefactor * outer, rho0.trunc)
+    evolved = _band_series(
+        rho0.mat,
+        coeffs.e_coef,
+        complex(-log_f, -phase),
+        complex(-log_f, phase),
+        raise_weight=coeffs.g_coef,
+        scale=plan.prefactor,
+    )
+    return _finish(evolved, rho0.trunc)
 
 
-def _lowering_series(rho: np.ndarray, a: np.ndarray, ad: np.ndarray, weight: float) -> np.ndarray:
-    """sum_m weight^m / m!  a^m rho (a^dag)^m, exact on the truncated space."""
-    total = rho.copy()
-    term = rho
-    for m in range(1, rho.shape[0]):
-        term = (weight / m) * (a @ term @ ad)
-        if not term.any():
-            break
-        total += term
-    return total
+def _band_series(
+    rho: np.ndarray,
+    lower_weight: float,
+    left_exp: complex,
+    right_exp: complex,
+    *,
+    raise_weight: float = 0.0,
+    scale: float = 1.0,
+) -> np.ndarray:
+    """scale * sum_n R^n/n! (a^dag)^n [e^{l N} (sum_m L^m/m! a^m rho (a^dag)^m) e^{r N}] a^n.
 
+    Works on the skewed diagonals of rho (see the module docstring): only
+    the rows k in {-K..K} mod D are kept, K being the widest nonzero
+    diagonal of rho, or all D rows once 2K + 1 >= D. The map conserves k,
+    so the band never grows. Each diagonal is computed on its own, the
+    -k ones included, and a zero raise_weight skips the raising series.
+    """
+    d = rho.shape[0]
+    nz_rows, nz_cols = np.nonzero(rho)
+    width = int(np.abs(nz_rows - nz_cols).max()) if nz_rows.size else 0
+    offsets = np.arange(-width, width + 1) % d if 2 * width + 1 < d else np.arange(d)
+    levels = np.arange(d)
+    cols = (levels + offsets[:, None]) % d  # band[r, i] = rho[i, cols[r, i]]
+    band = rho[levels, cols]
+    # a X a^dag reads entry (i+1, j+1), which is off the stored diagonal
+    # (and outside the space) where j = D-1; a^dag X a reads (i-1, j-1),
+    # whose weight sqrt(i j) already vanishes where j = 0.
+    lower_w = np.sqrt((levels[:-1] + 1.0) * (cols[:, :-1] + 1.0))
+    lower_w[cols[:, :-1] == d - 1] = 0.0
+    raise_w = np.sqrt(levels[1:] * cols[:, 1:].astype(float))
 
-def _raising_series(rho: np.ndarray, a: np.ndarray, ad: np.ndarray, weight: float) -> np.ndarray:
-    """sum_n weight^n / n!  (a^dag)^n rho a^n."""
-    total = rho.copy()
-    term = rho
-    for n in range(1, rho.shape[0]):
-        term = (weight / n) * (ad @ term @ a)
-        if not term.any():
-            break
-        total += term
-    return total
+    def series(z, weight, shift_w, src, dst):
+        total = z.copy()
+        term = z
+        for m in range(1, d):
+            shifted = np.zeros_like(term)
+            shifted[:, dst] = shift_w * term[:, src]
+            term = (weight / m) * shifted
+            if not term.any():
+                break
+            total += term
+        return total
 
-
-def _number_sandwich(rho: np.ndarray, left_exp: complex, right_exp: complex) -> np.ndarray:
-    """e^{left_exp N} rho e^{right_exp N} via entrywise scalings (N diagonal)."""
-    levels = np.arange(rho.shape[0])
-    left = np.exp(left_exp * levels)
-    right = np.exp(right_exp * levels)
-    return left[:, None] * rho * right[None, :]
+    band = series(band, lower_weight, lower_w, slice(1, None), slice(None, -1))
+    band = np.exp(left_exp * levels) * band * np.exp(right_exp * levels)[cols]
+    if raise_weight:
+        band = series(band, raise_weight, raise_w, slice(None, -1), slice(1, None))
+    out = np.zeros((d, d), dtype=complex)
+    out[levels, cols] = scale * band
+    return out
 
 
 def _finish(mat: np.ndarray, trunc: TruncationConfig) -> DensityMatrix:

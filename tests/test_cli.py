@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import qdho.su11
-from qdho import cli, config, fock, verification
+from qdho import cli, config, fock, propagator, verification
 
 QUANTUM_CONFIG = """
 [model]
@@ -224,6 +224,27 @@ class TestCmdEvolve:
             cli.cmd_evolve(cfg)
 
 
+    def test_check_truncation_evolves_each_state_once(self, tmp_path, monkeypatch):
+        # Each grid time is evolved once at D (and certified against one
+        # run at 2D); the CSV is the one an uncertified run writes.
+        cfg = config.load_run_config(write(tmp_path, COMPARE_CONFIG))
+        plain = cli.cmd_evolve(cfg)
+        dims = []
+        original = propagator.evolve_analytic
+
+        def counting(rho0, *args, **kwargs):
+            dims.append(rho0.dim)
+            return original(rho0, *args, **kwargs)
+
+        monkeypatch.setattr(propagator, "evolve_analytic", counting)
+        certified = cli.cmd_evolve(dataclasses.replace(cfg, check_truncation=True))
+        assert certified == plain
+        assert sorted(dims) == [24] * 3 + [48] * 3
+        dims.clear()
+        cli.cmd_compare(dataclasses.replace(cfg, check_truncation=True))
+        assert sorted(dims) == [24] * 3 + [48] * 3
+
+
 class TestCmdCompare:
     def test_default_physical_config_passes(self, tmp_path):
         cfg = config.load_run_config(write(tmp_path, COMPARE_CONFIG))
@@ -375,6 +396,31 @@ class TestMainEntry:
         # 2 x 7e9 steps are asked for; the budget must refuse them before any step.
         monkeypatch.setattr(cli.liouville, "build_operators", no_stepping)
         assert cli.main(["evolve", "--config", cfg_path]) == cli.EXIT_VALIDATION
+
+    def test_failed_certificate_exits_2_without_csv(self, tmp_path, capsys):
+        text = COMPARE_CONFIG.replace("mu = 1.0", "mu = 0.5").replace(
+            "nu = 0.4", "nu = 0.5"
+        ).replace("guard = 14", "guard = 2").replace("t_end = 1.0", "t_end = 3.0")
+        cfg_path = write(tmp_path, text)
+        out = tmp_path / "series.csv"
+        code = cli.main(["evolve", "--config", cfg_path, "--out", str(out), "--check-truncation"])
+        assert code == cli.EXIT_TOLERANCE
+        assert not out.exists()
+        assert "tolerance failure: truncation not converged at t=" in capsys.readouterr().err
+
+    def test_dense_oracle_over_size_budget_exits_1(self, tmp_path, monkeypatch, capsys):
+        text = QUANTUM_CONFIG.replace("support_max = 1", "support_max = 1\nguard = 94").replace(
+            "method = analytic", "method = expm"
+        )
+        cfg_path = write(tmp_path, text)
+
+        def no_operators(*args, **kwargs):
+            raise AssertionError("the dense oracle built its operators despite the budget")
+
+        # D = 96 would need five 1.36 GB superoperators; they are never built.
+        monkeypatch.setattr(cli.liouville, "build_operators", no_operators)
+        assert cli.main(["evolve", "--config", cfg_path]) == cli.EXIT_VALIDATION
+        assert "budget is D <= 64" in capsys.readouterr().err
 
     def test_numeric_failure_exits_3(self, tmp_path, monkeypatch):
         cfg_path = write(tmp_path, QUANTUM_CONFIG)

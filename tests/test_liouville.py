@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -80,6 +82,36 @@ class TestKSuperoperators:
         # Interior entries cancel up to sqrt(n) rounding; edge entries are O(D^2).
         assert np.abs(interior).max() <= 5e-14
         assert np.abs(diag[dim - 1, :]).max() > 1.0
+
+
+    def test_size_budget_admits_every_criterion_4_dimension(self):
+        # Criterion 4 may run its oracles at up to 64 levels.
+        assert liouville.DENSE_MAX_DIM >= 64
+
+    def test_over_size_budget_raises_before_allocating(self, monkeypatch):
+        # At D = 96 one superoperator is 9216 x 9216 complex (1.36 GB) and
+        # the Liouvillian build holds five. The budget must refuse on the
+        # dimension alone: nothing D^2 x D^2 is ever allocated.
+        dim = 96
+        one_superoperator = 16 * dim**4
+        assert dim > liouville.DENSE_MAX_DIM and one_superoperator > 1.3e9
+
+        def no_operators(*args, **kwargs):
+            raise AssertionError("the dense oracle built its operators despite the budget")
+
+        monkeypatch.setattr(liouville, "build_operators", no_operators)
+        rho0 = fock.fock_state(0, trunc_of(dim, support=1))
+        params = fock.ModelParams(omega=1.0, mu=1.0, nu=0.4)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="budget is D <= 64"):
+                liouville.evolve_numeric_expm(rho0, params, 1.0)
+            with pytest.raises(ValueError, match="budget"):
+                liouville.k_superoperators(rho0.trunc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < one_superoperator / 1000
 
 
 class TestBuildLiouvillian:

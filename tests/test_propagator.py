@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qdho import config, fock, liouville, observables, propagator
+from qdho import config, fock, liouville, observables, propagator, su11
 from qdho.verification import random_interior_density
 
 
@@ -207,12 +207,111 @@ class TestEvolveNuZero:
         assert abs(observables.expect_n(liouville.evolve_numeric_rk4(rho0, params, t, steps)) - target) <= 1e-8
 
 
+
+def _dense_series(x, lower_weight, left_exp, right_exp, raise_weight, scale, theta):
+    """The closed-form series with dense operator products, theta != 0 allowed."""
+    d = x.shape[0]
+    ops = fock.build_operators(trunc_of(d), theta=theta)
+
+    def series(mat, weight, left, right):
+        total = mat.copy()
+        term = mat
+        for m in range(1, d):
+            term = (weight / m) * (left @ term @ right)
+            total = total + term
+        return total
+
+    levels = np.arange(d)
+    inner = series(x, lower_weight, ops.a, ops.a_dagger)
+    core = np.exp(left_exp * levels)[:, None] * inner * np.exp(right_exp * levels)[None, :]
+    return scale * series(core, raise_weight, ops.a_dagger, ops.a)
+
+
+def _band_matrix(dim, width, rng):
+    """Hermitian, diagonally dominant (so PSD) and unit trace, nonzero exactly up to |i-j| = width."""
+    x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    x = x + x.conj().T
+    i, j = np.indices((dim, dim))
+    x[np.abs(i - j) > width] = 0.0
+    np.fill_diagonal(x, np.abs(x).sum(axis=1) + 1.0)
+    return x / np.trace(x).real
+
+
+def _equivalence_inputs(dim):
+    """(name, matrix, is_state): the shapes the band layout must get right."""
+    rng = np.random.default_rng(dim)
+    single_up = np.zeros((dim, dim), dtype=complex)
+    idx = np.arange(dim - 1)
+    single_up[idx, idx + 1] = rng.normal(size=dim - 1) + 1j * rng.normal(size=dim - 1)
+    corner = np.zeros((dim, dim), dtype=complex)
+    corner[dim - 1, 0] = 0.7 - 0.3j  # the one entry of diagonal k = -(D-1)
+    full = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    full = full @ full.conj().T
+    return [
+        ("zero", np.zeros((dim, dim), dtype=complex), False),
+        ("diagonal", np.diag(rng.dirichlet(np.ones(dim))).astype(complex), True),
+        ("k=1", single_up, False),
+        ("k=-(D-1)", corner, False),
+        ("band (D-1)//2", _band_matrix(dim, (dim - 1) // 2, rng), True),
+        ("band D//2", _band_matrix(dim, dim // 2, rng), True),
+        ("full", full / np.trace(full).real, True),
+    ]
+
+
+_EQUIVALENCE_CASES = [
+    pytest.param(dim, name, mat, is_state, id=f"D{dim}-{name}")
+    for dim in (2, 7, 24, 64)
+    for name, mat, is_state in _equivalence_inputs(dim)
+]
+
+
+class TestBandSeriesEquivalence:
+    """The band routine against dense a^m X a^dag^m products with theta != 0."""
+
+    PARAMS = fock.ModelParams(omega=2.3, mu=1.0, nu=0.4, theta=0.9)
+    T = 0.8
+
+    def assert_close(self, got, want, x):
+        scale = max(1.0, float(np.linalg.norm(x)))
+        assert np.abs(got - want).max() <= 1e-14 * scale
+
+    @pytest.mark.parametrize("dim, name, mat, is_state", _EQUIVALENCE_CASES)
+    def test_full_series(self, dim, name, mat, is_state):
+        params, t = self.PARAMS, self.T
+        coeffs = su11.disentangling_coefficients(params.mu, params.nu, t)
+        prefactor = np.exp(0.5 * (params.mu - params.nu) * t) / coeffs.f_coef
+        log_f, phase = np.log(coeffs.f_coef), params.omega * t
+        left, right = complex(-log_f, -phase), complex(-log_f, phase)
+        want = _dense_series(mat, coeffs.e_coef, left, right, coeffs.g_coef, prefactor, params.theta)
+        got = propagator._band_series(
+            mat, coeffs.e_coef, left, right, raise_weight=coeffs.g_coef, scale=prefactor
+        )
+        self.assert_close(got, want, mat)
+        if is_state:
+            rho0 = fock.DensityMatrix(mat=mat, trunc=trunc_of(dim))
+            self.assert_close(propagator.evolve_analytic(rho0, params, t).mat, want, mat)
+
+    @pytest.mark.parametrize("dim, name, mat, is_state", _EQUIVALENCE_CASES)
+    def test_lowering_only(self, dim, name, mat, is_state):
+        # evolve_nu_zero's series: no raising part, no prefactor.
+        mu, omega, t = self.PARAMS.mu, self.PARAMS.omega, self.T
+        weight = -np.expm1(-mu * t)
+        exponent = -(0.5 * mu + 1j * omega) * t
+        want = _dense_series(mat, weight, exponent, np.conj(exponent), 0.0, 1.0, self.PARAMS.theta)
+        self.assert_close(propagator._band_series(mat, weight, exponent, np.conj(exponent)), want, mat)
+        if is_state:
+            rho0 = fock.DensityMatrix(mat=mat, trunc=trunc_of(dim))
+            self.assert_close(propagator.evolve_nu_zero(rho0, mu, omega, t).mat, want, mat)
+
+
 class TestTruncationBehaviour:
     def test_block_stability_of_series(self):
         # The evolved matrix at dim D equals the top-left block of the
         # evolution at dim 2D exactly: raising chains that leave the block
         # never come back, so truncating the series only discards population
-        # above the cutoff (it never corrupts retained entries).
+        # above the cutoff (it never corrupts retained entries). Every
+        # retained entry goes through the same elementwise arithmetic at D
+        # and 2D, so the agreement is bit for bit.
         rho0 = interior_state(12, 8, seed=5)
         params = fock.ModelParams(omega=1.0, mu=0.5, nu=0.5)
         small = propagator.evolve_analytic(rho0, params, 2.0)
@@ -222,7 +321,7 @@ class TestTruncationBehaviour:
         big = propagator.evolve_analytic(
             fock.DensityMatrix(mat=big_mat, trunc=big_trunc), params, 2.0
         )
-        assert np.abs(big.mat[:12, :12] - small.mat).max() <= 1e-15
+        np.testing.assert_array_equal(big.mat[:12, :12], small.mat)
 
     def test_escape_distance_small_for_damped_run(self):
         rho0 = fock.coherent_state(1.0, trunc_of(24, support=9))
@@ -284,3 +383,38 @@ class TestAnalyticOutputIsAState:
         assert report.hermitian_ok, report.describe()
         assert report.positive_ok, report.describe()
         assert np.trace(out.mat).real <= 1.0 + tols.trace_tol
+
+
+def _zero_padded(rho0):
+    d = rho0.dim
+    mat = np.zeros((2 * d, 2 * d), dtype=complex)
+    mat[:d, :d] = rho0.mat
+    return fock.DensityMatrix(mat=mat, trunc=rho0.trunc.doubled())
+
+
+class TestAnalyticProperties:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        rho0=initial_states(),
+        mu=st.floats(0.0, 3.0),
+        pump_fraction=st.floats(0.0, 1.0),
+        omega=st.floats(0.0, 3.0),
+        t=st.floats(0.0, 3.0),
+    )
+    def test_block_stable_under_zero_padding(self, rho0, mu, pump_fraction, omega, t):
+        params = fock.ModelParams(omega=omega, mu=mu, nu=pump_fraction * mu)
+        small = propagator.evolve_analytic(rho0, params, t)
+        big = propagator.evolve_analytic(_zero_padded(rho0), params, t)
+        np.testing.assert_array_equal(big.mat[: rho0.dim, : rho0.dim], small.mat)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        rho0=initial_states(),
+        mu=st.floats(0.0, 3.0),
+        omega=st.floats(0.0, 3.0),
+        t=st.floats(0.0, 3.0),
+    )
+    def test_nu_zero_matches_evolve_nu_zero(self, rho0, mu, omega, t):
+        via_full = propagator.evolve_analytic(rho0, fock.ModelParams(omega=omega, mu=mu, nu=0.0), t)
+        direct = propagator.evolve_nu_zero(rho0, mu, omega, t)
+        assert np.abs(via_full.mat - direct.mat).max() <= 1e-12
