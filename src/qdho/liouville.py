@@ -1,16 +1,25 @@
-"""Brute-force verification path through vectorized superoperators.
+"""Brute-force verification path: the master equation solved by sectors.
 
 A D x D matrix X is flattened row-major into a length-D^2 vector, under
 which X -> AXB becomes multiplication by kron(A, B^T). The master equation
-then reads d rho_vec/dt = L rho_vec with the dense D^2 x D^2 Liouvillian
+then reads d rho_vec/dt = L rho_vec with the D^2 x D^2 Liouvillian
 
     L = -i omega K0 + nu K+ + mu K- - (mu+nu) K3 + (mu-nu)/2
 
 built from K+ = kron(b^dag, b^dag), K- = kron(b, b),
 K3 = (kron(N,1) + kron(1,N) + 1)/2 and K0 = kron(N,1) - kron(1,N).
-Evolution by exp(tL) (scaling-and-squaring Taylor) and by fixed-step RK4 on
-the unvectorized matrix equation provide two independent oracles for the
-closed-form propagator.
+K0 commutes with the other three, so L keeps the off-diagonal index
+k = j - i fixed: it splits into 2D - 1 tridiagonal blocks, one per k, each
+acting on the entries (i, i + k) of rho (see :func:`liouvillian_sector`).
+
+Two oracles check the closed-form propagator, and neither forms a
+D^2 x D^2 matrix. The expm oracle exponentiates each block
+(scaling-and-squaring Taylor) and applies it to its diagonal of rho:
+O(D^4) time and O(D^3) memory. The RK4 oracle steps the unvectorized
+matrix equation with the literal truncated operators, each right-hand side
+a scaling plus two weighted corner shifts, O(D^2) per step. The dense
+superoperators and Liouvillian are kept for the identity suites, which pin
+the vectorization convention.
 """
 
 from __future__ import annotations
@@ -41,6 +50,10 @@ RK4_MAX_STEPS = 10_000_000
 #: 16 D^4 bytes (268 MB at D = 64, 1.36 GB at D = 96) and building the
 #: Liouvillian holds five of them; a larger D fails before allocating.
 DENSE_MAX_DIM = 64
+#: Size budget of the sector expm oracle. Its block exponentials take about
+#: (2/3) 16 D^3 bytes (22 MB at D = 128, where one evolution takes ~1 s);
+#: a larger D fails before anything is built.
+ORACLE_MAX_DIM = 128
 
 
 def vectorize(x: np.ndarray) -> np.ndarray:
@@ -159,11 +172,44 @@ def expm(m: np.ndarray, tol: float = 1e-16) -> np.ndarray:
     return total
 
 
+def _sector_entries(dim: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the entries (i, i + k), ordered by min(i, i + k)."""
+    p = np.arange(dim - abs(k))
+    return p + max(0, -k), p + max(0, k)
+
+
+def liouvillian_sector(params: ModelParams, dim: int, k: int) -> np.ndarray:
+    """Block of L on the entries (i, j = i + k), a (D - |k|)-square tridiagonal.
+
+    Entry (i, j) has the diagonal -i omega (i - j) - mu (i + j)/2
+    - nu (i + j + 2)/2, couples to (i+1, j+1) with mu sqrt((i+1)(j+1)) and
+    to (i-1, j-1) with nu sqrt(i j). Row and column p stand for the entry
+    with min(i, j) = p, so this is :func:`build_liouvillian` restricted to
+    sector k, entry by entry.
+    """
+    if not -dim < k < dim:
+        raise ValueError(f"sector k = {k} lies outside -(D-1)..D-1 for D = {dim}")
+    rows, cols = _sector_entries(dim, k)
+    i = rows.astype(float)
+    j = cols.astype(float)
+    block = np.diag(
+        -1j * params.omega * (i - j)
+        - 0.5 * params.mu * (i + j)
+        - 0.5 * params.nu * (i + j + 2.0)
+    )
+    p = np.arange(i.size - 1)
+    block[p, p + 1] = params.mu * np.sqrt((i[:-1] + 1.0) * (j[:-1] + 1.0))
+    block[p + 1, p] = params.nu * np.sqrt(i[1:] * j[1:])
+    return block
+
+
 @lru_cache(maxsize=4)
-def _cached_propagator(params: ModelParams, trunc: TruncationConfig, t: float) -> np.ndarray:
-    # Cached exp(t L); treat as read-only. The cache keeps repeated
-    # evolutions of different states at one parameter point cheap.
-    return expm(t * build_liouvillian(params, trunc))
+def _cached_propagator(params: ModelParams, dim: int, t: float) -> tuple[np.ndarray, ...]:
+    # exp(t L_k) for k = -(D-1) .. D-1, about (2/3) 16 D^3 bytes; treat as
+    # read-only. Every grid time is a new key, so a CLI verb never hits;
+    # the hits come from several states evolved at one (params, D, t), as
+    # in the three-way acceptance check.
+    return tuple(expm(t * liouvillian_sector(params, dim, k)) for k in range(1 - dim, dim))
 
 
 def evolve_numeric_expm(
@@ -173,10 +219,23 @@ def evolve_numeric_expm(
     *,
     tolerances: ToleranceConfig | None = None,
 ) -> DensityMatrix:
-    """Evolve by literally applying exp(tL) to the vectorized state."""
+    """Evolve by applying exp(t L_k) to each diagonal k of the state.
+
+    Raises ValueError, before anything is built, when D exceeds
+    ``ORACLE_MAX_DIM``.
+    """
+    dim = rho0.dim
+    if dim > ORACLE_MAX_DIM:
+        megabytes = 16 * dim * (2 * dim * dim + 1) / 3 / 1e6
+        raise ValueError(
+            f"the sector expm oracle at D = {dim} would hold {megabytes:.0f} MB of block "
+            f"exponentials per cached time; its budget is D <= {ORACLE_MAX_DIM}"
+        )
     check_evolution_args(rho0, t, tolerances)
-    propagator = _cached_propagator(params, rho0.trunc, float(t))
-    evolved = devectorize(propagator @ vectorize(rho0.mat), rho0.dim)
+    evolved = np.empty_like(rho0.mat)
+    for k, block_exp in zip(range(1 - dim, dim), _cached_propagator(params, dim, float(t))):
+        rows, cols = _sector_entries(dim, k)
+        evolved[rows, cols] = block_exp @ rho0.mat[rows, cols]
     return DensityMatrix(mat=evolved, trunc=rho0.trunc)
 
 
@@ -186,6 +245,39 @@ def stability_steps(params: ModelParams, dim: int, t: float) -> int:
     if t <= 0 or rate == 0:
         return 1
     return max(1, int(math.ceil(t * rate / RK4_STABILITY_LIMIT)))
+
+
+def _literal_rhs(params: ModelParams, dim: int):
+    """The matrix right-hand side r -> dr/dt with the literal truncated operators.
+
+    The phase theta cancels from a r a^dag and a^dag r a, so both are
+    weighted corner shifts: (a r a^dag)[i, j] = sqrt((i+1)(j+1)) r[i+1, j+1]
+    and (a^dag r a)[i, j] = sqrt(i j) r[i-1, j-1]. Everything else is one
+    entrywise coefficient. a a^dag is kept as the truncated product
+    diag(1, ..., D-1, 0), not N + 1.
+    """
+    levels = np.arange(dim, dtype=float)
+    aad_diag = np.append(levels[1:], 0.0)
+    coef = (
+        -1j * params.omega * (levels[:, None] - levels[None, :])
+        - 0.5 * params.mu * (levels[:, None] + levels[None, :])
+        - 0.5 * params.nu * (aad_diag[:, None] + aad_diag[None, :])
+    )
+    root = np.sqrt(levels[1:])
+    corner = np.outer(root, root)  # sqrt(i j) for 1 <= i, j <= D-1
+    mu, nu = params.mu, params.nu
+    lower_w = mu * corner
+    raise_w = nu * corner
+
+    def rhs(r: np.ndarray) -> np.ndarray:
+        out = coef * r
+        if mu:
+            out[:-1, :-1] += lower_w * r[1:, 1:]
+        if nu:
+            out[1:, 1:] += raise_w * r[:-1, :-1]
+        return out
+
+    return rhs
 
 
 def evolve_numeric_rk4(
@@ -198,12 +290,13 @@ def evolve_numeric_rk4(
 ) -> DensityMatrix:
     """Integrate the matrix-form master equation with classic fixed-step RK4.
 
-    This path never vectorizes: the right-hand side is evaluated as
+    This path never vectorizes: the right-hand side is
     -i omega [N, rho] - (mu/2)(N rho + rho N - 2 a rho a^dag)
     - (nu/2)(a a^dag rho + rho a a^dag - 2 a^dag rho a) with the truncated
-    operators, making it independent of both the closed form and the
-    Liouvillian construction. ``steps`` must satisfy the stability bound
-    step * (omega + mu + nu) * D <= 0.1 and stay within ``RK4_MAX_STEPS``.
+    operators (see :func:`_literal_rhs`), making it independent of both the
+    closed form and the Liouvillian construction. ``steps`` must satisfy the
+    stability bound step * (omega + mu + nu) * D <= 0.1 and stay within
+    ``RK4_MAX_STEPS``.
     """
     check_evolution_args(rho0, t, tolerances)
     if steps < 1:
@@ -219,26 +312,7 @@ def evolve_numeric_rk4(
             f"{steps} steps violate the stability bound "
             f"h*(omega+mu+nu)*D <= {RK4_STABILITY_LIMIT} (need >= {needed})"
         )
-    ops = build_operators(rho0.trunc, params.theta)
-    a = ops.a
-    ad = ops.a_dagger
-    n_diag = np.arange(rho0.dim, dtype=float)
-    # a a^dag is diagonal; applying it as an entrywise scaling is exact.
-    aad_diag = np.real(np.diag(a @ ad))
-    omega, mu, nu = params.omega, params.mu, params.nu
-
-    def rhs(r: np.ndarray) -> np.ndarray:
-        n_left = n_diag[:, None] * r
-        n_right = r * n_diag[None, :]
-        out = (-1j * omega) * (n_left - n_right)
-        if mu:
-            out -= (0.5 * mu) * (n_left + n_right - 2.0 * (a @ r @ ad))
-        if nu:
-            out -= (0.5 * nu) * (
-                aad_diag[:, None] * r + r * aad_diag[None, :] - 2.0 * (ad @ r @ a)
-            )
-        return out
-
+    rhs = _literal_rhs(params, rho0.dim)
     h = t / steps
     r = rho0.mat.copy()
     for _ in range(steps):

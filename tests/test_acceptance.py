@@ -37,7 +37,9 @@ from qdho.verification import (
 GRID_STATES = ("coherent", "fock3", "thermal")
 GRID_PARAMS = ((1.0, 0.0, 0.0), (1.0, 0.4, 2 * np.pi), (0.5, 0.5, 1.0), (0.2, 0.6, 3.0))
 GRID_TIMES = (0.1, 0.5, 1.0, 3.0)
-# Desk-scale cap on the criterion-4 oracle dimension (dense Liouvillian of D^2 x D^2).
+# Cap on the oracle dimension D_o that criterion 4 searches. The oracles run by
+# sectors (no D^2 x D^2 matrix), so the cap only bounds the search; the largest
+# certified row needs D_o = 52.
 ORACLE_DIM_MAX = 64
 
 

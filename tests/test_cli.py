@@ -391,10 +391,10 @@ class TestMainEntry:
         cfg_path = write(tmp_path, text)
 
         def no_stepping(*args, **kwargs):
-            raise AssertionError("RK4 set up its operators despite the step budget")
+            raise AssertionError("RK4 set up its right-hand side despite the step budget")
 
         # 2 x 7e9 steps are asked for; the budget must refuse them before any step.
-        monkeypatch.setattr(cli.liouville, "build_operators", no_stepping)
+        monkeypatch.setattr(cli.liouville, "_literal_rhs", no_stepping)
         assert cli.main(["evolve", "--config", cfg_path]) == cli.EXIT_VALIDATION
 
     def test_failed_certificate_exits_2_without_csv(self, tmp_path, capsys):
@@ -409,18 +409,39 @@ class TestMainEntry:
         assert "tolerance failure: truncation not converged at t=" in capsys.readouterr().err
 
     def test_dense_oracle_over_size_budget_exits_1(self, tmp_path, monkeypatch, capsys):
-        text = QUANTUM_CONFIG.replace("support_max = 1", "support_max = 1\nguard = 94").replace(
-            "method = analytic", "method = expm"
-        )
+        # The expm oracle runs by sectors; one level above its budget it must
+        # refuse before building a block or an exponential.
+        dim = cli.liouville.ORACLE_MAX_DIM + 1
+        text = QUANTUM_CONFIG.replace(
+            "support_max = 1", f"support_max = 1\nguard = {dim - 2}"
+        ).replace("method = analytic", "method = expm")
         cfg_path = write(tmp_path, text)
 
-        def no_operators(*args, **kwargs):
-            raise AssertionError("the dense oracle built its operators despite the budget")
+        def no_blocks(*args, **kwargs):
+            raise AssertionError("the expm oracle built its blocks despite the budget")
 
-        # D = 96 would need five 1.36 GB superoperators; they are never built.
-        monkeypatch.setattr(cli.liouville, "build_operators", no_operators)
+        for name in ("liouvillian_sector", "expm"):
+            monkeypatch.setattr(cli.liouville, name, no_blocks)
         assert cli.main(["evolve", "--config", cfg_path]) == cli.EXIT_VALIDATION
-        assert "budget is D <= 64" in capsys.readouterr().err
+        assert f"budget is D <= {cli.liouville.ORACLE_MAX_DIM}" in capsys.readouterr().err
+
+    def test_expm_oracle_runs_above_dense_budget(self, tmp_path):
+        # D = 96 is past the dense Liouvillian's budget but well inside the
+        # sector oracle's; its CSV must match the closed form.
+        text = COMPARE_CONFIG.replace("guard = 14", "guard = 86")
+        analytic_path = write(tmp_path, text)
+        expm_path = write(tmp_path, text.replace("method = analytic", "method = expm"), "expm.ini")
+        assert cli.liouville.DENSE_MAX_DIM < 96 <= cli.liouville.ORACLE_MAX_DIM
+        outputs = []
+        for cfg_path in (analytic_path, expm_path):
+            out = tmp_path / f"{len(outputs)}.csv"
+            assert cli.main(["evolve", "--config", cfg_path, "--out", str(out)]) == cli.EXIT_OK
+            outputs.append(out.read_text(encoding="utf-8").strip().split("\n"))
+        ref, got = outputs
+        assert len(ref) == len(got) == 4 and ref[0] == got[0]
+        for ref_row, got_row in zip(ref[1:], got[1:]):
+            for a, b in zip(ref_row.split(","), got_row.split(",")):
+                assert abs(float(a) - float(b)) <= 1e-10
 
     def test_numeric_failure_exits_3(self, tmp_path, monkeypatch):
         cfg_path = write(tmp_path, QUANTUM_CONFIG)

@@ -13,6 +13,23 @@ def trunc_of(dim, support=None):
     return fock.TruncationConfig(dim=dim, support_max=support, guard=dim - 1 - support)
 
 
+def literal_rhs(params, trunc):
+    # -i w [N,r] - mu/2 (Nr+rN-2 a r a+) - nu/2 (aa+ r + r aa+ - 2 a+ r a)
+    # from dense products of the phased, truncated operators.
+    ops = fock.build_operators(trunc, params.theta)
+    a, ad, n = ops.a, ops.a_dagger, ops.n_op
+    aad = a @ ad
+
+    def rhs(r):
+        return (
+            -1j * params.omega * (n @ r - r @ n)
+            - 0.5 * params.mu * (n @ r + r @ n - 2.0 * (a @ r @ ad))
+            - 0.5 * params.nu * (aad @ r + r @ aad - 2.0 * (ad @ r @ a))
+        )
+
+    return rhs
+
+
 class TestVectorize:
     def test_row_major_layout(self):
         v = liouville.vectorize(np.array([[1.0, 2.0], [3.0, 4.0]]))
@@ -87,27 +104,32 @@ class TestKSuperoperators:
     def test_size_budget_admits_every_criterion_4_dimension(self):
         # Criterion 4 may run its oracles at up to 64 levels.
         assert liouville.DENSE_MAX_DIM >= 64
+        assert liouville.ORACLE_MAX_DIM >= 64
 
     def test_over_size_budget_raises_before_allocating(self, monkeypatch):
         # At D = 96 one superoperator is 9216 x 9216 complex (1.36 GB) and
-        # the Liouvillian build holds five. The budget must refuse on the
-        # dimension alone: nothing D^2 x D^2 is ever allocated.
+        # the Liouvillian build holds five. Both budgets must refuse on the
+        # dimension alone: the dense one at D = 96, the sector oracle's one
+        # level above its own cap. No operator, block or exponential is built.
         dim = 96
         one_superoperator = 16 * dim**4
         assert dim > liouville.DENSE_MAX_DIM and one_superoperator > 1.3e9
 
         def no_operators(*args, **kwargs):
-            raise AssertionError("the dense oracle built its operators despite the budget")
+            raise AssertionError("an oracle built its operators despite the budget")
 
-        monkeypatch.setattr(liouville, "build_operators", no_operators)
-        rho0 = fock.fock_state(0, trunc_of(dim, support=1))
+        for name in ("build_operators", "liouvillian_sector", "expm"):
+            monkeypatch.setattr(liouville, name, no_operators)
+        oracle_dim = liouville.ORACLE_MAX_DIM + 1
+        rho_dense = fock.fock_state(0, trunc_of(dim, support=1))
+        rho_sector = fock.fock_state(0, trunc_of(oracle_dim, support=1))
         params = fock.ModelParams(omega=1.0, mu=1.0, nu=0.4)
         tracemalloc.start()
         try:
+            with pytest.raises(ValueError, match=f"budget is D <= {liouville.ORACLE_MAX_DIM}"):
+                liouville.evolve_numeric_expm(rho_sector, params, 1.0)
             with pytest.raises(ValueError, match="budget is D <= 64"):
-                liouville.evolve_numeric_expm(rho0, params, 1.0)
-            with pytest.raises(ValueError, match="budget"):
-                liouville.k_superoperators(rho0.trunc)
+                liouville.k_superoperators(rho_dense.trunc)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -150,17 +172,7 @@ class TestBuildLiouvillian:
         dim = 6
         trunc = trunc_of(dim)
         params = fock.ModelParams(omega=1.2, mu=0.8, nu=0.5)
-        ops = fock.build_operators(trunc)
-        a, ad, n = ops.a, ops.a_dagger, ops.n_op
-        aad = a @ ad
-
-        def direct_rhs(r):
-            return (
-                -1j * params.omega * (n @ r - r @ n)
-                - 0.5 * params.mu * (n @ r + r @ n - 2 * (a @ r @ ad))
-                - 0.5 * params.nu * (aad @ r + r @ aad - 2 * (ad @ r @ a))
-            )
-
+        direct_rhs = literal_rhs(params, trunc)
         lv = liouville.build_liouvillian(params, trunc)
         rho = np.eye(dim, dtype=complex) / dim
         via_l = liouville.devectorize(lv @ liouville.vectorize(rho), dim)
@@ -174,6 +186,29 @@ class TestBuildLiouvillian:
         rho_int = random_interior_density(dim, dim - 2, rng)
         via_l = liouville.devectorize(lv @ liouville.vectorize(rho_int), dim)
         np.testing.assert_allclose(via_l, direct_rhs(rho_int), atol=1e-14)
+
+
+class TestLiouvillianSectors:
+    @pytest.mark.parametrize("dim", [2, 5, 16])
+    @pytest.mark.parametrize(
+        "omega, mu, nu", [(1.7, 0.8, 0.3), (2.0, 0.0, 0.6), (0.9, 1.1, 0.0), (0.0, 0.5, 0.5)]
+    )
+    def test_blocks_assemble_to_dense_liouvillian(self, dim, omega, mu, nu):
+        # Sector k holds the entries (i, i + k), ordered by i; placed at their
+        # row-major vector positions the blocks must rebuild L entry by entry,
+        # zeros between sectors included.
+        params = fock.ModelParams(omega=omega, mu=mu, nu=nu, theta=0.4)
+        dense = liouville.build_liouvillian(params, trunc_of(dim))
+        assembled = np.zeros_like(dense)
+        for k in range(1 - dim, dim):
+            idx = [i * dim + i + k for i in range(dim) if 0 <= i + k < dim]
+            assembled[np.ix_(idx, idx)] = liouville.liouvillian_sector(params, dim, k)
+        scale = max(1.0, float(np.abs(dense).max()))
+        assert np.abs(assembled - dense).max() <= 1e-15 * scale
+
+    def test_rejects_sector_outside_space(self):
+        with pytest.raises(ValueError):
+            liouville.liouvillian_sector(fock.ModelParams(mu=1.0), 4, 4)
 
 
 class TestExpm:
@@ -234,6 +269,25 @@ class TestEvolveNumericExpm:
         with pytest.raises(fock.ValidationError):
             liouville.evolve_numeric_expm(bad, fock.ModelParams(mu=1.0), 1.0)
 
+    def test_states_at_one_point_share_block_exponentials(self):
+        # Criterion 4 evolves three states at each (params, D, t): the blocks
+        # are exponentiated once and read twice more from the cache.
+        trunc = trunc_of(24, support=9)
+        params = fock.ModelParams(omega=2.0, mu=1.0, nu=0.4)
+        states = [
+            fock.coherent_state(1.0, trunc),
+            fock.fock_state(3, trunc),
+            fock.thermal_state(0.5, trunc),
+        ]
+        liouville._cached_propagator.cache_clear()
+        try:
+            for rho0 in states:
+                liouville.evolve_numeric_expm(rho0, params, 0.7)
+            info = liouville._cached_propagator.cache_info()
+        finally:
+            liouville._cached_propagator.cache_clear()
+        assert (info.misses, info.hits) == (1, 2)
+
 
 class TestEvolveNumericRk4:
     def test_vacuum_fixed_point(self):
@@ -271,6 +325,30 @@ class TestEvolveNumericRk4:
         via_expm = liouville.evolve_numeric_expm(rho0, params, 1.0)
         assert np.linalg.norm(via_rk4.mat - via_expm.mat) <= 1e-8
 
+    @pytest.mark.parametrize("dim", [2, 7, 24])
+    def test_matches_dense_operator_reference(self, dim):
+        # The same classic RK4 with the right-hand side written as dense
+        # products of the phased operators; every level is populated, so the
+        # top-level corner of the truncated a a^dag is exercised.
+        params = fock.ModelParams(omega=1.3, mu=0.7, nu=0.4, theta=0.9)
+        trunc = trunc_of(dim)
+        rhs = literal_rhs(params, trunc)
+        t = 0.6
+        steps = liouville.stability_steps(params, dim, t)
+        rho0 = fock.DensityMatrix(
+            mat=random_interior_density(dim, dim - 1, np.random.default_rng(dim)), trunc=trunc
+        )
+        h = t / steps
+        r = rho0.mat.copy()
+        for _ in range(steps):
+            k1 = rhs(r)
+            k2 = rhs(r + 0.5 * h * k1)
+            k3 = rhs(r + 0.5 * h * k2)
+            k4 = rhs(r + h * k3)
+            r = r + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        got = liouville.evolve_numeric_rk4(rho0, params, t, steps).mat
+        assert np.abs(got - r).max() <= 1e-14 * np.abs(r).max()
+
     def test_rejects_unstable_step(self):
         trunc = trunc_of(10)
         rho0 = fock.fock_state(0, trunc)
@@ -287,9 +365,9 @@ class TestEvolveNumericRk4:
         assert needed == 72_000_001_008 > liouville.RK4_MAX_STEPS
 
         def no_stepping(*args, **kwargs):
-            raise AssertionError("RK4 set up its operators despite the step budget")
+            raise AssertionError("RK4 set up its right-hand side despite the step budget")
 
-        monkeypatch.setattr(liouville, "build_operators", no_stepping)
+        monkeypatch.setattr(liouville, "_literal_rhs", no_stepping)
         rho0 = fock.fock_state(0, trunc_of(24))
         with pytest.raises(ValueError, match="budget"):
             liouville.evolve_numeric_rk4(rho0, params, 3.0, needed)
