@@ -55,13 +55,10 @@ from .observables import (
 )
 from .propagator import (
     GainWarning,
-    PropagatorPlan,
     doubled_truncation_distance,
-    escape_distance,
     evolve_analytic,
-    evolve_lindblad_only,
+    evolve_analytic_grid,
     evolve_nu_zero,
-    make_plan,
 )
 from .su11 import (
     DisentanglingCoefficients,

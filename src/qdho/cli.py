@@ -67,11 +67,35 @@ def build_initial_state(spec: StateSpec, trunc) -> DensityMatrix:
     return mixture_state(list(spec.terms), trunc)
 
 
+def _analytic_on_grid(
+    rho0: DensityMatrix, cfg: RunConfig, times: np.ndarray
+) -> list[DensityMatrix]:
+    """Closed-form states on the grid, each certified first under check_truncation."""
+    states, escapes = propagator.evolve_analytic_grid(
+        rho0, cfg.params, times, tolerances=cfg.tolerances, certify=cfg.check_truncation
+    )
+    if escapes is None:
+        return states
+    for t, dist in zip(times, escapes):
+        if not np.isfinite(dist):
+            raise NumericFailure(f"truncation check produced {dist} at t={float(t):.6g}")
+        if dist > propagator.TRUNCATION_DOUBLING_TOL:
+            raise ToleranceFailure(
+                f"truncation not converged at t={float(t):.6g}: doubling-D distance "
+                f"{dist:.3e} > {propagator.TRUNCATION_DOUBLING_TOL:.1e}"
+            )
+    return states
+
+
 def _evolve_on_grid(rho0: DensityMatrix, cfg: RunConfig, times: np.ndarray) -> list[DensityMatrix]:
+    if cfg.method == "analytic":
+        return _analytic_on_grid(rho0, cfg, times)
+    if cfg.check_truncation:
+        # The certificate always uses the closed form, whatever the method:
+        # it certifies the truncation, not the integrator.
+        _analytic_on_grid(rho0, cfg, times)
     params = cfg.params
     tols = cfg.tolerances
-    if cfg.method == "analytic":
-        return [propagator.evolve_analytic(rho0, params, float(t), tolerances=tols) for t in times]
     if cfg.method == "nu-zero":
         return [
             propagator.evolve_nu_zero(rho0, params.mu, params.omega, float(t), tolerances=tols)
@@ -100,40 +124,11 @@ def _rk4_on_grid(rho0: DensityMatrix, cfg: RunConfig, times: np.ndarray) -> list
     return out
 
 
-def _check_truncation(
-    rho0: DensityMatrix, cfg: RunConfig, times: np.ndarray
-) -> list[DensityMatrix]:
-    """Certify every grid time; return the dim-D closed-form states it certified.
-
-    The certificate always uses the closed form at D and 2D, whatever the
-    method: it certifies the truncation, not the integrator.
-    """
-    evolved = []
-    for t in times:
-        state = propagator.evolve_analytic(rho0, cfg.params, float(t), tolerances=cfg.tolerances)
-        dist = propagator.escape_distance(
-            rho0, state, cfg.params, float(t), tolerances=cfg.tolerances
-        )
-        if not np.isfinite(dist):
-            raise NumericFailure(f"truncation check produced {dist} at t={float(t):.6g}")
-        if dist > propagator.TRUNCATION_DOUBLING_TOL:
-            raise ToleranceFailure(
-                f"truncation not converged at t={float(t):.6g}: doubling-D distance "
-                f"{dist:.3e} > {propagator.TRUNCATION_DOUBLING_TOL:.1e}"
-            )
-        evolved.append(state)
-    return evolved
-
-
 def cmd_evolve(cfg: RunConfig) -> str:
     """Time series of observables as CSV, one row per grid point."""
     rho0 = build_initial_state(cfg.state, cfg.trunc)
     times = cfg.grid.times()
-    certified = _check_truncation(rho0, cfg, times) if cfg.check_truncation else None
-    if certified is not None and cfg.method == "analytic":
-        states = certified
-    else:
-        states = _evolve_on_grid(rho0, cfg, times)
+    states = _evolve_on_grid(rho0, cfg, times)
     k_max = min(cfg.photon_levels, cfg.trunc.dim - 1)
     header = (
         ["t", "trace_re", "expect_n", "purity"]
@@ -167,12 +162,7 @@ def cmd_compare(cfg: RunConfig) -> tuple[str, int]:
     rho0 = build_initial_state(cfg.state, cfg.trunc)
     times = cfg.grid.times()
     tols = cfg.tolerances
-    if cfg.check_truncation:
-        analytic = _check_truncation(rho0, cfg, times)
-    else:
-        analytic = [
-            propagator.evolve_analytic(rho0, cfg.params, float(t), tolerances=tols) for t in times
-        ]
+    analytic = _analytic_on_grid(rho0, cfg, times)
     via_expm = [
         liouville.evolve_numeric_expm(rho0, cfg.params, float(t), tolerances=tols) for t in times
     ]

@@ -58,6 +58,20 @@ class ToleranceConfig:
 
 DEFAULT_TOLERANCES = ToleranceConfig()
 
+#: Input budgets, checked as a config is read and before anything is
+#: allocated; going over one is a ConfigError (exit 1). The largest runs
+#: tier-1 and the benchmark make stay far inside them: D = 129 (the sector
+#: oracle's own budget test), 3,601 grid points (a classical run) and
+#: 1.6 MB of states (11 points at D = 96).
+#: Retained levels D = support_max + guard + 1. A certified run evolves at
+#: 2D, whose band holds up to 2D x 2D complex entries (4 MB at this D).
+MAX_DIM = 256
+#: Points of one time grid.
+MAX_GRID_POINTS = 100_000
+#: Bytes of the evolved states a quantum run holds before it writes them,
+#: num_points * D^2 * 16.
+MAX_STATE_BYTES = 256 * 2**20
+
 METHODS = ("analytic", "expm", "rk4", "nu-zero")
 STATE_KINDS = ("fock", "coherent", "thermal", "mixture")
 
@@ -252,11 +266,16 @@ def _read_tolerances(reader: _Reader) -> ToleranceConfig:
 
 
 def _read_grid(reader: _Reader) -> TimeGrid:
-    return TimeGrid(
+    grid = TimeGrid(
         t_start=reader.get_float("grid", "t_start"),
         t_end=reader.get_float("grid", "t_end"),
         num_points=reader.get_int("grid", "num_points"),
     )
+    if grid.num_points > MAX_GRID_POINTS:
+        raise ConfigError(
+            f"[grid] num_points: {grid.num_points} exceeds the budget of {MAX_GRID_POINTS}"
+        )
+    return grid
 
 
 def load_run_config(path: str) -> RunConfig:
@@ -277,11 +296,23 @@ def load_run_config(path: str) -> RunConfig:
         trunc = TruncationConfig.for_support(support_max, None if guard < 0 else guard)
     except ValueError as exc:
         raise ConfigError(f"[truncation]: {exc}") from None
+    if trunc.dim > MAX_DIM:
+        raise ConfigError(
+            f"[truncation]: D = support_max + guard + 1 = {trunc.dim} exceeds the budget "
+            f"of {MAX_DIM} levels"
+        )
+    grid = _read_grid(reader)
+    state_bytes = grid.num_points * trunc.dim**2 * 16
+    if state_bytes > MAX_STATE_BYTES:
+        raise ConfigError(
+            f"[grid] num_points: {grid.num_points} states at D = {trunc.dim} take "
+            f"{state_bytes / 2**20:.0f} MB, over the budget of {MAX_STATE_BYTES / 2**20:.0f} MB"
+        )
     return RunConfig(
         params=params,
         state=_read_state(reader),
         trunc=trunc,
-        grid=_read_grid(reader),
+        grid=grid,
         method=reader.get_str("run", "method", "analytic"),
         check_truncation=reader.get_bool("run", "check_truncation", False),
         tolerances=_read_tolerances(reader),

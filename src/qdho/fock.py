@@ -287,17 +287,20 @@ def validate_density(
     )
 
 
-def check_evolution_args(rho0: DensityMatrix, t: float, tolerances=None):
+def check_evolution_args(rho0: DensityMatrix, t, tolerances=None):
     """Reject a negative evolution time or an invalid initial state.
 
-    ``tolerances`` is a :class:`qdho.config.ToleranceConfig` (the defaults
-    when None); its Hermiticity, trace and positivity tolerances gate
+    ``t`` is one time or an array of grid times, all checked here, so a
+    grid validates its initial state once. ``tolerances`` is a
+    :class:`qdho.config.ToleranceConfig` (the defaults when None); its
+    Hermiticity, trace and positivity tolerances gate
     :func:`validate_density`. Returns the tolerance bundle in force.
     """
     from .config import DEFAULT_TOLERANCES  # config imports this module
 
-    if t < 0:
-        raise ValueError(f"evolution time must be non-negative, got {t}")
+    times = np.asarray(t, dtype=float)
+    if (times < 0).any():
+        raise ValueError(f"evolution time must be non-negative, got {times.min()}")
     tols = DEFAULT_TOLERANCES if tolerances is None else tolerances
     report = validate_density(
         rho0.mat,

@@ -46,6 +46,12 @@ RK4_STABILITY_LIMIT = 0.1
 #: Step budget of one RK4 call. Tier-1 needs at most ~1.1e4 steps; a call
 #: asking for more than this fails at once instead of running for hours.
 RK4_MAX_STEPS = 10_000_000
+#: Work budget of one RK4 call, in steps x D^2 (one step costs O(D^2)). The
+#: largest call tier-1 makes is criterion 4's 6,240 steps at D_o = 52
+#: (1.7e7); the benchmark's is 1,844 steps at D = 24 (1.1e6). At the
+#: 90 us per step measured at D = 24 (one BLAS thread, 2-core box) a call
+#: at this budget runs about 30 s, where one at ``RK4_MAX_STEPS`` runs 15 min.
+RK4_MAX_WORK = 200_000_000
 #: Size budget of the dense oracle. Each D^2 x D^2 superoperator takes
 #: 16 D^4 bytes (268 MB at D = 64, 1.36 GB at D = 96) and building the
 #: Liouvillian holds five of them; a larger D fails before allocating.
@@ -296,7 +302,7 @@ def evolve_numeric_rk4(
     operators (see :func:`_literal_rhs`), making it independent of both the
     closed form and the Liouvillian construction. ``steps`` must satisfy the
     stability bound step * (omega + mu + nu) * D <= 0.1 and stay within
-    ``RK4_MAX_STEPS``.
+    ``RK4_MAX_STEPS`` and, times D^2, within ``RK4_MAX_WORK``.
     """
     check_evolution_args(rho0, t, tolerances)
     if steps < 1:
@@ -305,6 +311,12 @@ def evolve_numeric_rk4(
         raise ValueError(
             f"{steps} RK4 steps exceed the budget of {RK4_MAX_STEPS}; lower omega, "
             f"mu + nu, the dimension or the time step"
+        )
+    if steps * rho0.dim**2 > RK4_MAX_WORK:
+        raise ValueError(
+            f"{steps} RK4 steps at D = {rho0.dim} exceed the work budget of "
+            f"{RK4_MAX_WORK:.1e} steps x D^2; lower omega, mu + nu, the dimension "
+            f"or the time step"
         )
     needed = stability_steps(params, rho0.dim, t)
     if steps < needed:

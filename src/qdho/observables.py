@@ -13,19 +13,14 @@ def _as_matrix(x) -> np.ndarray:
     return np.asarray(getattr(x, "mat", x), dtype=complex)
 
 
-def expect_n(rho, ops=None) -> float:
+def expect_n(rho) -> float:
     """Mean excitation number Tr(N rho).
 
-    ``ops`` may pass a prebuilt operator set; the number operator is diagonal
-    with entries 0..D-1 either way. The imaginary part must vanish to 1e-10.
+    The number operator is diag(0, 1, ..., D-1) for every operator phase.
+    The imaginary part must vanish to 1e-10.
     """
     mat = _as_matrix(rho)
-    if ops is not None:
-        n_diag = np.real(np.diag(_as_matrix(ops.n_op)))
-        if n_diag.shape[0] != mat.shape[0]:
-            raise ValueError("operator set dimension does not match the state")
-    else:
-        n_diag = np.arange(mat.shape[0], dtype=float)
+    n_diag = np.arange(mat.shape[0], dtype=float)
     val = complex(np.sum(n_diag * np.diag(mat)))
     if abs(val.imag) > 1e-10:
         raise ArithmeticError(f"Tr(N rho) has imaginary part {val.imag:.3e}")

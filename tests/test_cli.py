@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -225,24 +226,34 @@ class TestCmdEvolve:
 
 
     def test_check_truncation_evolves_each_state_once(self, tmp_path, monkeypatch):
-        # Each grid time is evolved once at D (and certified against one
-        # run at 2D); the CSV is the one an uncertified run writes.
+        # The certified grid checks rho0 once and runs the series once per
+        # grid time, at 2D only: the dim-D states are blocks of the 2D run.
+        # The CSV is the one an uncertified run writes.
         cfg = config.load_run_config(write(tmp_path, COMPARE_CONFIG))
         plain = cli.cmd_evolve(cfg)
-        dims = []
-        original = propagator.evolve_analytic
+        checked, evolved = [], []
+        original_check = propagator.check_evolution_args
+        original_series = propagator._band_series
 
-        def counting(rho0, *args, **kwargs):
-            dims.append(rho0.dim)
-            return original(rho0, *args, **kwargs)
+        def counting_check(rho0, *args, **kwargs):
+            checked.append(rho0.dim)
+            return original_check(rho0, *args, **kwargs)
 
-        monkeypatch.setattr(propagator, "evolve_analytic", counting)
+        def counting_series(band, cols, *weights):
+            evolved.extend([band.shape[-1]] * len(weights[-1]))
+            return original_series(band, cols, *weights)
+
+        monkeypatch.setattr(propagator, "check_evolution_args", counting_check)
+        monkeypatch.setattr(propagator, "_band_series", counting_series)
         certified = cli.cmd_evolve(dataclasses.replace(cfg, check_truncation=True))
         assert certified == plain
-        assert sorted(dims) == [24] * 3 + [48] * 3
-        dims.clear()
+        assert checked == [24]
+        assert evolved == [48] * 3
+        checked.clear()
+        evolved.clear()
         cli.cmd_compare(dataclasses.replace(cfg, check_truncation=True))
-        assert sorted(dims) == [24] * 3 + [48] * 3
+        assert checked == [24]
+        assert evolved == [48] * 3
 
 
 class TestCmdCompare:
@@ -396,6 +407,71 @@ class TestMainEntry:
         # 2 x 7e9 steps are asked for; the budget must refuse them before any step.
         monkeypatch.setattr(cli.liouville, "_literal_rhs", no_stepping)
         assert cli.main(["evolve", "--config", cfg_path]) == cli.EXIT_VALIDATION
+
+    def test_rk4_over_work_budget_exits_1(self, tmp_path, monkeypatch, capsys):
+        # 2 x 2.4e6 steps at D = 24 stay inside the step budget, but steps x D^2
+        # = 2.8e9 does not; the work budget refuses before any set-up.
+        text = (
+            QUANTUM_CONFIG.replace("omega = 0.0", "omega = 1e4")
+            .replace("support_max = 1", "support_max = 1\nguard = 22")
+            .replace("method = analytic", "method = rk4")
+        )
+        cfg = config.load_run_config(write(tmp_path, text))
+        steps = 2 * cli.liouville.stability_steps(cfg.params, cfg.trunc.dim, 1.0)
+        assert steps <= cli.liouville.RK4_MAX_STEPS
+        assert steps * cfg.trunc.dim**2 > cli.liouville.RK4_MAX_WORK
+
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("RK4 set up its right-hand side despite the work budget")
+
+        monkeypatch.setattr(cli.liouville, "_literal_rhs", no_stepping)
+        assert cli.main(["evolve", "--config", write(tmp_path, text)]) == cli.EXIT_VALIDATION
+        assert "work budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "guard, num_points, key",
+        [
+            (100000, 3, "support_max + guard + 1"),
+            (14, 10**9, "num_points"),
+            (118, 20000, "MB"),  # D = 128: 5.2 GB of states
+        ],
+        ids=["dim", "grid", "state-bytes"],
+    )
+    def test_config_over_budget_exits_1_at_once(
+        self, tmp_path, monkeypatch, capsys, guard, num_points, key
+    ):
+        text = COMPARE_CONFIG.replace("guard = 14", f"guard = {guard}").replace(
+            "num_points = 3", f"num_points = {num_points}"
+        )
+        cfg_path = write(tmp_path, text)
+
+        def no_state(*args, **kwargs):
+            raise AssertionError("an initial state was built despite the config budget")
+
+        monkeypatch.setattr(cli, "build_initial_state", no_state)
+        start = time.perf_counter()
+        code = cli.main(["evolve", "--config", cfg_path])
+        assert time.perf_counter() - start < 1.0
+        assert code == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "budget" in err and key in err
+
+    @pytest.mark.parametrize(
+        "support_max, guard, num_points",
+        [(9, 14, 101), (19, 28, 11), (15, 48, 11), (23, 72, 11), (0, 31, 1), (1, 127, 2)],
+        ids=["d24x101", "d48x11", "d64x11", "d96x11", "d32x1", "d129x2"],
+    )
+    def test_largest_runs_are_admitted(self, tmp_path, support_max, guard, num_points):
+        # The benchmark's run shapes, and the largest D tier-1 reads from a
+        # config (one level over the sector oracle's budget).
+        text = (
+            COMPARE_CONFIG.replace("support_max = 9", f"support_max = {support_max}")
+            .replace("guard = 14", f"guard = {guard}")
+            .replace("num_points = 3", f"num_points = {num_points}")
+            .replace("t_end = 1.0", "t_end = 0.0" if num_points == 1 else "t_end = 1.0")
+        )
+        cfg = config.load_run_config(write(tmp_path, text))
+        assert (cfg.trunc.dim, cfg.grid.num_points) == (support_max + guard + 1, num_points)
 
     def test_failed_certificate_exits_2_without_csv(self, tmp_path, capsys):
         text = COMPARE_CONFIG.replace("mu = 1.0", "mu = 0.5").replace(

@@ -372,6 +372,22 @@ class TestEvolveNumericRk4:
         with pytest.raises(ValueError, match="budget"):
             liouville.evolve_numeric_rk4(rho0, params, 3.0, needed)
 
+    def test_rejects_work_over_budget(self, monkeypatch):
+        # omega = 1e4 at D = 24, t = 1: 2.4e6 steps are inside the step
+        # budget, but steps x D^2 = 1.4e9 is not. Nothing is set up.
+        params = fock.ModelParams(omega=1e4, mu=1.0, nu=0.4)
+        steps = liouville.stability_steps(params, 24, 1.0)
+        assert steps <= liouville.RK4_MAX_STEPS < steps * 24**2
+        assert steps * 24**2 > liouville.RK4_MAX_WORK
+
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("RK4 set up its right-hand side despite the work budget")
+
+        monkeypatch.setattr(liouville, "_literal_rhs", no_stepping)
+        rho0 = fock.fock_state(0, trunc_of(24))
+        with pytest.raises(ValueError, match="work budget"):
+            liouville.evolve_numeric_rk4(rho0, params, 1.0, steps)
+
     def test_stability_steps_edge_cases(self):
         assert liouville.stability_steps(fock.ModelParams(), 10, 5.0) == 1
         assert liouville.stability_steps(fock.ModelParams(mu=1.0), 10, 0.0) == 1

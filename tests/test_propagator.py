@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,30 +22,21 @@ def interior_state(dim, support, seed):
     )
 
 
-class TestPlan:
-    def test_plan_fields(self):
-        trunc = trunc_of(9)
-        plan = propagator.make_plan(fock.ModelParams(omega=1, mu=2, nu=1), trunc, 1.0)
-        assert plan.max_series_index == 8
-        assert plan.prefactor > 0
-        np.testing.assert_allclose(
-            plan.prefactor, np.exp(0.5) / plan.coeffs.f_coef, rtol=1e-15
-        )
-
-    def test_prefactor_positive_in_gain_regime(self):
-        plan = propagator.make_plan(fock.ModelParams(mu=0.2, nu=0.9), trunc_of(6), 2.0)
-        assert plan.prefactor > 0
-
-
 class TestEvolveLindbladOnly:
+    """The dissipator alone: evolve_analytic at omega = 0."""
+
+    @staticmethod
+    def evolve(rho0, mu, nu, t):
+        return propagator.evolve_analytic(rho0, fock.ModelParams(omega=0.0, mu=mu, nu=nu), t)
+
     def test_t_zero_returns_state_exactly(self):
         rho0 = fock.coherent_state(1.0, trunc_of(14))
-        out = propagator.evolve_lindblad_only(rho0, 1.3, 0.2, 0.0)
+        out = self.evolve(rho0, 1.3, 0.2, 0.0)
         np.testing.assert_array_equal(out.mat, rho0.mat)
 
     def test_vacuum_fixed_point_without_pump(self):
         rho0 = fock.fock_state(0, trunc_of(8))
-        out = propagator.evolve_lindblad_only(rho0, 1.0, 0.0, 2.0)
+        out = self.evolve(rho0, 1.0, 0.0, 2.0)
         np.testing.assert_allclose(out.mat, rho0.mat, atol=1e-15)
 
     def test_single_excitation_decay_law(self):
@@ -53,7 +45,7 @@ class TestEvolveLindbladOnly:
         dim = 8
         rho0 = fock.fock_state(1, trunc_of(dim))
         for mu, t in [(1.0, 0.5), (1.0, 2.0), (0.3, 3.0)]:
-            out = propagator.evolve_lindblad_only(rho0, mu, 0.0, t)
+            out = self.evolve(rho0, mu, 0.0, t)
             expected = np.zeros((dim, dim), dtype=complex)
             expected[0, 0] = 1 - np.exp(-mu * t)
             expected[1, 1] = np.exp(-mu * t)
@@ -65,14 +57,14 @@ class TestEvolveLindbladOnly:
 
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
-            propagator.evolve_lindblad_only(fock.fock_state(0, trunc_of(4)), 1.0, 0.0, -1.0)
+            self.evolve(fock.fock_state(0, trunc_of(4)), 1.0, 0.0, -1.0)
 
     def test_rejects_invalid_state(self):
         bad = fock.DensityMatrix(
             mat=np.diag([0.7, 0.7, -0.4, 0.0]).astype(complex), trunc=trunc_of(4)
         )
         with pytest.raises(fock.ValidationError):
-            propagator.evolve_lindblad_only(bad, 1.0, 0.0, 1.0)
+            self.evolve(bad, 1.0, 0.0, 1.0)
 
 
 class TestEvolveAnalytic:
@@ -86,7 +78,7 @@ class TestEvolveAnalytic:
         # and the full evolution equals the dissipator-only one.
         rho0 = fock.thermal_state(0.4, trunc_of(16))
         full = propagator.evolve_analytic(rho0, fock.ModelParams(omega=4.2, mu=0.8, nu=0.3), 0.9)
-        lindblad = propagator.evolve_lindblad_only(rho0, 0.8, 0.3, 0.9)
+        lindblad = propagator.evolve_analytic(rho0, fock.ModelParams(omega=0.0, mu=0.8, nu=0.3), 0.9)
         np.testing.assert_allclose(full.mat, lindblad.mat, atol=1e-15)
 
     def test_coherent_state_against_expm_oracle(self):
@@ -145,6 +137,14 @@ class TestEvolveAnalytic:
             out = propagator.evolve_analytic(rho0, params, 0.8)
         oracle = liouville.evolve_numeric_expm(rho0, params, 0.8)
         assert observables.frobenius_distance(out, oracle) <= 1e-8
+
+    def test_rejects_underflowed_prefactor(self):
+        # With gain, e^{(mu-nu)t/2}/F underflows to 0 long before |mu-nu|t/2
+        # reaches the overflow guard; a zero prefactor would erase the state.
+        rho0 = fock.fock_state(0, trunc_of(8))
+        params = fock.ModelParams(mu=0.2, nu=1.5)
+        with pytest.warns(propagator.GainWarning), pytest.raises(ValueError, match="prefactor"):
+            propagator.evolve_analytic_grid(rho0, params, [0.0, 1.0, 1000.0])
 
     def test_gain_regime_warns(self):
         rho0 = fock.fock_state(0, trunc_of(16))
@@ -227,6 +227,17 @@ def _dense_series(x, lower_weight, left_exp, right_exp, raise_weight, scale, the
     return scale * series(core, raise_weight, ops.a_dagger, ops.a)
 
 
+def _series_on_matrix(x, lower_weight, left_exp, right_exp, raise_weight=0.0, scale=1.0):
+    """propagator._band_series at one time, on a matrix, returning a matrix."""
+    cols, band = propagator._skew(x)
+    (evolved,) = propagator._band_series(
+        band, cols, *(np.array([w]) for w in (lower_weight, left_exp, right_exp, raise_weight, scale))
+    )
+    out = np.zeros_like(x)
+    out[np.arange(x.shape[0]), cols] = evolved
+    return out
+
+
 def _band_matrix(dim, width, rng):
     """Hermitian, diagonally dominant (so PSD) and unit trace, nonzero exactly up to |i-j| = width."""
     x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -283,9 +294,7 @@ class TestBandSeriesEquivalence:
         log_f, phase = np.log(coeffs.f_coef), params.omega * t
         left, right = complex(-log_f, -phase), complex(-log_f, phase)
         want = _dense_series(mat, coeffs.e_coef, left, right, coeffs.g_coef, prefactor, params.theta)
-        got = propagator._band_series(
-            mat, coeffs.e_coef, left, right, raise_weight=coeffs.g_coef, scale=prefactor
-        )
+        got = _series_on_matrix(mat, coeffs.e_coef, left, right, coeffs.g_coef, prefactor)
         self.assert_close(got, want, mat)
         if is_state:
             rho0 = fock.DensityMatrix(mat=mat, trunc=trunc_of(dim))
@@ -298,7 +307,7 @@ class TestBandSeriesEquivalence:
         weight = -np.expm1(-mu * t)
         exponent = -(0.5 * mu + 1j * omega) * t
         want = _dense_series(mat, weight, exponent, np.conj(exponent), 0.0, 1.0, self.PARAMS.theta)
-        self.assert_close(propagator._band_series(mat, weight, exponent, np.conj(exponent)), want, mat)
+        self.assert_close(_series_on_matrix(mat, weight, exponent, np.conj(exponent)), want, mat)
         if is_state:
             rho0 = fock.DensityMatrix(mat=mat, trunc=trunc_of(dim))
             self.assert_close(propagator.evolve_nu_zero(rho0, mu, omega, t).mat, want, mat)
@@ -418,3 +427,89 @@ class TestAnalyticProperties:
         via_full = propagator.evolve_analytic(rho0, fock.ModelParams(omega=omega, mu=mu, nu=0.0), t)
         direct = propagator.evolve_nu_zero(rho0, mu, omega, t)
         assert np.abs(via_full.mat - direct.mat).max() <= 1e-12
+
+
+@st.composite
+def grid_states(draw):
+    """A state from initial_states(), or a random one nonzero up to |i - j| = width.
+
+    The random one may hold a signed zero inside its band, which a time
+    whose series has stopped must keep bit for bit.
+    """
+    if draw(st.booleans()):
+        return draw(initial_states())
+    width = draw(st.integers(1, 6))
+    mat = _band_matrix(16, width, np.random.default_rng(draw(st.integers(0, 2**16))))
+    if draw(st.booleans()):
+        mat[0, 1], mat[1, 0] = complex(-0.0, -0.0), complex(-0.0, 0.0)
+    return fock.DensityMatrix(mat=mat, trunc=_PROPERTY_TRUNC)
+
+
+def _bits(states):
+    return [state.mat.tobytes() for state in states]
+
+
+class TestAnalyticGrid:
+    """evolve_analytic_grid against a loop of one-time runs, bit for bit."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        rho0=grid_states(),
+        mu=st.floats(0.0, 3.0),
+        pump=st.sampled_from(["none", "equal", "fraction"]),
+        fraction=st.floats(0.0, 1.0),
+        omega=st.floats(0.0, 3.0),
+        times=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=12),
+        zero_at=st.integers(0, 12),
+        chunk_bytes=st.sampled_from([1, 5_000, 50_000, propagator.BAND_CHUNK_BYTES]),
+    )
+    def test_grid_equals_per_time_loop(
+        self, rho0, mu, pump, fraction, omega, times, zero_at, chunk_bytes
+    ):
+        # pump "none" is nu = 0 (no raising series), "equal" is mu = nu (the
+        # degenerate branch at every t); t = 0 (E = G = 0) sits inside the batch.
+        nu = {"none": 0.0, "equal": mu, "fraction": fraction * mu}[pump]
+        params = fock.ModelParams(omega=omega, mu=mu, nu=nu)
+        times = times[:zero_at] + [0.0] + times[zero_at:]
+        with mock.patch.object(propagator, "BAND_CHUNK_BYTES", chunk_bytes):
+            plain, none = propagator.evolve_analytic_grid(rho0, params, times)
+            certified, escapes = propagator.evolve_analytic_grid(
+                rho0, params, times, certify=True
+            )
+        assert none is None
+        loop = [propagator.evolve_analytic(rho0, params, t) for t in times]
+        assert _bits(plain) == _bits(loop)
+        certified_loop = [
+            propagator.evolve_analytic_grid(rho0, params, [t], certify=True) for t in times
+        ]
+        assert _bits(certified) == _bits(states[0] for states, _ in certified_loop)
+        assert list(escapes) == [escape[0] for _, escape in certified_loop]
+        # Block stability: the dim-D states of the 2D run are the dim-D run's.
+        # Only zeros off the band may differ in sign, which equality ignores.
+        for got, want in zip(certified, plain):
+            np.testing.assert_array_equal(got.mat, want.mat)
+        np.testing.assert_array_equal(plain[times.index(0.0)].mat, rho0.mat)
+
+    def test_long_grid_spans_several_chunks(self):
+        # A 101-point grid at D = 24 on a full state: four chunks at the
+        # default budget. The escape distance is checked against its
+        # definition, a dim-2D run minus the zero-padded dim-D run.
+        rho0 = fock.coherent_state(1.0 + 0.5j, trunc_of(24, support=9))
+        params = fock.ModelParams(omega=2 * np.pi, mu=1.0, nu=0.4, theta=0.3)
+        times = np.linspace(0.0, 3.0, 101)
+        band_bytes = propagator._skew(rho0.mat)[1].nbytes
+        assert 1 < times.size * band_bytes / propagator.BAND_CHUNK_BYTES < times.size
+        plain, _ = propagator.evolve_analytic_grid(rho0, params, times)
+        certified, escapes = propagator.evolve_analytic_grid(rho0, params, times, certify=True)
+        loop = [propagator.evolve_analytic(rho0, params, float(t)) for t in times]
+        assert _bits(plain) == _bits(loop)
+        for t, state, got, escape in zip(times[::10], loop[::10], certified[::10], escapes[::10]):
+            np.testing.assert_array_equal(got.mat, state.mat)
+            big = propagator.evolve_analytic(_zero_padded(rho0), params, float(t)).mat
+            big[:24, :24] -= state.mat
+            assert escape == pytest.approx(np.linalg.norm(big), rel=1e-12, abs=1e-300)
+
+    def test_checks_every_time(self):
+        rho0 = fock.fock_state(1, trunc_of(6))
+        with pytest.raises(ValueError, match="non-negative"):
+            propagator.evolve_analytic_grid(rho0, fock.ModelParams(mu=1.0), [0.0, 1.0, -0.5])
