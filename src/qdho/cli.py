@@ -275,30 +275,28 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qdho", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb, needs_config in (
-        ("evolve", True),
-        ("compare", True),
-        ("steady", True),
-        ("classical", True),
-        ("verify", False),
-    ):
+    # Each verb registers only the flags it reads, so a stray flag exits 1.
+    for verb in ("evolve", "compare", "steady", "classical", "verify"):
         p = sub.add_parser(verb)
-        p.add_argument("--config", required=needs_config, help="path to the run config file")
+        if verb != "verify":
+            p.add_argument("--config", required=True, help="path to the run config file")
         p.add_argument("--out", default="stdout", help="output path, or 'stdout'")
-        p.add_argument("--check-truncation", action="store_true", dest="check_truncation")
-        p.add_argument(
-            "--tol-override",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            help="override one tolerance, e.g. oracle_tol=1e-6 (repeatable)",
-        )
+        if verb in ("evolve", "compare"):
+            p.add_argument("--check-truncation", action="store_true", dest="check_truncation")
+        if verb in ("evolve", "compare", "steady"):
+            p.add_argument(
+                "--tol-override",
+                action="append",
+                default=[],
+                metavar="KEY=VALUE",
+                help="override one tolerance, e.g. oracle_tol=1e-6 (repeatable)",
+            )
     return parser
 
 
 def _finalize_config(cfg: RunConfig, args) -> RunConfig:
     tols = cfg.tolerances.replaced(args.tol_override)
-    check = cfg.check_truncation or args.check_truncation
+    check = cfg.check_truncation or getattr(args, "check_truncation", False)
     return dataclasses.replace(cfg, tolerances=tols, check_truncation=check)
 
 
@@ -317,8 +315,6 @@ def main(argv=None) -> int:
         if args.verb == "verify":
             text, code = cmd_verify()
         elif args.verb == "classical":
-            if args.tol_override:
-                raise ConfigError("classical runs take no tolerance overrides")
             text, warn_lines = cmd_classical(load_classical_config(args.config))
             for line in warn_lines:
                 print(line, file=sys.stderr)

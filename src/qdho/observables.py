@@ -28,9 +28,12 @@ def expect_n(rho) -> float:
 
 
 def purity(rho) -> float:
-    """Tr(rho^2), in [0, 1] up to rounding for a valid state."""
+    """Tr(rho^2), in [0, 1] up to rounding for a valid state.
+
+    Computed as sum |rho_ij|^2, which equals Tr(rho^2) for Hermitian rho.
+    """
     mat = _as_matrix(rho)
-    return float(np.real(np.trace(mat @ mat)))
+    return float(np.vdot(mat, mat).real)
 
 
 def frobenius_distance(a, b) -> float:

@@ -58,7 +58,42 @@ class TestAnalytic:
             np.testing.assert_array_equal(classical.system_matrix(p), split.real)
 
 
+def rk4_loop(p0, params, t, steps):
+    # The textbook step loop that evolve_classical_rk4 replaces by a matrix power.
+    m = classical.system_matrix(params)
+    h = t / steps
+    v = np.array([p0.x, p0.y])
+    for _ in range(steps):
+        k1 = m @ v
+        k2 = m @ (v + 0.5 * h * k1)
+        k3 = m @ (v + 0.5 * h * k2)
+        k4 = m @ (v + h * k3)
+        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return v
+
+
 class TestRk4:
+    @pytest.mark.parametrize("gamma", [0.3, 2.0, 5.0], ids=["under", "critical", "over"])
+    @pytest.mark.parametrize("steps", [1, 2, 7, 1000])
+    def test_matches_step_loop(self, gamma, steps):
+        # h * max(omega, 2 gamma) = 0.09 at gamma = 5: inside the stability bound.
+        p = classical.ClassicalParams(omega=2.0, gamma=gamma)
+        p0 = classical.PhasePoint(1.3, -0.7)
+        t = 0.009 * steps
+        out = classical.evolve_classical_rk4(p0, p, t, steps)
+        ref = rk4_loop(p0, p, t, steps)
+        tol = 1e-12 * max(1.0, np.hypot(p0.x, p0.y))
+        assert abs(out.x - ref[0]) <= tol
+        assert abs(out.y - ref[1]) <= tol
+
+    @pytest.mark.parametrize("gamma", [0.3, 2.0, 5.0], ids=["under", "critical", "over"])
+    def test_t_zero_returns_start_exactly(self, gamma):
+        p0 = classical.PhasePoint(1.3, -0.7)
+        p = classical.ClassicalParams(omega=2.0, gamma=gamma)
+        for steps in (1, 7):
+            out = classical.evolve_classical_rk4(p0, p, 0.0, steps)
+            assert (out.x, out.y) == (p0.x, p0.y) == tuple(rk4_loop(p0, p, 0.0, steps))
+
     def test_energy_conserved_without_damping(self):
         p = classical.ClassicalParams(omega=2.0, gamma=0.0)
         state = classical.PhasePoint(1.0, 0.0)

@@ -328,6 +328,17 @@ class TestCmdClassical:
         for line in csv.strip().split("\n")[1:]:
             assert float(line.split(",")[-1]) <= 1e-8
 
+    def test_huge_step_count_finishes_at_once(self, tmp_path):
+        # One segment of 100 * 1e6 / 4e-3 = 2.5e10 RK4 steps.
+        path = write(tmp_path, CLASSICAL_CONFIG.format(omega=1e6, gamma=0.0, t_end=100.0, num_points=2))
+        out = tmp_path / "traj.csv"
+        start = time.perf_counter()
+        code = cli.main(["classical", "--config", path, "--out", str(out)])
+        elapsed = time.perf_counter() - start
+        assert code == cli.EXIT_OK
+        assert elapsed < 1.0
+        assert len(out.read_text(encoding="utf-8").strip().split("\n")[1:]) == 2
+
     def test_overdamped_flags_analytic_columns(self, tmp_path):
         path = write(tmp_path, CLASSICAL_CONFIG.format(omega=1.0, gamma=2.0, t_end=4.0, num_points=5))
         csv, warns = cli.cmd_classical(config.load_classical_config(path))
@@ -383,6 +394,30 @@ class TestMainEntry:
         text = out_path.read_text(encoding="utf-8")
         assert text.startswith("t,trace_re,expect_n,purity,")
         assert "\r" not in text
+
+    @pytest.mark.parametrize(
+        "verb, extra",
+        [
+            ("steady", ["--check-truncation"]),
+            ("classical", ["--check-truncation"]),
+            ("classical", ["--tol-override", "oracle_tol=1e-3"]),
+            ("verify", ["--config", "{quantum}"]),
+            ("verify", ["--check-truncation"]),
+            ("verify", ["--tol-override", "oracle_tol=1e-3"]),
+        ],
+    )
+    def test_flag_a_verb_does_not_read_exits_1(self, tmp_path, capsys, verb, extra):
+        quantum = write(tmp_path, QUANTUM_CONFIG)
+        classical_cfg = write(
+            tmp_path, CLASSICAL_CONFIG.format(omega=1.0, gamma=0.0, t_end=1.0, num_points=2), "c.ini"
+        )
+        config_of = {"steady": quantum, "classical": classical_cfg}
+        argv = [verb] + (["--config", config_of[verb]] if verb in config_of else [])
+        argv += [arg.format(quantum=quantum) for arg in extra]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "unrecognized arguments" in captured.err
+        assert captured.out == ""
 
     def test_tol_override_flag(self, tmp_path):
         cfg_path = write(tmp_path, COMPARE_CONFIG)

@@ -420,10 +420,13 @@ class TestSuperoperatorDisentangling:
     def test_residual_converges_with_dimension(self):
         # Strong pumping (nu t = 0.5) breaks the identity at small dim purely
         # through truncation; the residual must fall geometrically as the
-        # guard band grows and reach 1e-9 by dim 32.
+        # guard band grows and reach 1e-9 by dim 32. K+, K- and K3 conserve
+        # the entry offset k = j - i, so both sides are exponentiated on the
+        # (D - |k|)-square sector blocks of the dense superoperators.
         mu, nu, t = 1.0, 0.5, 1.0
         support = 8
         rng = np.random.default_rng(77)
+        c = su11.disentangling_coefficients(mu, nu, t)
         residuals = []
         for dim in (12, 20, 28, 32):
             trunc = trunc_of(dim, support=support)
@@ -432,15 +435,25 @@ class TestSuperoperatorDisentangling:
                 liouville.vectorize(random_interior_density(dim, support, rng))
                 for _ in range(5)
             ]
-            gen = nu * k_plus + mu * k_minus - (mu + nu) * k3
-            lhs = liouville.expm(t * gen)
-            c = su11.disentangling_coefficients(mu, nu, t)
-            rhs = (
-                liouville.expm(c.g_coef * k_plus)
-                @ liouville.expm(-2.0 * np.log(c.f_coef) * k3)
-                @ liouville.expm(c.e_coef * k_minus)
-            )
-            residuals.append(max(np.linalg.norm(lhs @ v - rhs @ v) for v in states))
+            full = nu * k_plus + mu * k_minus - (mu + nu) * k3
+            squared = np.zeros(len(states))
+            in_blocks = 0.0
+            for k in range(1 - dim, dim):
+                rows, cols = liouville._sector_entries(dim, k)
+                idx = rows * dim + cols
+                block = np.ix_(idx, idx)
+                gen = nu * k_plus[block] + mu * k_minus[block] - (mu + nu) * k3[block]
+                in_blocks += np.linalg.norm(gen) ** 2
+                lhs = liouville.expm(t * gen)
+                rhs = (
+                    liouville.expm(c.g_coef * k_plus[block])
+                    @ liouville.expm(-2.0 * np.log(c.f_coef) * k3[block])
+                    @ liouville.expm(c.e_coef * k_minus[block])
+                )
+                squared += [np.linalg.norm(lhs @ v[idx] - rhs @ v[idx]) ** 2 for v in states]
+            # Nothing of the generator lies outside the sector blocks.
+            assert abs(in_blocks - np.linalg.norm(full) ** 2) <= 1e-12 * in_blocks
+            residuals.append(float(np.sqrt(squared.max())))
         assert residuals[0] > 1e-4  # genuinely broken at dim 12
         assert all(r1 / r2 > 50 for r1, r2 in zip(residuals, residuals[1:]))
         assert residuals[-1] <= 1e-9

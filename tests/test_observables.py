@@ -51,6 +51,18 @@ class TestPurity:
         rho = fock.thermal_state(0.5, trunc_of(30))
         assert abs(observables.purity(rho) - 0.5) <= 1e-8
 
+    @pytest.mark.parametrize("kind", ["coherent", "random_full_rank"])
+    def test_matches_trace_of_square(self, kind):
+        # Off-diagonal coherences count: sum |rho_ij|^2 = Tr(rho rho) for Hermitian rho.
+        if kind == "coherent":
+            rho = fock.coherent_state(1.1 - 0.6j, trunc_of(16, support=8)).mat
+        else:
+            rng = np.random.default_rng(5)
+            g = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+            rho = g @ g.conj().T + 0.1 * np.eye(12)
+            rho /= np.trace(rho).real
+        assert abs(observables.purity(rho) - np.trace(rho @ rho).real) <= 1e-15
+
 
 class TestFrobeniusDistance:
     def test_zero_on_equal(self):
