@@ -1,8 +1,8 @@
 """Command-line front end: evolve | compare | steady | classical | verify.
 
 Exit codes: 0 success, 1 validation/config error, 2 tolerance or acceptance
-failure, 3 internal numeric failure (NaN/Inf). CSV output uses 17
-significant digits in scientific notation so repeated runs are
+failure, 3 internal numeric failure (NaN/Inf, or out of memory). CSV output
+uses 17 significant digits in scientific notation so repeated runs are
 byte-identical and values round-trip exactly.
 """
 
@@ -337,6 +337,10 @@ def main(argv=None) -> int:
         return EXIT_TOLERANCE
     except (NumericFailure, ArithmeticError, FloatingPointError, OverflowError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"numeric failure: out of memory{detail}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

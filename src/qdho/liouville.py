@@ -15,9 +15,11 @@ acting on the entries (i, i + k) of rho (see :func:`liouvillian_sector`).
 Two oracles check the closed-form propagator, and neither forms a
 D^2 x D^2 matrix. The expm oracle exponentiates each block
 (scaling-and-squaring Taylor) and applies it to its diagonal of rho:
-O(D^4) time and O(D^3) memory. The RK4 oracle steps the unvectorized
-matrix equation with the literal truncated operators, each right-hand side
-a scaling plus two weighted corner shifts, O(D^2) per step. The dense
+O(D^4) time and O(D^3) memory. The RK4 oracle builds its own tridiagonal
+block per k from the literal truncated operators of the matrix equation.
+On a linear autonomous equation n RK4 steps are the n-th power of the
+one-step matrix, raised per block by binary powering: O(D^4 log steps)
+time and O(D^2) memory, with no loop over the steps. The dense
 superoperators and Liouvillian are kept for the identity suites, which pin
 the vectorization convention.
 """
@@ -46,11 +48,12 @@ RK4_STABILITY_LIMIT = 0.1
 #: Step budget of one RK4 call. Tier-1 needs at most ~1.1e4 steps; a call
 #: asking for more than this fails at once instead of running for hours.
 RK4_MAX_STEPS = 10_000_000
-#: Work budget of one RK4 call, in steps x D^2 (one step costs O(D^2)). The
-#: largest call tier-1 makes is criterion 4's 6,240 steps at D_o = 52
-#: (1.7e7); the benchmark's is 1,844 steps at D = 24 (1.1e6). At the
-#: 90 us per step measured at D = 24 (one BLAS thread, 2-core box) a call
-#: at this budget runs about 30 s, where one at ``RK4_MAX_STEPS`` runs 15 min.
+#: Work budget of one RK4 call, in steps x D^2. The largest call tier-1
+#: makes is criterion 4's 6,240 steps at D_o = 52 (1.7e7); the benchmark's
+#: is 1,844 steps at D = 24 (1.1e6). A call costs O(D^4 log steps), not
+#: O(D^2) per step: at D = 24 (one BLAS thread, 2-core box) 1,844 steps
+#: take ~8 ms and the 347,222 this budget admits ~11 ms, where the step
+#: loop took 90 us per step (~30 s at this budget).
 RK4_MAX_WORK = 200_000_000
 #: Size budget of the dense oracle. Each D^2 x D^2 superoperator takes
 #: 16 D^4 bytes (268 MB at D = 64, 1.36 GB at D = 96) and building the
@@ -253,14 +256,19 @@ def stability_steps(params: ModelParams, dim: int, t: float) -> int:
     return max(1, int(math.ceil(t * rate / RK4_STABILITY_LIMIT)))
 
 
-def _literal_rhs(params: ModelParams, dim: int):
-    """The matrix right-hand side r -> dr/dt with the literal truncated operators.
+def _literal_rhs(params: ModelParams, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficients of dr/dt with the literal truncated operators.
 
-    The phase theta cancels from a r a^dag and a^dag r a, so both are
-    weighted corner shifts: (a r a^dag)[i, j] = sqrt((i+1)(j+1)) r[i+1, j+1]
-    and (a^dag r a)[i, j] = sqrt(i j) r[i-1, j-1]. Everything else is one
-    entrywise coefficient. a a^dag is kept as the truncated product
-    diag(1, ..., D-1, 0), not N + 1.
+    Returns (coef, lower, raise_) with
+    dr/dt[i, j] = coef[i, j] r[i, j] + lower[i, j] r[i+1, j+1]
+    + raise_[i-1, j-1] r[i-1, j-1]. The phase theta cancels from a r a^dag
+    and a^dag r a, so both are weighted corner shifts:
+    (a r a^dag)[i, j] = sqrt((i+1)(j+1)) r[i+1, j+1] and
+    (a^dag r a)[i, j] = sqrt(i j) r[i-1, j-1]; ``lower`` and ``raise_`` are
+    mu and nu times the (D-1)-square sqrt((i+1)(j+1)). Everything else is
+    the entrywise ``coef``, where a a^dag is kept as the truncated product
+    diag(1, ..., D-1, 0), not N + 1. The RK4 oracle reads its blocks off
+    these O(D^2) coefficients and never applies the right-hand side.
     """
     levels = np.arange(dim, dtype=float)
     aad_diag = np.append(levels[1:], 0.0)
@@ -270,20 +278,27 @@ def _literal_rhs(params: ModelParams, dim: int):
         - 0.5 * params.nu * (aad_diag[:, None] + aad_diag[None, :])
     )
     root = np.sqrt(levels[1:])
-    corner = np.outer(root, root)  # sqrt(i j) for 1 <= i, j <= D-1
-    mu, nu = params.mu, params.nu
-    lower_w = mu * corner
-    raise_w = nu * corner
+    corner = np.outer(root, root)  # sqrt((i+1)(j+1)) for 0 <= i, j <= D-2
+    return coef, params.mu * corner, params.nu * corner
 
-    def rhs(r: np.ndarray) -> np.ndarray:
-        out = coef * r
-        if mu:
-            out[:-1, :-1] += lower_w * r[1:, 1:]
-        if nu:
-            out[1:, 1:] += raise_w * r[:-1, :-1]
-        return out
 
-    return rhs
+def _increment_power(b: np.ndarray, n: int) -> np.ndarray:
+    """(I + b)^n - I by binary powering, never forming I + b.
+
+    Squaring is b -> 2b + b b and combining x -> x + b + x b. The entries
+    of b are O(h), and adding I to them first rounds away their low bits at
+    every product: at D = 24 over 346 steps the plain power of I + b is off
+    the extended-precision step loop by 1.1e-14 relative, this form by
+    8.0e-16 and the double-precision step loop by 1.1e-15.
+    """
+    x = None
+    while True:
+        if n & 1:
+            x = b.copy() if x is None else x + b + x @ b
+        n >>= 1
+        if not n:
+            return x
+        b = 2.0 * b + b @ b
 
 
 def evolve_numeric_rk4(
@@ -296,11 +311,15 @@ def evolve_numeric_rk4(
 ) -> DensityMatrix:
     """Integrate the matrix-form master equation with classic fixed-step RK4.
 
-    This path never vectorizes: the right-hand side is
-    -i omega [N, rho] - (mu/2)(N rho + rho N - 2 a rho a^dag)
+    The right-hand side is -i omega [N, rho]
+    - (mu/2)(N rho + rho N - 2 a rho a^dag)
     - (nu/2)(a a^dag rho + rho a a^dag - 2 a^dag rho a) with the truncated
     operators (see :func:`_literal_rhs`), making it independent of both the
-    closed form and the Liouvillian construction. ``steps`` must satisfy the
+    closed form and the Liouvillian construction. It keeps k = j - i, so
+    each diagonal k of rho evolves under its own tridiagonal block A_k, and
+    ``steps`` RK4 steps of size h = t / steps are the ``steps``-th power of
+    the block's one-step matrix, raised in O(log steps) products (see
+    :func:`_increment_power`). ``steps`` must satisfy the
     stability bound step * (omega + mu + nu) * D <= 0.1 and stay within
     ``RK4_MAX_STEPS`` and, times D^2, within ``RK4_MAX_WORK``.
     """
@@ -324,14 +343,20 @@ def evolve_numeric_rk4(
             f"{steps} steps violate the stability bound "
             f"h*(omega+mu+nu)*D <= {RK4_STABILITY_LIMIT} (need >= {needed})"
         )
-    rhs = _literal_rhs(params, rho0.dim)
+    coef, lower, raise_ = _literal_rhs(params, rho0.dim)
     h = t / steps
-    r = rho0.mat.copy()
-    for _ in range(steps):
-        k1 = rhs(r)
-        k2 = rhs(r + 0.5 * h * k1)
-        k3 = rhs(r + 0.5 * h * k2)
-        k4 = rhs(r + h * k3)
-        r = r + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return DensityMatrix(mat=r, trunc=rho0.trunc)
-
+    evolved = np.empty_like(rho0.mat)
+    for k in range(1 - rho0.dim, rho0.dim):
+        rows, cols = _sector_entries(rho0.dim, k)
+        # h A_k on the entries (i, i + k): tridiagonal, ordered by min(i, j).
+        ha = np.diag(h * coef[rows, cols])
+        p = np.arange(rows.size - 1)
+        ha[p, p + 1] = h * lower[rows[:-1], cols[:-1]]
+        ha[p + 1, p] = h * raise_[rows[:-1], cols[:-1]]
+        # One RK4 step of a linear equation is I + B with
+        # B = hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24, so n steps are (I + B)^n.
+        eye = np.eye(rows.size)
+        b = ha @ (eye + ha @ (eye + ha @ (eye + ha / 4.0) / 3.0) / 2.0)
+        vec = rho0.mat[rows, cols]
+        evolved[rows, cols] = vec + _increment_power(b, steps) @ vec
+    return DensityMatrix(mat=evolved, trunc=rho0.trunc)

@@ -562,3 +562,21 @@ class TestMainEntry:
 
         monkeypatch.setattr(cli.observables, "expect_n", explode)
         assert cli.main(["evolve", "--config", cfg_path]) == cli.EXIT_NUMERIC
+
+    @pytest.mark.parametrize(
+        "error, detail",
+        [
+            (MemoryError("Unable to allocate 5.00 GiB for an array"), ": Unable to allocate 5.00 GiB"),
+            (MemoryError(), ""),
+        ],
+    )
+    def test_out_of_memory_exits_3_with_one_line(self, monkeypatch, capsys, error, detail):
+        def exhaust(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "cmd_verify", exhaust)
+        assert cli.main(["verify"]) == cli.EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric failure: out of memory" + detail)
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -28,6 +29,17 @@ def literal_rhs(params, trunc):
         )
 
     return rhs
+
+
+def rk4_step_loop(rhs, r, h, steps):
+    # Classic fixed-step RK4, one step at a time.
+    for _ in range(steps):
+        k1 = rhs(r)
+        k2 = rhs(r + 0.5 * h * k1)
+        k3 = rhs(r + 0.5 * h * k2)
+        k4 = rhs(r + h * k3)
+        r = r + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return r
 
 
 class TestVectorize:
@@ -338,16 +350,51 @@ class TestEvolveNumericRk4:
         rho0 = fock.DensityMatrix(
             mat=random_interior_density(dim, dim - 1, np.random.default_rng(dim)), trunc=trunc
         )
-        h = t / steps
-        r = rho0.mat.copy()
-        for _ in range(steps):
-            k1 = rhs(r)
-            k2 = rhs(r + 0.5 * h * k1)
-            k3 = rhs(r + 0.5 * h * k2)
-            k4 = rhs(r + h * k3)
-            r = r + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        r = rk4_step_loop(rhs, rho0.mat.copy(), t / steps, steps)
         got = liouville.evolve_numeric_rk4(rho0, params, t, steps).mat
         assert np.abs(got - r).max() <= 1e-14 * np.abs(r).max()
+
+    @pytest.mark.parametrize("dim", [2, 7, 24])
+    @pytest.mark.parametrize("mu, nu", [(0.3, 0.9), (0.0, 0.6), (0.8, 0.0)])
+    @pytest.mark.parametrize("steps", [1, 2, 7, "stability"])
+    def test_matches_step_loop(self, dim, mu, nu, steps):
+        # The oracle raises the one-step matrix to a power per sector; it must
+        # equal the literal step loop to rounding for any step count,
+        # including the odd ones binary powering splits unevenly, with
+        # gain (nu > mu), damping only (nu = 0) and pumping only (mu = 0).
+        params = fock.ModelParams(omega=1.3, mu=mu, nu=nu, theta=0.9)
+        trunc = trunc_of(dim)
+        rate = (params.omega + mu + nu) * dim
+        if steps == "stability":
+            t = 0.6
+            steps = liouville.stability_steps(params, dim, t)
+        else:
+            t = 0.99 * steps * liouville.RK4_STABILITY_LIMIT / rate
+        assert liouville.stability_steps(params, dim, t) == steps
+        rho0 = fock.DensityMatrix(
+            mat=random_interior_density(dim, dim - 1, np.random.default_rng(dim)), trunc=trunc
+        )
+        r = rk4_step_loop(literal_rhs(params, trunc), rho0.mat.copy(), t / steps, steps)
+        got = liouville.evolve_numeric_rk4(rho0, params, t, steps).mat
+        assert np.abs(got - r).max() <= 1e-14 * np.abs(r).max()
+
+    def test_call_at_work_budget_finishes_at_once(self):
+        # The largest call the work budget admits at D = 24: 347,222 steps,
+        # which a step loop would take about half a minute over. Powering the
+        # one-step matrix costs O(log steps) products per sector. With nu = 0
+        # the literal and N + 1 forms of a a^dag act alike, so the answer is
+        # the expm oracle's to within RK4's error at this step size.
+        dim = 24
+        steps = liouville.RK4_MAX_WORK // dim**2
+        params = fock.ModelParams(omega=2.0, mu=1.0, nu=0.0)
+        assert liouville.stability_steps(params, dim, 3.0) <= steps
+        rho0 = fock.coherent_state(1.5, trunc_of(dim, support=dim - 1))
+        start = time.perf_counter()
+        got = liouville.evolve_numeric_rk4(rho0, params, 3.0, steps)
+        elapsed = time.perf_counter() - start
+        reference = liouville.evolve_numeric_expm(rho0, params, 3.0)
+        assert np.abs(got.mat - reference.mat).max() <= 1e-12
+        assert elapsed < 1.0
 
     def test_rejects_unstable_step(self):
         trunc = trunc_of(10)
