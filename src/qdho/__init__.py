@@ -40,6 +40,7 @@ from .liouville import (
     build_liouvillian,
     devectorize,
     evolve_numeric_expm,
+    evolve_numeric_expm_grid,
     evolve_numeric_rk4,
     expm,
     k_superoperators,

@@ -102,7 +102,7 @@ def _evolve_on_grid(rho0: DensityMatrix, cfg: RunConfig, times: np.ndarray) -> l
             for t in times
         ]
     if cfg.method == "expm":
-        return [liouville.evolve_numeric_expm(rho0, params, float(t), tolerances=tols) for t in times]
+        return liouville.evolve_numeric_expm_grid(rho0, params, times, tolerances=tols)
     return _rk4_on_grid(rho0, cfg, times)
 
 
@@ -163,9 +163,7 @@ def cmd_compare(cfg: RunConfig) -> tuple[str, int]:
     times = cfg.grid.times()
     tols = cfg.tolerances
     analytic = _analytic_on_grid(rho0, cfg, times)
-    via_expm = [
-        liouville.evolve_numeric_expm(rho0, cfg.params, float(t), tolerances=tols) for t in times
-    ]
+    via_expm = liouville.evolve_numeric_expm_grid(rho0, cfg.params, times, tolerances=tols)
     via_rk4 = _rk4_on_grid(rho0, cfg, times)
     pairs = {"analytic_vs_expm": 0.0, "analytic_vs_rk4": 0.0, "expm_vs_rk4": 0.0}
     lines = []

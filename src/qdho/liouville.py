@@ -13,15 +13,20 @@ k = j - i fixed: it splits into 2D - 1 tridiagonal blocks, one per k, each
 acting on the entries (i, i + k) of rho (see :func:`liouvillian_sector`).
 
 Two oracles check the closed-form propagator, and neither forms a
-D^2 x D^2 matrix. The expm oracle exponentiates each block
-(scaling-and-squaring Taylor) and applies it to its diagonal of rho:
-O(D^4) time and O(D^3) memory. The RK4 oracle builds its own tridiagonal
-block per k from the literal truncated operators of the matrix equation.
-On a linear autonomous equation n RK4 steps are the n-th power of the
-one-step matrix, raised per block by binary powering: O(D^4 log steps)
-time and O(D^2) memory, with no loop over the steps. The dense
-superoperators and Liouvillian are kept for the identity suites, which pin
-the vectorization convention.
+D^2 x D^2 matrix. Block -k is the entrywise conjugate of block k, and so
+is everything either oracle makes of it, so both work on k = 0 .. D-1 only
+and apply the conjugate to the -k diagonal. The expm oracle exponentiates
+each block (scaling-and-squaring Taylor) and applies it to its diagonal
+of rho; a grid of times goes through one stacked exponential per block
+and chunk of times: O(D^4) time per time and, per chunk, at most the
+memory of one time at ``ORACLE_MAX_DIM``. The RK4 oracle builds its own
+tridiagonal block per k from the literal truncated operators of the
+matrix equation. On a linear autonomous equation n RK4 steps are the
+n-th power of the one-step matrix, raised per block by binary powering:
+O(D^4 log steps) time and O(D^3) memory, with no loop over the steps;
+equal grid segments share one set of powers. The dense superoperators and
+Liouvillian are kept for the identity suites, which pin the vectorization
+convention.
 """
 
 from __future__ import annotations
@@ -59,9 +64,10 @@ RK4_MAX_WORK = 200_000_000
 #: 16 D^4 bytes (268 MB at D = 64, 1.36 GB at D = 96) and building the
 #: Liouvillian holds five of them; a larger D fails before allocating.
 DENSE_MAX_DIM = 64
-#: Size budget of the sector expm oracle. Its block exponentials take about
-#: (2/3) 16 D^3 bytes (22 MB at D = 128, where one evolution takes ~1 s);
-#: a larger D fails before anything is built.
+#: Size budget of the sector expm oracle. The block exponentials of one
+#: time, k >= 0 only, take 16 sum(s^2, s <= D) ~ (1/3) 16 D^3 bytes
+#: (11.3 MB at D = 128, where one evolution takes ~0.7 s); a larger D fails
+#: before anything is built. A chunk of grid times holds at most that much.
 ORACLE_MAX_DIM = 128
 
 
@@ -146,39 +152,66 @@ def build_liouvillian(params: ModelParams, trunc: TruncationConfig) -> np.ndarra
     )
 
 
+def _row_sum_norms(stack: np.ndarray) -> np.ndarray:
+    """Max-row-sum norm of each matrix of a (m, n, n) stack (0 for n = 0)."""
+    return np.abs(stack).sum(axis=-1).max(axis=-1, initial=0.0)
+
+
 def expm(m: np.ndarray, tol: float = 1e-16) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring with a truncated Taylor series.
 
-    The input is scaled by 2^-s until its max-row-sum norm is at most 0.5,
-    the series is summed until the next term falls below ``tol`` relative to
-    the running result, and the outcome is squared s times. Relative accuracy
-    is roughly tol times the conditioning of the exponential.
+    ``m`` is one square matrix or a stack of them, shape (..., n, n). Each
+    member is scaled by its own 2^-s until its max-row-sum norm is at most
+    0.5, its series is summed until the next term falls below ``tol``
+    relative to its running result, and its outcome is squared s times, so
+    a stack gives the same bits as exponentiating its members one by one.
+    Relative accuracy is roughly tol times the conditioning of the
+    exponential.
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expm expects a square matrix, got shape {m.shape}")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expm expects a square matrix or a stack of them, got shape {m.shape}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError("expm input contains NaN/Inf entries")
-    norm = float(np.abs(m).sum(axis=1).max()) if m.size else 0.0
-    squarings = 0
-    if norm > _EXPM_SCALE_LIMIT:
-        squarings = int(math.ceil(math.log2(norm / _EXPM_SCALE_LIMIT)))
-    scaled = m / (2.0**squarings)
-    eye = np.eye(m.shape[0], dtype=complex)
-    total = eye.copy()
-    term = eye
+    shape = m.shape
+    n = shape[-1]
+    m = m.reshape(-1, n, n)
+    squarings = np.array(
+        [
+            math.ceil(math.log2(norm / _EXPM_SCALE_LIMIT)) if norm > _EXPM_SCALE_LIMIT else 0
+            for norm in _row_sum_norms(m)
+        ],
+        dtype=int,
+    )
+    scaled = m / (2.0**squarings)[:, None, None]
+    total = np.zeros_like(m)
+    total[:, np.arange(n), np.arange(n)] = 1.0
+    term = total.copy()
+    # Members still summing their series. Whole-stack slices while all are,
+    # since fancy-index copies would cost more than the products.
+    live, live_scaled = np.arange(len(m)), scaled
     for k in range(1, _EXPM_MAX_TERMS + 1):
-        term = (term @ scaled) / k
-        total += term
-        term_norm = float(np.abs(term).sum(axis=1).max())
-        total_norm = float(np.abs(total).sum(axis=1).max())
-        if term_norm <= tol * total_norm:
+        term = (term @ live_scaled) / k
+        if live.size == len(m):
+            total += term
+            live_total = total
+        else:
+            total[live] += term
+            live_total = total[live]
+        going = ~(_row_sum_norms(term) <= tol * _row_sum_norms(live_total))
+        if not going.all():
+            live, live_scaled, term = live[going], live_scaled[going], term[going]
+        if not live.size:
             break
     else:
         raise ArithmeticError("matrix exponential Taylor series failed to converge")
-    for _ in range(squarings):
-        total = total @ total
-    return total
+    for done in range(int(squarings.max(initial=0))):
+        if (squarings > done).all():
+            total = total @ total
+        else:
+            pending = np.flatnonzero(squarings > done)
+            total[pending] = total[pending] @ total[pending]
+    return total.reshape(shape)
 
 
 def _sector_entries(dim: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -212,13 +245,72 @@ def liouvillian_sector(params: ModelParams, dim: int, k: int) -> np.ndarray:
     return block
 
 
-@lru_cache(maxsize=4)
-def _cached_propagator(params: ModelParams, dim: int, t: float) -> tuple[np.ndarray, ...]:
-    # exp(t L_k) for k = -(D-1) .. D-1, about (2/3) 16 D^3 bytes; treat as
-    # read-only. Every grid time is a new key, so a CLI verb never hits;
-    # the hits come from several states evolved at one (params, D, t), as
-    # in the three-way acceptance check.
-    return tuple(expm(t * liouvillian_sector(params, dim, k)) for k in range(1 - dim, dim))
+def _upper_block_entries(dim: int) -> int:
+    """Entries of the blocks k = 0 .. D-1 together: the sum of s^2 for s <= D."""
+    return dim * (dim + 1) * (2 * dim + 1) // 6
+
+
+def _sector_blocks(blocks):
+    """(rows, cols, block) for every sector, from the blocks of k = 0 .. D-1.
+
+    Sector -k of the generator is the entrywise conjugate of sector k, and
+    so is every matrix the oracles form from it, so the -k diagonal gets
+    the conjugate of the k block. The block is never applied to the
+    conjugate of the k diagonal instead: the state is Hermitian only to a
+    tolerance.
+    """
+    dim = len(blocks)
+    for k, block in enumerate(blocks):
+        yield (*_sector_entries(dim, k), block)
+        if k:
+            yield (*_sector_entries(dim, -k), block.conj())
+
+
+@lru_cache(maxsize=1)
+def _cached_propagator(
+    params: ModelParams, dim: int, times: tuple[float, ...]
+) -> tuple[np.ndarray, ...]:
+    # exp(t L_k) for k = 0 .. D-1, each stacked over ``times``; exp(t L_-k)
+    # is its conjugate. Treat as read-only. A CLI verb evolves each grid
+    # chunk once, so it never hits; the hits come from several states
+    # evolved at one (params, D, t), as in the three-way acceptance check.
+    scale = np.array(times)[:, None, None]
+    return tuple(expm(scale * liouvillian_sector(params, dim, k)) for k in range(dim))
+
+
+def evolve_numeric_expm_grid(
+    rho0: DensityMatrix,
+    params: ModelParams,
+    times,
+    *,
+    tolerances: ToleranceConfig | None = None,
+) -> list[DensityMatrix]:
+    """Evolve rho0 to every time in ``times`` by exp(t L_k) on each diagonal k.
+
+    rho0 and the times are checked once for the whole grid. The times go
+    through in chunks, each one stacked exponential per sector k >= 0; a
+    chunk holds at most as many entries as those blocks at one time at
+    D = ``ORACLE_MAX_DIM``. Raises ValueError, before anything is built,
+    when D exceeds ``ORACLE_MAX_DIM``.
+    """
+    dim = rho0.dim
+    if dim > ORACLE_MAX_DIM:
+        megabytes = 16 * _upper_block_entries(dim) / 1e6
+        raise ValueError(
+            f"the sector expm oracle at D = {dim} would hold {megabytes:.0f} MB of block "
+            f"exponentials per time; its budget is D <= {ORACLE_MAX_DIM}"
+        )
+    times = np.asarray(times, dtype=float)
+    check_evolution_args(rho0, times, tolerances)
+    chunk = max(1, _upper_block_entries(ORACLE_MAX_DIM) // _upper_block_entries(dim))
+    states = []
+    for start in range(0, times.size, chunk):
+        part = tuple(float(t) for t in times[start : start + chunk])
+        evolved = np.empty((len(part), dim, dim), dtype=complex)
+        for rows, cols, block_exps in _sector_blocks(_cached_propagator(params, dim, part)):
+            evolved[:, rows, cols] = block_exps @ rho0.mat[rows, cols]
+        states += [DensityMatrix(mat=mat, trunc=rho0.trunc) for mat in evolved]
+    return states
 
 
 def evolve_numeric_expm(
@@ -228,24 +320,8 @@ def evolve_numeric_expm(
     *,
     tolerances: ToleranceConfig | None = None,
 ) -> DensityMatrix:
-    """Evolve by applying exp(t L_k) to each diagonal k of the state.
-
-    Raises ValueError, before anything is built, when D exceeds
-    ``ORACLE_MAX_DIM``.
-    """
-    dim = rho0.dim
-    if dim > ORACLE_MAX_DIM:
-        megabytes = 16 * dim * (2 * dim * dim + 1) / 3 / 1e6
-        raise ValueError(
-            f"the sector expm oracle at D = {dim} would hold {megabytes:.0f} MB of block "
-            f"exponentials per cached time; its budget is D <= {ORACLE_MAX_DIM}"
-        )
-    check_evolution_args(rho0, t, tolerances)
-    evolved = np.empty_like(rho0.mat)
-    for k, block_exp in zip(range(1 - dim, dim), _cached_propagator(params, dim, float(t))):
-        rows, cols = _sector_entries(dim, k)
-        evolved[rows, cols] = block_exp @ rho0.mat[rows, cols]
-    return DensityMatrix(mat=evolved, trunc=rho0.trunc)
+    """One time of :func:`evolve_numeric_expm_grid`."""
+    return evolve_numeric_expm_grid(rho0, params, [t], tolerances=tolerances)[0]
 
 
 def stability_steps(params: ModelParams, dim: int, t: float) -> int:
@@ -301,6 +377,29 @@ def _increment_power(b: np.ndarray, n: int) -> np.ndarray:
         b = 2.0 * b + b @ b
 
 
+@lru_cache(maxsize=1)
+def _rk4_powers(params: ModelParams, dim: int, t: float, steps: int) -> tuple[np.ndarray, ...]:
+    # (I + B_k)^steps - I for k = 0 .. D-1, about (1/3) 16 D^3 bytes; the
+    # -k power is its conjugate. Treat as read-only. Grid segments of equal
+    # length and step count share one entry.
+    coef, lower, raise_ = _literal_rhs(params, dim)
+    h = t / steps
+    powers = []
+    for k in range(dim):
+        rows, cols = _sector_entries(dim, k)
+        # h A_k on the entries (i, i + k): tridiagonal, ordered by min(i, j).
+        ha = np.diag(h * coef[rows, cols])
+        p = np.arange(rows.size - 1)
+        ha[p, p + 1] = h * lower[rows[:-1], cols[:-1]]
+        ha[p + 1, p] = h * raise_[rows[:-1], cols[:-1]]
+        # One RK4 step of a linear equation is I + B with
+        # B = hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24, so n steps are (I + B)^n.
+        eye = np.eye(rows.size)
+        b = ha @ (eye + ha @ (eye + ha @ (eye + ha / 4.0) / 3.0) / 2.0)
+        powers.append(_increment_power(b, steps))
+    return tuple(powers)
+
+
 def evolve_numeric_rk4(
     rho0: DensityMatrix,
     params: ModelParams,
@@ -319,7 +418,9 @@ def evolve_numeric_rk4(
     each diagonal k of rho evolves under its own tridiagonal block A_k, and
     ``steps`` RK4 steps of size h = t / steps are the ``steps``-th power of
     the block's one-step matrix, raised in O(log steps) products (see
-    :func:`_increment_power`). ``steps`` must satisfy the
+    :func:`_increment_power`) for k >= 0 and conjugated for -k. The powers
+    of the last (params, D, t, steps) are kept, so equal segments of a grid
+    raise them once. ``steps`` must satisfy the
     stability bound step * (omega + mu + nu) * D <= 0.1 and stay within
     ``RK4_MAX_STEPS`` and, times D^2, within ``RK4_MAX_WORK``.
     """
@@ -343,20 +444,8 @@ def evolve_numeric_rk4(
             f"{steps} steps violate the stability bound "
             f"h*(omega+mu+nu)*D <= {RK4_STABILITY_LIMIT} (need >= {needed})"
         )
-    coef, lower, raise_ = _literal_rhs(params, rho0.dim)
-    h = t / steps
     evolved = np.empty_like(rho0.mat)
-    for k in range(1 - rho0.dim, rho0.dim):
-        rows, cols = _sector_entries(rho0.dim, k)
-        # h A_k on the entries (i, i + k): tridiagonal, ordered by min(i, j).
-        ha = np.diag(h * coef[rows, cols])
-        p = np.arange(rows.size - 1)
-        ha[p, p + 1] = h * lower[rows[:-1], cols[:-1]]
-        ha[p + 1, p] = h * raise_[rows[:-1], cols[:-1]]
-        # One RK4 step of a linear equation is I + B with
-        # B = hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24, so n steps are (I + B)^n.
-        eye = np.eye(rows.size)
-        b = ha @ (eye + ha @ (eye + ha @ (eye + ha / 4.0) / 3.0) / 2.0)
+    for rows, cols, power in _sector_blocks(_rk4_powers(params, rho0.dim, float(t), steps)):
         vec = rho0.mat[rows, cols]
-        evolved[rows, cols] = vec + _increment_power(b, steps) @ vec
+        evolved[rows, cols] = vec + power @ vec
     return DensityMatrix(mat=evolved, trunc=rho0.trunc)

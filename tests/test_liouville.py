@@ -1,11 +1,14 @@
+import math
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qdho import fock, liouville, su11
+from qdho import config, fock, liouville, su11
 from qdho.verification import random_interior_density
 
 
@@ -218,9 +221,43 @@ class TestLiouvillianSectors:
         scale = max(1.0, float(np.abs(dense).max()))
         assert np.abs(assembled - dense).max() <= 1e-15 * scale
 
+    @pytest.mark.parametrize("dim", [1, 5, 16])
+    def test_negative_sector_is_conjugate_of_positive(self, dim):
+        # Both oracles exponentiate or power only k >= 0 and conjugate for -k.
+        params = fock.ModelParams(omega=1.7, mu=0.8, nu=0.3, theta=0.4)
+        for k in range(dim):
+            np.testing.assert_array_equal(
+                liouville.liouvillian_sector(params, dim, -k),
+                np.conj(liouville.liouvillian_sector(params, dim, k)),
+            )
+
     def test_rejects_sector_outside_space(self):
         with pytest.raises(ValueError):
             liouville.liouvillian_sector(fock.ModelParams(mu=1.0), 4, 4)
+
+
+@st.composite
+def expm_stacks(draw):
+    """A (m, n, n) or (2, 3, n, n) stack: the zero matrix first, then members
+    needing from no squaring to about ten.
+
+    Dense members are skew-Hermitian (unitary exponentials, no overflow at
+    any scale); nilpotent ones are a scaled superdiagonal shift, whose
+    exponential has entries c^j / j! that are zero until the Taylor series
+    reaches term j, so a member summed past its own term count shows.
+    """
+    n = draw(st.integers(1, 9))
+    lead = draw(st.sampled_from([(draw(st.integers(1, 6)),), (2, 3)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    members = [np.zeros((n, n), dtype=complex)]
+    for _ in range(math.prod(lead) - 1):
+        scale = draw(st.sampled_from([1e-3, 0.3, 4.0, 300.0]))
+        if draw(st.booleans()):
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            members.append(scale * (g - g.conj().T) / (2 * n))
+        else:
+            members.append(scale * np.eye(n, k=1, dtype=complex))
+    return np.array(members).reshape(*lead, n, n)
 
 
 class TestExpm:
@@ -248,6 +285,26 @@ class TestExpm:
         bad = np.array([[0.0, np.nan], [0.0, 0.0]])
         with pytest.raises(ValueError):
             liouville.expm(bad)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(stack=expm_stacks())
+    def test_stack_equals_member_loop(self, stack):
+        # Each member keeps its own scaling, Taylor term count and squarings,
+        # so a stack gives the bits of one call per member.
+        got = liouville.expm(stack)
+        flat = stack.reshape(-1, *stack.shape[-2:])
+        expected = np.array([liouville.expm(x) for x in flat]).reshape(stack.shape)
+        assert np.array_equal(got, expected)
+
+    def test_stack_with_one_nonfinite_member_raises(self):
+        stack = np.zeros((3, 2, 2), dtype=complex)
+        stack[1, 0, 1] = np.nan
+        with pytest.raises(ValueError):
+            liouville.expm(stack)
+
+    def test_rejects_non_square_stack(self):
+        with pytest.raises(ValueError):
+            liouville.expm(np.zeros((3, 2, 4)))
 
 
 class TestEvolveNumericExpm:
@@ -299,6 +356,138 @@ class TestEvolveNumericExpm:
         finally:
             liouville._cached_propagator.cache_clear()
         assert (info.misses, info.hits) == (1, 2)
+
+
+def sector_reference(rho0, params, t):
+    # One exponential per sector, -k included, applied to its own diagonal:
+    # the oracle without the grid stacking or the conjugate sectors.
+    dim = rho0.dim
+    out = np.empty_like(rho0.mat)
+    for k in range(1 - dim, dim):
+        rows, cols = liouville._sector_entries(dim, k)
+        block_exp = liouville.expm(t * liouville.liouvillian_sector(params, dim, k))
+        out[rows, cols] = block_exp @ rho0.mat[rows, cols]
+    return out
+
+
+def skewed_state(dim, seed):
+    # A valid state plus a traceless anti-Hermitian part of 1e-3: its -k
+    # diagonal is not the conjugate of its +k diagonal.
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    skew = 1e-3 * (g - g.conj().T) / 2
+    np.fill_diagonal(skew, 0.0)
+    mat = random_interior_density(dim, dim - 1, rng) + skew
+    return fock.DensityMatrix(mat=mat, trunc=trunc_of(dim))
+
+
+#: Accepts skewed_state, whose Hermiticity deviation is ~1e-3.
+SKEW_TOLERANCES = config.ToleranceConfig(hermiticity_tol=1e-2)
+
+
+class TestEvolveNumericExpmGrid:
+    def test_grid_equals_per_time_loop(self, monkeypatch):
+        # With the size budget at 10, a chunk at D = 7 holds two times
+        # (385 // 140 entries), so the seven times take four stacked
+        # exponentials per sector, the last one a single time. Every state
+        # has the bits of a one-time call and of the per-sector reference.
+        dim = 7
+        monkeypatch.setattr(liouville, "ORACLE_MAX_DIM", 10)
+        params = fock.ModelParams(omega=2.0, mu=1.0, nu=0.4, theta=0.3)
+        rho0 = fock.DensityMatrix(
+            mat=random_interior_density(dim, dim - 1, np.random.default_rng(3)), trunc=trunc_of(dim)
+        )
+        times = [0.0, 0.35, 0.35, 1.2, 3.0, 0.05, 2.5]
+        liouville._cached_propagator.cache_clear()
+        try:
+            grid = liouville.evolve_numeric_expm_grid(rho0, params, times)
+            misses = liouville._cached_propagator.cache_info().misses
+            singles = [liouville.evolve_numeric_expm(rho0, params, t) for t in times]
+        finally:
+            liouville._cached_propagator.cache_clear()
+        assert misses == 4
+        for t, state, single in zip(times, grid, singles):
+            assert state.mat.tobytes() == single.mat.tobytes()
+            assert state.mat.tobytes() == sector_reference(rho0, params, t).tobytes()
+        np.testing.assert_array_equal(grid[0].mat, rho0.mat)
+
+    def test_empty_grid_gives_no_states(self):
+        rho0 = fock.fock_state(1, trunc_of(5))
+        assert liouville.evolve_numeric_expm_grid(rho0, fock.ModelParams(mu=1.0), []) == []
+
+    def test_rejects_negative_time(self):
+        rho0 = fock.fock_state(1, trunc_of(5))
+        with pytest.raises(ValueError, match="non-negative"):
+            liouville.evolve_numeric_expm_grid(rho0, fock.ModelParams(mu=1.0), [0.0, 1.0, -0.5])
+
+    def test_skewed_state_matches_dense_liouvillian(self):
+        # The -k diagonal gets the conjugate block, not the conjugate of the
+        # evolved +k diagonal: a state that is Hermitian only to a tolerance
+        # must still follow exp(t L) on every entry.
+        dim = 7
+        params = fock.ModelParams(omega=1.3, mu=0.7, nu=0.4, theta=0.9)
+        rho0 = skewed_state(dim, 11)
+        lv = liouville.build_liouvillian(params, trunc_of(dim))
+        for t, state in zip(
+            (0.4, 1.5),
+            liouville.evolve_numeric_expm_grid(rho0, params, [0.4, 1.5], tolerances=SKEW_TOLERANCES),
+        ):
+            expected = liouville.devectorize(
+                scipy.linalg.expm(t * lv) @ liouville.vectorize(rho0.mat), dim
+            )
+            assert np.abs(state.mat - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        omega=st.floats(0.0, 3.0),
+        mu=st.floats(0.0, 2.0),
+        pump_fraction=st.floats(0.0, 0.5),
+        s=st.floats(0.0, 1.0),
+        t=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_semigroup(self, omega, mu, pump_fraction, s, t, seed):
+        # exp((s + t) L) = exp(t L) exp(s L) for the truncated generator. Its
+        # edge term leaks trace, so the intermediate state is accepted under
+        # loose tolerances: the property is of the map, not of the physics.
+        # The pump and the times keep the leak below those tolerances.
+        dim = 16
+        params = fock.ModelParams(omega=omega, mu=mu, nu=pump_fraction * mu)
+        rho0 = fock.DensityMatrix(
+            mat=random_interior_density(dim, 5, np.random.default_rng(seed)),
+            trunc=trunc_of(dim, support=5),
+        )
+        mid, whole = liouville.evolve_numeric_expm_grid(rho0, params, [s, s + t])
+        loose = config.ToleranceConfig(hermiticity_tol=1e-2, trace_tol=1e-2, positivity_tol=1e-2)
+        two_step = liouville.evolve_numeric_expm(mid, params, t, tolerances=loose)
+        assert np.abs(two_step.mat - whole.mat).max() <= 1e-12 * np.abs(whole.mat).max()
+
+
+class TestOracleCaches:
+    def test_caches_hold_one_entry(self):
+        assert liouville._cached_propagator.cache_info().maxsize == 1
+        assert liouville._rk4_powers.cache_info().maxsize == 1
+
+    @pytest.mark.parametrize("dim, points", [(24, 101), (128, 3)])
+    def test_cached_exponentials_within_chunk_bound(self, dim, points):
+        # A chunk holds at most the entries of the k >= 0 blocks of one time
+        # at the size budget: 16 sum(s^2, s <= 128) bytes, 11.3 MB.
+        bound = 16 * sum(s * s for s in range(1, liouville.ORACLE_MAX_DIM + 1))
+        assert bound == 11_316_224
+        params = fock.ModelParams(omega=2.0, mu=1.0, nu=0.4)
+        rho0 = fock.coherent_state(1.0, trunc_of(dim, support=9))
+        times = np.linspace(0.0, 3.0, points)
+        liouville._cached_propagator.cache_clear()
+        try:
+            liouville.evolve_numeric_expm_grid(rho0, params, times)
+            chunk = int(bound // (16 * sum(s * s for s in range(1, dim + 1))))
+            last = tuple(float(t) for t in times[(points - 1) // chunk * chunk :])
+            cached = liouville._cached_propagator(params, dim, last)
+            info = liouville._cached_propagator.cache_info()
+        finally:
+            liouville._cached_propagator.cache_clear()
+        assert info.hits == 1
+        assert sum(block.nbytes for block in cached) <= bound
 
 
 class TestEvolveNumericRk4:
@@ -395,6 +584,50 @@ class TestEvolveNumericRk4:
         reference = liouville.evolve_numeric_expm(rho0, params, 3.0)
         assert np.abs(got.mat - reference.mat).max() <= 1e-12
         assert elapsed < 1.0
+
+    def test_equal_segments_share_one_set_of_powers(self):
+        # The six segments of a 7-point 0..3 grid are bit-equal (0.5 each), so
+        # the per-sector powers are raised once and read five more times.
+        dim = 16
+        params = fock.ModelParams(omega=2.0, mu=1.0, nu=0.4)
+        current = fock.coherent_state(1.0, trunc_of(dim, support=9))
+        times = np.linspace(0.0, 3.0, 7)
+        liouville._rk4_powers.cache_clear()
+        try:
+            for seg in np.diff(times):
+                steps = 2 * liouville.stability_steps(params, dim, float(seg))
+                current = liouville.evolve_numeric_rk4(current, params, float(seg), steps)
+            info = liouville._rk4_powers.cache_info()
+        finally:
+            liouville._rk4_powers.cache_clear()
+        assert (info.misses, info.hits) == (1, 5)
+
+    def test_step_count_is_part_of_the_cache_key(self):
+        dim = 12
+        params = fock.ModelParams(omega=1.0, mu=0.5, nu=0.2)
+        rho0 = fock.coherent_state(0.8, trunc_of(dim, support=7))
+        steps = liouville.stability_steps(params, dim, 1.0)
+        coarse = liouville.evolve_numeric_rk4(rho0, params, 1.0, steps)
+        fine = liouville.evolve_numeric_rk4(rho0, params, 1.0, 2 * steps)
+        assert not np.array_equal(coarse.mat, fine.mat)
+        np.testing.assert_allclose(coarse.mat, fine.mat, atol=1e-6)
+
+    def test_skewed_state_matches_dense_liouvillian(self):
+        # As for the expm oracle: the -k diagonal gets the conjugate power.
+        # With nu = 0 the literal a a^dag of the RK4 oracle and the N + 1 of
+        # build_liouvillian act alike, so classic RK4 on the dense generator
+        # is the reference.
+        dim = 7
+        params = fock.ModelParams(omega=1.3, mu=0.7, nu=0.0, theta=0.9)
+        rho0 = skewed_state(dim, 12)
+        lv = liouville.build_liouvillian(params, trunc_of(dim))
+        t = 0.6
+        steps = liouville.stability_steps(params, dim, t)
+        expected = liouville.devectorize(
+            rk4_step_loop(lambda v: lv @ v, liouville.vectorize(rho0.mat), t / steps, steps), dim
+        )
+        got = liouville.evolve_numeric_rk4(rho0, params, t, steps, tolerances=SKEW_TOLERANCES)
+        assert np.abs(got.mat - expected).max() <= 1e-14 * np.abs(expected).max()
 
     def test_rejects_unstable_step(self):
         trunc = trunc_of(10)

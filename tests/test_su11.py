@@ -157,6 +157,15 @@ class TestDisentanglingCoefficients:
             rhs = disentangled_product_2x2(su11.disentangling_coefficients(mu, nu, t))
             assert scaled_max_residual(lhs, rhs) <= 1e-12
 
+    def test_stacked_products_equal_single_ones(self):
+        coeffs = [
+            su11.disentangling_coefficients(mu, nu, t) for mu, nu, t in parameter_grid(20, seed=5)
+        ]
+        stacked = disentangled_product_2x2(coeffs)
+        assert stacked.shape == (len(coeffs), 2, 2)
+        for c, product in zip(coeffs, stacked):
+            np.testing.assert_array_equal(product, disentangled_product_2x2(c))
+
     def test_scaling_positive_everywhere(self):
         for mu, nu, t in parameter_grid(200, seed=3):
             assert su11.disentangling_coefficients(mu, nu, t).f_coef > 0.0
