@@ -30,7 +30,6 @@ class ToleranceConfig:
     trace_tol: float = 1e-8
     positivity_tol: float = 1e-9
     oracle_tol: float = 1e-7
-    degeneracy_threshold: float = 1e-6
 
     def __post_init__(self):
         for name, value in dataclasses.asdict(self).items():
@@ -169,11 +168,23 @@ class _Reader:
         except configparser.Error as exc:
             raise ConfigError(f"malformed config file: {exc}") from None
         self.path = path
+        self.asked: set[tuple[str, str]] = set()
 
     def has(self, section: str) -> bool:
         return self.parser.has_section(section)
 
+    def reject_unknown(self) -> None:
+        """Refuse any key, in a section that was read, that nothing asked for."""
+        read = {section for section, _ in self.asked}
+        for section in self.parser.sections():
+            if section not in read:
+                continue
+            for key in self.parser.options(section):
+                if (section, key) not in self.asked:
+                    raise ConfigError(f"[{section}] {key}: unknown key")
+
     def _raw(self, section: str, key: str, default):
+        self.asked.add((section, key))
         if not self.parser.has_section(section):
             if default is not _REQUIRED:
                 return default
@@ -308,7 +319,7 @@ def load_run_config(path: str) -> RunConfig:
             f"[grid] num_points: {grid.num_points} states at D = {trunc.dim} take "
             f"{state_bytes / 2**20:.0f} MB, over the budget of {MAX_STATE_BYTES / 2**20:.0f} MB"
         )
-    return RunConfig(
+    cfg = RunConfig(
         params=params,
         state=_read_state(reader),
         trunc=trunc,
@@ -319,15 +330,19 @@ def load_run_config(path: str) -> RunConfig:
         photon_levels=reader.get_int("run", "photon_levels", 4),
         steady_tol=reader.get_float("run", "steady_tol", 1e-4),
     )
+    reader.reject_unknown()
+    return cfg
 
 
 def load_classical_config(path: str) -> ClassicalRunConfig:
     """Parse a classical-run config file ([classical] and [grid] sections)."""
     reader = _Reader(path)
-    return ClassicalRunConfig(
+    cfg = ClassicalRunConfig(
         omega=reader.get_float("classical", "omega"),
         gamma=reader.get_float("classical", "gamma", 0.0),
         x0=reader.get_float("classical", "x0"),
         y0=reader.get_float("classical", "y0", 0.0),
         grid=_read_grid(reader),
     )
+    reader.reject_unknown()
+    return cfg

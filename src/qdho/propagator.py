@@ -98,14 +98,15 @@ def evolve_analytic_grid(
     """
     times = np.asarray(times, dtype=float)
     _check_rates(params.mu, params.nu)
-    tols = check_evolution_args(rho0, times, tolerances)
+    check_evolution_args(rho0, times, tolerances)
     scalars = []
     for t in times:
-        c = su11.disentangling_coefficients(params.mu, params.nu, float(t), tols.degeneracy_threshold)
-        prefactor = math.exp(0.5 * (params.mu - params.nu) * float(t)) / c.f_coef
-        if not prefactor > 0:
-            raise ValueError(f"prefactor must be positive, got {prefactor!r}")
-        scalars.append((c.e_coef, c.g_coef, math.log(c.f_coef), prefactor))
+        c = su11.disentangling_coefficients(params.mu, params.nu, float(t))
+        # A gain run's prefactor underflows to 0 once (nu - mu)t passes ~745;
+        # the state and its escape distance would then both read 0.
+        if not c.prefactor > 0:
+            raise ValueError(f"prefactor must be positive, got {c.prefactor!r}")
+        scalars.append((c.e_coef, c.g_coef, c.log_f, c.prefactor))
     lower, upper, log_f, prefactor = np.array(scalars).reshape(-1, 4).T
     phase = params.omega * times
     left = np.empty(times.size, dtype=complex)

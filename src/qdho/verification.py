@@ -71,7 +71,7 @@ def disentangled_product_2x2(coeffs) -> np.ndarray:
 
     product = (
         factor([c.g_coef for c in batch], k_plus)
-        @ factor([-2.0 * np.log(c.f_coef) for c in batch], k3)
+        @ factor([-2.0 * c.log_f for c in batch], k3)
         @ factor([c.e_coef for c in batch], k_minus)
     )
     return product[0] if single else product
@@ -170,10 +170,9 @@ def suite_disentangling_superop(
         generator = nu * k_plus + mu * k_minus - (mu + nu) * k3
         lhs_op = liouville.expm(t * generator)
         coeffs = su11.disentangling_coefficients(mu, nu, t)
-        log_f = np.log(coeffs.f_coef)
         rhs_op = (
             liouville.expm(coeffs.g_coef * k_plus)
-            @ liouville.expm(-2.0 * log_f * k3)
+            @ liouville.expm(-2.0 * coeffs.log_f * k3)
             @ liouville.expm(coeffs.e_coef * k_minus)
         )
         for vec in states:

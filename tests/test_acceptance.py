@@ -128,7 +128,7 @@ def test_criterion_03_superoperator_disentangling():
         coeffs = su11.disentangling_coefficients(mu, nu, t)
         rhs = (
             liouville.expm(coeffs.g_coef * k_plus)
-            @ liouville.expm(-2.0 * math.log(coeffs.f_coef) * k3)
+            @ liouville.expm(-2.0 * coeffs.log_f * k3)
             @ liouville.expm(coeffs.e_coef * k_minus)
         )
         for vec in states:

@@ -121,6 +121,23 @@ class TestConfigParsing:
             config.load_run_config(write(tmp_path, QUANTUM_CONFIG.replace("mu = 1.0", "mu = fast")))
         assert "mu" in str(err.value)
 
+    def test_rejects_misspelled_key(self, tmp_path):
+        # A misspelled key must not fall back to the default (nu = 0).
+        text = COMPARE_CONFIG.replace("nu = 0.4", "nuu = 0.4")
+        with pytest.raises(config.ConfigError, match=r"\[model\] nuu: unknown key"):
+            config.load_run_config(write(tmp_path, text))
+
+    def test_rejects_key_of_another_state_kind(self, tmp_path):
+        text = QUANTUM_CONFIG.replace("n = 1", "n = 1\nre = 0.5")
+        with pytest.raises(config.ConfigError, match=r"\[state\] re: unknown key"):
+            config.load_run_config(write(tmp_path, text))
+
+    def test_classical_rejects_misspelled_key(self, tmp_path):
+        text = CLASSICAL_CONFIG.format(omega=2.0, gamma=1.0, t_end=10.0, num_points=5)
+        path = write(tmp_path, text.replace("gamma = 1.0", "gama = 1.0"))
+        with pytest.raises(config.ConfigError, match=r"\[classical\] gama: unknown key"):
+            config.load_classical_config(path)
+
     def test_classical_round_trip(self, tmp_path):
         path = write(tmp_path, CLASSICAL_CONFIG.format(omega=2.0, gamma=1.0, t_end=10.0, num_points=5))
         ccfg = config.load_classical_config(path)
@@ -362,8 +379,8 @@ class TestCmdVerify:
         # disentangling suites notice.
         original = qdho.su11.disentangling_coefficients
 
-        def flipped(mu, nu, t, degeneracy_threshold=qdho.su11.DEGENERACY_THRESHOLD):
-            c = original(mu, nu, t, degeneracy_threshold)
+        def flipped(mu, nu, t):
+            c = original(mu, nu, t)
             return dataclasses.replace(c, e_coef=-c.e_coef)
 
         monkeypatch.setattr(qdho.su11, "disentangling_coefficients", flipped)
@@ -418,6 +435,51 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert "unrecognized arguments" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "text, extra, named",
+        [
+            (COMPARE_CONFIG.replace("nu = 0.4", "nuu = 0.4"), [], "nuu"),
+            (COMPARE_CONFIG + "\n[tolerances]\ndegeneracy_threshold = 1e-6\n", [], "degeneracy_threshold"),
+            (COMPARE_CONFIG, ["--tol-override", "degeneracy_threshold=1e-6"], "degeneracy_threshold"),
+        ],
+    )
+    def test_unknown_key_exits_1(self, tmp_path, capsys, text, extra, named):
+        cfg_path = write(tmp_path, text)
+        assert cli.main(["evolve", "--config", cfg_path] + extra) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert named in captured.err
+        assert captured.out == ""
+
+    def test_large_t_reaches_the_thermal_state(self, tmp_path, capsys):
+        # mu = 1, nu = 0.4: the fixed point is thermal with n_bar = 2/3, so
+        # p_n = 0.6 * 0.4^n. At t = 1e6, F itself would overflow.
+        cfg_path = write(tmp_path, COMPARE_CONFIG.replace("t_end = 1.0", "t_end = 1e6"))
+        assert cli.main(["evolve", "--config", cfg_path]) == cli.EXIT_OK
+        header, _, *rows = capsys.readouterr().out.strip().split("\n")
+        assert len(rows) == 2
+        for row in rows:
+            values = dict(zip(header.split(","), map(float, row.split(","))))
+            for n in range(5):
+                assert abs(values[f"p{n}"] - 0.6 * 0.4**n) <= 1e-12
+
+    def test_gain_run_with_finite_prefactor_fails_its_certificate(self, tmp_path, capsys):
+        text = QUANTUM_CONFIG.replace("mu = 1.0", "mu = 0.2").replace("nu = 0.0", "nu = 1.5")
+        cfg_path = write(tmp_path, text.replace("t_end = 1.0", "t_end = 10.0"))
+        assert qdho.su11.disentangling_coefficients(0.2, 1.5, 10.0).prefactor > 0.0
+        with pytest.warns(propagator.GainWarning):
+            code = cli.main(["evolve", "--config", cfg_path, "--check-truncation"])
+        assert code == cli.EXIT_TOLERANCE
+        assert "truncation not converged" in capsys.readouterr().err
+
+    def test_gain_run_past_prefactor_underflow_exits_1(self, tmp_path, capsys):
+        # (nu - mu) t = 1300 > ~745: e^{-(nu - mu) t} underflows to 0.
+        text = QUANTUM_CONFIG.replace("mu = 1.0", "mu = 0.2").replace("nu = 0.0", "nu = 1.5")
+        cfg_path = write(tmp_path, text.replace("t_end = 1.0", "t_end = 1e3"))
+        with pytest.warns(propagator.GainWarning):
+            code = cli.main(["evolve", "--config", cfg_path, "--check-truncation"])
+        assert code == cli.EXIT_VALIDATION
+        assert "prefactor must be positive" in capsys.readouterr().err
 
     def test_tol_override_flag(self, tmp_path):
         cfg_path = write(tmp_path, COMPARE_CONFIG)

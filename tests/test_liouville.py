@@ -691,7 +691,7 @@ class TestSuperoperatorDisentangling:
             c = su11.disentangling_coefficients(mu, nu, t)
             rhs = (
                 liouville.expm(c.g_coef * k_plus)
-                @ liouville.expm(-2.0 * np.log(c.f_coef) * k3)
+                @ liouville.expm(-2.0 * c.log_f * k3)
                 @ liouville.expm(c.e_coef * k_minus)
             )
             for v in states:
@@ -727,7 +727,7 @@ class TestSuperoperatorDisentangling:
                 lhs = liouville.expm(t * gen)
                 rhs = (
                     liouville.expm(c.g_coef * k_plus[block])
-                    @ liouville.expm(-2.0 * np.log(c.f_coef) * k3[block])
+                    @ liouville.expm(-2.0 * c.log_f * k3[block])
                     @ liouville.expm(c.e_coef * k_minus[block])
                 )
                 squared += [np.linalg.norm(lhs @ v[idx] - rhs @ v[idx]) ** 2 for v in states]

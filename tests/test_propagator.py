@@ -139,8 +139,8 @@ class TestEvolveAnalytic:
         assert observables.frobenius_distance(out, oracle) <= 1e-8
 
     def test_rejects_underflowed_prefactor(self):
-        # With gain, e^{(mu-nu)t/2}/F underflows to 0 long before |mu-nu|t/2
-        # reaches the overflow guard; a zero prefactor would erase the state.
+        # With gain, e^{(mu-nu)t/2}/F underflows to 0 once (nu-mu)t passes
+        # ~745; a zero prefactor would erase the state.
         rho0 = fock.fock_state(0, trunc_of(8))
         params = fock.ModelParams(mu=0.2, nu=1.5)
         with pytest.warns(propagator.GainWarning), pytest.raises(ValueError, match="prefactor"):
@@ -290,8 +290,8 @@ class TestBandSeriesEquivalence:
     def test_full_series(self, dim, name, mat, is_state):
         params, t = self.PARAMS, self.T
         coeffs = su11.disentangling_coefficients(params.mu, params.nu, t)
-        prefactor = np.exp(0.5 * (params.mu - params.nu) * t) / coeffs.f_coef
-        log_f, phase = np.log(coeffs.f_coef), params.omega * t
+        prefactor = coeffs.prefactor
+        log_f, phase = coeffs.log_f, params.omega * t
         left, right = complex(-log_f, -phase), complex(-log_f, phase)
         want = _dense_series(mat, coeffs.e_coef, left, right, coeffs.g_coef, prefactor, params.theta)
         got = _series_on_matrix(mat, coeffs.e_coef, left, right, coeffs.g_coef, prefactor)
@@ -452,6 +452,40 @@ class TestAnalyticProperties:
         via_full = propagator.evolve_analytic(rho0, fock.ModelParams(omega=omega, mu=mu, nu=0.0), t)
         direct = propagator.evolve_nu_zero(rho0, mu, omega, t)
         assert np.abs(via_full.mat - direct.mat).max() <= 1e-12
+
+
+_LARGE_T_TRUNC = trunc_of(48, support=7)
+
+
+@st.composite
+def large_t_states(draw):
+    """A coherent state or a Fock state on levels 0..7 of D = 48."""
+    if draw(st.booleans()):
+        r = draw(st.floats(0.0, 1.5))
+        phase = draw(st.floats(0.0, 2 * np.pi))
+        return fock.coherent_state(r * np.exp(1j * phase), _LARGE_T_TRUNC)
+    return fock.fock_state(draw(st.integers(0, 7)), _LARGE_T_TRUNC)
+
+
+class TestLargeTime:
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(
+        rho0=large_t_states(),
+        mu=st.floats(0.5, 3.0),
+        pump_fraction=st.floats(0.0, 0.5),
+        omega=st.floats(0.0, 1e3),
+        t=st.floats(1e3, 1e9),
+    )
+    def test_certified_closed_form_reaches_thermal_state(self, rho0, mu, pump_fraction, omega, t):
+        # (mu - nu) t >= 250, so every trace of rho0 is gone: the state is
+        # thermal with n_bar = nu/(mu - nu) <= 1, whose weight above D = 48
+        # is below 4e-15. Past (mu - nu) t ~ 1,400, F itself overflows.
+        params = fock.ModelParams(omega=omega, mu=mu, nu=pump_fraction * mu)
+        (out,), escapes = propagator.evolve_analytic_grid(rho0, params, [t], certify=True)
+        assert escapes[0] <= propagator.TRUNCATION_DOUBLING_TOL
+        n_bar = params.nu / (params.mu - params.nu)
+        thermal = fock.thermal_state(n_bar, _LARGE_T_TRUNC)
+        assert np.abs(out.mat - thermal.mat).max() <= 1e-13
 
 
 @st.composite
