@@ -37,6 +37,11 @@ class ClassicalParams:
             raise ValueError(f"omega must be positive, got {self.omega}")
         if self.gamma < 0:
             raise ValueError(f"gamma must be non-negative, got {self.gamma}")
+        if not (math.isfinite(self.omega * self.omega) and math.isfinite(2.0 * self.gamma)):
+            raise ValueError(
+                f"the system matrix overflows double precision at omega = {self.omega}, "
+                f"gamma = {self.gamma}"
+            )
 
 
 @dataclass(frozen=True)

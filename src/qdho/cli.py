@@ -1,15 +1,17 @@
 """Command-line front end: evolve | compare | steady | classical | verify.
 
-Exit codes: 0 success, 1 validation/config error, 2 tolerance or acceptance
-failure, 3 internal numeric failure (NaN/Inf, or out of memory). CSV output
-uses 17 significant digits in scientific notation so repeated runs are
-byte-identical and values round-trip exactly.
+Exit codes: 0 success, 1 validation/config error (overflowing rates
+included), 2 tolerance or acceptance failure, 3 internal numeric failure (a
+non-finite certificate or distance, lost Hermiticity, or out of memory).
+CSV output uses 17 significant digits in scientific notation so repeated
+runs are byte-identical and values round-trip exactly.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -137,8 +139,6 @@ def cmd_evolve(cfg: RunConfig) -> str:
     )
     lines = [",".join(header)]
     for t, rho in zip(times, states):
-        if not np.all(np.isfinite(rho.mat.real)) or not np.all(np.isfinite(rho.mat.imag)):
-            raise NumericFailure(f"state contains NaN/Inf at t={float(t):.6g}")
         report = validate_density(
             rho.mat,
             hermiticity_tol=cfg.tolerances.hermiticity_tol,
@@ -198,8 +198,6 @@ def cmd_steady(cfg: RunConfig) -> tuple[str, int]:
     n_target = params.nu / (params.mu - params.nu)
     rho0 = fock_state(0, cfg.trunc)
     rho_ss = propagator.evolve_analytic(rho0, params, t_ss, tolerances=cfg.tolerances)
-    if not np.all(np.isfinite(rho_ss.mat.real)) or not np.all(np.isfinite(rho_ss.mat.imag)):
-        raise NumericFailure(f"steady-state evolution produced NaN/Inf at t={float(t_ss):.6g}")
     n_measured = observables.expect_n(rho_ss)
     target = thermal_state(n_target, cfg.trunc)
     dist = observables.frobenius_distance(rho_ss, target)
@@ -232,11 +230,12 @@ def cmd_classical(cfg: ClassicalRunConfig) -> tuple[str, list[str]]:
     for t in cfg.grid.times():
         seg = float(t) - prev_t
         if seg > 0:
-            steps = max(1, int(np.ceil(seg * rate / _CLASSICAL_STEP_LIMIT)))
+            needed = seg * rate / _CLASSICAL_STEP_LIMIT
+            if not math.isfinite(needed):
+                raise ValueError(f"RK4 step count at t={float(t):.6g} overflows double precision")
+            steps = max(1, int(np.ceil(needed)))
             current = classical.evolve_classical_rk4(current, params, seg, steps)
         prev_t = float(t)
-        if not (np.isfinite(current.x) and np.isfinite(current.y)):
-            raise NumericFailure(f"RK4 trajectory diverged at t={float(t):.6g}")
         if analytic_ok:
             exact = classical.evolve_classical_analytic(p0, params, float(t))
             deviation = float(np.hypot(exact.x - current.x, exact.y - current.y))

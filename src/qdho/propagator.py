@@ -111,8 +111,6 @@ def evolve_analytic_grid(
     phase = params.omega * times
     left = np.empty(times.size, dtype=complex)
     left.real, left.imag = -log_f, -phase
-    right = np.empty(times.size, dtype=complex)
-    right.real, right.imag = -log_f, phase
 
     d = rho0.dim
     mat0 = rho0.mat
@@ -126,9 +124,7 @@ def evolve_analytic_grid(
     states, escapes = [], []
     for start in range(0, times.size, chunk):
         part = slice(start, start + chunk)
-        evolved = _band_series(
-            band, cols, lower[part], left[part], right[part], upper[part], prefactor[part]
-        )
+        evolved = _band_series(band, cols, lower[part], left[part], upper[part], prefactor[part])
         states += _block_states(evolved, cols, rho0.trunc)
         escapes += [float(np.linalg.norm(values)) for values in evolved[:, outside]]
     return states, np.array(escapes) if certify else None
@@ -158,8 +154,7 @@ def evolve_nu_zero(
     exponent = -(0.5 * mu + 1j * omega) * t
     cols, band = _skew(rho0.mat)
     evolved = _band_series(
-        band, cols, np.array([weight]), np.array([exponent]), np.array([np.conj(exponent)]),
-        np.zeros(1), np.ones(1),
+        band, cols, np.array([weight]), np.array([exponent]), np.zeros(1), np.ones(1)
     )
     return _block_states(evolved, cols, rho0.trunc)[0]
 
@@ -243,8 +238,8 @@ def _block_states(evolved: np.ndarray, cols: np.ndarray, trunc) -> list[DensityM
     return states
 
 
-def _band_series(band, cols, lower_weight, left_exp, right_exp, raise_weight, scale):
-    """Per time s: scale_s * sum_n R_s^n/n! (a^dag)^n [e^{l_s N} X_s e^{r_s N}] a^n.
+def _band_series(band, cols, lower_weight, left_exp, raise_weight, scale):
+    """Per time s: scale_s * sum_n R_s^n/n! (a^dag)^n [e^{l_s N} X_s e^{l_s^* N}] a^n.
 
     X_s = sum_m L_s^m/m! a^m rho (a^dag)^m, with rho given as its skewed
     ``band`` and every weight an array over times. Returns the evolved
@@ -279,7 +274,7 @@ def _band_series(band, cols, lower_weight, left_exp, right_exp, raise_weight, sc
 
     out = series(band, lower_weight, lower_w, slice(1, None), slice(None, -1))
     left = np.exp(left_exp[:, None] * levels)[:, None, :]
-    out = left * out * np.exp(right_exp[:, None] * levels)[:, cols]
+    out = left * out * np.exp(left_exp.conj()[:, None] * levels)[:, cols]
     if raise_weight.any():
         out = series(out, raise_weight, raise_w, slice(None, -1), slice(1, None))
     return scale[:, None, None] * out

@@ -55,16 +55,17 @@ def parameter_grid(count: int, seed: int = 421) -> list[tuple[float, float, floa
     return pts
 
 
-def disentangled_product_2x2(coeffs) -> np.ndarray:
+def disentangled_product_2x2(coeffs, generators=None) -> np.ndarray:
     """exp(G k+) exp(-2 ln F k3) exp(E k-) via honest matrix exponentials.
 
-    ``coeffs`` is one :class:`su11.DisentanglingCoefficients` (one 2x2
-    product) or a sequence of them (a stack of products, one stacked
-    exponential per factor).
+    ``coeffs`` is one :class:`su11.DisentanglingCoefficients` (one product)
+    or a sequence of them (a stack of products, one stacked exponential per
+    factor). ``generators`` is (k+, k-, k3) in any representation; the
+    default is the defining 2x2 one of :func:`su11.k_generators`.
     """
     single = isinstance(coeffs, su11.DisentanglingCoefficients)
     batch = [coeffs] if single else coeffs
-    k_plus, k_minus, k3 = su11.k_generators()
+    k_plus, k_minus, k3 = su11.k_generators() if generators is None else generators
 
     def factor(values, generator):
         return liouville.expm(np.array(values)[:, None, None] * generator)
@@ -165,16 +166,15 @@ def suite_disentangling_superop(
     # is truncation-converged below 1e-9 only for nu*t << 1. Larger pumping
     # converges the same way at larger dim (covered by the test suite).
     params = ((1.0, 0.0, 0.8), (2.0, 0.0, 0.5), (0.8, 0.001, 1.0), (0.002, 0.002, 1.0))
+    lhs_ops = liouville.expm(
+        np.array([t * (nu * k_plus + mu * k_minus - (mu + nu) * k3) for mu, nu, t in params])
+    )
+    rhs_ops = disentangled_product_2x2(
+        [su11.disentangling_coefficients(mu, nu, t) for mu, nu, t in params],
+        (k_plus, k_minus, k3),
+    )
     worst = 0.0
-    for mu, nu, t in params:
-        generator = nu * k_plus + mu * k_minus - (mu + nu) * k3
-        lhs_op = liouville.expm(t * generator)
-        coeffs = su11.disentangling_coefficients(mu, nu, t)
-        rhs_op = (
-            liouville.expm(coeffs.g_coef * k_plus)
-            @ liouville.expm(-2.0 * coeffs.log_f * k3)
-            @ liouville.expm(coeffs.e_coef * k_minus)
-        )
+    for lhs_op, rhs_op in zip(lhs_ops, rhs_ops):
         for vec in states:
             worst = max(worst, float(np.linalg.norm(lhs_op @ vec - rhs_op @ vec)))
     return SuiteResult("disentangling-superop", len(params) * n_states, worst, 1e-9)

@@ -481,6 +481,44 @@ class TestMainEntry:
         assert code == cli.EXIT_VALIDATION
         assert "prefactor must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "verb, method, nu",
+        [
+            ("evolve", "analytic", "0.4"),
+            ("evolve", "expm", "0.4"),
+            ("evolve", "rk4", "0.4"),
+            ("evolve", "nu-zero", "0.0"),
+            ("compare", "analytic", "0.4"),
+            ("steady", "analytic", "0.4"),
+        ],
+    )
+    def test_overflowing_rate_exits_1(self, tmp_path, capsys, verb, method, nu):
+        # omega t overflows in the phase, the sector blocks and the RK4 step
+        # count; each path refuses it before a state is written.
+        text = (
+            COMPARE_CONFIG.replace("omega = 6.283185307179586", "omega = 1e308")
+            .replace("nu = 0.4", f"nu = {nu}")
+            .replace("t_end = 1.0", "t_end = 3.0")
+            .replace("method = analytic", f"method = {method}")
+        )
+        cfg_path = write(tmp_path, text)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli.main([verb, "--config", cfg_path]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "omega, gamma, t_end",
+        [("1e200", "1.0", "10.0"), ("2.0", "1e308", "10.0"), ("2.0", "1e306", "10.0")],
+    )
+    def test_overflowing_classical_rate_exits_1(self, tmp_path, capsys, omega, gamma, t_end):
+        text = CLASSICAL_CONFIG.format(omega=omega, gamma=gamma, t_end=t_end, num_points=11)
+        assert cli.main(["classical", "--config", write(tmp_path, text)]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "overflows double precision" in captured.err
+
     def test_tol_override_flag(self, tmp_path):
         cfg_path = write(tmp_path, COMPARE_CONFIG)
         code = cli.main(

@@ -227,11 +227,11 @@ def _dense_series(x, lower_weight, left_exp, right_exp, raise_weight, scale, the
     return scale * series(core, raise_weight, ops.a_dagger, ops.a)
 
 
-def _series_on_matrix(x, lower_weight, left_exp, right_exp, raise_weight=0.0, scale=1.0):
+def _series_on_matrix(x, lower_weight, left_exp, raise_weight=0.0, scale=1.0):
     """propagator._band_series at one time, on a matrix, returning a matrix."""
     cols, band = propagator._skew(x)
     (evolved,) = propagator._band_series(
-        band, cols, *(np.array([w]) for w in (lower_weight, left_exp, right_exp, raise_weight, scale))
+        band, cols, *(np.array([w]) for w in (lower_weight, left_exp, raise_weight, scale))
     )
     out = np.zeros_like(x)
     out[np.arange(x.shape[0]), cols] = evolved
@@ -294,7 +294,7 @@ class TestBandSeriesEquivalence:
         log_f, phase = coeffs.log_f, params.omega * t
         left, right = complex(-log_f, -phase), complex(-log_f, phase)
         want = _dense_series(mat, coeffs.e_coef, left, right, coeffs.g_coef, prefactor, params.theta)
-        got = _series_on_matrix(mat, coeffs.e_coef, left, right, coeffs.g_coef, prefactor)
+        got = _series_on_matrix(mat, coeffs.e_coef, left, coeffs.g_coef, prefactor)
         self.assert_close(got, want, mat)
         if is_state:
             rho0 = fock.DensityMatrix(mat=mat, trunc=trunc_of(dim))
@@ -307,7 +307,7 @@ class TestBandSeriesEquivalence:
         weight = -np.expm1(-mu * t)
         exponent = -(0.5 * mu + 1j * omega) * t
         want = _dense_series(mat, weight, exponent, np.conj(exponent), 0.0, 1.0, self.PARAMS.theta)
-        self.assert_close(_series_on_matrix(mat, weight, exponent, np.conj(exponent)), want, mat)
+        self.assert_close(_series_on_matrix(mat, weight, exponent), want, mat)
         if is_state:
             rho0 = fock.DensityMatrix(mat=mat, trunc=trunc_of(dim))
             self.assert_close(propagator.evolve_nu_zero(rho0, mu, omega, t).mat, want, mat)

@@ -11,7 +11,7 @@ from qdho.verification import disentangled_product_2x2, parameter_grid, scaled_m
 
 def taylor_expm_2x2(m):
     # Independent oracle for the closed forms under test.
-    return liouville.expm(np.asarray(m, dtype=complex), tol=1e-16)
+    return liouville.expm(np.asarray(m, dtype=complex))
 
 
 class TestKGenerators:
