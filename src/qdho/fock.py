@@ -10,6 +10,7 @@ convention: functions return fresh arrays and never mutate arguments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -287,11 +288,12 @@ def validate_density(
     )
 
 
-def check_evolution_args(rho0: DensityMatrix, t, tolerances=None):
-    """Reject a negative evolution time or an invalid initial state.
+def check_evolution_args(rho0: DensityMatrix, t, tolerances=None, *, omega: float = 0.0):
+    """Reject a negative evolution time, an overflowing phase or an invalid state.
 
     ``t`` is one time or an array of grid times, all checked here, so a
-    grid validates its initial state once. ``tolerances`` is a
+    grid validates its initial state once. The largest rotation phase of
+    the run, omega (D-1) max(t), must be finite. ``tolerances`` is a
     :class:`qdho.config.ToleranceConfig` (the defaults when None); its
     Hermiticity, trace and positivity tolerances gate
     :func:`validate_density`. Returns the tolerance bundle in force.
@@ -301,6 +303,12 @@ def check_evolution_args(rho0: DensityMatrix, t, tolerances=None):
     times = np.asarray(t, dtype=float)
     if (times < 0).any():
         raise ValueError(f"evolution time must be non-negative, got {times.min()}")
+    t_max = float(times.max(initial=0.0))
+    if not math.isfinite(float(omega) * t_max * (rho0.dim - 1)):
+        raise ValueError(
+            f"rotation phase omega (D-1) t at omega = {omega:.6g}, D = {rho0.dim}, "
+            f"t = {t_max:.6g} overflows double precision"
+        )
     tols = DEFAULT_TOLERANCES if tolerances is None else tolerances
     report = validate_density(
         rho0.mat,

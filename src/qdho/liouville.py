@@ -13,20 +13,23 @@ k = j - i fixed: it splits into 2D - 1 tridiagonal blocks, one per k, each
 acting on the entries (i, i + k) of rho (see :func:`liouvillian_sector`).
 
 Two oracles check the closed-form propagator, and neither forms a
-D^2 x D^2 matrix. Block -k is the entrywise conjugate of block k, and so
-is everything either oracle makes of it, so both work on k = 0 .. D-1 only
-and apply the conjugate to the -k diagonal. The expm oracle exponentiates
-each block (scaling-and-squaring Taylor) and applies it to its diagonal
-of rho; a grid of times goes through one stacked exponential per block
-and chunk of times: O(D^4) time per time and, per chunk, at most the
-memory of one time at ``ORACLE_MAX_DIM``. The RK4 oracle builds its own
+D^2 x D^2 matrix. The expm oracle uses that -i omega K0 commutes with the
+rest of L and is the scalar i omega k on sector k: the block splits as
+L_k = i omega k + R_k with R_k real, and R_-k = R_k. It exponentiates the
+real R_k of k = 0 .. D-1 (scaling-and-squaring Taylor, float64
+throughout), applies each to the real and imaginary parts of diagonal +k
+and -k of rho and multiplies by the exact phase e^{+-i omega k t}. A grid
+of times goes through one stacked exponential per block and chunk of
+times: O(D^4) time per time and, per chunk, at most the memory of one
+time at ``ORACLE_MAX_DIM``. The RK4 oracle builds its own complex
 tridiagonal block per k from the literal truncated operators of the
-matrix equation. On a linear autonomous equation n RK4 steps are the
-n-th power of the one-step matrix, raised per block by binary powering:
-O(D^4 log steps) time and O(D^3) memory, with no loop over the steps;
-equal grid segments share one set of powers. The dense superoperators and
-Liouvillian are kept for the identity suites, which pin the vectorization
-convention.
+matrix equation; block -k is the entrywise conjugate of block k, and so
+is its RK4 power, so it raises k >= 0 only. On a linear autonomous
+equation n RK4 steps are the n-th power of the one-step matrix, raised
+per block by binary powering: O(D^4 log steps) time and O(D^3) memory,
+with no loop over the steps; equal grid segments share one set of
+powers. The dense superoperators (real) and Liouvillian are kept for the
+identity suites, which pin the vectorization convention.
 """
 
 from __future__ import annotations
@@ -65,10 +68,10 @@ RK4_MAX_WORK = 200_000_000
 #: 16 D^4 bytes (268 MB at D = 64, 1.36 GB at D = 96) and building the
 #: Liouvillian holds five of them; a larger D fails before allocating.
 DENSE_MAX_DIM = 64
-#: Size budget of the sector expm oracle. The block exponentials of one
-#: time, k >= 0 only, take 16 sum(s^2, s <= D) ~ (1/3) 16 D^3 bytes
-#: (11.3 MB at D = 128, where one evolution takes ~0.7 s); a larger D fails
-#: before anything is built. A chunk of grid times holds at most that much.
+#: Size budget of the sector expm oracle. The real block exponentials of
+#: one time, k >= 0 only, take 8 sum(s^2, s <= D) ~ (1/3) 8 D^3 bytes
+#: (5.7 MB at D = 128); a larger D fails before anything is built. A chunk
+#: of grid times holds at most as many entries.
 ORACLE_MAX_DIM = 128
 
 
@@ -110,7 +113,7 @@ def sandwich_check(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
 def k_superoperators(
     trunc: TruncationConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(K0, K+, K-, K3) as dense D^2 x D^2 matrices, from phase-free operators.
+    """(K0, K+, K-, K3) as real dense D^2 x D^2 matrices, from phase-free operators.
 
     Raises ValueError, before allocating anything, when D exceeds
     ``DENSE_MAX_DIM``.
@@ -121,11 +124,13 @@ def k_superoperators(
             f"the dense oracle at D = {trunc.dim} would hold {gigabytes:.1f} GB of "
             f"superoperators; its budget is D <= {DENSE_MAX_DIM}"
         )
+    # At theta = 0 every operator is real, so dropping the zero imaginary
+    # parts is exact.
     ops = build_operators(trunc, theta=0.0)
-    b = ops.a
-    bd = ops.a_dagger
-    n = ops.n_op
-    eye = ops.identity
+    b = ops.a.real
+    bd = ops.a_dagger.real
+    n = ops.n_op.real
+    eye = ops.identity.real
     k0 = np.kron(n, eye) - np.kron(eye, n)
     k_plus = np.kron(bd, bd)
     k_minus = np.kron(b, b)
@@ -160,15 +165,17 @@ def expm(m: np.ndarray) -> np.ndarray:
     member gets its own scaling by 2^-s down to max-row-sum norm 0.5, a
     fixed degree-15 Taylor polynomial by Horner's rule and its own s
     squarings (Moler and Van Loan, SIAM Review 45, 2003), so a stack gives
-    the same bits as exponentiating its members one by one. At norm 0.5
-    the first omitted term is at most 0.5^16/16! ~ 7e-19, below one ulp of
-    the result; relative accuracy is roughly one ulp times the
+    the same bits as exponentiating its members one by one. A real input
+    stays real and runs on float64 products; a complex one is complex128.
+    At norm 0.5 the first omitted term is at most 0.5^16/16! ~ 7e-19, below
+    one ulp of the result; relative accuracy is roughly one ulp times the
     conditioning of the exponential.
     """
-    m = np.asarray(m, dtype=complex)
+    m = np.asarray(m)
+    m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expm expects a square matrix or a stack of them, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError("expm input contains NaN/Inf entries")
     shape = m.shape
     n = shape[-1]
@@ -181,7 +188,7 @@ def expm(m: np.ndarray) -> np.ndarray:
         dtype=int,
     )
     scaled = m / (2.0**squarings)[:, None, None]
-    eye = np.eye(n, dtype=complex)
+    eye = np.eye(n, dtype=m.dtype)
     total = eye + scaled / _EXPM_DEGREE
     for k in range(_EXPM_DEGREE - 1, 0, -1):
         total = eye + (scaled @ total) / k
@@ -231,11 +238,11 @@ def _upper_block_entries(dim: int) -> int:
 
 
 def _sector_blocks(blocks):
-    """(rows, cols, block) for every sector, from the blocks of k = 0 .. D-1.
+    """(rows, cols, block) for every sector, from the RK4 blocks of k = 0 .. D-1.
 
     Sector -k of the generator is the entrywise conjugate of sector k, and
-    so is every matrix the oracles form from it, so the -k diagonal gets
-    the conjugate of the k block. The block is never applied to the
+    so is every matrix the RK4 oracle forms from it, so the -k diagonal
+    gets the conjugate of the k block. The block is never applied to the
     conjugate of the k diagonal instead: the state is Hermitian only to a
     tolerance.
     """
@@ -250,12 +257,14 @@ def _sector_blocks(blocks):
 def _cached_propagator(
     params: ModelParams, dim: int, times: tuple[float, ...]
 ) -> tuple[np.ndarray, ...]:
-    # exp(t L_k) for k = 0 .. D-1, each stacked over ``times``; exp(t L_-k)
-    # is its conjugate. Treat as read-only. A CLI verb evolves each grid
-    # chunk once, so it never hits; the hits come from several states
-    # evolved at one (params, D, t), as in the three-way acceptance check.
+    # Real exp(t R_k) for k = 0 .. D-1, each stacked over ``times``, where
+    # R_k is sector k without its rotation i omega k: exp(t L_+-k) is
+    # e^{+-i omega k t} exp(t R_k). Treat as read-only. A CLI verb evolves
+    # each grid chunk once, so it never hits; the hits come from several
+    # states evolved at one (params, D, t), as in the three-way acceptance
+    # check.
     scale = np.array(times)[:, None, None]
-    return tuple(expm(scale * liouvillian_sector(params, dim, k)) for k in range(dim))
+    return tuple(expm(scale * liouvillian_sector(params, dim, k).real) for k in range(dim))
 
 
 def evolve_numeric_expm_grid(
@@ -268,27 +277,33 @@ def evolve_numeric_expm_grid(
     """Evolve rho0 to every time in ``times`` by exp(t L_k) on each diagonal k.
 
     rho0 and the times are checked once for the whole grid. The times go
-    through in chunks, each one stacked exponential per sector k >= 0; a
-    chunk holds at most as many entries as those blocks at one time at
+    through in chunks, each one stacked real exponential per sector k >= 0;
+    a chunk holds at most as many entries as those blocks at one time at
     D = ``ORACLE_MAX_DIM``. Raises ValueError, before anything is built,
-    when D exceeds ``ORACLE_MAX_DIM``.
+    when D exceeds ``ORACLE_MAX_DIM`` or the phase omega (D-1) t overflows.
     """
     dim = rho0.dim
     if dim > ORACLE_MAX_DIM:
-        megabytes = 16 * _upper_block_entries(dim) / 1e6
+        megabytes = 8 * _upper_block_entries(dim) / 1e6
         raise ValueError(
             f"the sector expm oracle at D = {dim} would hold {megabytes:.0f} MB of block "
             f"exponentials per time; its budget is D <= {ORACLE_MAX_DIM}"
         )
     times = np.asarray(times, dtype=float)
-    check_evolution_args(rho0, times, tolerances)
+    check_evolution_args(rho0, times, tolerances, omega=params.omega)
     chunk = max(1, _upper_block_entries(ORACLE_MAX_DIM) // _upper_block_entries(dim))
     states = []
     for start in range(0, times.size, chunk):
-        part = tuple(float(t) for t in times[start : start + chunk])
-        evolved = np.empty((len(part), dim, dim), dtype=complex)
-        for rows, cols, block_exps in _sector_blocks(_cached_propagator(params, dim, part)):
-            evolved[:, rows, cols] = block_exps @ rho0.mat[rows, cols]
+        part = times[start : start + chunk]
+        block_exps = _cached_propagator(params, dim, tuple(float(t) for t in part))
+        evolved = np.empty((part.size, dim, dim), dtype=complex)
+        for k in range(1 - dim, dim):
+            rows, cols = _sector_entries(dim, k)
+            # The real stack takes the diagonal's real and imaginary parts
+            # as the two columns of one real product.
+            parts = block_exps[abs(k)] @ rho0.mat[rows, cols].view(float).reshape(-1, 2)
+            phase = np.exp(1j * (params.omega * k * part))
+            evolved[:, rows, cols] = phase[:, None] * parts.view(complex)[..., 0]
         states += [DensityMatrix(mat=mat, trunc=rho0.trunc) for mat in evolved]
     return states
 

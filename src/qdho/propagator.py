@@ -98,7 +98,7 @@ def evolve_analytic_grid(
     """
     times = np.asarray(times, dtype=float)
     _check_rates(params.mu, params.nu)
-    check_evolution_args(rho0, times, tolerances)
+    check_evolution_args(rho0, times, tolerances, omega=params.omega)
     scalars = []
     for t in times:
         c = su11.disentangling_coefficients(params.mu, params.nu, float(t))
@@ -149,7 +149,7 @@ def evolve_nu_zero(
     while agreeing with ``evolve_analytic(nu=0)`` to 1e-12.
     """
     _check_rates(mu, 0.0)
-    check_evolution_args(rho0, t, tolerances)
+    check_evolution_args(rho0, t, tolerances, omega=omega)
     weight = -math.expm1(-mu * t)  # 1 - e^{-mu t}
     exponent = -(0.5 * mu + 1j * omega) * t
     cols, band = _skew(rho0.mat)

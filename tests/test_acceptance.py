@@ -25,6 +25,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from qdho import classical, cli, config, fock, liouville, observables, propagator, su11
 from qdho.verification import (
@@ -166,17 +168,25 @@ def _zero_padded(rho0, dim):
     return fock.DensityMatrix(mat=mat, trunc=trunc)
 
 
-def _oracle_dim(states, params, t):
-    # Smallest dimension >= the states' own at which the closed-form doubling
-    # certificate passes for every state. The oracle residual plays no part.
-    for dim in range(states[0].dim, ORACLE_DIM_MAX + 1):
+def _certified_dim(states, params, t, dim_max):
+    # (dimension, certificates) for the smallest dimension >= the states' own,
+    # up to dim_max, at which the closed-form doubling certificate passes for
+    # every state; None past dim_max. The oracle residual plays no part.
+    for dim in range(states[0].dim, dim_max + 1):
         certs = [
             propagator.doubled_truncation_distance(_zero_padded(rho0, dim), params, t)
             for rho0 in states
         ]
         if max(certs) <= propagator.TRUNCATION_DOUBLING_TOL:
             return dim, certs
-    pytest.fail(f"no oracle dimension <= {ORACLE_DIM_MAX} certified for {params}, t={t}")
+    return None
+
+
+def _oracle_dim(states, params, t):
+    found = _certified_dim(states, params, t, ORACLE_DIM_MAX)
+    if found is None:
+        pytest.fail(f"no oracle dimension <= {ORACLE_DIM_MAX} certified for {params}, t={t}")
+    return found
 
 
 def test_criterion_04_main_theorem_three_way(dim24):
@@ -228,6 +238,84 @@ def test_criterion_04_main_theorem_three_way(dim24):
         + "oracle space:\n"
         + "\n".join(failing)
     )
+
+
+# Cap on D_o for the three-way property. At 2 x stability_steps the RK4 oracle
+# at D_o = 48 needs at most 2 * 3 * 16 * 48 / 0.1 = 46,080 steps for the
+# drawn rates and times, 1.1e8 steps x D^2, within RK4_MAX_WORK.
+PROPERTY_DIM_MAX = 48
+
+
+def _largest_fitting(make, size):
+    # make(size), halving size until the state fits its truncation.
+    while True:
+        try:
+            return make(size)
+        except ValueError:
+            size /= 2
+
+
+def _drawn_state(kind, dim, seed):
+    # A state on ``dim`` levels populating at most the lower half.
+    support = (dim - 1) // 2
+    trunc = fock.TruncationConfig(dim=dim, support_max=support, guard=dim - 1 - support)
+    rng = np.random.default_rng(seed)
+    if kind == "fock":
+        return fock.fock_state(int(rng.integers(support + 1)), trunc)
+    if kind == "coherent":
+        alpha = math.sqrt(support) * rng.uniform() * np.exp(2j * math.pi * rng.uniform())
+        return _largest_fitting(lambda a: fock.coherent_state(a, trunc), alpha)
+    if kind == "thermal":
+        return _largest_fitting(lambda n_bar: fock.thermal_state(n_bar, trunc), rng.uniform(0, 2))
+    if kind == "mixture":
+        levels = rng.choice(support + 1, size=min(3, support + 1), replace=False)
+        weights = rng.dirichlet(np.ones(levels.size))
+        weights[-1] = 1.0 - weights[:-1].sum()
+        return fock.mixture_state([(int(n), float(w)) for n, w in zip(levels, weights)], trunc)
+    return fock.DensityMatrix(mat=random_interior_density(dim, support, rng), trunc=trunc)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    omega=st.floats(0.0, 10.0),
+    mu=st.floats(0.0, 3.0),
+    nu=st.floats(0.0, 3.0),
+    t=st.floats(0.0, 3.0),
+    dim=st.integers(4, 32),
+    kind=st.sampled_from(["fock", "coherent", "thermal", "mixture", "random"]),
+    seed=st.integers(0, 2**16),
+)
+@example(omega=7.0, mu=1.2, nu=1.2, t=1.0, dim=8, kind="random", seed=1)
+@example(omega=10.0, mu=0.0, nu=0.3, t=1.0, dim=12, kind="coherent", seed=2)
+@example(omega=10.0, mu=2.0, nu=0.0, t=3.0, dim=32, kind="coherent", seed=3)
+@example(omega=3.0, mu=0.5, nu=1.0, t=0.5, dim=12, kind="mixture", seed=4)
+def test_three_way_agreement_property(omega, mu, nu, t, dim, kind, seed):
+    # Criterion 4's rule over the whole input space: on the smallest
+    # certified D_o the three methods agree pairwise, and the dim-D closed
+    # form is the top block of both oracles. Off-diagonal states under every
+    # omega pin the phase sign on the +k and -k diagonals. Draws that no
+    # dimension up to PROPERTY_DIM_MAX certifies are discarded.
+    params = fock.ModelParams(omega=omega, mu=mu, nu=nu)
+    rho0 = _drawn_state(kind, dim, seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", propagator.GainWarning)
+        found = _certified_dim([rho0], params, t, PROPERTY_DIM_MAX)
+        assume(found is not None)
+        d_o = found[0]
+        big0 = _zero_padded(rho0, d_o)
+        ana = propagator.evolve_analytic(big0, params, t)
+        ana_d = propagator.evolve_analytic(rho0, params, t).mat
+    via_expm = liouville.evolve_numeric_expm(big0, params, t)
+    steps = 2 * liouville.stability_steps(params, d_o, t)
+    via_rk4 = liouville.evolve_numeric_rk4(big0, params, t, steps)
+    distances = {
+        "analytic_vs_expm": observables.frobenius_distance(ana, via_expm),
+        "analytic_vs_rk4": observables.frobenius_distance(ana, via_rk4),
+        "expm_vs_rk4": observables.frobenius_distance(via_expm, via_rk4),
+        "block_vs_expm": observables.frobenius_distance(ana_d, via_expm.mat[:dim, :dim]),
+        "block_vs_rk4": observables.frobenius_distance(ana_d, via_rk4.mat[:dim, :dim]),
+    }
+    assert max(distances.values()) <= 1e-7, f"D_o = {d_o}: {distances}"
 
 
 def test_criterion_05_nu_zero_corollary():

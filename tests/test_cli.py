@@ -493,8 +493,8 @@ class TestMainEntry:
         ],
     )
     def test_overflowing_rate_exits_1(self, tmp_path, capsys, verb, method, nu):
-        # omega t overflows in the phase, the sector blocks and the RK4 step
-        # count; each path refuses it before a state is written.
+        # omega t overflows in the phase and the RK4 step count; each path
+        # refuses it, naming the overflow, before any numpy work warns.
         text = (
             COMPARE_CONFIG.replace("omega = 6.283185307179586", "omega = 1e308")
             .replace("nu = 0.4", f"nu = {nu}")
@@ -502,11 +502,11 @@ class TestMainEntry:
             .replace("method = analytic", f"method = {method}")
         )
         cfg_path = write(tmp_path, text)
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert cli.main([verb, "--config", cfg_path]) == cli.EXIT_VALIDATION
+        assert cli.main([verb, "--config", cfg_path]) == cli.EXIT_VALIDATION
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+        assert "overflows double precision" in captured.err
 
     @pytest.mark.parametrize(
         "omega, gamma, t_end",

@@ -333,6 +333,41 @@ def test_expm_of_sector_block_against_scipy(omega, mu, nu, dim, k, t):
     assert np.abs(liouville.expm(block) - reference).max() / scale <= 5e-13
 
 
+@pytest.mark.parametrize("t", [0.1, 0.5, 1.3, 3.0])
+@pytest.mark.parametrize(
+    "dim, k", [(dim, k) for dim in (24, 64, 128) for k in (0, 1, dim // 2, dim - 1)]
+)
+@pytest.mark.parametrize("omega, mu, nu", _SECTOR_RATES)
+def test_rotation_factors_out_of_sector_exponential(omega, mu, nu, dim, k, t):
+    # The expm oracle's factorization: on sector k the rotation is the scalar
+    # i omega k, so exp(t L_k) = e^{i omega k t} exp(t R_k) with R_k real.
+    block = liouville.liouvillian_sector(fock.ModelParams(omega=omega, mu=mu, nu=nu), dim, k)
+    real_part = liouville.expm(t * block.real)
+    assert real_part.dtype == np.float64
+    reference = scipy.linalg.expm(t * block)
+    scale = max(1.0, float(np.abs(reference).max()))
+    factored = np.exp(1j * omega * k * t) * real_part
+    assert np.abs(factored - reference).max() / scale <= 5e-13
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 40.0])
+def test_expm_keeps_real_input_real(seed, scale):
+    # A real matrix or stack takes float64 products throughout and agrees with
+    # the real part of its complex-cast exponential.
+    rng = np.random.default_rng(seed)
+    m = scale * rng.standard_normal((3, 6, 6)) / 6
+    ours = liouville.expm(m)
+    assert ours.dtype == np.float64
+    via_complex = liouville.expm(m.astype(complex))
+    assert via_complex.dtype == np.complex128
+    reference = max(1.0, float(np.abs(via_complex).max()))
+    assert np.abs(ours - via_complex.real).max() / reference <= 1e-15
+    from_int = liouville.expm(np.eye(4, dtype=int))
+    assert from_int.dtype == np.float64
+    np.testing.assert_allclose(from_int, np.e * np.eye(4), rtol=1e-15, atol=0)
+
+
 class TestEvolveNumericExpm:
     def test_t_zero_is_identity_map(self):
         trunc = trunc_of(12, support=8)
@@ -386,13 +421,17 @@ class TestEvolveNumericExpm:
 
 def sector_reference(rho0, params, t):
     # One exponential per sector, -k included, applied to its own diagonal:
-    # the oracle without the grid stacking or the conjugate sectors.
+    # the oracle without the grid stacking. exp(t L_k) is e^{i omega k t}
+    # exp(t R_k), R_k the real part of L_k, and the real exponential takes
+    # the diagonal's real and imaginary parts as two columns.
     dim = rho0.dim
     out = np.empty_like(rho0.mat)
     for k in range(1 - dim, dim):
         rows, cols = liouville._sector_entries(dim, k)
-        block_exp = liouville.expm(t * liouville.liouvillian_sector(params, dim, k))
-        out[rows, cols] = block_exp @ rho0.mat[rows, cols]
+        block_exp = liouville.expm(t * liouville.liouvillian_sector(params, dim, k).real)
+        parts = block_exp @ np.stack([rho0.mat[rows, cols].real, rho0.mat[rows, cols].imag], axis=1)
+        phase = np.exp(1j * (params.omega * k * np.array([t])))
+        out[rows, cols] = phase * (parts[:, 0] + 1j * parts[:, 1])
     return out
 
 
@@ -493,6 +532,18 @@ class TestOracleCaches:
     def test_caches_hold_one_entry(self):
         assert liouville._cached_propagator.cache_info().maxsize == 1
         assert liouville._rk4_powers.cache_info().maxsize == 1
+
+    def test_cached_exponentials_are_real(self):
+        # The rotation is factored out as a phase, so the stacks are float64:
+        # 8 bytes per entry.
+        params = fock.ModelParams(omega=2.0, mu=1.0, nu=0.4)
+        liouville._cached_propagator.cache_clear()
+        try:
+            stacks = liouville._cached_propagator(params, 6, (0.5, 1.0))
+        finally:
+            liouville._cached_propagator.cache_clear()
+        assert [stack.shape for stack in stacks] == [(2, 6 - k, 6 - k) for k in range(6)]
+        assert all(stack.dtype == np.float64 for stack in stacks)
 
     @pytest.mark.parametrize("dim, points", [(24, 101), (128, 3)])
     def test_cached_exponentials_within_chunk_bound(self, dim, points):
