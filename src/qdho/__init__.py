@@ -60,6 +60,7 @@ from .propagator import (
     evolve_analytic,
     evolve_analytic_grid,
     evolve_nu_zero,
+    evolve_nu_zero_grid,
 )
 from .su11 import (
     DisentanglingCoefficients,

@@ -99,10 +99,7 @@ def _evolve_on_grid(rho0: DensityMatrix, cfg: RunConfig, times: np.ndarray) -> l
     params = cfg.params
     tols = cfg.tolerances
     if cfg.method == "nu-zero":
-        return [
-            propagator.evolve_nu_zero(rho0, params.mu, params.omega, float(t), tolerances=tols)
-            for t in times
-        ]
+        return propagator.evolve_nu_zero_grid(rho0, params.mu, params.omega, times, tolerances=tols)
     if cfg.method == "expm":
         return liouville.evolve_numeric_expm_grid(rho0, params, times, tolerances=tols)
     return _rk4_on_grid(rho0, cfg, times)

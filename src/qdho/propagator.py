@@ -20,8 +20,14 @@ cancels from both sandwiches. So the series runs on the diagonals of
 rho(0) alone, stored skewed: row r of a (rows x D) array holds
 rho[i, (i + k_r) mod D] for i = 0..D-1, i.e. diagonal k_r for i < D - k_r
 followed by diagonal k_r - D. A term is a shift along the rows plus an
-entrywise scaling, O((2K+1) D) work where K is the widest nonzero
-diagonal of rho(0); a diagonal state costs O(D) per term, a full one O(D^2).
+entrywise scaling, held only on the window of positions it can occupy.
+If the input of a series occupies positions [lo, hi), lowering term m
+lives on [max(lo - m, 0), hi - m) and raising term n on
+[lo + n, min(hi + n, D)); the lowering series ends once its window is
+empty, the raising one once its window has left the space. Term m costs
+O((2K+1) w_m) work, w_m <= D being the width of its window and K the
+widest nonzero diagonal of rho(0): at most O(D) for a diagonal state and
+O(D^2) for a full one.
 
 Time enters only through E, G, ln F, the phase omega t and the prefactor,
 so :func:`evolve_analytic_grid` runs a whole time grid at once: it checks
@@ -30,7 +36,8 @@ series on a (times x rows x D) array, the band layout shared by every
 time. Times go through in chunks whose band array stays within
 ``BAND_CHUNK_BYTES``; no (times x D x D) array is ever built. Each element
 sees the same operations in the same order as in a one-time run, so a
-grid equals the per-time loop bit for bit.
+grid equals the per-time loop bit for bit. :func:`evolve_nu_zero_grid`
+runs the pure-loss series over a grid the same way.
 
 The truncation certificate uses block stability: the dim-D result equals,
 entry for entry, the top D x D block of the run on the state zero-padded to 2D
@@ -120,13 +127,11 @@ def evolve_analytic_grid(
         mat0[:d, :d] = rho0.mat
     cols, band = _skew(mat0)
     outside = (np.arange(cols.shape[1]) >= d) | (cols >= d)
-    chunk = max(1, BAND_CHUNK_BYTES // band.nbytes)
     states, escapes = [], []
-    for start in range(0, times.size, chunk):
-        part = slice(start, start + chunk)
-        evolved = _band_series(band, cols, lower[part], left[part], upper[part], prefactor[part])
+    for evolved in _chunked_series(band, cols, lower, left, upper, prefactor):
         states += _block_states(evolved, cols, rho0.trunc)
-        escapes += [float(np.linalg.norm(values)) for values in evolved[:, outside]]
+        if certify:
+            escapes += [float(np.linalg.norm(values)) for values in evolved[:, outside]]
     return states, np.array(escapes) if certify else None
 
 
@@ -148,15 +153,31 @@ def evolve_nu_zero(
     expm1 directly, which keeps this route independent of :mod:`qdho.su11`
     while agreeing with ``evolve_analytic(nu=0)`` to 1e-12.
     """
+    return evolve_nu_zero_grid(rho0, mu, omega, [t], tolerances=tolerances)[0]
+
+
+def evolve_nu_zero_grid(
+    rho0: DensityMatrix,
+    mu: float,
+    omega: float,
+    times,
+    *,
+    tolerances: ToleranceConfig | None = None,
+) -> list[DensityMatrix]:
+    """:func:`evolve_nu_zero` at every time in ``times``, checking rho0 once."""
+    times = np.asarray(times, dtype=float)
     _check_rates(mu, 0.0)
-    check_evolution_args(rho0, t, tolerances, omega=omega)
-    weight = -math.expm1(-mu * t)  # 1 - e^{-mu t}
-    exponent = -(0.5 * mu + 1j * omega) * t
+    check_evolution_args(rho0, times, tolerances, omega=omega)
+    ts = times.tolist()
+    weight = np.array([-math.expm1(-mu * t) for t in ts])  # 1 - e^{-mu t}
+    exponent = np.array([-(0.5 * mu + 1j * omega) * t for t in ts], dtype=complex)
     cols, band = _skew(rho0.mat)
-    evolved = _band_series(
-        band, cols, np.array([weight]), np.array([exponent]), np.zeros(1), np.ones(1)
-    )
-    return _block_states(evolved, cols, rho0.trunc)[0]
+    states = []
+    for evolved in _chunked_series(
+        band, cols, weight, exponent, np.zeros(times.size), np.ones(times.size)
+    ):
+        states += _block_states(evolved, cols, rho0.trunc)
+    return states
 
 
 def doubled_truncation_distance(
@@ -207,6 +228,14 @@ def _skew(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cols, rho[levels, cols]
 
 
+def _chunked_series(band, cols, *weights):
+    """:func:`_band_series` over chunks of times within ``BAND_CHUNK_BYTES``."""
+    chunk = max(1, BAND_CHUNK_BYTES // band.nbytes)
+    for start in range(0, weights[0].size, chunk):
+        part = slice(start, start + chunk)
+        yield _band_series(band, cols, *(w[part] for w in weights))
+
+
 def _block_states(evolved: np.ndarray, cols: np.ndarray, trunc) -> list[DensityMatrix]:
     """The top trunc.dim block of each evolved band, as states.
 
@@ -246,35 +275,50 @@ def _band_series(band, cols, lower_weight, left_exp, raise_weight, scale):
     bands, shape (times, rows, D). A time's series stops adding terms once
     its own term vanishes, as a one-time run would, so every time gets the
     same arithmetic whatever else shares its batch.
+
+    Each term is held only on its window [lo, hi) of positions, outside
+    which it is zero: a lowering step moves the window down one position
+    (clipped at 0), a raising step up one (clipped at D).
     """
     d = band.shape[-1]
     levels = np.arange(d)
     shape = (len(scale),) + band.shape
-    # a X a^dag reads entry (i+1, j+1), which is off the stored diagonal
-    # (and outside the space) where j = D-1; a^dag X a reads (i-1, j-1),
-    # whose weight sqrt(i j) already vanishes where j = 0.
-    lower_w = np.sqrt((levels[:-1] + 1.0) * (cols[:, :-1] + 1.0))
-    lower_w[cols[:, :-1] == d - 1] = 0.0
-    raise_w = np.sqrt(levels[1:] * cols[:, 1:].astype(float))
+    # Weights by the position i the shift writes. a X a^dag reads entry
+    # (i+1, j+1), which is outside the space where i or j = D-1 (and in the
+    # skewed layout would wrap onto another diagonal); a^dag X a reads
+    # (i-1, j-1), whose weight sqrt(i j) already vanishes where i or j = 0.
+    lower_w = np.sqrt((levels + 1.0) * (cols + 1.0))
+    lower_w[(levels == d - 1) | (cols == d - 1)] = 0.0
+    raise_w = np.sqrt(levels * cols.astype(float))
 
-    def series(z, weight, shift_w, src, dst):
+    def series(z, weight, shift_w, step):
         total = np.broadcast_to(z, shape).copy()
-        term = z
+        occupied = np.flatnonzero(z.reshape(-1, d).any(axis=0))
+        if not occupied.size:
+            return total
+        lo, hi = occupied[0], occupied[-1] + 1
+        term = np.broadcast_to(z, shape)[..., lo:hi]
         weight = weight[:, None, None]
         live = np.ones(shape[0], dtype=bool)
         for m in range(1, d):
-            shifted = np.zeros(shape, dtype=complex)
-            np.multiply(shift_w, term[..., src], out=shifted[..., dst])
-            term = np.multiply(weight / m, shifted, out=shifted)
+            # Entry i of the new term is shift_w[:, i] times entry i - step
+            # of the old one.
+            new_lo, new_hi = max(lo + step, 0), min(hi + step, d)
+            if new_lo >= new_hi:
+                break
+            term = shift_w[:, new_lo:new_hi] * term[..., new_lo - step - lo : new_hi - step - lo]
+            np.multiply(weight / m, term, out=term)
             live &= term.view(float).any(axis=(1, 2))
             if not live.any():
                 break
-            np.add(total, term, out=total, where=live[:, None, None])
+            lo, hi = new_lo, new_hi
+            window = total[..., lo:hi]
+            np.add(window, term, out=window, where=live[:, None, None])
         return total
 
-    out = series(band, lower_weight, lower_w, slice(1, None), slice(None, -1))
+    out = series(band, lower_weight, lower_w, -1)
     left = np.exp(left_exp[:, None] * levels)[:, None, :]
     out = left * out * np.exp(left_exp.conj()[:, None] * levels)[:, cols]
     if raise_weight.any():
-        out = series(out, raise_weight, raise_w, slice(None, -1), slice(1, None))
+        out = series(out, raise_weight, raise_w, 1)
     return scale[:, None, None] * out

@@ -272,6 +272,27 @@ class TestCmdEvolve:
         assert checked == [24]
         assert evolved == [48] * 3
 
+    @pytest.mark.parametrize("method", ["analytic", "nu-zero"])
+    def test_grid_validates_rho0_once(self, tmp_path, monkeypatch, method):
+        # One check of rho0 for the whole grid, then one per CSV row.
+        text = (
+            COMPARE_CONFIG.replace("nu = 0.4", "nu = 0.0")
+            .replace("num_points = 3", "num_points = 101")
+            .replace("method = analytic", f"method = {method}")
+        )
+        cfg = config.load_run_config(write(tmp_path, text))
+        calls = []
+        original = fock.validate_density
+
+        def counting_validate(*args, **kwargs):
+            calls.append(args[0].shape)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fock, "validate_density", counting_validate)
+        monkeypatch.setattr(cli, "validate_density", counting_validate)
+        cli.cmd_evolve(cfg)
+        assert len(calls) == 102
+
 
 class TestCmdCompare:
     def test_default_physical_config_passes(self, tmp_path):

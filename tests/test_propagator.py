@@ -572,3 +572,110 @@ class TestAnalyticGrid:
         rho0 = fock.fock_state(1, trunc_of(6))
         with pytest.raises(ValueError, match="non-negative"):
             propagator.evolve_analytic_grid(rho0, fock.ModelParams(mu=1.0), [0.0, 1.0, -0.5])
+
+
+def _full_width_band_series(band, cols, lower_weight, left_exp, raise_weight, scale):
+    """The band series with every term held over the whole (times x rows x D) array.
+
+    The reference for the windowed terms of propagator._band_series: each
+    term is a fresh zero array whose shifted part is filled in, scaled,
+    tested and added over the full row.
+    """
+    d = band.shape[-1]
+    levels = np.arange(d)
+    shape = (len(scale),) + band.shape
+    lower_w = np.sqrt((levels[:-1] + 1.0) * (cols[:, :-1] + 1.0))
+    lower_w[cols[:, :-1] == d - 1] = 0.0
+    raise_w = np.sqrt(levels[1:] * cols[:, 1:].astype(float))
+
+    def series(z, weight, shift_w, src, dst):
+        total = np.broadcast_to(z, shape).copy()
+        term = z
+        weight = weight[:, None, None]
+        live = np.ones(shape[0], dtype=bool)
+        for m in range(1, d):
+            shifted = np.zeros(shape, dtype=complex)
+            np.multiply(shift_w, term[..., src], out=shifted[..., dst])
+            term = np.multiply(weight / m, shifted, out=shifted)
+            live &= term.view(float).any(axis=(1, 2))
+            if not live.any():
+                break
+            np.add(total, term, out=total, where=live[:, None, None])
+        return total
+
+    out = series(band, lower_weight, lower_w, slice(1, None), slice(None, -1))
+    left = np.exp(left_exp[:, None] * levels)[:, None, :]
+    out = left * out * np.exp(left_exp.conj()[:, None] * levels)[:, cols]
+    if raise_weight.any():
+        out = series(out, raise_weight, raise_w, slice(None, -1), slice(1, None))
+    return scale[:, None, None] * out
+
+
+def _analytic_series_args(rho0, params, times):
+    """The _band_series arguments evolve_analytic_grid builds for rho0 and times."""
+    coeffs = [su11.disentangling_coefficients(params.mu, params.nu, t) for t in times]
+    cols, band = propagator._skew(rho0.mat)
+    return (
+        band,
+        cols,
+        np.array([c.e_coef for c in coeffs]),
+        np.array([complex(-c.log_f, -params.omega * t) for c, t in zip(coeffs, times)]),
+        np.array([c.g_coef for c in coeffs]),
+        np.array([c.prefactor for c in coeffs]),
+    )
+
+
+_COHERENT_24 = fock.coherent_state(1.5 * np.exp(0.7j), trunc_of(24))
+_DAMPED = fock.ModelParams(omega=2 * np.pi, mu=1.0, nu=0.4)
+_WINDOW_CASES = {
+    "coherent": (_COHERENT_24, _DAMPED),
+    "mixture below D": (
+        fock.mixture_state([(0, 0.5), (3, 0.3), (7, 0.2)], trunc_of(24, support=7)),
+        _DAMPED,
+    ),
+    "padded to 2D": (_zero_padded(_COHERENT_24), _DAMPED),
+    "high Fock level": (fock.fock_state(20, trunc_of(24)), _DAMPED),
+    "nu = 0": (_COHERENT_24, fock.ModelParams(omega=2 * np.pi, mu=1.0, nu=0.0)),
+    "mu = 0": (_COHERENT_24, fock.ModelParams(omega=2 * np.pi, mu=0.0, nu=0.4)),
+}
+
+
+class TestWindowedBandSeries:
+    """_band_series against the full-width series, value for value."""
+
+    @pytest.mark.parametrize("name", list(_WINDOW_CASES))
+    def test_equals_full_width_series(self, name):
+        rho0, params = _WINDOW_CASES[name]
+        args = _analytic_series_args(rho0, params, [0.3, 1.3, 3.0])
+        assert np.array_equal(propagator._band_series(*args), _full_width_band_series(*args))
+
+    def test_mixed_stops_in_one_batch(self):
+        # t = 0 stops both series at m = 1 (E = G = 0), t = 1e-300 a few terms
+        # later by underflow; t = 1e-3 and t = 3 run to the nilpotent cutoff.
+        times = [0.0, 1e-300, 1e-3, 3.0]
+        for rho0 in (_COHERENT_24, _zero_padded(_COHERENT_24)):
+            args = _analytic_series_args(rho0, _DAMPED, times)
+            assert np.array_equal(propagator._band_series(*args), _full_width_band_series(*args))
+
+
+class TestNuZeroGrid:
+    """evolve_nu_zero_grid against a loop of one-time runs, bit for bit."""
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(
+        rho0=grid_states(),
+        mu=st.floats(0.0, 3.0),
+        omega=st.floats(0.0, 3.0),
+        times=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=12),
+        chunk_bytes=st.sampled_from([1, 5_000, propagator.BAND_CHUNK_BYTES]),
+    )
+    def test_grid_equals_per_time_loop(self, rho0, mu, omega, times, chunk_bytes):
+        with mock.patch.object(propagator, "BAND_CHUNK_BYTES", chunk_bytes):
+            grid = propagator.evolve_nu_zero_grid(rho0, mu, omega, times)
+        loop = [propagator.evolve_nu_zero(rho0, mu, omega, t) for t in times]
+        assert _bits(grid) == _bits(loop)
+
+    def test_checks_every_time(self):
+        rho0 = fock.fock_state(1, trunc_of(6))
+        with pytest.raises(ValueError, match="non-negative"):
+            propagator.evolve_nu_zero_grid(rho0, 1.0, 0.0, [0.0, 1.0, -0.5])
