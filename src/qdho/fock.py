@@ -276,7 +276,7 @@ def validate_density(
     scale = max(1.0, float(np.abs(m).max()))
     herm_dev = float(np.abs(m - m.conj().T).max())
     trace_dev = abs(complex(np.trace(m)) - 1.0)
-    min_eig = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
+    min_eig = _min_eigenvalue(0.5 * (m + m.conj().T))
     return ValidationReport(
         hermiticity_dev=herm_dev,
         trace_dev=trace_dev,
@@ -286,6 +286,32 @@ def validate_density(
         positive_ok=min_eig >= -p_tol,
         dim=m.shape[0],
     )
+
+
+def _min_eigenvalue(h: np.ndarray) -> float:
+    """Smallest eigenvalue of the Hermitian h, one residue class of levels at a time.
+
+    With g the gcd of the occupied off-diagonal offsets j - i of h (g = D
+    when h is diagonal), no entry couples levels from different classes
+    mod g: h is block diagonal over the classes {c, c + g, c + 2g, ...}.
+    The blocks of each size go to ``eigvalsh`` as one stack; at g = 1 the
+    one block is h itself.
+    """
+    d = h.shape[0]
+    rows, cols = np.nonzero(h)
+    g = int(np.gcd.reduce(np.abs(cols - rows))) if rows.size else 0
+    if g == 1:
+        return float(np.linalg.eigvalsh(h)[0])
+    g = g or d
+    # The first d mod g classes hold one level more than the others.
+    size, longer = divmod(d, g)
+    lowest = np.inf
+    for starts, count in ((np.arange(longer), size + 1), (np.arange(longer, g), size)):
+        if starts.size:
+            idx = starts[:, None] + g * np.arange(count)
+            blocks = h[idx[:, :, None], idx[:, None, :]]
+            lowest = min(lowest, float(np.linalg.eigvalsh(blocks)[:, 0].min()))
+    return lowest
 
 
 def check_evolution_args(rho0: DensityMatrix, t, tolerances=None, *, omega: float = 0.0):

@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,18 +252,19 @@ class TestCmdEvolve:
         plain = cli.cmd_evolve(cfg)
         checked, evolved = [], []
         original_check = propagator.check_evolution_args
-        original_series = propagator._band_series
+        original_series = propagator._series
 
         def counting_check(rho0, *args, **kwargs):
             checked.append(rho0.dim)
             return original_check(rho0, *args, **kwargs)
 
-        def counting_series(band, cols, *weights):
-            evolved.extend([band.shape[-1]] * len(weights[-1]))
-            return original_series(band, cols, *weights)
+        def counting_series(layout, *weights):
+            # Levels of the layout, once per time: both layouts end in n positions.
+            evolved.extend([layout.values.shape[-1]] * len(weights[-1]))
+            return original_series(layout, *weights)
 
         monkeypatch.setattr(propagator, "check_evolution_args", counting_check)
-        monkeypatch.setattr(propagator, "_band_series", counting_series)
+        monkeypatch.setattr(propagator, "_series", counting_series)
         certified = cli.cmd_evolve(dataclasses.replace(cfg, check_truncation=True))
         assert certified == plain
         assert checked == [24]
@@ -701,3 +704,33 @@ class TestMainEntry:
         assert captured.out == ""
         assert captured.err.startswith("numeric failure: out of memory" + detail)
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+class TestGoldenEvolve:
+    """`qdho evolve` on configs/damped_coherent.ini against tests/golden, byte for byte.
+
+    The CI's installed-script step diffs the console entry point against
+    the same files.
+    """
+
+    @pytest.mark.parametrize(
+        "golden, edits, flags",
+        [
+            ("evolve_damped_coherent.csv", {}, []),
+            ("evolve_damped_coherent_certified.csv", {}, ["--check-truncation"]),
+            ("evolve_damped_coherent_nu_zero.csv", {"nu": "0", "method": "nu-zero"}, []),
+        ],
+    )
+    def test_stdout_equals_golden(self, tmp_path, capsys, golden, edits, flags):
+        text = (ROOT / "configs" / "damped_coherent.ini").read_text()
+        for key, value in edits.items():
+            text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        path = tmp_path / "run.ini"
+        path.write_text(text)
+        capsys.readouterr()
+        assert cli.main(["evolve", "--config", str(path), *flags]) == cli.EXIT_OK
+        assert capsys.readouterr().out == (GOLDEN / golden).read_text()

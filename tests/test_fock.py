@@ -207,3 +207,43 @@ class TestValidateDensity:
     def test_constructors_pass_validation(self, make):
         report = fock.validate_density(make(trunc_of(18)).mat, tol=1e-10)
         assert report.ok, report.describe()
+
+
+def _residue_block_hermitian(dim, g, rng):
+    # Random Hermitian matrix whose entries couple only levels equal mod g.
+    x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    x = x + x.conj().T
+    i, j = np.indices((dim, dim))
+    x[(j - i) % g != 0] = 0.0
+    return x
+
+
+class TestPositivityByResidueClass:
+    """validate_density's smallest eigenvalue, taken over blocks of levels equal mod g."""
+
+    @pytest.mark.parametrize("dim", [5, 7, 12, 24])
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_blocks_match_dense_eigvalsh(self, dim, g):
+        x = _residue_block_hermitian(dim, g, np.random.default_rng(10 * dim + g))
+        got = fock.validate_density(x).min_eigenvalue
+        want = np.linalg.eigvalsh(x)[0]
+        assert abs(got - want) <= 1e-14 * max(1.0, float(np.linalg.norm(x)))
+
+    @pytest.mark.parametrize("dim", [1, 2, 9, 64])
+    def test_diagonal_state_is_its_smallest_diagonal_entry(self, dim):
+        rng = np.random.default_rng(dim)
+        mat = np.diag(rng.normal(size=dim) + 1e-3j * rng.normal(size=dim))
+        # Only the real part of the diagonal survives the Hermitian part.
+        assert fock.validate_density(mat).min_eigenvalue == np.min(mat.diagonal().real)
+        mixture = fock.mixture_state([(0, 0.25), (3, 0.75)], trunc_of(max(dim, 4)))
+        assert fock.validate_density(mixture.mat).min_eigenvalue == 0.0
+
+    def test_full_state_is_one_dense_call(self):
+        # g = 1: exactly the eigvalsh of the whole Hermitian part, bit for bit.
+        rng = np.random.default_rng(4)
+        for mat in (
+            fock.coherent_state(1.0 + 0.5j, trunc_of(24, support=9)).mat,
+            _residue_block_hermitian(24, 2, rng) + np.diag(np.ones(23), 1) * 1e-3,
+        ):
+            want = float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))[0])
+            assert fock.validate_density(mat).min_eigenvalue == want

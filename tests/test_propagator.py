@@ -227,15 +227,21 @@ def _dense_series(x, lower_weight, left_exp, right_exp, raise_weight, scale, the
     return scale * series(core, raise_weight, ops.a_dagger, ops.a)
 
 
-def _series_on_matrix(x, lower_weight, left_exp, raise_weight=0.0, scale=1.0):
-    """propagator._band_series at one time, on a matrix, returning a matrix."""
-    cols, band = propagator._skew(x)
-    (evolved,) = propagator._band_series(
-        band, cols, *(np.array([w]) for w in (lower_weight, left_exp, raise_weight, scale))
-    )
-    out = np.zeros_like(x)
-    out[np.arange(x.shape[0]), cols] = evolved
+def _on_matrix(layout, evolved):
+    """Evolved layout values (times, ...) as (times, n, n) matrices."""
+    n = layout.values.shape[-1]
+    out = np.zeros((len(evolved), n, n), dtype=complex)
+    out[:, layout.i, layout.j] = evolved
     return out
+
+
+def _series_on_matrix(x, lower_weight, left_exp, raise_weight=0.0, scale=1.0):
+    """propagator._series at one time, on a matrix, returning a matrix."""
+    layout = propagator._layout(x)
+    evolved = propagator._series(
+        layout, *(np.array([w]) for w in (lower_weight, left_exp, raise_weight, scale))
+    )
+    return _on_matrix(layout, evolved)[0]
 
 
 def _band_matrix(dim, width, rng):
@@ -556,7 +562,7 @@ class TestAnalyticGrid:
         rho0 = fock.coherent_state(1.0 + 0.5j, trunc_of(24, support=9))
         params = fock.ModelParams(omega=2 * np.pi, mu=1.0, nu=0.4, theta=0.3)
         times = np.linspace(0.0, 3.0, 101)
-        band_bytes = propagator._skew(rho0.mat)[1].nbytes
+        band_bytes = propagator._layout(rho0.mat).values.nbytes
         assert 1 < times.size * band_bytes / propagator.BAND_CHUNK_BYTES < times.size
         plain, _ = propagator.evolve_analytic_grid(rho0, params, times)
         certified, escapes = propagator.evolve_analytic_grid(rho0, params, times, certify=True)
@@ -574,12 +580,29 @@ class TestAnalyticGrid:
             propagator.evolve_analytic_grid(rho0, fock.ModelParams(mu=1.0), [0.0, 1.0, -0.5])
 
 
+def _skew_reference(rho):
+    """(cols, band) with band[r, i] = rho[i, cols[r, i]]: the wrapped skewed band.
+
+    Rows k in {-K..K} mod D, K being the widest nonzero diagonal of rho, or
+    all D rows once 2K + 1 >= D; a full-width state then wraps, row k
+    holding diagonal k for i < D - k followed by diagonal k - D.
+    """
+    d = rho.shape[0]
+    nz_rows, nz_cols = np.nonzero(rho)
+    width = int(np.abs(nz_rows - nz_cols).max()) if nz_rows.size else 0
+    offsets = np.arange(-width, width + 1) % d if 2 * width + 1 < d else np.arange(d)
+    levels = np.arange(d)
+    cols = (levels + offsets[:, None]) % d
+    return cols, rho[levels, cols]
+
+
 def _full_width_band_series(band, cols, lower_weight, left_exp, raise_weight, scale):
     """The band series with every term held over the whole (times x rows x D) array.
 
-    The reference for the windowed terms of propagator._band_series: each
-    term is a fresh zero array whose shifted part is filled in, scaled,
-    tested and added over the full row.
+    The reference for the windowed terms of propagator._series: each term
+    is a fresh zero array whose shifted part is filled in, scaled, tested
+    and added over the full row. On the wrapped band of
+    :func:`_skew_reference` it runs any state, full-width ones included.
     """
     d = band.shape[-1]
     levels = np.arange(d)
@@ -611,13 +634,10 @@ def _full_width_band_series(band, cols, lower_weight, left_exp, raise_weight, sc
     return scale[:, None, None] * out
 
 
-def _analytic_series_args(rho0, params, times):
-    """The _band_series arguments evolve_analytic_grid builds for rho0 and times."""
+def _analytic_weights(params, times):
+    """The series weights evolve_analytic_grid builds for the times."""
     coeffs = [su11.disentangling_coefficients(params.mu, params.nu, t) for t in times]
-    cols, band = propagator._skew(rho0.mat)
     return (
-        band,
-        cols,
         np.array([c.e_coef for c in coeffs]),
         np.array([complex(-c.log_f, -params.omega * t) for c, t in zip(coeffs, times)]),
         np.array([c.g_coef for c in coeffs]),
@@ -625,37 +645,105 @@ def _analytic_series_args(rho0, params, times):
     )
 
 
+def _series_matches_reference(rho0, params, times):
+    """propagator._series against the full-width wrapped band, as matrices.
+
+    Returns the row step of the layout the series ran on.
+    """
+    weights = _analytic_weights(params, times)
+    layout = propagator._layout(rho0.mat)
+    got = _on_matrix(layout, propagator._series(layout, *weights))
+    cols, band = _skew_reference(rho0.mat)
+    want = np.zeros_like(got)
+    want[:, np.arange(rho0.dim), cols] = _full_width_band_series(band, cols, *weights)
+    assert np.array_equal(got, want)
+    return layout.row_step
+
+
+def _full_rank_state(dim, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    mat = g @ g.conj().T
+    return fock.DensityMatrix(mat=mat / np.trace(mat).real, trunc=trunc_of(dim))
+
+
 _COHERENT_24 = fock.coherent_state(1.5 * np.exp(0.7j), trunc_of(24))
 _DAMPED = fock.ModelParams(omega=2 * np.pi, mu=1.0, nu=0.4)
+# name: (state, params, row step of the layout its series runs on)
 _WINDOW_CASES = {
-    "coherent": (_COHERENT_24, _DAMPED),
+    "coherent": (_COHERENT_24, _DAMPED, 1),
     "mixture below D": (
         fock.mixture_state([(0, 0.5), (3, 0.3), (7, 0.2)], trunc_of(24, support=7)),
         _DAMPED,
+        0,
     ),
-    "padded to 2D": (_zero_padded(_COHERENT_24), _DAMPED),
-    "high Fock level": (fock.fock_state(20, trunc_of(24)), _DAMPED),
-    "nu = 0": (_COHERENT_24, fock.ModelParams(omega=2 * np.pi, mu=1.0, nu=0.0)),
-    "mu = 0": (_COHERENT_24, fock.ModelParams(omega=2 * np.pi, mu=0.0, nu=0.4)),
+    "padded to 2D": (_zero_padded(_COHERENT_24), _DAMPED, 1),
+    "random full rank": (_full_rank_state(24, 5), _DAMPED, 1),
+    "high Fock level": (fock.fock_state(20, trunc_of(24)), _DAMPED, 0),
+    "tridiagonal": (
+        fock.DensityMatrix(mat=_band_matrix(24, 1, np.random.default_rng(3)), trunc=trunc_of(24)),
+        _DAMPED,
+        0,
+    ),
+    "nu = 0": (_COHERENT_24, fock.ModelParams(omega=2 * np.pi, mu=1.0, nu=0.0), 1),
+    "mu = 0": (_COHERENT_24, fock.ModelParams(omega=2 * np.pi, mu=0.0, nu=0.4), 1),
 }
 
 
 class TestWindowedBandSeries:
-    """_band_series against the full-width series, value for value."""
+    """_series on its layout against the full-width wrapped band, value for value."""
 
     @pytest.mark.parametrize("name", list(_WINDOW_CASES))
     def test_equals_full_width_series(self, name):
-        rho0, params = _WINDOW_CASES[name]
-        args = _analytic_series_args(rho0, params, [0.3, 1.3, 3.0])
-        assert np.array_equal(propagator._band_series(*args), _full_width_band_series(*args))
+        rho0, params, row_step = _WINDOW_CASES[name]
+        assert _series_matches_reference(rho0, params, [0.3, 1.3, 3.0]) == row_step
 
     def test_mixed_stops_in_one_batch(self):
         # t = 0 stops both series at m = 1 (E = G = 0), t = 1e-300 a few terms
         # later by underflow; t = 1e-3 and t = 3 run to the nilpotent cutoff.
         times = [0.0, 1e-300, 1e-3, 3.0]
-        for rho0 in (_COHERENT_24, _zero_padded(_COHERENT_24)):
-            args = _analytic_series_args(rho0, _DAMPED, times)
-            assert np.array_equal(propagator._band_series(*args), _full_width_band_series(*args))
+        for rho0 in (_COHERENT_24, _zero_padded(_COHERENT_24), _full_rank_state(24, 6)):
+            assert _series_matches_reference(rho0, _DAMPED, times) == 1
+
+
+class TestLayoutChoice:
+    """The matrix layout exactly when 2K + 1 exceeds the occupied width w."""
+
+    def layout_of(self, mat):
+        return propagator._layout(np.asarray(mat, dtype=complex))
+
+    def test_diagonal_states_keep_the_band(self):
+        for rho0 in (fock.fock_state(0, trunc_of(8)), fock.mixture_state([(1, 0.5), (6, 0.5)], trunc_of(8))):
+            layout = self.layout_of(rho0.mat)
+            assert layout.row_step == 0
+            assert layout.values.shape == (1, 8)
+
+    def test_tie_goes_to_the_band(self):
+        # Levels 2..4 occupied (w = 3) with K = 1: 2K + 1 = w.
+        mat = np.zeros((8, 8))
+        mat[2:5, 2:5] = np.eye(3) + np.eye(3, k=1) + np.eye(3, k=-1)
+        layout = self.layout_of(mat)
+        assert layout.row_step == 0
+        assert layout.values.shape == (3, 8)
+
+    def test_full_width_takes_the_matrix(self):
+        # K = 2 on the same three levels: 2K + 1 = 5 > w = 3.
+        mat = np.zeros((8, 8))
+        mat[2:5, 2:5] = 1.0
+        layout = self.layout_of(mat)
+        assert layout.row_step == 1
+        assert np.array_equal(layout.values, mat)
+
+    def test_padding_keeps_the_choice(self):
+        rho0 = _COHERENT_24
+        plain, padded = propagator._layout(rho0.mat), propagator._layout(rho0.mat, 48)
+        assert plain.row_step == padded.row_step == 1
+        assert padded.values.shape == (48, 48)
+        assert np.array_equal(padded.values[:24, :24], rho0.mat)
+        assert not padded.values[24:].any() and not padded.values[:, 24:].any()
+        mixture = fock.mixture_state([(0, 0.5), (3, 0.5)], trunc_of(24, support=3))
+        band = propagator._layout(mixture.mat, 48)
+        assert band.row_step == 0 and band.values.shape == (1, 48)
 
 
 class TestNuZeroGrid:
