@@ -37,8 +37,6 @@ from .fock import (
     validate_density,
 )
 from .liouville import (
-    build_liouvillian,
-    devectorize,
     evolve_numeric_expm,
     evolve_numeric_expm_grid,
     evolve_numeric_rk4,

@@ -88,20 +88,32 @@ def evolution_matrix(params: ClassicalParams, t: float) -> np.ndarray:
     )
 
 
+def _apply(m: np.ndarray, p0: PhasePoint) -> PhasePoint:
+    """m @ (x0, y0). An overflow gives a non-finite point, which PhasePoint refuses."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, y = m @ (p0.x, p0.y)
+    return PhasePoint(x=float(x), y=float(y))
+
+
 def evolve_classical_analytic(p0: PhasePoint, params: ClassicalParams, t: float) -> PhasePoint:
     """Apply the closed-form evolution matrix to (x0, y0)."""
     if not math.isfinite(t) or t < 0:
         raise ValueError(f"time must be finite and non-negative, got {t}")
-    x, y = evolution_matrix(params, t) @ (p0.x, p0.y)
-    return PhasePoint(x=float(x), y=float(y))
+    return _apply(evolution_matrix(params, t), p0)
 
 
 def stability_steps(params: ClassicalParams, t: float) -> int:
-    """Smallest RK4 step count satisfying the stability heuristic."""
+    """Smallest RK4 step count satisfying the stability heuristic.
+
+    Raises ValueError when that count overflows double precision.
+    """
     rate = max(params.omega, 2.0 * params.gamma)
     if t <= 0 or rate == 0:
         return 1
-    return max(1, int(math.ceil(t * rate / RK4_STABILITY_LIMIT)))
+    needed = t * rate / RK4_STABILITY_LIMIT
+    if not math.isfinite(needed):
+        raise ValueError(f"RK4 step count at t = {t:.6g} overflows double precision")
+    return max(1, int(math.ceil(needed)))
 
 
 def evolve_classical_rk4(
@@ -126,5 +138,4 @@ def evolve_classical_rk4(
     ha = (t / steps) * system_matrix(params)
     eye = np.eye(2)
     one_step = eye + ha @ (eye + ha @ (eye + ha @ (eye + ha / 4.0) / 3.0) / 2.0)
-    x, y = np.linalg.matrix_power(one_step, steps) @ (p0.x, p0.y)
-    return PhasePoint(x=float(x), y=float(y))
+    return _apply(np.linalg.matrix_power(one_step, steps), p0)

@@ -155,6 +155,23 @@ class ClassicalRunConfig:
     grid: TimeGrid
 
 
+#: Default of :meth:`_Reader.get` that makes a key required.
+_REQUIRED = object()
+
+
+def _parse_bool(raw: str) -> bool:
+    lowered = raw.strip().lower()
+    if lowered in ("true", "yes", "on", "1"):
+        return True
+    if lowered in ("false", "no", "off", "0"):
+        return False
+    raise ValueError(raw)
+
+
+#: What each value parser of :meth:`_Reader.get` expects, for its error message.
+_EXPECTED = {float: "a number", int: "an integer", _parse_bool: "a boolean"}
+
+
 class _Reader:
     """configparser wrapper producing ConfigError with section/key context."""
 
@@ -183,67 +200,40 @@ class _Reader:
                 if (section, key) not in self.asked:
                     raise ConfigError(f"[{section}] {key}: unknown key")
 
-    def _raw(self, section: str, key: str, default):
+    def get(self, section: str, key: str, parse, default=_REQUIRED):
+        """The value of ``key`` through ``parse``, or ``default`` when it is absent.
+
+        ``parse`` is float, int, str.strip or _parse_bool; a ValueError from
+        it names the key. Without a default the key, and its section, are
+        required.
+        """
         self.asked.add((section, key))
-        if not self.parser.has_section(section):
-            if default is not _REQUIRED:
-                return default
-            raise ConfigError(f"missing required section [{section}] in {self.path}")
         if not self.parser.has_option(section, key):
             if default is not _REQUIRED:
                 return default
+            if not self.parser.has_section(section):
+                raise ConfigError(f"missing required section [{section}] in {self.path}")
             raise ConfigError(f"[{section}] {key}: required key is missing")
-        return self.parser.get(section, key)
-
-    def get_float(self, section: str, key: str, default=None) -> float:
-        raw = self._raw(section, key, _REQUIRED if default is None else default)
-        if not isinstance(raw, str):
-            return raw
+        raw = self.parser.get(section, key)
         try:
-            return float(raw)
+            return parse(raw)
         except ValueError:
-            raise ConfigError(f"[{section}] {key}: expected a number, got {raw!r}") from None
-
-    def get_int(self, section: str, key: str, default=None) -> int:
-        raw = self._raw(section, key, _REQUIRED if default is None else default)
-        if not isinstance(raw, str):
-            return raw
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"[{section}] {key}: expected an integer, got {raw!r}") from None
-
-    def get_str(self, section: str, key: str, default=None) -> str:
-        raw = self._raw(section, key, _REQUIRED if default is None else default)
-        return raw.strip() if isinstance(raw, str) else raw
-
-    def get_bool(self, section: str, key: str, default=False) -> bool:
-        raw = self._raw(section, key, default)
-        if isinstance(raw, bool):
-            return raw
-        lowered = raw.strip().lower()
-        if lowered in ("true", "yes", "on", "1"):
-            return True
-        if lowered in ("false", "no", "off", "0"):
-            return False
-        raise ConfigError(f"[{section}] {key}: expected a boolean, got {raw!r}")
-
-
-_REQUIRED = object()
+            expected = _EXPECTED[parse]
+            raise ConfigError(f"[{section}] {key}: expected {expected}, got {raw!r}") from None
 
 
 def _read_state(reader: _Reader) -> StateSpec:
-    kind = reader.get_str("state", "kind")
+    kind = reader.get("state", "kind", str.strip)
     if kind == "fock":
-        return StateSpec(kind=kind, n=reader.get_int("state", "n"))
+        return StateSpec(kind=kind, n=reader.get("state", "n", int))
     if kind == "coherent":
-        re = reader.get_float("state", "re")
-        im = reader.get_float("state", "im", 0.0)
+        re = reader.get("state", "re", float)
+        im = reader.get("state", "im", float, 0.0)
         return StateSpec(kind=kind, alpha=complex(re, im))
     if kind == "thermal":
-        return StateSpec(kind=kind, n_bar=reader.get_float("state", "n_bar"))
+        return StateSpec(kind=kind, n_bar=reader.get("state", "n_bar", float))
     if kind == "mixture":
-        raw = reader.get_str("state", "terms")
+        raw = reader.get("state", "terms", str.strip)
         terms = []
         for piece in raw.replace(",", " ").split():
             level, sep, weight = piece.partition(":")
@@ -271,16 +261,16 @@ def _read_tolerances(reader: _Reader) -> ToleranceConfig:
         return DEFAULT_TOLERANCES
     kwargs = {}
     for field in dataclasses.fields(ToleranceConfig):
-        value = reader.get_float("tolerances", field.name, getattr(DEFAULT_TOLERANCES, field.name))
+        value = reader.get("tolerances", field.name, float, getattr(DEFAULT_TOLERANCES, field.name))
         kwargs[field.name] = value
     return ToleranceConfig(**kwargs)
 
 
 def _read_grid(reader: _Reader) -> TimeGrid:
     grid = TimeGrid(
-        t_start=reader.get_float("grid", "t_start"),
-        t_end=reader.get_float("grid", "t_end"),
-        num_points=reader.get_int("grid", "num_points"),
+        t_start=reader.get("grid", "t_start", float),
+        t_end=reader.get("grid", "t_end", float),
+        num_points=reader.get("grid", "num_points", int),
     )
     if grid.num_points > MAX_GRID_POINTS:
         raise ConfigError(
@@ -292,17 +282,13 @@ def _read_grid(reader: _Reader) -> TimeGrid:
 def load_run_config(path: str) -> RunConfig:
     """Parse a quantum-run config file. See README for the grammar."""
     reader = _Reader(path)
+    rates = {key: reader.get("model", key, float, 0.0) for key in ("omega", "mu", "nu", "theta")}
     try:
-        params = ModelParams(
-            omega=reader.get_float("model", "omega", 0.0),
-            mu=reader.get_float("model", "mu", 0.0),
-            nu=reader.get_float("model", "nu", 0.0),
-            theta=reader.get_float("model", "theta", 0.0),
-        )
+        params = ModelParams(**rates)
     except ValueError as exc:
         raise ConfigError(f"[model]: {exc}") from None
-    support_max = reader.get_int("truncation", "support_max")
-    guard = reader.get_int("truncation", "guard", -1)
+    support_max = reader.get("truncation", "support_max", int)
+    guard = reader.get("truncation", "guard", int, -1)
     try:
         trunc = TruncationConfig.for_support(support_max, None if guard < 0 else guard)
     except ValueError as exc:
@@ -324,11 +310,11 @@ def load_run_config(path: str) -> RunConfig:
         state=_read_state(reader),
         trunc=trunc,
         grid=grid,
-        method=reader.get_str("run", "method", "analytic"),
-        check_truncation=reader.get_bool("run", "check_truncation", False),
+        method=reader.get("run", "method", str.strip, "analytic"),
+        check_truncation=reader.get("run", "check_truncation", _parse_bool, False),
         tolerances=_read_tolerances(reader),
-        photon_levels=reader.get_int("run", "photon_levels", 4),
-        steady_tol=reader.get_float("run", "steady_tol", 1e-4),
+        photon_levels=reader.get("run", "photon_levels", int, 4),
+        steady_tol=reader.get("run", "steady_tol", float, 1e-4),
     )
     reader.reject_unknown()
     return cfg
@@ -338,10 +324,10 @@ def load_classical_config(path: str) -> ClassicalRunConfig:
     """Parse a classical-run config file ([classical] and [grid] sections)."""
     reader = _Reader(path)
     cfg = ClassicalRunConfig(
-        omega=reader.get_float("classical", "omega"),
-        gamma=reader.get_float("classical", "gamma", 0.0),
-        x0=reader.get_float("classical", "x0"),
-        y0=reader.get_float("classical", "y0", 0.0),
+        omega=reader.get("classical", "omega", float),
+        gamma=reader.get("classical", "gamma", float, 0.0),
+        x0=reader.get("classical", "x0", float),
+        y0=reader.get("classical", "y0", float, 0.0),
         grid=_read_grid(reader),
     )
     reader.reject_unknown()

@@ -55,12 +55,6 @@ class TruncationConfig:
             guard = support_max + 4
         return cls(dim=support_max + 1 + guard, support_max=support_max, guard=guard)
 
-    def doubled(self) -> "TruncationConfig":
-        """Same support with the retained dimension doubled (guard grows)."""
-        return TruncationConfig(
-            dim=2 * self.dim, support_max=self.support_max, guard=self.guard + self.dim
-        )
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -91,10 +85,6 @@ class FockOperatorSet:
     a_dagger: np.ndarray
     n_op: np.ndarray
     identity: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.a.shape[0]
 
 
 @dataclass(frozen=True)
@@ -183,12 +173,13 @@ def coherent_state(alpha: complex, trunc: TruncationConfig) -> DensityMatrix:
     """Projector onto the coherent state with amplitude alpha, renormalized.
 
     Amplitudes are c_n = e^{-|alpha|^2/2} alpha^n / sqrt(n!) for n < D.
-    Rejected when |alpha|^2 exceeds support_max or when the truncated norm
-    deficit 1 - sum |c_n|^2 exceeds 1e-8 before renormalization.
+    Rejected when |alpha|^2 exceeds support_max or is NaN, or when the
+    truncated norm deficit 1 - sum |c_n|^2 exceeds 1e-8 before
+    renormalization.
     """
     alpha = complex(alpha)
     d = trunc.dim
-    if abs(alpha) ** 2 > trunc.support_max:
+    if not abs(alpha) ** 2 <= trunc.support_max:  # NaN fails too
         raise ValueError(
             f"|alpha|^2 = {abs(alpha)**2:.3f} exceeds support_max = {trunc.support_max}"
         )

@@ -28,8 +28,8 @@ is its RK4 power, so it raises k >= 0 only. On a linear autonomous
 equation n RK4 steps are the n-th power of the one-step matrix, raised
 per block by binary powering: O(D^4 log steps) time and O(D^3) memory,
 with no loop over the steps; equal grid segments share one set of
-powers. The dense superoperators (real) and Liouvillian are kept for the
-identity suites, which pin the vectorization convention.
+powers. The dense superoperators (real) are kept for the identity suites,
+which pin the vectorization convention.
 """
 
 from __future__ import annotations
@@ -64,9 +64,9 @@ RK4_MAX_STEPS = 10_000_000
 #: take ~8 ms and the 347,222 this budget admits ~11 ms, where the step
 #: loop took 90 us per step (~30 s at this budget).
 RK4_MAX_WORK = 200_000_000
-#: Size budget of the dense oracle. Each D^2 x D^2 superoperator takes
-#: 16 D^4 bytes (268 MB at D = 64, 1.36 GB at D = 96) and building the
-#: Liouvillian holds five of them; a larger D fails before allocating.
+#: Size budget of the dense superoperators. :func:`k_superoperators` returns
+#: four real D^2 x D^2 matrices of 8 D^4 bytes each (134 MB at D = 64,
+#: 679 MB at D = 96); a larger D fails before allocating.
 DENSE_MAX_DIM = 64
 #: Size budget of the sector expm oracle. The real block exponentials of
 #: one time, k >= 0 only, take 8 sum(s^2, s <= D) ~ (1/3) 8 D^3 bytes
@@ -81,14 +81,6 @@ def vectorize(x: np.ndarray) -> np.ndarray:
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError(f"vectorize expects a square matrix, got shape {x.shape}")
     return x.reshape(-1).copy()
-
-
-def devectorize(v: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of :func:`vectorize` for a dim x dim matrix."""
-    v = np.asarray(v, dtype=complex)
-    if v.ndim != 1 or v.size != dim * dim:
-        raise ValueError(f"expected a vector of length {dim * dim}, got shape {v.shape}")
-    return v.reshape(dim, dim).copy()
 
 
 def sandwich_check(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
@@ -119,10 +111,10 @@ def k_superoperators(
     ``DENSE_MAX_DIM``.
     """
     if trunc.dim > DENSE_MAX_DIM:
-        gigabytes = 5 * 16 * trunc.dim**4 / 1e9
+        gigabytes = 4 * 8 * trunc.dim**4 / 1e9
         raise ValueError(
-            f"the dense oracle at D = {trunc.dim} would hold {gigabytes:.1f} GB of "
-            f"superoperators; its budget is D <= {DENSE_MAX_DIM}"
+            f"the dense superoperators at D = {trunc.dim} would take {gigabytes:.1f} GB; "
+            f"their budget is D <= {DENSE_MAX_DIM}"
         )
     # At theta = 0 every operator is real, so dropping the zero imaginary
     # parts is exact.
@@ -136,26 +128,6 @@ def k_superoperators(
     k_minus = np.kron(b, b)
     k3 = 0.5 * (np.kron(n, eye) + np.kron(eye, n) + np.kron(eye, eye))
     return k0, k_plus, k_minus, k3
-
-
-def build_liouvillian(params: ModelParams, trunc: TruncationConfig) -> np.ndarray:
-    """Generator of the vectorized master equation.
-
-    The phase theta cancels from every term, so the result is
-    theta-independent. Note the K3 term absorbs the commutator rewriting
-    a a^dag = N + 1, which on the truncated space differs from the literal
-    product b b^dag by D |D-1><D-1|; trace conservation therefore holds
-    exactly only on states with no population at the edge level.
-    """
-    k0, k_plus, k_minus, k3 = k_superoperators(trunc)
-    d2 = trunc.dim**2
-    return (
-        -1j * params.omega * k0
-        + params.nu * k_plus
-        + params.mu * k_minus
-        - (params.mu + params.nu) * k3
-        + 0.5 * (params.mu - params.nu) * np.eye(d2, dtype=complex)
-    )
 
 
 def expm(m: np.ndarray) -> np.ndarray:
@@ -213,8 +185,8 @@ def liouvillian_sector(params: ModelParams, dim: int, k: int) -> np.ndarray:
     Entry (i, j) has the diagonal -i omega (i - j) - mu (i + j)/2
     - nu (i + j + 2)/2, couples to (i+1, j+1) with mu sqrt((i+1)(j+1)) and
     to (i-1, j-1) with nu sqrt(i j). Row and column p stand for the entry
-    with min(i, j) = p, so this is :func:`build_liouvillian` restricted to
-    sector k, entry by entry.
+    with min(i, j) = p, so this is the module's L restricted to sector k,
+    entry by entry.
     """
     if not -dim < k < dim:
         raise ValueError(f"sector k = {k} lies outside -(D-1)..D-1 for D = {dim}")
@@ -280,7 +252,8 @@ def evolve_numeric_expm_grid(
     through in chunks, each one stacked real exponential per sector k >= 0;
     a chunk holds at most as many entries as those blocks at one time at
     D = ``ORACLE_MAX_DIM``. Raises ValueError, before anything is built,
-    when D exceeds ``ORACLE_MAX_DIM`` or the phase omega (D-1) t overflows.
+    when D exceeds ``ORACLE_MAX_DIM`` or the phase omega (D-1) t or the
+    blocks' entries overflow.
     """
     dim = rho0.dim
     if dim > ORACLE_MAX_DIM:
@@ -291,6 +264,11 @@ def evolve_numeric_expm_grid(
         )
     times = np.asarray(times, dtype=float)
     check_evolution_args(rho0, times, tolerances, omega=params.omega)
+    # Block entries reach (omega + mu + nu) D, and a scaled row sum twice
+    # that times t.
+    reach = 2.0 * (params.omega + params.mu + params.nu) * dim
+    if not math.isfinite(reach * max(1.0, float(times.max(initial=0.0)))):
+        raise ValueError(f"the sector generator at D = {dim} overflows double precision")
     chunk = max(1, _upper_block_entries(ORACLE_MAX_DIM) // _upper_block_entries(dim))
     states = []
     for start in range(0, times.size, chunk):

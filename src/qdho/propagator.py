@@ -153,15 +153,19 @@ def evolve_nu_zero(
     *,
     tolerances: ToleranceConfig | None = None,
 ) -> DensityMatrix:
-    """Pure-loss corollary, implemented as an independent code path.
+    """Pure-loss corollary, with weights that do not come from :mod:`qdho.su11`.
 
     rho(t) = e^{-(mu/2 + i omega) t N}
              { sum_m (1 - e^{-mu t})^m / m!  a^m rho(0) (a^dag)^m }
              e^{-(mu/2 - i omega) t N}
 
     No disentangling coefficients enter: the series weight comes from
-    expm1 directly, which keeps this route independent of :mod:`qdho.su11`
-    while agreeing with ``evolve_analytic(nu=0)`` to 1e-12.
+    expm1 directly. Only the weights are independent of the closed form;
+    the layout, the chunking and the series routine (``_layout``,
+    ``_evolved_chunks``, ``_series``) are the ones
+    :func:`evolve_analytic_grid` runs. So agreeing with
+    ``evolve_analytic(nu=0)`` to 1e-12 checks the coefficients, not the
+    series.
     """
     return evolve_nu_zero_grid(rho0, mu, omega, [t], tolerances=tolerances)[0]
 
@@ -315,6 +319,8 @@ def _series(layout: _Layout, lower_weight, left_exp, raise_weight, scale):
     values, shape (times,) + layout.values.shape. A time's series stops
     adding terms once its own term vanishes, as a one-time run would, so
     every time gets the same arithmetic whatever else shares its batch.
+    Raises ValueError when a number exponent l_s (n - 1) overflows double
+    precision.
 
     Each term is held only on its box of slots, rows [r0, r1) x positions
     [p0, p1), outside which it is zero: a lowering step moves the box one
@@ -369,6 +375,10 @@ def _series(layout: _Layout, lower_weight, left_exp, raise_weight, scale):
         return total
 
     out = series(values, lower_weight, lower_w, -1)
+    # The number exponentials reach l_s (n - 1); refuse one that overflows.
+    reach = max(np.abs(left_exp.real).max(), np.abs(left_exp.imag).max())
+    if not math.isfinite(float(reach) * (n - 1)):
+        raise ValueError(f"number exponent at D = {n} overflows double precision")
     left = np.exp(left_exp[:, None] * levels)[:, i]
     out = left * out * np.exp(left_exp.conj()[:, None] * levels)[:, j]
     if raise_weight.any():

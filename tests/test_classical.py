@@ -137,6 +137,14 @@ class TestRk4:
         with pytest.raises(ValueError):
             classical.evolve_classical_rk4(classical.PhasePoint(1.0, 0.0), p, 2.0, needed - 1)
 
+    def test_overflowing_step_count_is_a_value_error(self):
+        # t * rate / 0.1 is inf; int() of it would raise OverflowError.
+        p = classical.ClassicalParams(omega=1.0, gamma=0.1)
+        with pytest.raises(ValueError, match="overflows double precision"):
+            classical.stability_steps(p, 1e308)
+        with pytest.raises(ValueError, match="overflows double precision"):
+            classical.evolve_classical_rk4(classical.PhasePoint(1.0, 0.0), p, 1e308, 1)
+
 
 class TestParams:
     def test_rejects_nonpositive_omega(self):

@@ -123,6 +123,27 @@ class TestConfigParsing:
             config.load_run_config(write(tmp_path, QUANTUM_CONFIG.replace("mu = 1.0", "mu = fast")))
         assert "mu" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("t_end = 1.0", "t_end = soon", "[grid] t_end: expected a number, got 'soon'"),
+            ("num_points = 2", "num_points = many",
+             "[grid] num_points: expected an integer, got 'many'"),
+            ("method = analytic", "method = analytic\ncheck_truncation = maybe",
+             "[run] check_truncation: expected a boolean, got 'maybe'"),
+            ("t_end = 1.0\n", "", "[grid] t_end: required key is missing"),
+            ("[grid]", "[grids]", "missing required section [grid] in {path}"),
+            ("method = analytic", "method = analytic\ncolour = red", "[run] colour: unknown key"),
+            ("mu = 1.0", "mu = fast", "[model] mu: expected a number, got 'fast'"),
+            ("mu = 1.0", "mu = -1.0", "[model]: omega, mu, nu must be non-negative"),
+        ],
+    )
+    def test_reader_error_text(self, tmp_path, old, new, message):
+        path = write(tmp_path, QUANTUM_CONFIG.replace(old, new))
+        with pytest.raises(config.ConfigError) as err:
+            config.load_run_config(path)
+        assert str(err.value) == message.format(path=path)
+
     def test_rejects_misspelled_key(self, tmp_path):
         # A misspelled key must not fall back to the default (nu = 0).
         text = COMPARE_CONFIG.replace("nu = 0.4", "nuu = 0.4")
@@ -531,6 +552,45 @@ class TestMainEntry:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert "overflows double precision" in captured.err
+
+    @pytest.mark.parametrize(
+        "edits, verb, message",
+        [
+            # The expm oracle's blocks overflow even on a grid of t = 0 only.
+            ({"omega": "1e308", "t_end": "0", "method": "expm"}, "evolve",
+             "the sector generator at D = 24 overflows double precision"),
+            ({"mu": "1e308", "method": "expm"}, "evolve",
+             "the sector generator at D = 24 overflows double precision"),
+            ({"nu": "1e308", "method": "expm"}, "evolve",
+             "the sector generator at D = 24 overflows double precision"),
+            # ln F (n - 1) of the series' number exponentials.
+            ({"mu": "1e308"}, "evolve", "number exponent at D = 24 overflows double precision"),
+            ({"mu": "1e308", "nu": "0", "method": "nu-zero"}, "evolve",
+             "number exponent at D = 24 overflows double precision"),
+            ({"mu": "1e308", "t_end": "0"}, "compare",
+             "the sector generator at D = 24 overflows double precision"),
+            ({"re": "nan"}, "evolve", "|alpha|^2 = nan exceeds support_max = 9"),
+        ],
+    )
+    def test_extreme_inputs_exit_1_with_one_line(self, tmp_path, capsys, edits, verb, message):
+        # Each of these once made numpy warn (an error under tier-1) before
+        # the run failed or, worse, printed a CSV.
+        text = COMPARE_CONFIG.replace("t_end = 1.0", "t_end = 3.0")
+        for key, value in edits.items():
+            text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        assert cli.main([verb, "--config", write(tmp_path, text)]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_overflowing_classical_start_exits_1(self, tmp_path, capsys):
+        text = CLASSICAL_CONFIG.format(omega=2.0, gamma=0.0, t_end=1.0, num_points=3)
+        cfg_path = write(tmp_path, text.replace("x0 = 1.0", "x0 = 1e308"))
+        assert cli.main(["classical", "--config", cfg_path]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: phase point must be finite, got (")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "omega, gamma, t_end",

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qdho import config, fock, liouville, su11
 from qdho.verification import random_interior_density
+from reference import build_liouvillian, devectorize
 
 
 def trunc_of(dim, support=None):
@@ -54,11 +55,11 @@ class TestVectorize:
         np.testing.assert_array_equal(liouville.vectorize(np.eye(2)), [1, 0, 0, 1])
 
     def test_round_trip(self):
-        m = liouville.devectorize(np.array([1, 2, 3, 4], dtype=complex), 2)
+        m = devectorize(np.array([1, 2, 3, 4], dtype=complex), 2)
         np.testing.assert_array_equal(m, [[1, 2], [3, 4]])
         rng = np.random.default_rng(0)
         x = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        np.testing.assert_array_equal(liouville.devectorize(liouville.vectorize(x), 5), x)
+        np.testing.assert_array_equal(devectorize(liouville.vectorize(x), 5), x)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
@@ -117,18 +118,21 @@ class TestKSuperoperators:
 
 
     def test_size_budget_admits_every_criterion_4_dimension(self):
-        # Criterion 4 may run its oracles at up to 64 levels.
+        # Criterion 4 may run the sector oracles at up to 64 levels. The
+        # dense superoperators serve only the identity suites (D <= 16) and
+        # keep the same bound.
         assert liouville.DENSE_MAX_DIM >= 64
         assert liouville.ORACLE_MAX_DIM >= 64
 
     def test_over_size_budget_raises_before_allocating(self, monkeypatch):
-        # At D = 96 one superoperator is 9216 x 9216 complex (1.36 GB) and
-        # the Liouvillian build holds five. Both budgets must refuse on the
-        # dimension alone: the dense one at D = 96, the sector oracle's one
-        # level above its own cap. No operator, block or exponential is built.
+        # At D = 96 k_superoperators would return four real 9216 x 9216
+        # superoperators of 8 D^4 bytes (679 MB) each. Both budgets must
+        # refuse on the dimension alone: the dense one at D = 96, the sector
+        # oracle's one level above its own cap. No operator, block or
+        # exponential is built.
         dim = 96
-        one_superoperator = 16 * dim**4
-        assert dim > liouville.DENSE_MAX_DIM and one_superoperator > 1.3e9
+        one_superoperator = 8 * dim**4
+        assert dim > liouville.DENSE_MAX_DIM and one_superoperator > 6.7e8
 
         def no_operators(*args, **kwargs):
             raise AssertionError("an oracle built its operators despite the budget")
@@ -154,14 +158,14 @@ class TestKSuperoperators:
 class TestBuildLiouvillian:
     def test_vacuum_is_stationary_without_pump(self):
         trunc = trunc_of(5)
-        lv = liouville.build_liouvillian(fock.ModelParams(omega=2.0, mu=1.3, nu=0.0), trunc)
+        lv = build_liouvillian(fock.ModelParams(omega=2.0, mu=1.3, nu=0.0), trunc)
         vac = liouville.vectorize(fock.fock_state(0, trunc).mat)
         assert np.abs(lv @ vac).max() <= 1e-14
 
     def test_single_excitation_rate_equation(self):
         # Applying the generator to |1><1| must yield |0><0| - |1><1|.
         trunc = trunc_of(5)
-        lv = liouville.build_liouvillian(fock.ModelParams(omega=0.0, mu=1.0, nu=0.0), trunc)
+        lv = build_liouvillian(fock.ModelParams(omega=0.0, mu=1.0, nu=0.0), trunc)
         image = lv @ liouville.vectorize(fock.fock_state(1, trunc).mat)
         expected = liouville.vectorize(
             fock.fock_state(0, trunc).mat - fock.fock_state(1, trunc).mat
@@ -171,7 +175,7 @@ class TestBuildLiouvillian:
     def test_trace_annihilated_on_interior_states(self):
         dim = 7
         trunc = trunc_of(dim)
-        lv = liouville.build_liouvillian(fock.ModelParams(omega=3.0, mu=0.7, nu=0.4), trunc)
+        lv = build_liouvillian(fock.ModelParams(omega=3.0, mu=0.7, nu=0.4), trunc)
         trace_form = liouville.vectorize(np.eye(dim))
         rng = np.random.default_rng(8)
         for _ in range(10):
@@ -188,9 +192,9 @@ class TestBuildLiouvillian:
         trunc = trunc_of(dim)
         params = fock.ModelParams(omega=1.2, mu=0.8, nu=0.5)
         direct_rhs = literal_rhs(params, trunc)
-        lv = liouville.build_liouvillian(params, trunc)
+        lv = build_liouvillian(params, trunc)
         rho = np.eye(dim, dtype=complex) / dim
-        via_l = liouville.devectorize(lv @ liouville.vectorize(rho), dim)
+        via_l = devectorize(lv @ liouville.vectorize(rho), dim)
         direct = direct_rhs(rho)
         difference = via_l - direct
         expected = np.zeros((dim, dim), dtype=complex)
@@ -199,7 +203,7 @@ class TestBuildLiouvillian:
         # Interior states see no difference at all.
         rng = np.random.default_rng(3)
         rho_int = random_interior_density(dim, dim - 2, rng)
-        via_l = liouville.devectorize(lv @ liouville.vectorize(rho_int), dim)
+        via_l = devectorize(lv @ liouville.vectorize(rho_int), dim)
         np.testing.assert_allclose(via_l, direct_rhs(rho_int), atol=1e-14)
 
 
@@ -213,7 +217,7 @@ class TestLiouvillianSectors:
         # row-major vector positions the blocks must rebuild L entry by entry,
         # zeros between sectors included.
         params = fock.ModelParams(omega=omega, mu=mu, nu=nu, theta=0.4)
-        dense = liouville.build_liouvillian(params, trunc_of(dim))
+        dense = build_liouvillian(params, trunc_of(dim))
         assembled = np.zeros_like(dense)
         for k in range(1 - dim, dim):
             idx = [i * dim + i + k for i in range(dim) if 0 <= i + k < dim]
@@ -492,12 +496,12 @@ class TestEvolveNumericExpmGrid:
         dim = 7
         params = fock.ModelParams(omega=1.3, mu=0.7, nu=0.4, theta=0.9)
         rho0 = skewed_state(dim, 11)
-        lv = liouville.build_liouvillian(params, trunc_of(dim))
+        lv = build_liouvillian(params, trunc_of(dim))
         for t, state in zip(
             (0.4, 1.5),
             liouville.evolve_numeric_expm_grid(rho0, params, [0.4, 1.5], tolerances=SKEW_TOLERANCES),
         ):
-            expected = liouville.devectorize(
+            expected = devectorize(
                 scipy.linalg.expm(t * lv) @ liouville.vectorize(rho0.mat), dim
             )
             assert np.abs(state.mat - expected).max() <= 1e-14 * np.abs(expected).max()
@@ -697,10 +701,10 @@ class TestEvolveNumericRk4:
         dim = 7
         params = fock.ModelParams(omega=1.3, mu=0.7, nu=0.0, theta=0.9)
         rho0 = skewed_state(dim, 12)
-        lv = liouville.build_liouvillian(params, trunc_of(dim))
+        lv = build_liouvillian(params, trunc_of(dim))
         t = 0.6
         steps = liouville.stability_steps(params, dim, t)
-        expected = liouville.devectorize(
+        expected = devectorize(
             rk4_step_loop(lambda v: lv @ v, liouville.vectorize(rho0.mat), t / steps, steps), dim
         )
         got = liouville.evolve_numeric_rk4(rho0, params, t, steps, tolerances=SKEW_TOLERANCES)
@@ -823,7 +827,7 @@ class TestSuperoperatorDisentangling:
         params = fock.ModelParams(omega=2.0, mu=1.0, nu=0.4)
         t = 0.9
         k0, k_plus, k_minus, k3 = liouville.k_superoperators(trunc)
-        lhs = liouville.expm(t * liouville.build_liouvillian(params, trunc))
+        lhs = liouville.expm(t * build_liouvillian(params, trunc))
         gen = params.nu * k_plus + params.mu * k_minus - (params.mu + params.nu) * k3
         rhs = (
             np.exp(0.5 * (params.mu - params.nu) * t)

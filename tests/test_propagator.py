@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qdho import config, fock, liouville, observables, propagator, su11
 from qdho.verification import random_interior_density
+from reference import doubled
 
 
 def trunc_of(dim, support=None):
@@ -330,7 +331,7 @@ class TestTruncationBehaviour:
         rho0 = interior_state(12, 8, seed=5)
         params = fock.ModelParams(omega=1.0, mu=0.5, nu=0.5)
         small = propagator.evolve_analytic(rho0, params, 2.0)
-        big_trunc = rho0.trunc.doubled()
+        big_trunc = doubled(rho0.trunc)
         big_mat = np.zeros((24, 24), dtype=complex)
         big_mat[:12, :12] = rho0.mat
         big = propagator.evolve_analytic(
@@ -404,7 +405,7 @@ def _zero_padded(rho0):
     d = rho0.dim
     mat = np.zeros((2 * d, 2 * d), dtype=complex)
     mat[:d, :d] = rho0.mat
-    return fock.DensityMatrix(mat=mat, trunc=rho0.trunc.doubled())
+    return fock.DensityMatrix(mat=mat, trunc=doubled(rho0.trunc))
 
 
 class TestAnalyticProperties:
