@@ -25,6 +25,7 @@ from .config import (
 from .fock import (
     DensityMatrix,
     FockOperatorSet,
+    GainWarning,
     ModelParams,
     TruncationConfig,
     ValidationError,
@@ -53,7 +54,6 @@ from .observables import (
     purity,
 )
 from .propagator import (
-    GainWarning,
     doubled_truncation_distance,
     evolve_analytic,
     evolve_analytic_grid,

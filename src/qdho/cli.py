@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -303,6 +304,23 @@ def _write_output(text: str, destination: str) -> None:
 
 
 def main(argv=None) -> int:
+    """Run one verb and return its exit code.
+
+    A warning the verb raises prints as one ``warning: <message>`` line per
+    distinct message, ahead of any error line. The warning filters in force
+    still apply: a warning they turn into an error propagates.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        code, failure = _run(argv)
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    if failure:
+        print(failure, file=sys.stderr)
+    return code
+
+
+def _run(argv) -> tuple[int, str | None]:
+    """(exit code, the stderr line of a failure or None)."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -322,20 +340,16 @@ def main(argv=None) -> int:
             else:
                 text, code = cmd_steady(cfg)
         _write_output(text, args.out)
-        return code
+        return code, None
     except (ConfigError, ValidationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return EXIT_VALIDATION, f"error: {exc}"
     except ToleranceFailure as exc:
-        print(f"tolerance failure: {exc}", file=sys.stderr)
-        return EXIT_TOLERANCE
+        return EXIT_TOLERANCE, f"tolerance failure: {exc}"
     except (NumericFailure, ArithmeticError, FloatingPointError, OverflowError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return EXIT_NUMERIC, f"numeric failure: {exc}"
     except MemoryError as exc:
         detail = f": {exc}" if str(exc) else ""
-        print(f"numeric failure: out of memory{detail}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return EXIT_NUMERIC, f"numeric failure: out of memory{detail}"
 
 
 if __name__ == "__main__":

@@ -288,9 +288,9 @@ def load_run_config(path: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"[model]: {exc}") from None
     support_max = reader.get("truncation", "support_max", int)
-    guard = reader.get("truncation", "guard", int, -1)
+    guard = reader.get("truncation", "guard", int, None)
     try:
-        trunc = TruncationConfig.for_support(support_max, None if guard < 0 else guard)
+        trunc = TruncationConfig.for_support(support_max, guard)
     except ValueError as exc:
         raise ConfigError(f"[truncation]: {exc}") from None
     if trunc.dim > MAX_DIM:

@@ -11,9 +11,14 @@ convention: functions return fresh arrays and never mutate arguments.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+
+class GainWarning(UserWarning):
+    """Pump exceeds loss (nu > mu): no steady state, truncation error grows with t."""
 
 
 class ValidationError(ValueError):
@@ -39,10 +44,10 @@ class TruncationConfig:
     guard: int
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError(f"truncation dim must be >= 2, got {self.dim}")
         if self.support_max < 0 or self.guard < 0:
             raise ValueError("support_max and guard must be non-negative")
+        if self.dim < 2:
+            raise ValueError(f"truncation dim must be >= 2, got {self.dim}")
         if self.dim != self.support_max + 1 + self.guard:
             raise ValueError(
                 f"dim={self.dim} != support_max + 1 + guard = "
@@ -179,12 +184,14 @@ def coherent_state(alpha: complex, trunc: TruncationConfig) -> DensityMatrix:
     """
     alpha = complex(alpha)
     d = trunc.dim
-    if not abs(alpha) ** 2 <= trunc.support_max:  # NaN fails too
-        raise ValueError(
-            f"|alpha|^2 = {abs(alpha)**2:.3f} exceeds support_max = {trunc.support_max}"
-        )
+    try:
+        mean_n = abs(alpha) ** 2
+    except OverflowError:  # |alpha| past ~1.34e154
+        mean_n = math.inf
+    if not mean_n <= trunc.support_max:  # NaN fails too
+        raise ValueError(f"|alpha|^2 = {mean_n:.3f} exceeds support_max = {trunc.support_max}")
     amps = np.zeros(d, dtype=complex)
-    amps[0] = np.exp(-0.5 * abs(alpha) ** 2)
+    amps[0] = np.exp(-0.5 * mean_n)
     for n in range(1, d):
         amps[n] = amps[n - 1] * alpha / np.sqrt(n)
     norm_sq = float(np.sum(np.abs(amps) ** 2))
@@ -305,12 +312,19 @@ def _min_eigenvalue(h: np.ndarray) -> float:
     return lowest
 
 
-def check_evolution_args(rho0: DensityMatrix, t, tolerances=None, *, omega: float = 0.0):
-    """Reject a negative evolution time, an overflowing phase or an invalid state.
+def check_evolution_args(rho0: DensityMatrix, params: ModelParams, t, tolerances=None):
+    """The argument check of every quantum evolution: times, rates, rho0.
 
     ``t`` is one time or an array of grid times, all checked here, so a
-    grid validates its initial state once. The largest rotation phase of
-    the run, omega (D-1) max(t), must be finite. ``tolerances`` is a
+    grid validates its initial state once. One rate bound serves every
+    method: 8 (omega + mu + nu) D max(1, t) must be finite, with D =
+    rho0.dim and t the largest time. The 8 is the expm oracle's: it scales
+    t R_k, of max row sum at most 2 (mu + nu) D t, by 2^-s to norm 0.5, and
+    2.0**s is finite while that row sum over 0.5 stays below 2^1023. The
+    bound also keeps finite the phase omega (D-1) t, the series' number
+    exponents ln F (n - 1) at n <= 2D, as |ln F| <= (mu + nu) t / 2, and,
+    through max(1, t), the generator's entries at t < 1. A gain run
+    (nu > mu) warns :class:`GainWarning`. ``tolerances`` is a
     :class:`qdho.config.ToleranceConfig` (the defaults when None); its
     Hermiticity, trace and positivity tolerances gate
     :func:`validate_density`. Returns the tolerance bundle in force.
@@ -318,13 +332,22 @@ def check_evolution_args(rho0: DensityMatrix, t, tolerances=None, *, omega: floa
     from .config import DEFAULT_TOLERANCES  # config imports this module
 
     times = np.asarray(t, dtype=float)
-    if (times < 0).any():
+    if not (times >= 0).all():  # NaN fails too
         raise ValueError(f"evolution time must be non-negative, got {times.min()}")
     t_max = float(times.max(initial=0.0))
-    if not math.isfinite(float(omega) * t_max * (rho0.dim - 1)):
+    omega, mu, nu = float(params.omega), float(params.mu), float(params.nu)
+    if not math.isfinite(8.0 * (omega + mu + nu) * rho0.dim * max(1.0, t_max)):
         raise ValueError(
-            f"rotation phase omega (D-1) t at omega = {omega:.6g}, D = {rho0.dim}, "
-            f"t = {t_max:.6g} overflows double precision"
+            f"rate scale 8 (omega + mu + nu) D max(1, t) at omega = {omega:.6g}, "
+            f"mu = {mu:.6g}, nu = {nu:.6g}, D = {rho0.dim}, t = {t_max:.6g} "
+            f"overflows double precision"
+        )
+    if nu > mu:
+        warnings.warn(
+            f"pump nu={nu} exceeds loss mu={mu}: no steady state exists and "
+            f"truncation error grows with t",
+            GainWarning,
+            stacklevel=3,
         )
     tols = DEFAULT_TOLERANCES if tolerances is None else tolerances
     report = validate_density(

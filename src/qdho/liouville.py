@@ -52,6 +52,9 @@ from .fock import (
 _EXPM_SCALE_LIMIT = 0.5
 #: Degree of the Taylor polynomial applied after scaling.
 _EXPM_DEGREE = 15
+#: Largest max-row-sum norm the exponential scales: up to it the squaring
+#: count s = ceil(log2(norm / 0.5)) is at most 1023 and 2.0**s is finite.
+_EXPM_MAX_NORM = 2.0**1022
 #: RK4 stability heuristic: step * (omega + mu + nu) * dim must not exceed this.
 RK4_STABILITY_LIMIT = 0.1
 #: Step budget of one RK4 call. Tier-1 needs at most ~1.1e4 steps; a call
@@ -141,7 +144,8 @@ def expm(m: np.ndarray) -> np.ndarray:
     stays real and runs on float64 products; a complex one is complex128.
     At norm 0.5 the first omitted term is at most 0.5^16/16! ~ 7e-19, below
     one ulp of the result; relative accuracy is roughly one ulp times the
-    conditioning of the exponential.
+    conditioning of the exponential. Raises ValueError, before scaling, when
+    a member's norm exceeds 2^1022, past which 2^s overflows.
     """
     m = np.asarray(m)
     m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
@@ -152,10 +156,17 @@ def expm(m: np.ndarray) -> np.ndarray:
     shape = m.shape
     n = shape[-1]
     m = m.reshape(-1, n, n)
+    with np.errstate(over="ignore"):  # a norm past the double range reads inf
+        norms = np.abs(m).sum(axis=-1).max(axis=-1, initial=0.0)
+    if (norms > _EXPM_MAX_NORM).any():
+        raise ValueError(
+            f"expm input has max-row-sum norm {norms.max():.6g}, over 2^1022, "
+            f"past which its scaling 2^s overflows double precision"
+        )
     squarings = np.array(
         [
             math.ceil(math.log2(norm / _EXPM_SCALE_LIMIT)) if norm > _EXPM_SCALE_LIMIT else 0
-            for norm in np.abs(m).sum(axis=-1).max(axis=-1, initial=0.0)
+            for norm in norms
         ],
         dtype=int,
     )
@@ -248,12 +259,13 @@ def evolve_numeric_expm_grid(
 ) -> list[DensityMatrix]:
     """Evolve rho0 to every time in ``times`` by exp(t L_k) on each diagonal k.
 
-    rho0 and the times are checked once for the whole grid. The times go
-    through in chunks, each one stacked real exponential per sector k >= 0;
-    a chunk holds at most as many entries as those blocks at one time at
-    D = ``ORACLE_MAX_DIM``. Raises ValueError, before anything is built,
-    when D exceeds ``ORACLE_MAX_DIM`` or the phase omega (D-1) t or the
-    blocks' entries overflow.
+    rho0, the rates and the times are checked once for the whole grid, by
+    :func:`qdho.fock.check_evolution_args`, whose rate bound keeps every
+    block's scaling 2^s finite. The times go through in chunks, each one
+    stacked real exponential per sector k >= 0; a chunk holds at most as
+    many entries as those blocks at one time at D = ``ORACLE_MAX_DIM``.
+    Raises ValueError, before anything is built, when D exceeds
+    ``ORACLE_MAX_DIM`` or the check refuses the arguments.
     """
     dim = rho0.dim
     if dim > ORACLE_MAX_DIM:
@@ -263,12 +275,7 @@ def evolve_numeric_expm_grid(
             f"exponentials per time; its budget is D <= {ORACLE_MAX_DIM}"
         )
     times = np.asarray(times, dtype=float)
-    check_evolution_args(rho0, times, tolerances, omega=params.omega)
-    # Block entries reach (omega + mu + nu) D, and a scaled row sum twice
-    # that times t.
-    reach = 2.0 * (params.omega + params.mu + params.nu) * dim
-    if not math.isfinite(reach * max(1.0, float(times.max(initial=0.0)))):
-        raise ValueError(f"the sector generator at D = {dim} overflows double precision")
+    check_evolution_args(rho0, params, times, tolerances)
     chunk = max(1, _upper_block_entries(ORACLE_MAX_DIM) // _upper_block_entries(dim))
     states = []
     for start in range(0, times.size, chunk):
@@ -403,7 +410,7 @@ def evolve_numeric_rk4(
     stability bound step * (omega + mu + nu) * D <= 0.1 and stay within
     ``RK4_MAX_STEPS`` and, times D^2, within ``RK4_MAX_WORK``.
     """
-    check_evolution_args(rho0, t, tolerances)
+    check_evolution_args(rho0, params, t, tolerances)
     if steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps}")
     if steps > RK4_MAX_STEPS:

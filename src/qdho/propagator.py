@@ -58,7 +58,6 @@ that block and the escape distance as the norm of everything outside it.
 from __future__ import annotations
 
 import math
-import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -66,6 +65,7 @@ import numpy as np
 from . import su11
 from .config import ToleranceConfig
 from .fock import DensityMatrix, ModelParams, check_evolution_args
+from .fock import GainWarning  # noqa: F401  (kept importable from here)
 
 #: Doubling-D truncation certificates must come in below this (Frobenius
 #: weight the dim-D run loses above its cutoff, measured against a 2D run).
@@ -78,10 +78,6 @@ TRUNCATION_DOUBLING_TOL = 1e-9
 BAND_CHUNK_BYTES = 256 * 1024
 
 _HERMITICITY_GUARD = 1e-12
-
-
-class GainWarning(UserWarning):
-    """Pump exceeds loss (nu > mu): no steady state, truncation error grows with t."""
 
 
 def evolve_analytic(
@@ -118,8 +114,7 @@ def evolve_analytic_grid(
     entries outside the block.
     """
     times = np.asarray(times, dtype=float)
-    _check_rates(params.mu, params.nu)
-    check_evolution_args(rho0, times, tolerances, omega=params.omega)
+    check_evolution_args(rho0, params, times, tolerances)
     scalars = []
     for t in times:
         c = su11.disentangling_coefficients(params.mu, params.nu, float(t))
@@ -165,7 +160,9 @@ def evolve_nu_zero(
     ``_evolved_chunks``, ``_series``) are the ones
     :func:`evolve_analytic_grid` runs. So agreeing with
     ``evolve_analytic(nu=0)`` to 1e-12 checks the coefficients, not the
-    series.
+    series. The arguments go through the check of every method,
+    :func:`qdho.fock.check_evolution_args`, with the rates as
+    ``ModelParams(omega=omega, mu=mu)``.
     """
     return evolve_nu_zero_grid(rho0, mu, omega, [t], tolerances=tolerances)[0]
 
@@ -180,8 +177,7 @@ def evolve_nu_zero_grid(
 ) -> list[DensityMatrix]:
     """:func:`evolve_nu_zero` at every time in ``times``, checking rho0 once."""
     times = np.asarray(times, dtype=float)
-    _check_rates(mu, 0.0)
-    check_evolution_args(rho0, times, tolerances, omega=omega)
+    check_evolution_args(rho0, ModelParams(omega=omega, mu=mu), times, tolerances)
     ts = times.tolist()
     weight = np.array([-math.expm1(-mu * t) for t in ts])  # 1 - e^{-mu t}
     exponent = np.array([-(0.5 * mu + 1j * omega) * t for t in ts], dtype=complex)
@@ -212,18 +208,6 @@ def doubled_truncation_distance(
     """
     _, escapes = evolve_analytic_grid(rho0, params, [t], tolerances=tolerances, certify=True)
     return float(escapes[0])
-
-
-def _check_rates(mu: float, nu: float) -> None:
-    if mu < 0 or nu < 0:
-        raise ValueError(f"rates must be non-negative, got mu={mu}, nu={nu}")
-    if nu > mu:
-        warnings.warn(
-            f"pump nu={nu} exceeds loss mu={mu}: no steady state exists and "
-            f"truncation error grows with t",
-            GainWarning,
-            stacklevel=3,
-        )
 
 
 class _Layout(NamedTuple):
@@ -319,8 +303,8 @@ def _series(layout: _Layout, lower_weight, left_exp, raise_weight, scale):
     values, shape (times,) + layout.values.shape. A time's series stops
     adding terms once its own term vanishes, as a one-time run would, so
     every time gets the same arithmetic whatever else shares its batch.
-    Raises ValueError when a number exponent l_s (n - 1) overflows double
-    precision.
+    The number exponents l_s (n - 1) stay finite on every input
+    :func:`qdho.fock.check_evolution_args` admits.
 
     Each term is held only on its box of slots, rows [r0, r1) x positions
     [p0, p1), outside which it is zero: a lowering step moves the box one
@@ -375,10 +359,6 @@ def _series(layout: _Layout, lower_weight, left_exp, raise_weight, scale):
         return total
 
     out = series(values, lower_weight, lower_w, -1)
-    # The number exponentials reach l_s (n - 1); refuse one that overflows.
-    reach = max(np.abs(left_exp.real).max(), np.abs(left_exp.imag).max())
-    if not math.isfinite(float(reach) * (n - 1)):
-        raise ValueError(f"number exponent at D = {n} overflows double precision")
     left = np.exp(left_exp[:, None] * levels)[:, i]
     out = left * out * np.exp(left_exp.conj()[:, None] * levels)[:, j]
     if raise_weight.any():

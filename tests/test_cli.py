@@ -70,6 +70,14 @@ num_points = {num_points}
 """
 
 
+def _rate_overflow(omega=6.283185307179586, mu=1.0, nu=0.4, d=24, t=3.0):
+    """The error text of the one rate bound, for a run of COMPARE_CONFIG's kind."""
+    return (
+        f"rate scale 8 (omega + mu + nu) D max(1, t) at omega = {omega:.6g}, "
+        f"mu = {mu:.6g}, nu = {nu:.6g}, D = {d}, t = {t:.6g} overflows double precision"
+    )
+
+
 def write(tmp_path, text, name="run.ini"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -136,6 +144,9 @@ class TestConfigParsing:
             ("method = analytic", "method = analytic\ncolour = red", "[run] colour: unknown key"),
             ("mu = 1.0", "mu = fast", "[model] mu: expected a number, got 'fast'"),
             ("mu = 1.0", "mu = -1.0", "[model]: omega, mu, nu must be non-negative"),
+            # A negative guard is refused, not read as "use the default".
+            ("support_max = 1", "support_max = 1\nguard = -7",
+             "[truncation]: support_max and guard must be non-negative"),
         ],
     )
     def test_reader_error_text(self, tmp_path, old, new, message):
@@ -508,23 +519,49 @@ class TestMainEntry:
             for n in range(5):
                 assert abs(values[f"p{n}"] - 0.6 * 0.4**n) <= 1e-12
 
+    GAIN_WARNING = (
+        "warning: pump nu=1.5 exceeds loss mu=0.2: no steady state exists and "
+        "truncation error grows with t"
+    )
+
     def test_gain_run_with_finite_prefactor_fails_its_certificate(self, tmp_path, capsys):
         text = QUANTUM_CONFIG.replace("mu = 1.0", "mu = 0.2").replace("nu = 0.0", "nu = 1.5")
         cfg_path = write(tmp_path, text.replace("t_end = 1.0", "t_end = 10.0"))
         assert qdho.su11.disentangling_coefficients(0.2, 1.5, 10.0).prefactor > 0.0
-        with pytest.warns(propagator.GainWarning):
-            code = cli.main(["evolve", "--config", cfg_path, "--check-truncation"])
+        code = cli.main(["evolve", "--config", cfg_path, "--check-truncation"])
         assert code == cli.EXIT_TOLERANCE
-        assert "truncation not converged" in capsys.readouterr().err
+        warning, failure = capsys.readouterr().err.splitlines()
+        assert warning == self.GAIN_WARNING
+        assert failure.startswith("tolerance failure: truncation not converged at t=10:")
 
     def test_gain_run_past_prefactor_underflow_exits_1(self, tmp_path, capsys):
         # (nu - mu) t = 1300 > ~745: e^{-(nu - mu) t} underflows to 0.
         text = QUANTUM_CONFIG.replace("mu = 1.0", "mu = 0.2").replace("nu = 0.0", "nu = 1.5")
         cfg_path = write(tmp_path, text.replace("t_end = 1.0", "t_end = 1e3"))
-        with pytest.warns(propagator.GainWarning):
-            code = cli.main(["evolve", "--config", cfg_path, "--check-truncation"])
+        code = cli.main(["evolve", "--config", cfg_path, "--check-truncation"])
         assert code == cli.EXIT_VALIDATION
-        assert "prefactor must be positive" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [
+            self.GAIN_WARNING,
+            "error: prefactor must be positive, got 0.0",
+        ]
+
+    @pytest.mark.parametrize("method", ["analytic", "expm", "rk4"])
+    def test_gain_warning_prints_once_per_run(self, tmp_path, capsys, method):
+        # RK4 warns once per grid segment; the run prints the message once.
+        text = COMPARE_CONFIG.replace("mu = 1.0", "mu = 0.2").replace("nu = 0.4", "nu = 1.5")
+        text = text.replace("t_end = 1.0", "t_end = 0.1").replace("method = analytic", f"method = {method}")
+        assert cli.main(["evolve", "--config", write(tmp_path, text)]) == cli.EXIT_OK
+        assert capsys.readouterr().err == self.GAIN_WARNING + "\n"
+
+    def test_runtime_warning_in_a_verb_still_raises(self, monkeypatch):
+        # The warning recorder adds no filter: under the suite's
+        # error::RuntimeWarning a numpy warning inside a verb still fails.
+        def overflowing():
+            return np.float64(1e308) * 10.0, cli.EXIT_OK
+
+        monkeypatch.setattr(cli, "cmd_verify", overflowing)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            cli.main(["verify"])
 
     @pytest.mark.parametrize(
         "verb, method, nu",
@@ -556,20 +593,17 @@ class TestMainEntry:
     @pytest.mark.parametrize(
         "edits, verb, message",
         [
-            # The expm oracle's blocks overflow even on a grid of t = 0 only.
+            # The one rate bound of every method, even on a grid of t = 0 only.
             ({"omega": "1e308", "t_end": "0", "method": "expm"}, "evolve",
-             "the sector generator at D = 24 overflows double precision"),
-            ({"mu": "1e308", "method": "expm"}, "evolve",
-             "the sector generator at D = 24 overflows double precision"),
-            ({"nu": "1e308", "method": "expm"}, "evolve",
-             "the sector generator at D = 24 overflows double precision"),
-            # ln F (n - 1) of the series' number exponentials.
-            ({"mu": "1e308"}, "evolve", "number exponent at D = 24 overflows double precision"),
+             _rate_overflow(omega=1e308, t=0)),
+            ({"mu": "1e308", "method": "expm"}, "evolve", _rate_overflow(mu=1e308)),
+            ({"nu": "1e308", "method": "expm"}, "evolve", _rate_overflow(nu=1e308)),
+            ({"mu": "1e308"}, "evolve", _rate_overflow(mu=1e308)),
             ({"mu": "1e308", "nu": "0", "method": "nu-zero"}, "evolve",
-             "number exponent at D = 24 overflows double precision"),
-            ({"mu": "1e308", "t_end": "0"}, "compare",
-             "the sector generator at D = 24 overflows double precision"),
+             _rate_overflow(mu=1e308, nu=0)),
+            ({"mu": "1e308", "t_end": "0"}, "compare", _rate_overflow(mu=1e308, t=0)),
             ({"re": "nan"}, "evolve", "|alpha|^2 = nan exceeds support_max = 9"),
+            ({"re": "1e200"}, "evolve", "|alpha|^2 = inf exceeds support_max = 9"),
         ],
     )
     def test_extreme_inputs_exit_1_with_one_line(self, tmp_path, capsys, edits, verb, message):
@@ -794,3 +828,52 @@ class TestGoldenEvolve:
         capsys.readouterr()
         assert cli.main(["evolve", "--config", str(path), *flags]) == cli.EXIT_OK
         assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
+class TestOneRateBound:
+    """Every method on configs/damped_coherent.ini (D = 24, t_end = 3) near the rate bound.
+
+    8 (omega + mu + nu) D max(1, t) overflows past mu ~ 3.1e305 here. Below
+    it every run finishes with no numpy warning, which the suite's
+    error::RuntimeWarning would raise: `evolve` prints its CSV, and
+    `compare` stops at the RK4 oracle's step budget. Above it every run
+    exits 1 with the one error line of :func:`qdho.fock.check_evolution_args`.
+    """
+
+    RUNS = [
+        ("evolve", {}, []),
+        ("evolve", {}, ["--check-truncation"]),
+        ("evolve", {"nu": "0", "method": "nu-zero"}, []),
+        ("evolve", {"method": "expm"}, []),
+        ("compare", {}, []),
+    ]
+    RK4_BUDGET = r"error: \d+ RK4 steps exceed the budget of 10000000; [^\n]*\n"
+
+    def _run(self, tmp_path, capsys, mu, verb, edits, flags):
+        text = (ROOT / "configs" / "damped_coherent.ini").read_text()
+        for key, value in {"mu": mu, **edits}.items():
+            text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        path = tmp_path / "run.ini"
+        path.write_text(text)
+        capsys.readouterr()
+        code = cli.main([verb, "--config", str(path), *flags])
+        return code, capsys.readouterr()
+
+    @pytest.mark.parametrize("verb, edits, flags", RUNS)
+    def test_below_the_bound_runs(self, tmp_path, capsys, verb, edits, flags):
+        code, captured = self._run(tmp_path, capsys, "3e305", verb, edits, flags)
+        if verb == "compare":
+            assert code == cli.EXIT_VALIDATION
+            assert re.fullmatch(self.RK4_BUDGET, captured.err)
+        else:
+            assert (code, captured.err) == (cli.EXIT_OK, "")
+            assert captured.out.startswith("t,trace_re,")
+
+    @pytest.mark.parametrize("mu", ["5e305", "1e306"])
+    @pytest.mark.parametrize("verb, edits, flags", RUNS)
+    def test_past_the_bound_exits_1(self, tmp_path, capsys, mu, verb, edits, flags):
+        code, captured = self._run(tmp_path, capsys, mu, verb, edits, flags)
+        assert code == cli.EXIT_VALIDATION
+        assert captured.out == ""
+        nu = float(edits.get("nu", 0.4))
+        assert captured.err == f"error: {_rate_overflow(mu=float(mu), nu=nu)}\n"

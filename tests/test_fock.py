@@ -120,6 +120,12 @@ class TestCoherentState:
         with pytest.raises(ValueError):
             fock.coherent_state(3.0, trunc_of(5, support=4))
 
+    @pytest.mark.parametrize("alpha", [1e200, 1.7e308 + 1.7e308j])
+    def test_rejects_overflowing_amplitude(self, alpha):
+        # |alpha|^2, and for the second |alpha| itself, overflows a float.
+        with pytest.raises(ValueError, match=r"^\|alpha\|\^2 = inf exceeds support_max = 4$"):
+            fock.coherent_state(alpha, trunc_of(8, support=4))
+
     def test_rejects_norm_deficit(self):
         # |alpha|^2 = 4 <= support_max, but 8 levels cannot hold the tail.
         trunc = fock.TruncationConfig(dim=8, support_max=7, guard=0)
@@ -248,3 +254,49 @@ class TestPositivityByResidueClass:
         ):
             want = float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))[0])
             assert fock.validate_density(mat).min_eigenvalue == want
+
+
+class TestCheckEvolutionArgs:
+    """The one argument check of every quantum evolution."""
+
+    RHO0 = fock.fock_state(1, trunc_of(24))
+    #: 8 (omega + mu + nu) D max(1, t) at D = 24 reaches the largest double
+    #: at mu ~ 3.12e305 for t = 3 and ~ 9.36e305 for t <= 1.
+    BOUND = np.finfo(float).max / (8 * 24 * 3)
+
+    @pytest.mark.parametrize(
+        "rates, times",
+        [
+            ({"mu": 3e305}, [0.0, 3.0]),
+            ({"mu": 0.999 * BOUND}, [3.0]),
+            ({"omega": 9e305}, [0.0, 0.5]),
+        ],
+    )
+    def test_admits_rates_inside_the_bound(self, rates, times):
+        fock.check_evolution_args(self.RHO0, fock.ModelParams(**rates), times)
+
+    @pytest.mark.parametrize(
+        "rates, times",
+        [
+            ({"mu": 1.001 * BOUND}, [3.0]),
+            ({"mu": 5e305}, [0.0, 3.0]),
+            ({"nu": 5e305}, [3.0]),
+            ({"omega": 1e306}, [0.0]),  # max(1, t): the generator's own entries
+            ({"omega": 1e308, "mu": 1e308}, [1.0]),  # omega + mu overflows
+        ],
+    )
+    def test_refuses_rates_past_the_bound(self, rates, times):
+        with pytest.raises(ValueError, match=r"^rate scale 8 \(omega \+ mu \+ nu\) D max\(1, t\) "):
+            fock.check_evolution_args(self.RHO0, fock.ModelParams(**rates), times)
+
+    def test_refuses_negative_and_nan_times(self):
+        params = fock.ModelParams(mu=1.0)
+        with pytest.raises(ValueError, match="must be non-negative"):
+            fock.check_evolution_args(self.RHO0, params, [1.0, -0.5])
+        with pytest.raises(ValueError, match="must be non-negative, got nan"):
+            fock.check_evolution_args(self.RHO0, params, [1.0, math.nan])
+
+    def test_warns_on_gain_only(self):
+        with pytest.warns(fock.GainWarning, match="pump nu=0.5 exceeds loss mu=0.25"):
+            fock.check_evolution_args(self.RHO0, fock.ModelParams(mu=0.25, nu=0.5), 1.0)
+        fock.check_evolution_args(self.RHO0, fock.ModelParams(mu=0.5, nu=0.5), 1.0)

@@ -145,8 +145,6 @@ def config_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "run.ini"
 
 
-# A gain run (nu > mu) warns by design; the warning is not an outcome here.
-@pytest.mark.filterwarnings("ignore::qdho.propagator.GainWarning")
 @settings(max_examples=600, derandomize=True, database=None, deadline=timedelta(seconds=5))
 @given(invocations())
 def test_every_config_exits_0_to_3(config_path, invocation):

@@ -319,6 +319,32 @@ class TestExpm:
         with pytest.raises(ValueError):
             liouville.expm(np.zeros((3, 2, 4)))
 
+    @pytest.mark.parametrize(
+        "m",
+        [
+            [[-1e308]],
+            [[5e307]],
+            [[-(2.0**1022) * (1 + 2.0**-52)]],
+            [[1e308, 1e308], [0.0, 0.0]],  # the row sum itself overflows
+            [[1.7e308 + 1.7e308j]],  # so does |m|
+        ],
+    )
+    def test_refuses_a_norm_it_cannot_scale(self, m):
+        # Past norm 2^1022 the squaring count reaches 1024 and 2.0**s
+        # overflows; the refusal comes before any numpy work warns.
+        with pytest.raises(ValueError, match="over 2\\^1022"):
+            liouville.expm(np.array(m))
+
+    def test_scales_up_to_norm_2_pow_1022(self):
+        # s = 1023 squarings of e^{-0.5}: the result underflows to 0, no warning.
+        assert liouville.expm(np.array([[-(2.0**1022)]])) == 0.0
+        stack = np.array([[[-1.0]], [[-(2.0**1022)]]])
+        np.testing.assert_array_equal(liouville.expm(stack), [[[math.exp(-1.0)]], [[0.0]]])
+
+    def test_stack_with_one_unscalable_member_raises(self):
+        with pytest.raises(ValueError, match="over 2\\^1022"):
+            liouville.expm(np.array([[[1.0]], [[1e308]]]))
+
 
 _SECTOR_RATES = [(2.0 * math.pi, 1.0, 0.4), (0.0, 1.0, 0.0), (1.7, 0.8, 0.8), (3.0, 0.2, 1.5)]
 
@@ -402,6 +428,15 @@ class TestEvolveNumericExpm:
         bad = fock.DensityMatrix(mat=np.diag([2.0, -1.0, 0, 0]).astype(complex), trunc=trunc)
         with pytest.raises(fock.ValidationError):
             liouville.evolve_numeric_expm(bad, fock.ModelParams(mu=1.0), 1.0)
+
+    def test_both_oracles_warn_on_gain(self):
+        rho0 = fock.fock_state(1, trunc_of(8))
+        params = fock.ModelParams(mu=0.2, nu=1.5)
+        with pytest.warns(fock.GainWarning, match="pump nu=1.5 exceeds loss mu=0.2"):
+            liouville.evolve_numeric_expm(rho0, params, 0.1)
+        steps = liouville.stability_steps(params, 8, 0.1)
+        with pytest.warns(fock.GainWarning, match="pump nu=1.5 exceeds loss mu=0.2"):
+            liouville.evolve_numeric_rk4(rho0, params, 0.1, steps)
 
     def test_states_at_one_point_share_block_exponentials(self):
         # Criterion 4 evolves three states at each (params, D, t): the blocks
