@@ -9,27 +9,30 @@ then reads d rho_vec/dt = L rho_vec with the D^2 x D^2 Liouvillian
 built from K+ = kron(b^dag, b^dag), K- = kron(b, b),
 K3 = (kron(N,1) + kron(1,N) + 1)/2 and K0 = kron(N,1) - kron(1,N).
 K0 commutes with the other three, so L keeps the off-diagonal index
-k = j - i fixed: it splits into 2D - 1 tridiagonal blocks, one per k, each
-acting on the entries (i, i + k) of rho (see :func:`liouvillian_sector`).
+k = j - i fixed: it splits into 2D - 1 tridiagonal blocks, one per k. The
+su(1,1) relations of the disentangling hold in this K form; the identity
+suites check them on the dense real superoperators.
 
-Two oracles check the closed-form propagator, and neither forms a
-D^2 x D^2 matrix. The expm oracle uses that -i omega K0 commutes with the
-rest of L and is the scalar i omega k on sector k: the block splits as
-L_k = i omega k + R_k with R_k real, and R_-k = R_k. It exponentiates the
-real R_k of k = 0 .. D-1 (scaling-and-squaring Taylor, float64
-throughout), applies each to the real and imaginary parts of diagonal +k
+K3 absorbs a a^dag = N + 1, where the literal truncated product is
+diag(1, ..., D - 1, 0): the two differ only in the pump's diagonal at
+level D - 1, where N + 1 leaks trace. Both oracles integrate the literal
+truncated equation, every block read off one coefficient table
+(:func:`_literal_rhs`), so they differ from each other only by their
+integrators. Neither forms a D^2 x D^2 matrix.
+
+The expm oracle uses that the rotation is the scalar i omega k on sector
+k: the block is L_k = i omega k + R_k with R_k real, and R_-k = R_k. It
+exponentiates the real R_k of k = 0 .. D-1 (scaling-and-squaring Taylor,
+float64), applies each to the real and imaginary parts of diagonals +k
 and -k of rho and multiplies by the exact phase e^{+-i omega k t}. A grid
 of times goes through one stacked exponential per block and chunk of
 times: O(D^4) time per time and, per chunk, at most the memory of one
-time at ``ORACLE_MAX_DIM``. The RK4 oracle builds its own complex
-tridiagonal block per k from the literal truncated operators of the
-matrix equation; block -k is the entrywise conjugate of block k, and so
-is its RK4 power, so it raises k >= 0 only. On a linear autonomous
-equation n RK4 steps are the n-th power of the one-step matrix, raised
-per block by binary powering: O(D^4 log steps) time and O(D^3) memory,
-with no loop over the steps; equal grid segments share one set of
-powers. The dense superoperators (real) are kept for the identity suites,
-which pin the vectorization convention.
+time at ``ORACLE_MAX_DIM``. The RK4 oracle takes h times the same complex
+blocks; block -k is the conjugate of block k, and so is its RK4 power, so
+it raises k >= 0 only. On a linear autonomous equation n RK4 steps are
+the n-th power of the one-step matrix, raised per block by binary
+powering: O(D^4 log steps) time and O(D^3) memory; equal grid segments
+share one set of powers.
 """
 
 from __future__ import annotations
@@ -57,15 +60,13 @@ _EXPM_DEGREE = 15
 _EXPM_MAX_NORM = 2.0**1022
 #: RK4 stability heuristic: step * (omega + mu + nu) * dim must not exceed this.
 RK4_STABILITY_LIMIT = 0.1
-#: Step budget of one RK4 call. Tier-1 needs at most ~1.1e4 steps; a call
-#: asking for more than this fails at once instead of running for hours.
-RK4_MAX_STEPS = 10_000_000
-#: Work budget of one RK4 call, in steps x D^2. The largest call tier-1
-#: makes is criterion 4's 6,240 steps at D_o = 52 (1.7e7); the benchmark's
-#: is 1,844 steps at D = 24 (1.1e6). A call costs O(D^4 log steps), not
-#: O(D^2) per step: at D = 24 (one BLAS thread, 2-core box) 1,844 steps
-#: take ~8 ms and the 347,222 this budget admits ~11 ms, where the step
-#: loop took 90 us per step (~30 s at this budget).
+#: The one budget of an RK4 call, in steps x D^2; a call asking for more
+#: fails at once. The largest call tier-1 makes is criterion 4's 6,240
+#: steps at D_o = 52 (1.7e7); the benchmark's is 1,844 steps at D = 24
+#: (1.1e6). A call costs O(D^4 log steps), not O(D^2) per step: at D = 24
+#: (one BLAS thread, 2-core box) 1,844 steps take ~8 ms and the 347,222
+#: this budget admits ~11 ms, where the step loop took 90 us per step
+#: (~30 s at this budget). At D = 1 it admits 2e8 steps, 28 squarings.
 RK4_MAX_WORK = 200_000_000
 #: Size budget of the dense superoperators. :func:`k_superoperators` returns
 #: four real D^2 x D^2 matrices of 8 D^4 bytes each (134 MB at D = 64,
@@ -145,7 +146,8 @@ def expm(m: np.ndarray) -> np.ndarray:
     At norm 0.5 the first omitted term is at most 0.5^16/16! ~ 7e-19, below
     one ulp of the result; relative accuracy is roughly one ulp times the
     conditioning of the exponential. Raises ValueError, before scaling, when
-    a member's norm exceeds 2^1022, past which 2^s overflows.
+    a member's norm exceeds 2^1022, past which 2^s overflows, and after
+    squaring when a member's exponential is not finite.
     """
     m = np.asarray(m)
     m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
@@ -175,12 +177,15 @@ def expm(m: np.ndarray) -> np.ndarray:
     total = eye + scaled / _EXPM_DEGREE
     for k in range(_EXPM_DEGREE - 1, 0, -1):
         total = eye + (scaled @ total) / k
-    for done in range(int(squarings.max(initial=0))):
-        if (squarings > done).all():
-            total = total @ total
-        else:
-            pending = np.flatnonzero(squarings > done)
-            total[pending] = total[pending] @ total[pending]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        for done in range(int(squarings.max(initial=0))):
+            if (squarings > done).all():
+                total = total @ total
+            else:
+                pending = np.flatnonzero(squarings > done)
+                total[pending] = total[pending] @ total[pending]
+    if not np.isfinite(total).all():
+        raise ValueError("expm result overflows double precision")
     return total.reshape(shape)
 
 
@@ -190,29 +195,28 @@ def _sector_entries(dim: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return p + max(0, -k), p + max(0, k)
 
 
-def liouvillian_sector(params: ModelParams, dim: int, k: int) -> np.ndarray:
-    """Block of L on the entries (i, j = i + k), a (D - |k|)-square tridiagonal.
+def _sector_block(table, k: int) -> np.ndarray:
+    """Block k of the :func:`_literal_rhs` ``table``; row p is the entry with min(i, j) = p."""
+    coef, lower, raise_ = table
+    rows, cols = _sector_entries(len(coef), k)
+    block = np.diag(coef[rows, cols])
+    p = np.arange(rows.size - 1)
+    block[p, p + 1] = lower[rows[:-1], cols[:-1]]
+    block[p + 1, p] = raise_[rows[:-1], cols[:-1]]
+    return block
 
-    Entry (i, j) has the diagonal -i omega (i - j) - mu (i + j)/2
-    - nu (i + j + 2)/2, couples to (i+1, j+1) with mu sqrt((i+1)(j+1)) and
-    to (i-1, j-1) with nu sqrt(i j). Row and column p stand for the entry
-    with min(i, j) = p, so this is the module's L restricted to sector k,
-    entry by entry.
+
+def liouvillian_sector(params: ModelParams, dim: int, k: int) -> np.ndarray:
+    """Block of the truncated generator on the entries (i, j = i + k).
+
+    A (D - |k|)-square tridiagonal: entry (i, j) has the diagonal
+    -i omega (i - j) - mu (i + j)/2 - nu (c_i + c_j)/2, c the diagonal of
+    the truncated a a^dag, and couples to (i+1, j+1) with
+    mu sqrt(i+1) sqrt(j+1) and to (i-1, j-1) with nu sqrt(i) sqrt(j).
     """
     if not -dim < k < dim:
         raise ValueError(f"sector k = {k} lies outside -(D-1)..D-1 for D = {dim}")
-    rows, cols = _sector_entries(dim, k)
-    i = rows.astype(float)
-    j = cols.astype(float)
-    block = np.diag(
-        -1j * params.omega * (i - j)
-        - 0.5 * params.mu * (i + j)
-        - 0.5 * params.nu * (i + j + 2.0)
-    )
-    p = np.arange(i.size - 1)
-    block[p, p + 1] = params.mu * np.sqrt((i[:-1] + 1.0) * (j[:-1] + 1.0))
-    block[p + 1, p] = params.nu * np.sqrt(i[1:] * j[1:])
-    return block
+    return _sector_block(_literal_rhs(params, dim), k)
 
 
 def _upper_block_entries(dim: int) -> int:
@@ -247,7 +251,8 @@ def _cached_propagator(
     # states evolved at one (params, D, t), as in the three-way acceptance
     # check.
     scale = np.array(times)[:, None, None]
-    return tuple(expm(scale * liouvillian_sector(params, dim, k).real) for k in range(dim))
+    table = _literal_rhs(params, dim)
+    return tuple(expm(scale * _sector_block(table, k).real) for k in range(dim))
 
 
 def evolve_numeric_expm_grid(
@@ -329,8 +334,8 @@ def _literal_rhs(params: ModelParams, dim: int) -> tuple[np.ndarray, np.ndarray,
     (a^dag r a)[i, j] = sqrt(i j) r[i-1, j-1]; ``lower`` and ``raise_`` are
     mu and nu times the (D-1)-square sqrt((i+1)(j+1)). Everything else is
     the entrywise ``coef``, where a a^dag is kept as the truncated product
-    diag(1, ..., D-1, 0), not N + 1. The RK4 oracle reads its blocks off
-    these O(D^2) coefficients and never applies the right-hand side.
+    diag(1, ..., D-1, 0), not N + 1. Both oracles read their blocks off
+    these O(D^2) coefficients; neither applies the right-hand side.
     """
     levels = np.arange(dim, dtype=float)
     aad_diag = np.append(levels[1:], 0.0)
@@ -368,19 +373,14 @@ def _rk4_powers(params: ModelParams, dim: int, t: float, steps: int) -> tuple[np
     # (I + B_k)^steps - I for k = 0 .. D-1, about (1/3) 16 D^3 bytes; the
     # -k power is its conjugate. Treat as read-only. Grid segments of equal
     # length and step count share one entry.
-    coef, lower, raise_ = _literal_rhs(params, dim)
+    table = _literal_rhs(params, dim)
     h = t / steps
     powers = []
     for k in range(dim):
-        rows, cols = _sector_entries(dim, k)
-        # h A_k on the entries (i, i + k): tridiagonal, ordered by min(i, j).
-        ha = np.diag(h * coef[rows, cols])
-        p = np.arange(rows.size - 1)
-        ha[p, p + 1] = h * lower[rows[:-1], cols[:-1]]
-        ha[p + 1, p] = h * raise_[rows[:-1], cols[:-1]]
+        ha = h * _sector_block(table, k)
         # One RK4 step of a linear equation is I + B with
         # B = hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24, so n steps are (I + B)^n.
-        eye = np.eye(rows.size)
+        eye = np.eye(len(ha))
         b = ha @ (eye + ha @ (eye + ha @ (eye + ha / 4.0) / 3.0) / 2.0)
         powers.append(_increment_power(b, steps))
     return tuple(powers)
@@ -407,20 +407,19 @@ def evolve_numeric_rk4(
     :func:`_increment_power`) for k >= 0 and conjugated for -k. The powers
     of the last (params, D, t, steps) are kept, so equal segments of a grid
     raise them once. ``steps`` must satisfy the
-    stability bound step * (omega + mu + nu) * D <= 0.1 and stay within
-    ``RK4_MAX_STEPS`` and, times D^2, within ``RK4_MAX_WORK``.
+    stability bound step * (omega + mu + nu) * D <= 0.1 and, times D^2,
+    stay within ``RK4_MAX_WORK``.
     """
     check_evolution_args(rho0, params, t, tolerances)
     if steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps}")
-    if steps > RK4_MAX_STEPS:
-        raise ValueError(
-            f"{steps} RK4 steps exceed the budget of {RK4_MAX_STEPS}; lower omega, "
-            f"mu + nu, the dimension or the time step"
-        )
     if steps * rho0.dim**2 > RK4_MAX_WORK:
+        # The count may pass the double range, so it is rounded as a Decimal,
+        # imported here to keep it out of every other run's start-up.
+        from decimal import Decimal
+
         raise ValueError(
-            f"{steps} RK4 steps at D = {rho0.dim} exceed the work budget of "
+            f"{Decimal(steps):.3e} RK4 steps at D = {rho0.dim} exceed the work budget of "
             f"{RK4_MAX_WORK:.1e} steps x D^2; lower omega, mu + nu, the dimension "
             f"or the time step"
         )

@@ -52,7 +52,9 @@ The truncation certificate uses block stability: the dim-D result equals,
 entry for entry, the top D x D block of the run on the state zero-padded to 2D
 (the series never feeds population back down across the cutoff). A
 certified grid therefore evolves once, at 2D, takes the dim-D state as
-that block and the escape distance as the norm of everything outside it.
+that block and the escape distance as the norm of everything outside it,
+or the trace the 2D run lost where that is larger than the certificate's
+tolerance (a pump can carry the state past 2D as well).
 """
 
 from __future__ import annotations
@@ -111,7 +113,9 @@ def evolve_analytic_grid(
     to the dim-D result; only zeros outside a term's box may differ in
     sign) and its escape distance, the quantity of
     :func:`doubled_truncation_distance`, is the Frobenius norm of the
-    entries outside the block.
+    entries outside the block. Weight the 2D run pushes past its own top
+    level is outside both; so a 2D run that has lost more than
+    ``TRUNCATION_DOUBLING_TOL`` of rho0's trace reports at least that loss.
     """
     times = np.asarray(times, dtype=float)
     check_evolution_args(rho0, params, times, tolerances)
@@ -132,11 +136,18 @@ def evolve_analytic_grid(
     # Zero-padding keeps Hermiticity, trace and spectrum: no second check.
     layout = _layout(rho0.mat, 2 * d if certify else d)
     outside = ~_inside(layout, d)
+    diagonal = np.broadcast_to(layout.i == layout.j, layout.values.shape)
+    trace0 = float(np.trace(rho0.mat).real)
     states, escapes = [], []
     for evolved, block in _evolved_chunks(layout, rho0.trunc, lower, left, upper, prefactor):
         states += block
         if certify:
-            escapes += [float(np.linalg.norm(values)) for values in evolved[:, outside]]
+            for values in evolved:
+                escape = float(np.linalg.norm(values[outside]))
+                # Weight that has left the doubled space as well is in
+                # neither block; only the trace it took along shows it.
+                lost = trace0 - float(values[diagonal].sum().real)
+                escapes.append(max(escape, lost) if lost > TRUNCATION_DOUBLING_TOL else escape)
     return states, np.array(escapes) if certify else None
 
 
@@ -204,7 +215,9 @@ def doubled_truncation_distance(
     Frobenius norm. A small value certifies the retained dimension holds the
     evolution; the CLI --check-truncation flag gates runs on it at 1e-9.
     The shared block agrees identically, so this is exactly the weight the
-    dim-D run loses above its top level (see :func:`evolve_analytic_grid`).
+    dim-D run loses above its top level, unless the weight has left the 2D
+    space too: then the trace the 2D run lost is reported instead (see
+    :func:`evolve_analytic_grid`).
     """
     _, escapes = evolve_analytic_grid(rho0, params, [t], tolerances=tolerances, certify=True)
     return float(escapes[0])

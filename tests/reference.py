@@ -19,13 +19,15 @@ def devectorize(v: np.ndarray, dim: int) -> np.ndarray:
 
 
 def build_liouvillian(params: fock.ModelParams, trunc: fock.TruncationConfig) -> np.ndarray:
-    """Generator of the vectorized master equation, a dense D^2 x D^2 matrix.
+    """The K form of the generator, a dense D^2 x D^2 matrix.
 
     The phase theta cancels from every term, so the result is
-    theta-independent. Note the K3 term absorbs the commutator rewriting
+    theta-independent. The K3 term absorbs the commutator rewriting
     a a^dag = N + 1, which on the truncated space differs from the literal
     product b b^dag by D |D-1><D-1|; trace conservation therefore holds
-    exactly only on states with no population at the edge level.
+    exactly only on states with no population at the edge level. This is
+    the form of the identity suites; the oracles integrate
+    :func:`literal_liouvillian`.
     """
     k0, k_plus, k_minus, k3 = liouville.k_superoperators(trunc)
     d2 = trunc.dim**2
@@ -35,6 +37,39 @@ def build_liouvillian(params: fock.ModelParams, trunc: fock.TruncationConfig) ->
         + params.mu * k_minus
         - (params.mu + params.nu) * k3
         + 0.5 * (params.mu - params.nu) * np.eye(d2, dtype=complex)
+    )
+
+
+def literal_rhs(params: fock.ModelParams, trunc: fock.TruncationConfig):
+    """The master equation's right-hand side with the literal truncated operators.
+
+    -i w [N,r] - mu/2 (Nr+rN-2 a r a+) - nu/2 (aa+ r + r aa+ - 2 a+ r a),
+    from dense products of the phased, truncated operators.
+    """
+    ops = fock.build_operators(trunc, params.theta)
+    a, ad, n = ops.a, ops.a_dagger, ops.n_op
+    aad = a @ ad
+
+    def rhs(r):
+        return (
+            -1j * params.omega * (n @ r - r @ n)
+            - 0.5 * params.mu * (n @ r + r @ n - 2.0 * (a @ r @ ad))
+            - 0.5 * params.nu * (aad @ r + r @ aad - 2.0 * (ad @ r @ a))
+        )
+
+    return rhs
+
+
+def literal_liouvillian(params: fock.ModelParams, trunc: fock.TruncationConfig) -> np.ndarray:
+    """Generator of the literal truncated equation, a dense D^2 x D^2 matrix.
+
+    Column m is the vectorized :func:`literal_rhs` of the m-th basis matrix
+    of the row-major flattening. It is the generator both oracles integrate.
+    """
+    rhs = literal_rhs(params, trunc)
+    d = trunc.dim
+    return np.stack(
+        [liouville.vectorize(rhs(basis.reshape(d, d))) for basis in np.eye(d * d)], axis=1
     )
 
 

@@ -289,6 +289,10 @@ def _drawn_state(kind, dim, seed):
 @example(omega=10.0, mu=0.0, nu=0.3, t=1.0, dim=12, kind="coherent", seed=2)
 @example(omega=10.0, mu=2.0, nu=0.0, t=3.0, dim=32, kind="coherent", seed=3)
 @example(omega=3.0, mu=0.5, nu=1.0, t=0.5, dim=12, kind="mixture", seed=4)
+# Pumped top level: both oracles must use the truncated a a^dag there.
+@example(omega=0.0, mu=3.0, nu=1.0, t=3.0, dim=9, kind="fock", seed=0)
+# The pump carries the state past 2D; only the lost trace shows it.
+@example(omega=0.0, mu=0.0, nu=2.0, t=3.0, dim=9, kind="fock", seed=0)
 def test_three_way_agreement_property(omega, mu, nu, t, dim, kind, seed):
     # Criterion 4's rule over the whole input space: on the smallest
     # certified D_o the three methods agree pairwise, and the dim-D closed

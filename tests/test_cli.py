@@ -662,8 +662,8 @@ class TestMainEntry:
         assert cli.main(["evolve", "--config", cfg_path]) == cli.EXIT_VALIDATION
 
     def test_rk4_over_work_budget_exits_1(self, tmp_path, monkeypatch, capsys):
-        # 2 x 2.4e6 steps at D = 24 stay inside the step budget, but steps x D^2
-        # = 2.8e9 does not; the work budget refuses before any set-up.
+        # 2 x 2.4e6 steps at D = 24: steps x D^2 = 2.8e9 is past the work
+        # budget, which refuses before any set-up.
         text = (
             QUANTUM_CONFIG.replace("omega = 0.0", "omega = 1e4")
             .replace("support_max = 1", "support_max = 1\nguard = 22")
@@ -671,7 +671,6 @@ class TestMainEntry:
         )
         cfg = config.load_run_config(write(tmp_path, text))
         steps = 2 * cli.liouville.stability_steps(cfg.params, cfg.trunc.dim, 1.0)
-        assert steps <= cli.liouville.RK4_MAX_STEPS
         assert steps * cfg.trunc.dim**2 > cli.liouville.RK4_MAX_WORK
 
         def no_stepping(*args, **kwargs):
@@ -736,6 +735,31 @@ class TestMainEntry:
         assert code == cli.EXIT_TOLERANCE
         assert not out.exists()
         assert "tolerance failure: truncation not converged at t=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["analytic", "expm", "rk4"])
+    def test_weight_pumped_past_the_doubled_space_fails_the_certificate(
+        self, tmp_path, capsys, method
+    ):
+        # A pure pump carries Fock level 4 of D = 9 past level 17 by t = 3:
+        # the D and 2D runs both read ~0 on and above the cutoff, and only
+        # the trace the 2D run lost shows the escape.
+        edits = {
+            "omega": "0.0", "mu": "0.0", "nu": "2.0", "kind": "fock\nn = 4",
+            "support_max": "4", "guard": "4", "t_start": "3.0", "num_points": "1",
+            "method": method,
+        }
+        text = (ROOT / "configs" / "damped_coherent.ini").read_text()
+        text = re.sub(r"^(re|im) = .*\n", "", text, flags=re.M)
+        for key, value in edits.items():
+            text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        path = write(tmp_path, text)
+        capsys.readouterr()
+        assert cli.main(["evolve", "--config", path, "--check-truncation"]) == cli.EXIT_TOLERANCE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        warning, failure = captured.err.splitlines()
+        assert warning.startswith("warning: pump nu=2.0 exceeds loss mu=0.0: ")
+        assert failure.startswith("tolerance failure: truncation not converged at t=3: ")
 
     def test_dense_oracle_over_size_budget_exits_1(self, tmp_path, monkeypatch, capsys):
         # The expm oracle runs by sectors; one level above its budget it must
@@ -836,7 +860,7 @@ class TestOneRateBound:
     8 (omega + mu + nu) D max(1, t) overflows past mu ~ 3.1e305 here. Below
     it every run finishes with no numpy warning, which the suite's
     error::RuntimeWarning would raise: `evolve` prints its CSV, and
-    `compare` stops at the RK4 oracle's step budget. Above it every run
+    `compare` stops at the RK4 oracle's work budget. Above it every run
     exits 1 with the one error line of :func:`qdho.fock.check_evolution_args`.
     """
 
@@ -847,7 +871,10 @@ class TestOneRateBound:
         ("evolve", {"method": "expm"}, []),
         ("compare", {}, []),
     ]
-    RK4_BUDGET = r"error: \d+ RK4 steps exceed the budget of 10000000; [^\n]*\n"
+    RK4_BUDGET = (
+        r"error: \d\.\d{3}e\+\d+ RK4 steps at D = 24 exceed the work budget of "
+        r"2\.0e\+08 steps x D\^2; [^\n]*\n"
+    )
 
     def _run(self, tmp_path, capsys, mu, verb, edits, flags):
         text = (ROOT / "configs" / "damped_coherent.ini").read_text()
@@ -865,6 +892,7 @@ class TestOneRateBound:
         if verb == "compare":
             assert code == cli.EXIT_VALIDATION
             assert re.fullmatch(self.RK4_BUDGET, captured.err)
+            assert len(captured.err) < 200
         else:
             assert (code, captured.err) == (cli.EXIT_OK, "")
             assert captured.out.startswith("t,trace_re,")

@@ -10,29 +10,12 @@ from hypothesis import strategies as st
 
 from qdho import config, fock, liouville, su11
 from qdho.verification import random_interior_density
-from reference import build_liouvillian, devectorize
+from reference import build_liouvillian, devectorize, literal_liouvillian, literal_rhs
 
 
 def trunc_of(dim, support=None):
     support = dim - 1 if support is None else support
     return fock.TruncationConfig(dim=dim, support_max=support, guard=dim - 1 - support)
-
-
-def literal_rhs(params, trunc):
-    # -i w [N,r] - mu/2 (Nr+rN-2 a r a+) - nu/2 (aa+ r + r aa+ - 2 a+ r a)
-    # from dense products of the phased, truncated operators.
-    ops = fock.build_operators(trunc, params.theta)
-    a, ad, n = ops.a, ops.a_dagger, ops.n_op
-    aad = a @ ad
-
-    def rhs(r):
-        return (
-            -1j * params.omega * (n @ r - r @ n)
-            - 0.5 * params.mu * (n @ r + r @ n - 2.0 * (a @ r @ ad))
-            - 0.5 * params.nu * (aad @ r + r @ aad - 2.0 * (ad @ r @ a))
-        )
-
-    return rhs
 
 
 def rk4_step_loop(rhs, r, h, steps):
@@ -214,16 +197,23 @@ class TestLiouvillianSectors:
     )
     def test_blocks_assemble_to_dense_liouvillian(self, dim, omega, mu, nu):
         # Sector k holds the entries (i, i + k), ordered by i; placed at their
-        # row-major vector positions the blocks must rebuild L entry by entry,
-        # zeros between sectors included.
+        # row-major vector positions the blocks must rebuild the literal
+        # truncated generator entry by entry, zeros between sectors included.
+        # It differs from the K form only on the diagonal: by nu D / 2 for
+        # each of i and j at the top level D - 1.
         params = fock.ModelParams(omega=omega, mu=mu, nu=nu, theta=0.4)
-        dense = build_liouvillian(params, trunc_of(dim))
+        trunc = trunc_of(dim)
+        dense = literal_liouvillian(params, trunc)
         assembled = np.zeros_like(dense)
         for k in range(1 - dim, dim):
             idx = [i * dim + i + k for i in range(dim) if 0 <= i + k < dim]
             assembled[np.ix_(idx, idx)] = liouville.liouvillian_sector(params, dim, k)
         scale = max(1.0, float(np.abs(dense).max()))
         assert np.abs(assembled - dense).max() <= 1e-15 * scale
+        top = np.arange(dim) == dim - 1
+        edge = 0.5 * nu * dim * (top[:, None].astype(float) + top[None, :]).reshape(-1)
+        k_form = build_liouvillian(params, trunc)
+        assert np.abs(assembled - k_form - np.diag(edge)).max() <= 1e-15 * scale
 
     @pytest.mark.parametrize("dim", [1, 5, 16])
     def test_negative_sector_is_conjugate_of_positive(self, dim):
@@ -344,6 +334,20 @@ class TestExpm:
     def test_stack_with_one_unscalable_member_raises(self):
         with pytest.raises(ValueError, match="over 2\\^1022"):
             liouville.expm(np.array([[[1.0]], [[1e308]]]))
+
+    def test_refuses_an_exponential_past_the_double_range(self):
+        # e^1000 overflows in the squarings; the suite's error::RuntimeWarning
+        # would turn a leaked numpy warning into a different exception.
+        with pytest.raises(ValueError, match="overflows double precision"):
+            liouville.expm(np.array([[1000.0]]))
+
+    def test_stack_with_one_overflowing_member_raises(self):
+        with pytest.raises(ValueError, match="overflows double precision"):
+            liouville.expm(np.array([[[1.0]], [[1000.0]]]))
+
+    def test_largest_finite_exponential(self):
+        got = liouville.expm(np.array([[709.0]]))[0, 0]
+        assert abs(got - math.exp(709.0)) <= 1e-13 * math.exp(709.0)
 
 
 _SECTOR_RATES = [(2.0 * math.pi, 1.0, 0.4), (0.0, 1.0, 0.0), (1.7, 0.8, 0.8), (3.0, 0.2, 1.5)]
@@ -527,11 +531,11 @@ class TestEvolveNumericExpmGrid:
     def test_skewed_state_matches_dense_liouvillian(self):
         # The -k diagonal gets the conjugate block, not the conjugate of the
         # evolved +k diagonal: a state that is Hermitian only to a tolerance
-        # must still follow exp(t L) on every entry.
+        # must still follow exp(t L) of the literal generator on every entry.
         dim = 7
         params = fock.ModelParams(omega=1.3, mu=0.7, nu=0.4, theta=0.9)
         rho0 = skewed_state(dim, 11)
-        lv = build_liouvillian(params, trunc_of(dim))
+        lv = literal_liouvillian(params, trunc_of(dim))
         for t, state in zip(
             (0.4, 1.5),
             liouville.evolve_numeric_expm_grid(rho0, params, [0.4, 1.5], tolerances=SKEW_TOLERANCES),
@@ -755,25 +759,33 @@ class TestEvolveNumericRk4:
 
     def test_rejects_step_count_over_budget(self, monkeypatch):
         # omega = 1e8 at D = 24, t = 3 would need 7.2e10 steps. The call must
-        # fail on the count alone; the oversized integration never starts.
+        # fail on the work budget alone, naming the count in four digits; the
+        # oversized integration never starts.
         params = fock.ModelParams(omega=1e8, mu=1.0, nu=0.4)
         needed = liouville.stability_steps(params, 24, 3.0)
-        assert needed == 72_000_001_008 > liouville.RK4_MAX_STEPS
+        assert needed == 72_000_001_008
+        assert needed * 24**2 > liouville.RK4_MAX_WORK
 
         def no_stepping(*args, **kwargs):
-            raise AssertionError("RK4 set up its right-hand side despite the step budget")
+            raise AssertionError("RK4 set up its right-hand side despite the work budget")
 
         monkeypatch.setattr(liouville, "_literal_rhs", no_stepping)
         rho0 = fock.fock_state(0, trunc_of(24))
-        with pytest.raises(ValueError, match="budget"):
+        with pytest.raises(ValueError, match=r"^7\.200e\+10 RK4 steps at D = 24 exceed the work"):
             liouville.evolve_numeric_rk4(rho0, params, 3.0, needed)
 
+    def test_count_past_the_double_range_prints_compactly(self, monkeypatch):
+        # A step count need not fit a float; the message rounds it exactly.
+        monkeypatch.setattr(liouville, "_literal_rhs", None)  # set-up would fail
+        rho0 = fock.fock_state(0, trunc_of(2))
+        with pytest.raises(ValueError, match=r"^1\.235e\+400 RK4 steps at D = 2 exceed"):
+            liouville.evolve_numeric_rk4(rho0, fock.ModelParams(mu=1.0), 1.0, 12346 * 10**396)
+
     def test_rejects_work_over_budget(self, monkeypatch):
-        # omega = 1e4 at D = 24, t = 1: 2.4e6 steps are inside the step
-        # budget, but steps x D^2 = 1.4e9 is not. Nothing is set up.
+        # omega = 1e4 at D = 24, t = 1: 2.4e6 steps, but steps x D^2 = 1.4e9
+        # is past the work budget. Nothing is set up.
         params = fock.ModelParams(omega=1e4, mu=1.0, nu=0.4)
         steps = liouville.stability_steps(params, 24, 1.0)
-        assert steps <= liouville.RK4_MAX_STEPS < steps * 24**2
         assert steps * 24**2 > liouville.RK4_MAX_WORK
 
         def no_stepping(*args, **kwargs):
