@@ -11,7 +11,10 @@ K3 = (kron(N,1) + kron(1,N) + 1)/2 and K0 = kron(N,1) - kron(1,N).
 K0 commutes with the other three, so L keeps the off-diagonal index
 k = j - i fixed: it splits into 2D - 1 tridiagonal blocks, one per k. The
 su(1,1) relations of the disentangling hold in this K form; the identity
-suites check them on the dense real superoperators.
+suites check them on sector blocks cut from the dense real
+superoperators. One cached index (:func:`_sector_order`) lists the
+entries of a flattened matrix sector by sector; the oracles and the
+suites gather a sector as one slice of it.
 
 K3 absorbs a a^dag = N + 1, where the literal truncated product is
 diag(1, ..., D - 1, 0): the two differ only in the pump's diagonal at
@@ -195,6 +198,26 @@ def _sector_entries(dim: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return p + max(0, -k), p + max(0, k)
 
 
+@lru_cache(maxsize=8)
+def _sector_order(dim: int) -> tuple[np.ndarray, tuple[slice, ...]]:
+    """The row-major entries of a D x D matrix listed sector by sector.
+
+    Returns (order, spans): ``order`` is a permutation of range(D^2) that
+    lists the diagonals k = 1-D .. D-1 in turn, each ordered by min(i, j)
+    as :func:`_sector_entries` orders it, and ``spans[D - 1 + k]`` is the
+    slice of ``order`` sector k occupies. So ``flat[order]`` of a
+    flattened matrix holds sector k contiguously at that slice, and one
+    put through ``order`` scatters them back. ``order`` is read-only.
+    """
+    sizes = [dim - abs(k) for k in range(1 - dim, dim)]
+    order = np.concatenate(
+        [rows * dim + cols for rows, cols in (_sector_entries(dim, k) for k in range(1 - dim, dim))]
+    )
+    order.flags.writeable = False
+    ends = np.cumsum(sizes).tolist()
+    return order, tuple(slice(end - size, end) for end, size in zip(ends, sizes))
+
+
 def _sector_block(table, k: int) -> np.ndarray:
     """Block k of the :func:`_literal_rhs` ``table``; row p is the entry with min(i, j) = p."""
     coef, lower, raise_ = table
@@ -222,22 +245,6 @@ def liouvillian_sector(params: ModelParams, dim: int, k: int) -> np.ndarray:
 def _upper_block_entries(dim: int) -> int:
     """Entries of the blocks k = 0 .. D-1 together: the sum of s^2 for s <= D."""
     return dim * (dim + 1) * (2 * dim + 1) // 6
-
-
-def _sector_blocks(blocks):
-    """(rows, cols, block) for every sector, from the RK4 blocks of k = 0 .. D-1.
-
-    Sector -k of the generator is the entrywise conjugate of sector k, and
-    so is every matrix the RK4 oracle forms from it, so the -k diagonal
-    gets the conjugate of the k block. The block is never applied to the
-    conjugate of the k diagonal instead: the state is Hermitian only to a
-    tolerance.
-    """
-    dim = len(blocks)
-    for k, block in enumerate(blocks):
-        yield (*_sector_entries(dim, k), block)
-        if k:
-            yield (*_sector_entries(dim, -k), block.conj())
 
 
 @lru_cache(maxsize=1)
@@ -282,18 +289,23 @@ def evolve_numeric_expm_grid(
     times = np.asarray(times, dtype=float)
     check_evolution_args(rho0, params, times, tolerances)
     chunk = max(1, _upper_block_entries(ORACLE_MAX_DIM) // _upper_block_entries(dim))
+    order, spans = _sector_order(dim)
+    sectors = rho0.mat.reshape(-1)[order]
     states = []
     for start in range(0, times.size, chunk):
         part = times[start : start + chunk]
         block_exps = _cached_propagator(params, dim, tuple(float(t) for t in part))
-        evolved = np.empty((part.size, dim, dim), dtype=complex)
+        moved = np.empty((part.size, dim * dim), dtype=complex)
         for k in range(1 - dim, dim):
-            rows, cols = _sector_entries(dim, k)
+            span = spans[dim - 1 + k]
             # The real stack takes the diagonal's real and imaginary parts
             # as the two columns of one real product.
-            parts = block_exps[abs(k)] @ rho0.mat[rows, cols].view(float).reshape(-1, 2)
+            parts = block_exps[abs(k)] @ sectors[span].view(float).reshape(-1, 2)
             phase = np.exp(1j * (params.omega * k * part))
-            evolved[:, rows, cols] = phase[:, None] * parts.view(complex)[..., 0]
+            moved[:, span] = phase[:, None] * parts.view(complex)[..., 0]
+        evolved = np.empty_like(moved)
+        evolved[:, order] = moved
+        evolved = evolved.reshape(-1, dim, dim)
         states += [DensityMatrix(mat=mat, trunc=rho0.trunc) for mat in evolved]
     return states
 
@@ -429,8 +441,19 @@ def evolve_numeric_rk4(
             f"{steps} steps violate the stability bound "
             f"h*(omega+mu+nu)*D <= {RK4_STABILITY_LIMIT} (need >= {needed})"
         )
-    evolved = np.empty_like(rho0.mat)
-    for rows, cols, power in _sector_blocks(_rk4_powers(params, rho0.dim, float(t), steps)):
-        vec = rho0.mat[rows, cols]
-        evolved[rows, cols] = vec + power @ vec
-    return DensityMatrix(mat=evolved, trunc=rho0.trunc)
+    dim = rho0.dim
+    powers = _rk4_powers(params, dim, float(t), steps)
+    order, spans = _sector_order(dim)
+    sectors = rho0.mat.reshape(-1)[order]
+    moved = np.empty_like(sectors)
+    # Sector -k of the generator is the entrywise conjugate of sector k, and
+    # so is every matrix formed from it, so the -k diagonal gets the
+    # conjugate of the k power. The power is never applied to the conjugate
+    # of the k diagonal instead: the state is Hermitian only to a tolerance.
+    for k in range(1 - dim, dim):
+        power = powers[k] if k >= 0 else powers[-k].conj()
+        span = spans[dim - 1 + k]
+        moved[span] = sectors[span] + power @ sectors[span]
+    evolved = np.empty_like(moved)
+    evolved[order] = moved
+    return DensityMatrix(mat=evolved.reshape(dim, dim), trunc=rho0.trunc)

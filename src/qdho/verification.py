@@ -60,15 +60,18 @@ def disentangled_product_2x2(coeffs, generators=None) -> np.ndarray:
 
     ``coeffs`` is one :class:`su11.DisentanglingCoefficients` (one product)
     or a sequence of them (a stack of products, one stacked exponential per
-    factor). ``generators`` is (k+, k-, k3) in any representation; the
-    default is the defining 2x2 one of :func:`su11.k_generators`.
+    factor). ``generators`` is (k+, k-, k3) in any representation, each one
+    matrix or a stack of them; the default is the defining 2x2 one of
+    :func:`su11.k_generators`. The product has shape
+    (len(coeffs),) + generator shape, without the first axis for one
+    :class:`su11.DisentanglingCoefficients`.
     """
     single = isinstance(coeffs, su11.DisentanglingCoefficients)
     batch = [coeffs] if single else coeffs
     k_plus, k_minus, k3 = su11.k_generators() if generators is None else generators
 
     def factor(values, generator):
-        return liouville.expm(np.array(values)[:, None, None] * generator)
+        return liouville.expm(np.array(values).reshape((-1,) + (1,) * generator.ndim) * generator)
 
     product = (
         factor([c.g_coef for c in batch], k_plus)
@@ -136,13 +139,24 @@ def suite_gauss_reconstruction(count: int = 50, seed: int = 17) -> SuiteResult:
 
 
 def suite_k0_commutativity(dims: tuple[int, ...] = (4, 8, 16)) -> SuiteResult:
-    """K0 commutes with K+, K- and K3 exactly, even on the truncated space."""
+    """K0 is diagonal and commutes with K+, K- and K3 exactly, even on the truncated space.
+
+    K0's off-diagonal entries must be exactly 0; the largest of them counts
+    into the residual. With K0 = diag(d) the commutator is entrywise,
+    [K0, X]_ab = (d_a - d_b) X_ab, and reads exactly 0 wherever
+    K0 X - X K0 does. d is i - j on the entry (i, j), so a zero commutator
+    means X keeps k = j - i: X has no entry outside the sector blocks that
+    :func:`suite_disentangling_superop` exponentiates.
+    """
     worst = 0.0
     for dim in dims:
         trunc = TruncationConfig(dim=dim, support_max=dim - 1, guard=0)
         k0, k_plus, k_minus, k3 = liouville.k_superoperators(trunc)
+        d = np.diagonal(k0)
+        worst = max(worst, float(np.abs(k0 - np.diag(d)).max()))
+        gaps = d[:, None] - d[None, :]
         for other in (k_plus, k_minus, k3):
-            worst = max(worst, float(np.abs(_comm(k0, other)).max()))
+            worst = max(worst, float(np.abs(gaps * other).max()))
     return SuiteResult("k0-commutativity", 3 * len(dims), worst, 1e-14)
 
 
@@ -152,13 +166,24 @@ def suite_disentangling_superop(
     """Factored superoperator product matches expm of the Lindblad generator.
 
     Asserted on interior-supported states (levels <= D-4), where truncation
-    has not yet broken the su(1,1) relations.
+    has not yet broken the su(1,1) relations. K+, K- and K3 keep k = j - i
+    (:func:`suite_k0_commutativity` checks that), so both sides run on the
+    2D - 1 sector blocks cut from the dense superoperators, each zero-padded
+    to D x D and stacked. The padding is exact: the exponential of
+    diag(B, 0) is diag(exp(B), I), and the padding changes neither a
+    member's max-row-sum norm nor its squaring count. A (params, state)
+    pair's residual is its 2-norm over all sectors.
     """
     rng = np.random.default_rng(seed)
     trunc = TruncationConfig(dim=dim, support_max=dim - 4, guard=3)
-    k0, k_plus, k_minus, k3 = liouville.k_superoperators(trunc)
+    index = _padded_sector_index(dim)
+    # (2D - 1, D, D) stacks of blocks and (2D - 1, D, 1) stacks of columns.
+    k_plus, k_minus, k3 = (
+        np.pad(op, (0, 1))[index[:, :, None], index[:, None, :]]
+        for op in liouville.k_superoperators(trunc)[1:]
+    )
     states = [
-        liouville.vectorize(random_interior_density(dim, dim - 4, rng))
+        np.append(liouville.vectorize(random_interior_density(dim, dim - 4, rng)), 0.0)[index, None]
         for _ in range(n_states)
     ]
     # Pump amplitudes kept small: the raising ladder of the factored form
@@ -178,6 +203,19 @@ def suite_disentangling_superop(
         for vec in states:
             worst = max(worst, float(np.linalg.norm(lhs_op @ vec - rhs_op @ vec)))
     return SuiteResult("disentangling-superop", len(params) * n_states, worst, 1e-9)
+
+
+def _padded_sector_index(dim: int) -> np.ndarray:
+    """Row k + D - 1 lists sector k's entries of a flattened D x D matrix, padded with D^2.
+
+    Entry D^2 is one past the last, so a vector or matrix padded with one
+    zero reads as sector blocks zero-padded to D.
+    """
+    order, spans = liouville._sector_order(dim)
+    index = np.full((len(spans), dim), dim * dim)
+    for row, span in zip(index, spans):
+        row[: span.stop - span.start] = order[span]
+    return index
 
 
 def random_interior_density(dim: int, support: int, rng: np.random.Generator) -> np.ndarray:

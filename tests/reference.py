@@ -7,7 +7,7 @@ the vectorization convention and the truncation certificate stand for.
 
 import numpy as np
 
-from qdho import fock, liouville
+from qdho import fock, liouville, su11, verification
 
 
 def devectorize(v: np.ndarray, dim: int) -> np.ndarray:
@@ -78,3 +78,32 @@ def doubled(trunc: fock.TruncationConfig) -> fock.TruncationConfig:
     return fock.TruncationConfig(
         dim=2 * trunc.dim, support_max=trunc.support_max, guard=trunc.guard + trunc.dim
     )
+
+
+def dense_disentangling_superop_residual(dim: int, n_states: int, seed: int) -> float:
+    """:func:`qdho.verification.suite_disentangling_superop` on the dense superoperators.
+
+    Both sides are exponentiated as D^2 x D^2 matrices, with no use of the
+    sectors; the residual of a (params, state) pair is the 2-norm of the
+    difference of the evolved vectors.
+    """
+    rng = np.random.default_rng(seed)
+    trunc = fock.TruncationConfig(dim=dim, support_max=dim - 4, guard=3)
+    k0, k_plus, k_minus, k3 = liouville.k_superoperators(trunc)
+    states = [
+        liouville.vectorize(verification.random_interior_density(dim, dim - 4, rng))
+        for _ in range(n_states)
+    ]
+    params = ((1.0, 0.0, 0.8), (2.0, 0.0, 0.5), (0.8, 0.001, 1.0), (0.002, 0.002, 1.0))
+    lhs_ops = liouville.expm(
+        np.array([t * (nu * k_plus + mu * k_minus - (mu + nu) * k3) for mu, nu, t in params])
+    )
+    rhs_ops = verification.disentangled_product_2x2(
+        [su11.disentangling_coefficients(mu, nu, t) for mu, nu, t in params],
+        (k_plus, k_minus, k3),
+    )
+    worst = 0.0
+    for lhs_op, rhs_op in zip(lhs_ops, rhs_ops):
+        for vec in states:
+            worst = max(worst, float(np.linalg.norm(lhs_op @ vec - rhs_op @ vec)))
+    return worst

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import qdho.su11
-from qdho import cli, config, fock, propagator, verification
+from qdho import cli, config, fock, liouville, propagator, verification
 
 QUANTUM_CONFIG = """
 [model]
@@ -443,6 +443,29 @@ class TestCmdVerify:
         suites = {s.name: s for s in verification.run_identity_suites()}
         assert not suites["disentangling-2x2"].passed
         assert not suites["disentangling-superop"].passed
+        report, code = cli.cmd_verify()
+        assert code == cli.EXIT_TOLERANCE
+        assert "RESULT fail" in report
+
+    @pytest.mark.parametrize(
+        "which, row, col, value",
+        [
+            # K0 gains an off-diagonal entry.
+            (0, 0, 1, 1e-3),
+            # K+ couples entry (0, 0), sector 0, to entry (0, 1), sector 1.
+            (1, 0, 1, 1.0),
+        ],
+    )
+    def test_sector_mixing_mutation_is_caught(self, monkeypatch, which, row, col, value):
+        original = liouville.k_superoperators
+
+        def mutated(trunc):
+            ops = original(trunc)
+            ops[which][row, col] = value
+            return ops
+
+        monkeypatch.setattr(liouville, "k_superoperators", mutated)
+        assert not verification.suite_k0_commutativity().passed
         report, code = cli.cmd_verify()
         assert code == cli.EXIT_TOLERANCE
         assert "RESULT fail" in report

@@ -8,9 +8,15 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdho import config, fock, liouville, su11
+from qdho import config, fock, liouville, su11, verification
 from qdho.verification import random_interior_density
-from reference import build_liouvillian, devectorize, literal_liouvillian, literal_rhs
+from reference import (
+    build_liouvillian,
+    dense_disentangling_superop_residual,
+    devectorize,
+    literal_liouvillian,
+    literal_rhs,
+)
 
 
 def trunc_of(dim, support=None):
@@ -228,6 +234,17 @@ class TestLiouvillianSectors:
     def test_rejects_sector_outside_space(self):
         with pytest.raises(ValueError):
             liouville.liouvillian_sector(fock.ModelParams(mu=1.0), 4, 4)
+
+    @pytest.mark.parametrize("dim", range(1, 10))
+    def test_sector_order_lists_each_sector_in_turn(self, dim):
+        # Both oracles and the superoperator suite gather sector k as one
+        # slice of the flattened matrix taken through this permutation.
+        order, spans = liouville._sector_order(dim)
+        assert sorted(order.tolist()) == list(range(dim * dim))
+        assert len(spans) == 2 * dim - 1
+        for k, span in zip(range(1 - dim, dim), spans):
+            rows, cols = liouville._sector_entries(dim, k)
+            assert order[span].tolist() == (rows * dim + cols).tolist()
 
 
 @st.composite
@@ -865,6 +882,24 @@ class TestSuperoperatorDisentangling:
         assert residuals[0] > 1e-4  # genuinely broken at dim 12
         assert all(r1 / r2 > 50 for r1, r2 in zip(residuals, residuals[1:]))
         assert residuals[-1] <= 1e-9
+
+    @pytest.mark.parametrize("dim, n_states, seed", [(10, 5, 99), (12, 10, 12), (16, 5, 3)])
+    def test_sectored_suite_matches_dense_reference(self, monkeypatch, dim, n_states, seed):
+        # The suite exponentiates zero-padded D x D sector blocks; the
+        # reference exponentiates the D^2 x D^2 superoperators themselves.
+        shapes = []
+        expm = liouville.expm
+
+        def recording_expm(m):
+            shapes.append(np.shape(m))
+            return expm(m)
+
+        monkeypatch.setattr(liouville, "expm", recording_expm)
+        sectored = verification.suite_disentangling_superop(dim, n_states, seed).max_residual
+        monkeypatch.undo()
+        assert shapes and all(shape[-2:] == (dim, dim) for shape in shapes)
+        dense = dense_disentangling_superop_residual(dim, n_states, seed)
+        assert abs(sectored - dense) <= 1e-6 * dense
 
     def test_hamiltonian_factor_commutes_out(self):
         # exp(tL) = exp(-i w t K0) exp(t(nu K+ + mu K- - (mu+nu)K3)) e^{(mu-nu)t/2}
