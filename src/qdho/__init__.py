@@ -41,6 +41,7 @@ from .liouville import (
     evolve_numeric_expm,
     evolve_numeric_expm_grid,
     evolve_numeric_rk4,
+    evolve_numeric_rk4_grid,
     expm,
     k_superoperators,
     sandwich_check,

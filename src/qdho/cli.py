@@ -44,8 +44,6 @@ EXIT_NUMERIC = 3
 #: Classical CSV runs integrate much finer than the bare stability bound so
 #: the deviation column sits well under 1e-8.
 _CLASSICAL_STEP_LIMIT = 4e-3
-#: RK4 grid runs use twice the minimum step count for accuracy headroom.
-_RK4_MARGIN = 2
 
 
 class ToleranceFailure(Exception):
@@ -103,25 +101,7 @@ def _evolve_on_grid(rho0: DensityMatrix, cfg: RunConfig, times: np.ndarray) -> l
         return propagator.evolve_nu_zero_grid(rho0, params.mu, params.omega, times, tolerances=tols)
     if cfg.method == "expm":
         return liouville.evolve_numeric_expm_grid(rho0, params, times, tolerances=tols)
-    return _rk4_on_grid(rho0, cfg, times)
-
-
-def _rk4_on_grid(rho0: DensityMatrix, cfg: RunConfig, times: np.ndarray) -> list[DensityMatrix]:
-    # RK4 is the one method that steps sequentially along the grid.
-    params = cfg.params
-    out = []
-    current = rho0
-    prev_t = 0.0
-    for t in times:
-        seg = float(t) - prev_t
-        if seg > 0:
-            steps = _RK4_MARGIN * liouville.stability_steps(params, rho0.dim, seg)
-            current = liouville.evolve_numeric_rk4(
-                current, params, seg, steps, tolerances=cfg.tolerances
-            )
-        out.append(current)
-        prev_t = float(t)
-    return out
+    return liouville.evolve_numeric_rk4_grid(rho0, params, times, tolerances=tols)
 
 
 def cmd_evolve(cfg: RunConfig) -> str:
@@ -162,7 +142,7 @@ def cmd_compare(cfg: RunConfig) -> tuple[str, int]:
     tols = cfg.tolerances
     analytic = _analytic_on_grid(rho0, cfg, times)
     via_expm = liouville.evolve_numeric_expm_grid(rho0, cfg.params, times, tolerances=tols)
-    via_rk4 = _rk4_on_grid(rho0, cfg, times)
+    via_rk4 = liouville.evolve_numeric_rk4_grid(rho0, cfg.params, times, tolerances=tols)
     pairs = {"analytic_vs_expm": 0.0, "analytic_vs_rk4": 0.0, "expm_vs_rk4": 0.0}
     lines = []
     for i, t in enumerate(times):
@@ -210,17 +190,11 @@ def cmd_steady(cfg: RunConfig) -> tuple[str, int]:
     return "\n".join(lines) + "\n", EXIT_OK if ok else EXIT_TOLERANCE
 
 
-def cmd_classical(cfg: ClassicalRunConfig) -> tuple[str, list[str]]:
+def cmd_classical(cfg: ClassicalRunConfig) -> str:
     """CSV trajectory of the classical oscillator, analytic and RK4 side by side."""
     params = classical.ClassicalParams(omega=cfg.omega, gamma=cfg.gamma)
     p0 = classical.PhasePoint(x=cfg.x0, y=cfg.y0)
     analytic_ok = params.omega > params.gamma
-    warnings_out = []
-    if not analytic_ok:
-        warnings_out.append(
-            f"warning: omega={params.omega} <= gamma={params.gamma}: analytic columns "
-            f"unsupported (RK4 only)"
-        )
     lines = ["t,x_analytic,y_analytic,x_rk4,y_rk4,deviation"]
     rate = max(params.omega, 2.0 * params.gamma)
     current = p0
@@ -246,7 +220,11 @@ def cmd_classical(cfg: ClassicalRunConfig) -> tuple[str, list[str]]:
             lines.append(
                 ",".join([_fmt(float(t)), "", "", _fmt(current.x), _fmt(current.y), ""])
             )
-    return "\n".join(lines) + "\n", warnings_out
+    if not analytic_ok:  # only a trajectory that was computed warns
+        warnings.warn(
+            f"omega={params.omega} <= gamma={params.gamma}: analytic columns unsupported (RK4 only)"
+        )
+    return "\n".join(lines) + "\n"
 
 
 def cmd_verify() -> tuple[str, int]:
@@ -299,8 +277,11 @@ def _write_output(text: str, destination: str) -> None:
     if destination in ("stdout", "-"):
         sys.stdout.write(text)
     else:
-        with open(destination, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(destination, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {destination}: {exc}") from None
 
 
 def main(argv=None) -> int:
@@ -327,10 +308,7 @@ def _run(argv) -> tuple[int, str | None]:
         if args.verb == "verify":
             text, code = cmd_verify()
         elif args.verb == "classical":
-            text, warn_lines = cmd_classical(load_classical_config(args.config))
-            for line in warn_lines:
-                print(line, file=sys.stderr)
-            code = EXIT_OK
+            text, code = cmd_classical(load_classical_config(args.config)), EXIT_OK
         else:
             cfg = _finalize_config(load_run_config(args.config), args)
             if args.verb == "evolve":

@@ -116,8 +116,6 @@ class TimeGrid:
             raise ConfigError("num_points=1 requires t_start == t_end")
 
     def times(self) -> np.ndarray:
-        if self.num_points == 1:
-            return np.array([self.t_start])
         return np.linspace(self.t_start, self.t_end, self.num_points)
 
 

@@ -250,27 +250,22 @@ def mixture_state(terms: list[tuple[int, float]], trunc: TruncationConfig) -> De
 
 def validate_density(
     rho,
-    tol: float = 1e-10,
     *,
-    hermiticity_tol: float | None = None,
-    trace_tol: float | None = None,
-    positivity_tol: float | None = None,
+    hermiticity_tol: float = 1e-10,
+    trace_tol: float = 1e-10,
+    positivity_tol: float = 1e-10,
 ) -> ValidationReport:
     """Measure Hermiticity, trace and positivity deviations of a candidate state.
 
     Hermiticity is judged relative to the matrix scale, the trace deviation
-    absolutely, and positivity as smallest eigenvalue >= -tol (LAPACK
-    ``eigvalsh`` on the Hermitian part, which shares no code with the
-    evolution paths). Per-check tolerances default to ``tol``. This is a
-    reporting operation and never raises for a bad state.
+    absolutely, and positivity as smallest eigenvalue >= -positivity_tol
+    (LAPACK ``eigvalsh`` on the Hermitian part, which shares no code with
+    the evolution paths). This is a reporting operation and never raises
+    for a bad state.
     """
     m = np.asarray(getattr(rho, "mat", rho), dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    h_tol = tol if hermiticity_tol is None else hermiticity_tol
-    t_tol = tol if trace_tol is None else trace_tol
-    p_tol = tol if positivity_tol is None else positivity_tol
-
     scale = max(1.0, float(np.abs(m).max()))
     herm_dev = float(np.abs(m - m.conj().T).max())
     trace_dev = abs(complex(np.trace(m)) - 1.0)
@@ -279,9 +274,9 @@ def validate_density(
         hermiticity_dev=herm_dev,
         trace_dev=trace_dev,
         min_eigenvalue=min_eig,
-        hermitian_ok=herm_dev <= h_tol * scale,
-        trace_ok=trace_dev <= t_tol,
-        positive_ok=min_eig >= -p_tol,
+        hermitian_ok=herm_dev <= hermiticity_tol * scale,
+        trace_ok=trace_dev <= trace_tol,
+        positive_ok=min_eig >= -positivity_tol,
         dim=m.shape[0],
     )
 

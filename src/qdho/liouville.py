@@ -34,8 +34,8 @@ time at ``ORACLE_MAX_DIM``. The RK4 oracle takes h times the same complex
 blocks; block -k is the conjugate of block k, and so is its RK4 power, so
 it raises k >= 0 only. On a linear autonomous equation n RK4 steps are
 the n-th power of the one-step matrix, raised per block by binary
-powering: O(D^4 log steps) time and O(D^3) memory; equal grid segments
-share one set of powers.
+powering: O(D^4 log steps) time and O(D^3) memory; the segments of
+:func:`evolve_numeric_rk4_grid` share one set of powers when equal.
 """
 
 from __future__ import annotations
@@ -398,6 +398,32 @@ def _rk4_powers(params: ModelParams, dim: int, t: float, steps: int) -> tuple[np
     return tuple(powers)
 
 
+def evolve_numeric_rk4_grid(
+    rho0: DensityMatrix,
+    params: ModelParams,
+    times,
+    *,
+    tolerances: ToleranceConfig | None = None,
+) -> list[DensityMatrix]:
+    """Step rho0 along ``times`` by :func:`evolve_numeric_rk4`'s integrator.
+
+    :func:`qdho.fock.check_evolution_args` checks rho0, the rates and the
+    whole grid once. Each segment from the time before (0 at first) takes
+    twice ``stability_steps`` of its length, for accuracy headroom; one of
+    zero or negative length repeats the state before it.
+    """
+    times = np.asarray(times, dtype=float)
+    check_evolution_args(rho0, params, times, tolerances)
+    states, current, prev_t = [], rho0, 0.0
+    for t in times.tolist():
+        if t > prev_t:
+            seg = t - prev_t
+            current = _rk4_segment(current, params, seg, 2 * stability_steps(params, rho0.dim, seg))
+        states.append(current)
+        prev_t = t
+    return states
+
+
 def evolve_numeric_rk4(
     rho0: DensityMatrix,
     params: ModelParams,
@@ -423,6 +449,11 @@ def evolve_numeric_rk4(
     stay within ``RK4_MAX_WORK``.
     """
     check_evolution_args(rho0, params, t, tolerances)
+    return _rk4_segment(rho0, params, t, steps)
+
+
+def _rk4_segment(rho0: DensityMatrix, params: ModelParams, t: float, steps: int) -> DensityMatrix:
+    """``steps`` RK4 steps over [0, t] on arguments already checked."""
     if steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps}")
     if steps * rho0.dim**2 > RK4_MAX_WORK:

@@ -374,7 +374,7 @@ def test_criterion_06_conservation_suite(dim24):
             worst_herm = max(
                 worst_herm, float(np.abs(out.mat - out.mat.conj().T).max()) / scale
             )
-            report = fock.validate_density(out.mat, tol=1e-10)
+            report = fock.validate_density(out.mat)
             worst_eig = min(worst_eig, report.min_eigenvalue)
             n_cells += 1
             # The trace bound applies where the doubling-dimension check

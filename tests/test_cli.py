@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -390,14 +391,16 @@ class TestCmdClassical:
             tmp_path,
             CLASSICAL_CONFIG.format(omega=1.0, gamma=0.0, t_end=2 * np.pi, num_points=2),
         )
-        csv, warns = cli.cmd_classical(config.load_classical_config(path))
-        assert not warns
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            csv = cli.cmd_classical(config.load_classical_config(path))
+        assert not caught
         last = csv.strip().split("\n")[-1].split(",")
         assert abs(float(last[1]) - 1.0) <= 1e-10  # x_analytic(2 pi) = 1
 
     def test_underdamped_deviation_column_small(self, tmp_path):
         path = write(tmp_path, CLASSICAL_CONFIG.format(omega=2.0, gamma=1.0, t_end=10.0, num_points=11))
-        csv, _ = cli.cmd_classical(config.load_classical_config(path))
+        csv = cli.cmd_classical(config.load_classical_config(path))
         for line in csv.strip().split("\n")[1:]:
             assert float(line.split(",")[-1]) <= 1e-8
 
@@ -414,8 +417,11 @@ class TestCmdClassical:
 
     def test_overdamped_flags_analytic_columns(self, tmp_path):
         path = write(tmp_path, CLASSICAL_CONFIG.format(omega=1.0, gamma=2.0, t_end=4.0, num_points=5))
-        csv, warns = cli.cmd_classical(config.load_classical_config(path))
-        assert warns and "unsupported" in warns[0]
+        with pytest.warns(UserWarning, match="analytic columns unsupported") as caught:
+            csv = cli.cmd_classical(config.load_classical_config(path))
+        assert [str(w.message) for w in caught] == [
+            "omega=1.0 <= gamma=2.0: analytic columns unsupported (RK4 only)"
+        ]
         for line in csv.strip().split("\n")[1:]:
             fields = line.split(",")
             assert fields[1] == "" and fields[2] == "" and fields[5] == ""
@@ -482,6 +488,28 @@ class TestMainEntry:
     def test_verify_runs_without_config(self, capsys):
         assert cli.main(["verify"]) == cli.EXIT_OK
         assert "RESULT pass" in capsys.readouterr().out
+
+    def test_overdamped_warning_prints_through_main(self, tmp_path, capsys):
+        path = write(tmp_path, CLASSICAL_CONFIG.format(omega=2.0, gamma=3.0, t_end=1.0, num_points=3))
+        assert cli.main(["classical", "--config", path]) == cli.EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "warning: omega=2.0 <= gamma=3.0: analytic columns unsupported (RK4 only)\n"
+        )
+        assert captured.out.startswith("t,x_analytic,")
+
+    @pytest.mark.parametrize("verb", ["verify", "evolve"])
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_unwritable_out_exits_1_with_one_line(self, tmp_path, capsys, verb, target):
+        out = tmp_path / "absent" / "x.txt" if target == "missing-dir" else tmp_path
+        argv = [verb, "--out", str(out)]
+        if verb == "evolve":
+            argv += ["--config", write(tmp_path, QUANTUM_CONFIG)]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"error: cannot write output file {out}: ")
 
     def test_evolve_writes_file(self, tmp_path, capsys):
         cfg_path = write(tmp_path, QUANTUM_CONFIG)
@@ -570,7 +598,8 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("method", ["analytic", "expm", "rk4"])
     def test_gain_warning_prints_once_per_run(self, tmp_path, capsys, method):
-        # RK4 warns once per grid segment; the run prints the message once.
+        # Each method checks its whole grid once, so it warns once; main
+        # would print a repeated message once anyway.
         text = COMPARE_CONFIG.replace("mu = 1.0", "mu = 0.2").replace("nu = 0.4", "nu = 1.5")
         text = text.replace("t_end = 1.0", "t_end = 0.1").replace("method = analytic", f"method = {method}")
         assert cli.main(["evolve", "--config", write(tmp_path, text)]) == cli.EXIT_OK
@@ -620,6 +649,7 @@ class TestMainEntry:
             ({"omega": "1e308", "t_end": "0", "method": "expm"}, "evolve",
              _rate_overflow(omega=1e308, t=0)),
             ({"mu": "1e308", "method": "expm"}, "evolve", _rate_overflow(mu=1e308)),
+            ({"mu": "1e308", "method": "rk4"}, "evolve", _rate_overflow(mu=1e308)),
             ({"nu": "1e308", "method": "expm"}, "evolve", _rate_overflow(nu=1e308)),
             ({"mu": "1e308"}, "evolve", _rate_overflow(mu=1e308)),
             ({"mu": "1e308", "nu": "0", "method": "nu-zero"}, "evolve",
@@ -882,9 +912,10 @@ class TestOneRateBound:
 
     8 (omega + mu + nu) D max(1, t) overflows past mu ~ 3.1e305 here. Below
     it every run finishes with no numpy warning, which the suite's
-    error::RuntimeWarning would raise: `evolve` prints its CSV, and
-    `compare` stops at the RK4 oracle's work budget. Above it every run
-    exits 1 with the one error line of :func:`qdho.fock.check_evolution_args`.
+    error::RuntimeWarning would raise: `evolve` prints its CSV, and RK4
+    runs, `compare`'s included, stop at the RK4 oracle's work budget. Above
+    it every run exits 1 with the one error line of
+    :func:`qdho.fock.check_evolution_args`.
     """
 
     RUNS = [
@@ -892,6 +923,7 @@ class TestOneRateBound:
         ("evolve", {}, ["--check-truncation"]),
         ("evolve", {"nu": "0", "method": "nu-zero"}, []),
         ("evolve", {"method": "expm"}, []),
+        ("evolve", {"method": "rk4"}, []),
         ("compare", {}, []),
     ]
     RK4_BUDGET = (
@@ -912,7 +944,7 @@ class TestOneRateBound:
     @pytest.mark.parametrize("verb, edits, flags", RUNS)
     def test_below_the_bound_runs(self, tmp_path, capsys, verb, edits, flags):
         code, captured = self._run(tmp_path, capsys, "3e305", verb, edits, flags)
-        if verb == "compare":
+        if verb == "compare" or edits.get("method") == "rk4":
             assert code == cli.EXIT_VALIDATION
             assert re.fullmatch(self.RK4_BUDGET, captured.err)
             assert len(captured.err) < 200

@@ -180,14 +180,14 @@ class TestMixtureState:
 
 class TestValidateDensity:
     def test_clean_projector_passes(self):
-        report = fock.validate_density(np.diag([1.0, 0.0]).astype(complex), tol=1e-10)
+        report = fock.validate_density(np.diag([1.0, 0.0]).astype(complex))
         assert report.ok
         assert report.hermiticity_dev == 0.0
         assert report.trace_dev == 0.0
 
     def test_indefinite_diagonal(self):
         # diag(2, -1) has unit trace but a negative eigenvalue.
-        report = fock.validate_density(np.diag([2.0, -1.0]).astype(complex), tol=1e-10)
+        report = fock.validate_density(np.diag([2.0, -1.0]).astype(complex))
         assert report.trace_ok
         assert not report.positive_ok
         assert not report.ok
@@ -197,7 +197,7 @@ class TestValidateDensity:
         # Eigenvalues of [[0.5, 0.6], [0.6, 0.5]] are 1.1 and -0.1 by the
         # quadratic formula.
         m = np.array([[0.5, 0.6], [0.6, 0.5]], dtype=complex)
-        report = fock.validate_density(m, tol=1e-10)
+        report = fock.validate_density(m)
         assert not report.positive_ok
         assert abs(report.min_eigenvalue + 0.1) < 1e-12
         assert report.trace_ok and report.hermitian_ok
@@ -212,7 +212,7 @@ class TestValidateDensity:
         ],
     )
     def test_constructors_pass_validation(self, make):
-        report = fock.validate_density(make(trunc_of(18)).mat, tol=1e-10)
+        report = fock.validate_density(make(trunc_of(18)).mat)
         assert report.ok, report.describe()
 
 

@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -816,6 +817,87 @@ class TestEvolveNumericRk4:
     def test_stability_steps_edge_cases(self):
         assert liouville.stability_steps(fock.ModelParams(), 10, 5.0) == 1
         assert liouville.stability_steps(fock.ModelParams(mu=1.0), 10, 0.0) == 1
+
+
+def rk4_segment_loop(rho0, params, times):
+    # The grid walk the command line once ran itself: one fully checked
+    # call per positive segment, at twice the stability step count.
+    out, current, prev_t = [], rho0, 0.0
+    for t in times:
+        seg = float(t) - prev_t
+        if seg > 0:
+            steps = 2 * liouville.stability_steps(params, rho0.dim, seg)
+            current = liouville.evolve_numeric_rk4(current, params, seg, steps)
+        out.append(current)
+        prev_t = float(t)
+    return out
+
+
+class TestEvolveNumericRk4Grid:
+    @pytest.mark.parametrize(
+        "mu, nu, t_start",
+        [(1.0, 0.4, 0.0), (0.7, 0.7, 0.4), (0.2, 0.6, 0.0)],
+        ids=["damped", "balanced", "gain"],
+    )
+    def test_grid_equals_segment_loop(self, mu, nu, t_start):
+        # configs/damped_coherent.ini's state and D = 24 over 101 points.
+        params = fock.ModelParams(omega=2 * math.pi, mu=mu, nu=nu)
+        rho0 = fock.coherent_state(1.0, trunc_of(24, support=9))
+        times = np.linspace(t_start, 3.0, 101)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", fock.GainWarning)
+            grid = liouville.evolve_numeric_rk4_grid(rho0, params, times)
+            loop = rk4_segment_loop(rho0, params, times)
+        assert len(grid) == len(loop) == 101
+        for state, reference in zip(grid, loop):
+            assert np.array_equal(state.mat, reference.mat)
+
+    def test_validates_rho0_once_per_grid(self, monkeypatch):
+        calls = []
+        original = fock.validate_density
+
+        def counting_validate(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fock, "validate_density", counting_validate)
+        params = fock.ModelParams(omega=2.0, mu=1.0, nu=0.4)
+        rho0 = fock.coherent_state(1.0, trunc_of(12, support=7))
+        states = liouville.evolve_numeric_rk4_grid(rho0, params, np.linspace(0.0, 3.0, 101))
+        assert (len(states), len(calls)) == (101, 1)
+        liouville.evolve_numeric_rk4_grid(rho0, params, [0.5])
+        assert len(calls) == 2
+
+    def test_gain_warns_once_per_grid(self):
+        rho0 = fock.fock_state(1, trunc_of(8))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            liouville.evolve_numeric_rk4_grid(
+                rho0, fock.ModelParams(mu=0.2, nu=1.5), np.linspace(0.0, 0.1, 6)
+            )
+        assert [w.category for w in caught] == [fock.GainWarning]
+
+    def test_rate_bound_uses_the_largest_time(self):
+        # 8 * 1e306 * D = 1.9e308 overflows at t = 1 already; the message
+        # names the grid's last time, not the first segment's length.
+        rho0 = fock.fock_state(0, trunc_of(24))
+        with pytest.raises(ValueError, match=r"D = 24, t = 3 overflows"):
+            liouville.evolve_numeric_rk4_grid(
+                rho0, fock.ModelParams(mu=1e306), np.linspace(0.0, 3.0, 7)
+            )
+
+    def test_repeated_and_zero_times_repeat_the_state(self):
+        rho0 = fock.coherent_state(0.8, trunc_of(10, support=5))
+        params = fock.ModelParams(omega=1.0, mu=0.5, nu=0.2)
+        states = liouville.evolve_numeric_rk4_grid(rho0, params, [0.0, 0.5, 0.5])
+        assert states[0] is rho0
+        assert states[2] is states[1]
+        assert liouville.evolve_numeric_rk4_grid(rho0, params, []) == []
+
+    def test_rejects_negative_time(self):
+        rho0 = fock.fock_state(1, trunc_of(5))
+        with pytest.raises(ValueError, match="non-negative"):
+            liouville.evolve_numeric_rk4_grid(rho0, fock.ModelParams(mu=1.0), [0.0, -0.5])
 
 
 class TestSuperoperatorDisentangling:
