@@ -11,6 +11,7 @@ from .classical import (
     PhasePoint,
     evolve_classical_analytic,
     evolve_classical_rk4,
+    evolve_classical_rk4_grid,
 )
 from .config import (
     ClassicalRunConfig,

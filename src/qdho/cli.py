@@ -1,5 +1,8 @@
 """Command-line front end: evolve | compare | steady | classical | verify.
 
+Each verb formats what the library computes on its time grid; the
+integrators, their step rules and their grid walks live in the library.
+
 Exit codes: 0 success, 1 validation/config error (overflowing rates
 included), 2 tolerance or acceptance failure, 3 internal numeric failure (a
 non-finite certificate or distance, lost Hermiticity, or out of memory).
@@ -11,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 import warnings
 
@@ -40,10 +42,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_TOLERANCE = 2
 EXIT_NUMERIC = 3
-
-#: Classical CSV runs integrate much finer than the bare stability bound so
-#: the deviation column sits well under 1e-8.
-_CLASSICAL_STEP_LIMIT = 4e-3
 
 
 class ToleranceFailure(Exception):
@@ -195,31 +193,16 @@ def cmd_classical(cfg: ClassicalRunConfig) -> str:
     params = classical.ClassicalParams(omega=cfg.omega, gamma=cfg.gamma)
     p0 = classical.PhasePoint(x=cfg.x0, y=cfg.y0)
     analytic_ok = params.omega > params.gamma
+    times = cfg.grid.times()
     lines = ["t,x_analytic,y_analytic,x_rk4,y_rk4,deviation"]
-    rate = max(params.omega, 2.0 * params.gamma)
-    current = p0
-    prev_t = 0.0
-    for t in cfg.grid.times():
-        seg = float(t) - prev_t
-        if seg > 0:
-            needed = seg * rate / _CLASSICAL_STEP_LIMIT
-            if not math.isfinite(needed):
-                raise ValueError(f"RK4 step count at t={float(t):.6g} overflows double precision")
-            steps = max(1, int(np.ceil(needed)))
-            current = classical.evolve_classical_rk4(current, params, seg, steps)
-        prev_t = float(t)
+    for t, current in zip(times.tolist(), classical.evolve_classical_rk4_grid(p0, params, times)):
         if analytic_ok:
-            exact = classical.evolve_classical_analytic(p0, params, float(t))
+            exact = classical.evolve_classical_analytic(p0, params, t)
             deviation = float(np.hypot(exact.x - current.x, exact.y - current.y))
-            lines.append(
-                ",".join(
-                    [_fmt(float(t)), _fmt(exact.x), _fmt(exact.y), _fmt(current.x), _fmt(current.y), _fmt(deviation)]
-                )
-            )
+            row = [_fmt(t), _fmt(exact.x), _fmt(exact.y), _fmt(current.x), _fmt(current.y), _fmt(deviation)]
         else:
-            lines.append(
-                ",".join([_fmt(float(t)), "", "", _fmt(current.x), _fmt(current.y), ""])
-            )
+            row = [_fmt(t), "", "", _fmt(current.x), _fmt(current.y), ""]
+        lines.append(",".join(row))
     if not analytic_ok:  # only a trajectory that was computed warns
         warnings.warn(
             f"omega={params.omega} <= gamma={params.gamma}: analytic columns unsupported (RK4 only)"

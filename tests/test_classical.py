@@ -146,6 +146,62 @@ class TestRk4:
             classical.evolve_classical_rk4(classical.PhasePoint(1.0, 0.0), p, 1e308, 1)
 
 
+class TestRk4Grid:
+    @staticmethod
+    def segment_loop(p0, params, times):
+        # The loop the CLI ran before the grid function: the rate
+        # max(omega, 2 gamma) at 4e-3 per step, one segment at a time.
+        rate = max(params.omega, 2.0 * params.gamma)
+        points, current, prev_t = [], p0, 0.0
+        for t in times:
+            seg = float(t) - prev_t
+            if seg > 0:
+                steps = max(1, int(np.ceil(seg * rate / 4e-3)))
+                current = classical.evolve_classical_rk4(current, params, seg, steps)
+            points.append(current)
+            prev_t = float(t)
+        return points
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("t_start, num_points", [(0.0, 11), (0.7, 101)])
+    def test_equals_segment_loop(self, gamma, t_start, num_points):
+        params = classical.ClassicalParams(omega=2.0, gamma=gamma)
+        p0 = classical.PhasePoint(1.0, 0.0)
+        times = np.linspace(t_start, 10.0, num_points)
+        got = classical.evolve_classical_rk4_grid(p0, params, times)
+        assert got == self.segment_loop(p0, params, times)
+
+    def test_one_integrator_call_per_segment(self, monkeypatch):
+        calls = []
+        rk4 = classical.evolve_classical_rk4
+
+        def counted(*args):
+            calls.append(args[3])
+            return rk4(*args)
+
+        monkeypatch.setattr(classical, "evolve_classical_rk4", counted)
+        params = classical.ClassicalParams(omega=2.0, gamma=0.5)
+        p0 = classical.PhasePoint(1.0, 0.0)
+        got = classical.evolve_classical_rk4_grid(p0, params, [0.0, 0.5, 0.5, 1.5, 1.5])
+        # Zero-length segments repeat the point before them.
+        assert got[0] is p0 and got[2] is got[1] and got[4] is got[3]
+        assert calls == [250, 500]
+
+    @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
+    def test_refuses_bad_times_before_stepping(self, monkeypatch, bad):
+        monkeypatch.setattr(classical, "evolve_classical_rk4", None)
+        params = classical.ClassicalParams(omega=2.0, gamma=0.5)
+        with pytest.raises(ValueError, match="time must be finite and non-negative"):
+            classical.evolve_classical_rk4_grid(classical.PhasePoint(1.0, 0.0), params, [0.0, 1.0, bad])
+
+    def test_overflowing_step_count_names_the_segment(self):
+        # Rate 4e305 at 4e-3 per step: the first segment, 1, takes 1e308
+        # steps; the second, 2.5, overflows.
+        params = classical.ClassicalParams(omega=2.0, gamma=2e305)
+        with pytest.raises(ValueError, match=r"^RK4 step count at t = 2.5 overflows double precision$"):
+            classical.evolve_classical_rk4_grid(classical.PhasePoint(1.0, 0.0), params, [1.0, 3.5])
+
+
 class TestParams:
     def test_rejects_nonpositive_omega(self):
         with pytest.raises(ValueError):

@@ -881,30 +881,40 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-class TestGoldenEvolve:
-    """`qdho evolve` on configs/damped_coherent.ini against tests/golden, byte for byte.
+class TestGolden:
+    """Verb stdout on the sample configs against tests/golden, byte for byte.
 
-    The CI's installed-script step diffs the console entry point against
-    the same files.
+    The steady golden pins t = 20/(mu - nu), the relaxation time; the
+    overdamped classical run also pins its one warning line. The CI's
+    installed-script step diffs the console entry point against the same
+    files.
     """
 
     @pytest.mark.parametrize(
-        "golden, edits, flags",
+        "verb, config, golden, edits, flags, err",
         [
-            ("evolve_damped_coherent.csv", {}, []),
-            ("evolve_damped_coherent_certified.csv", {}, ["--check-truncation"]),
-            ("evolve_damped_coherent_nu_zero.csv", {"nu": "0", "method": "nu-zero"}, []),
+            ("evolve", "damped_coherent.ini", "evolve_damped_coherent.csv", {}, [], ""),
+            ("evolve", "damped_coherent.ini", "evolve_damped_coherent_certified.csv", {},
+             ["--check-truncation"], ""),
+            ("evolve", "damped_coherent.ini", "evolve_damped_coherent_nu_zero.csv",
+             {"nu": "0", "method": "nu-zero"}, [], ""),
+            ("steady", "damped_coherent.ini", "steady_damped_coherent.txt", {}, [], ""),
+            ("classical", "classical_damped.ini", "classical_damped.csv", {}, [], ""),
+            ("classical", "classical_damped.ini", "classical_overdamped.csv", {"gamma": "3"}, [],
+             "warning: omega=2.0 <= gamma=3.0: analytic columns unsupported (RK4 only)\n"),
         ],
     )
-    def test_stdout_equals_golden(self, tmp_path, capsys, golden, edits, flags):
-        text = (ROOT / "configs" / "damped_coherent.ini").read_text()
+    def test_stdout_equals_golden(self, tmp_path, capsys, verb, config, golden, edits, flags, err):
+        text = (ROOT / "configs" / config).read_text()
         for key, value in edits.items():
             text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
         path = tmp_path / "run.ini"
         path.write_text(text)
         capsys.readouterr()
-        assert cli.main(["evolve", "--config", str(path), *flags]) == cli.EXIT_OK
-        assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+        assert cli.main([verb, "--config", str(path), *flags]) == cli.EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == (GOLDEN / golden).read_text()
+        assert captured.err == err
 
 
 class TestOneRateBound:

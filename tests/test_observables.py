@@ -116,6 +116,18 @@ class TestHermitianEigenvalues:
         assert not report.hermitian_ok
         assert not report.ok
 
+    @pytest.mark.parametrize("top, scale", [(0.5, 1.0), (4.0, 4.0)])
+    @pytest.mark.parametrize("tol", [1e-10, 1e-6])
+    def test_hermiticity_threshold_is_tol_times_scale(self, top, scale, tol):
+        # The scale is max(1, max |m|); the deviation sits in one
+        # off-diagonal entry, just below and just above tol * scale.
+        for factor, ok in ((0.99, True), (1.01, False)):
+            m = np.diag([top, 0.5]).astype(complex)
+            m[0, 1] = factor * tol * scale
+            report = fock.validate_density(m, hermiticity_tol=tol)
+            assert report.hermiticity_dev == factor * tol * scale
+            assert report.hermitian_ok == ok
+
 
 class TestKnownSpectrumPositivity:
     """min_eigenvalue of U diag(lam) U^dag with one eigenvalue near zero."""

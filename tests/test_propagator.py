@@ -153,6 +153,40 @@ class TestEvolveAnalytic:
             propagator.evolve_analytic(rho0, fock.ModelParams(mu=0.2, nu=0.6), 0.5)
 
 
+class TestHermiticityGuard:
+    """The guard on the series' output against the input's own Hermiticity."""
+
+    PARAMS = fock.ModelParams(omega=2 * np.pi, mu=1.0, nu=0.4)
+
+    @staticmethod
+    def runs(rho0, params, t):
+        return {
+            "analytic": lambda: propagator.evolve_analytic(rho0, params, t),
+            "certified": lambda: propagator.evolve_analytic_grid(rho0, params, [t], certify=True),
+            "nu-zero": lambda: propagator.evolve_nu_zero(rho0, params.mu, params.omega, t),
+        }
+
+    @pytest.mark.parametrize("method", ["analytic", "certified", "nu-zero"])
+    @pytest.mark.parametrize("eps", [5e-12, 9e-11])
+    def test_evolves_what_validate_density_accepts(self, method, eps):
+        # validate_density passes a deviation up to 1e-10; the series
+        # carries it into its output, where a guard of 1e-12 alone refused it.
+        trunc = fock.TruncationConfig.for_support(5)
+        mat = fock.coherent_state(1.0, trunc).mat.copy()
+        mat[0, 1] += eps * 1j
+        assert fock.validate_density(mat).hermitian_ok
+        rho0 = fock.DensityMatrix(mat=mat, trunc=trunc)
+        self.runs(rho0, self.PARAMS, 1.3)[method]()
+
+    @pytest.mark.parametrize("method", ["analytic", "certified", "nu-zero"])
+    def test_refuses_series_error_on_a_hermitian_input(self, monkeypatch, method):
+        series = propagator._series
+        monkeypatch.setattr(propagator, "_series", lambda *args: series(*args) + 1e-9j)
+        rho0 = fock.coherent_state(1.0, fock.TruncationConfig.for_support(5))
+        with pytest.raises(ArithmeticError, match="lost Hermiticity: deviation 2.000e-09"):
+            self.runs(rho0, self.PARAMS, 1.3)[method]()
+
+
 class TestEvolveNuZero:
     def test_vacuum_fixed(self):
         rho0 = fock.fock_state(0, trunc_of(6))
