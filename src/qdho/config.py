@@ -185,9 +185,6 @@ class _Reader:
         self.path = path
         self.asked: set[tuple[str, str]] = set()
 
-    def has(self, section: str) -> bool:
-        return self.parser.has_section(section)
-
     def reject_unknown(self) -> None:
         """Refuse any key, in a section that was read, that nothing asked for."""
         read = {section for section, _ in self.asked}
@@ -255,8 +252,6 @@ def _read_state(reader: _Reader) -> StateSpec:
 
 
 def _read_tolerances(reader: _Reader) -> ToleranceConfig:
-    if not reader.has("tolerances"):
-        return DEFAULT_TOLERANCES
     kwargs = {}
     for field in dataclasses.fields(ToleranceConfig):
         value = reader.get("tolerances", field.name, float, getattr(DEFAULT_TOLERANCES, field.name))

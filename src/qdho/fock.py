@@ -282,29 +282,14 @@ def validate_density(
 
 
 def _min_eigenvalue(h: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian h, one residue class of levels at a time.
+    """Smallest eigenvalue of the Hermitian h.
 
-    With g the gcd of the occupied off-diagonal offsets j - i of h (g = D
-    when h is diagonal), no entry couples levels from different classes
-    mod g: h is block diagonal over the classes {c, c + g, c + 2g, ...}.
-    The blocks of each size go to ``eigvalsh`` as one stack; at g = 1 the
-    one block is h itself.
+    A diagonal h is its own spectrum, so the answer is its smallest
+    diagonal entry; any other h goes to ``eigvalsh`` whole.
     """
-    d = h.shape[0]
-    rows, cols = np.nonzero(h)
-    g = int(np.gcd.reduce(np.abs(cols - rows))) if rows.size else 0
-    if g == 1:
-        return float(np.linalg.eigvalsh(h)[0])
-    g = g or d
-    # The first d mod g classes hold one level more than the others.
-    size, longer = divmod(d, g)
-    lowest = np.inf
-    for starts, count in ((np.arange(longer), size + 1), (np.arange(longer, g), size)):
-        if starts.size:
-            idx = starts[:, None] + g * np.arange(count)
-            blocks = h[idx[:, :, None], idx[:, None, :]]
-            lowest = min(lowest, float(np.linalg.eigvalsh(blocks)[:, 0].min()))
-    return lowest
+    if np.count_nonzero(h) == np.count_nonzero(h.diagonal()):
+        return float(h.diagonal().real.min())
+    return float(np.linalg.eigvalsh(h)[0])
 
 
 def check_evolution_args(rho0: DensityMatrix, params: ModelParams, t, tolerances=None):

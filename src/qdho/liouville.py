@@ -182,11 +182,8 @@ def expm(m: np.ndarray) -> np.ndarray:
         total = eye + (scaled @ total) / k
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         for done in range(int(squarings.max(initial=0))):
-            if (squarings > done).all():
-                total = total @ total
-            else:
-                pending = np.flatnonzero(squarings > done)
-                total[pending] = total[pending] @ total[pending]
+            pending = np.flatnonzero(squarings > done)
+            total[pending] = total[pending] @ total[pending]
     if not np.isfinite(total).all():
         raise ValueError("expm result overflows double precision")
     return total.reshape(shape)
@@ -449,13 +446,23 @@ def evolve_numeric_rk4(
     stay within ``RK4_MAX_WORK``.
     """
     check_evolution_args(rho0, params, t, tolerances)
+    if steps < 1:
+        raise ValueError(f"steps must be a positive integer, got {steps}")
+    needed = stability_steps(params, rho0.dim, t)
+    if steps < needed:
+        raise ValueError(
+            f"{steps} steps violate the stability bound "
+            f"h*(omega+mu+nu)*D <= {RK4_STABILITY_LIMIT} (need >= {needed})"
+        )
     return _rk4_segment(rho0, params, t, steps)
 
 
 def _rk4_segment(rho0: DensityMatrix, params: ModelParams, t: float, steps: int) -> DensityMatrix:
-    """``steps`` RK4 steps over [0, t] on arguments already checked."""
-    if steps < 1:
-        raise ValueError(f"steps must be a positive integer, got {steps}")
+    """``steps`` RK4 steps over [0, t], refused only past ``RK4_MAX_WORK``.
+
+    The caller has checked the arguments, ``steps >= 1`` and the stability
+    bound; the grid's twice ``stability_steps`` meets both.
+    """
     if steps * rho0.dim**2 > RK4_MAX_WORK:
         # The count may pass the double range, so it is rounded as a Decimal,
         # imported here to keep it out of every other run's start-up.
@@ -465,12 +472,6 @@ def _rk4_segment(rho0: DensityMatrix, params: ModelParams, t: float, steps: int)
             f"{Decimal(steps):.3e} RK4 steps at D = {rho0.dim} exceed the work budget of "
             f"{RK4_MAX_WORK:.1e} steps x D^2; lower omega, mu + nu, the dimension "
             f"or the time step"
-        )
-    needed = stability_steps(params, rho0.dim, t)
-    if steps < needed:
-        raise ValueError(
-            f"{steps} steps violate the stability bound "
-            f"h*(omega+mu+nu)*D <= {RK4_STABILITY_LIMIT} (need >= {needed})"
         )
     dim = rho0.dim
     powers = _rk4_powers(params, dim, float(t), steps)

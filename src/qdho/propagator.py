@@ -18,31 +18,25 @@ X[i+1, j+1], (a^dag X a)[i, j] = sqrt(i j) X[i-1, j-1], and the number
 exponentials scale entry (i, j) by e^{l i + r j}. The phase theta of a
 cancels from both sandwiches. So each series term is the previous one
 moved one level along the main diagonal (down for lowering, up for
-raising) and scaled entrywise. With K the widest nonzero diagonal of
-rho(0) and w the width of its occupied levels, the series runs on one of
-two layouts (:func:`_layout`):
-
-- a narrow state (2K + 1 <= w, every diagonal state among them) on its
-  diagonals alone, stored skewed: row r of a (2K+1 x D) band holds
-  rho[i, (i + k_r) mod D] for i = 0..D-1, and a shift moves along the row;
-- a full-width state (2K + 1 > w) on the D x D matrix itself, where a
-  shift moves rows and columns alike.
+raising) and scaled entrywise. The series runs on one of two layouts
+(:func:`_layout`): a diagonal state on its diagonal alone, one row of D
+entries along which a shift moves; any other state on the D x D matrix
+itself, where a shift moves rows and columns alike.
 
 A term is held only on the box of slots it can occupy. If the input of a
-series occupies levels [lo, hi) (band positions, or matrix rows and
+series occupies levels [lo, hi) (diagonal positions, or matrix rows and
 columns apiece), lowering term m lives on [max(lo - m, 0), hi - m) and
-raising term n on [lo + n, min(hi + n, D)), while band rows stay put. The
-lowering series ends once its box is empty, the raising one once its box
-has left the space. Term m costs O((2K+1) w_m) work on the band and
-O(w_m^2) on the matrix, w_m <= D being the width of its window: at most
-O(D) for a diagonal state and O(D^2) for a full one.
+raising term n on [lo + n, min(hi + n, D)). The lowering series ends once
+its box is empty, the raising one once its box has left the space. Term m
+costs O(w_m) work on the diagonal and O(w_m^2) on the matrix, w_m <= D
+being the width of its window.
 
 Time enters only through E, G, ln F, the phase omega t and the prefactor,
 so :func:`evolve_analytic_grid` runs a whole time grid at once: it checks
 rho(0) and the times once, computes those scalars per time, and runs the
 series on a (times x rows x D) array, the layout shared by every time.
 Times go through in chunks whose array stays within ``BAND_CHUNK_BYTES``:
-a (times x (2K+1) x D) band, or for a full-width state a (times x D x D)
+a (times x 1 x D) diagonal stack, or for any other state a (times x D x D)
 matrix stack. Each element sees the same operations in the same order as
 in a one-time run, so a grid equals the per-time loop bit for bit.
 :func:`evolve_nu_zero_grid` runs the pure-loss series over a grid the
@@ -73,8 +67,8 @@ from .fock import GainWarning  # noqa: F401  (kept importable from here)
 #: weight the dim-D run loses above its cutoff, measured against a 2D run).
 TRUNCATION_DOUBLING_TOL = 1e-9
 
-#: Bytes of one (times x rows x D) series array (band or matrix) per chunk
-#: of grid times. The series holds a few such arrays at once; a larger
+#: Bytes of one (times x rows x D) series array (diagonal or matrix) per
+#: chunk of grid times. The series holds a few such arrays at once; a larger
 #: budget batches more times but raised the peak RSS of a 101-point D = 24
 #: run by 13% at 1 MB.
 BAND_CHUNK_BYTES = 256 * 1024
@@ -105,8 +99,8 @@ def evolve_analytic_grid(
     """Evolve rho0 to every time in ``times``: (states, escape distances).
 
     rho0 and the times are checked once for the whole grid, and the layout
-    of the series (module docstring) is chosen on rho0 itself: the skewed
-    band for a narrow state, the matrix for a full-width one. Without
+    of the series (module docstring) is chosen on rho0 itself: its diagonal
+    for a diagonal state, the matrix for any other. Without
     ``certify`` the series runs at D and the escape distances are None.
     With it, the series runs once per time on rho0 zero-padded to 2D, in
     the same layout; each state is the top D x D block of that run (equal
@@ -241,29 +235,23 @@ class _Layout(NamedTuple):
 def _layout(rho: np.ndarray, n: int | None = None) -> _Layout:
     """rho, zero-padded to n levels (default its own), laid out for the series.
 
-    K is the widest nonzero diagonal of rho and w the width of its occupied
-    levels. If 2K + 1 <= w, the series runs on the skewed band of the
-    diagonals |k| <= K: row r holds entries (i, (i + k_r) mod n) for
-    k_r = -K..K, and a shift keeps the row (row step 0). Otherwise it runs
-    on the n x n matrix itself, whose shifts move rows and columns alike
-    (row step 1). Zero-padding changes neither K nor w, so a certified run
-    gets the layout of its dim-D run. The series conserves k, so the band
-    never grows.
+    A diagonal rho runs on its diagonal alone, one row of n entries (i, i)
+    whose shifts keep the row (row step 0). Any other rho runs on the
+    n x n matrix itself, whose shifts move rows and columns alike (row
+    step 1). Zero-padding keeps a state diagonal or not, so a certified run
+    gets the layout of its dim-D run; the series conserves k = j - i, so a
+    diagonal state stays diagonal.
     """
     d = rho.shape[0]
     n = d if n is None else n
-    nz_rows, nz_cols = np.nonzero(rho)
-    width = int(np.abs(nz_rows - nz_cols).max(initial=0))
-    occupied = int(np.ptp(np.concatenate([nz_rows, nz_cols]))) + 1 if nz_rows.size else 0
     mat = rho
     if n > d:
         mat = np.zeros((n, n), dtype=complex)
         mat[:d, :d] = rho
     levels = np.arange(n)
-    if 2 * width + 1 > occupied:
-        return _Layout(mat, levels[:, None], levels[None, :], 1)
-    cols = (levels + np.arange(-width, width + 1)[:, None]) % n
-    return _Layout(mat[levels, cols], levels[None, :], cols, 0)
+    if np.count_nonzero(rho) == np.count_nonzero(rho.diagonal()):
+        return _Layout(mat.diagonal()[None, :], levels[None, :], levels[None, :], 0)
+    return _Layout(mat, levels[:, None], levels[None, :], 1)
 
 
 def _inside(layout: _Layout, d: int) -> np.ndarray:
@@ -334,12 +322,10 @@ def _series(layout: _Layout, lower_weight, left_exp, raise_weight, scale):
     n = values.shape[-1]
     levels = np.arange(n)
     shape = (len(scale),) + values.shape
-    # Weights by the slot the shift writes. a X a^dag reads entry
-    # (i+1, j+1), which is outside the space where i or j = n-1 (and in the
-    # band would wrap onto another diagonal); a^dag X a reads (i-1, j-1),
-    # whose weight sqrt(i j) already vanishes where i or j = 0.
+    # Weights by the slot the shift writes: a X a^dag reads entry
+    # (i+1, j+1), a^dag X a reads (i-1, j-1). The clipped boxes never write
+    # a slot whose read lies outside the space.
     lower_w = np.sqrt((i + 1.0) * (j + 1.0))
-    lower_w[(i == n - 1) | (j == n - 1)] = 0.0
     raise_w = np.sqrt(i * j.astype(float))
 
     def series(z, weight, shift_w, step):
@@ -380,6 +366,5 @@ def _series(layout: _Layout, lower_weight, left_exp, raise_weight, scale):
     out = series(values, lower_weight, lower_w, -1)
     left = np.exp(left_exp[:, None] * levels)[:, i]
     out = left * out * np.exp(left_exp.conj()[:, None] * levels)[:, j]
-    if raise_weight.any():
-        out = series(out, raise_weight, raise_w, 1)
+    out = series(out, raise_weight, raise_w, 1)
     return scale[:, None, None] * out

@@ -43,8 +43,6 @@ MUTANTS = [
     ("propagator.py",
      "escapes.append(max(escape, lost) if lost > TRUNCATION_DOUBLING_TOL else escape)",
      "escapes.append(escape)", "certificate's lost-trace rule dropped"),
-    ("propagator.py", "lower_w[(i == n - 1) | (j == n - 1)] = 0.0", "pass",
-     "top-level zero of the lowering weight dropped"),
     ("classical.py", "_CLASSICAL_STEP_LIMIT = 4e-3", "_CLASSICAL_STEP_LIMIT = 4e-2",
      "classical CSV step limit 4e-3 -> 4e-2"),
     ("fock.py", "positive_ok=min_eig >= -positivity_tol,",
@@ -60,6 +58,12 @@ MUTANTS = [
      "closed form's Hermiticity guard 1e-12 -> 1e-6"),
     ("cli.py", "t_ss = 20.0 / (params.mu - params.nu)", "t_ss = 12.0 / (params.mu - params.nu)",
      "steady relaxation time 20/(mu - nu) -> 12/(mu - nu)"),
+    ("propagator.py", "if np.count_nonzero(rho) == np.count_nonzero(rho.diagonal()):",
+     "if True:", "series layout: every state taken as diagonal"),
+    ("propagator.py", "if np.count_nonzero(rho) == np.count_nonzero(rho.diagonal()):",
+     "if False:", "series layout: no state taken as diagonal"),
+    ("fock.py", "if np.count_nonzero(h) == np.count_nonzero(h.diagonal()):",
+     "if True:", "positivity check: every state taken as diagonal"),
 ]
 
 #: Changes that cannot alter any output, and why; not run.
@@ -69,6 +73,9 @@ EQUIVALENT = [
     ("liouville.py", "lru_cache maxsize of _sector_order, _cached_propagator, _rk4_powers",
      "the caches are keyed by every argument and hold read-only results, so a size "
      "changes only what is recomputed"),
+    ("fock.py", "_min_eigenvalue's diagonal test forced false",
+     "eigvalsh of a diagonal matrix returns its diagonal, so only the time moves: the "
+     "three evolve_diagonal ops took 35 ms in process against 23 ms (best of 7, one BLAS thread)"),
 ]
 
 

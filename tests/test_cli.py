@@ -885,7 +885,9 @@ class TestGolden:
     """Verb stdout on the sample configs against tests/golden, byte for byte.
 
     The steady golden pins t = 20/(mu - nu), the relaxation time; the
-    overdamped classical run also pins its one warning line. The CI's
+    overdamped classical run also pins its one warning line. The coherent
+    goldens run on the matrix layout and both oracles, the mixture golden
+    on the one-row diagonal layout. The CI's
     installed-script step diffs the console entry point against the same
     files.
     """
@@ -898,6 +900,12 @@ class TestGolden:
              ["--check-truncation"], ""),
             ("evolve", "damped_coherent.ini", "evolve_damped_coherent_nu_zero.csv",
              {"nu": "0", "method": "nu-zero"}, [], ""),
+            ("evolve", "damped_coherent.ini", "evolve_damped_coherent_expm.csv",
+             {"method": "expm"}, [], ""),
+            ("evolve", "damped_coherent.ini", "evolve_damped_coherent_rk4.csv",
+             {"method": "rk4"}, [], ""),
+            ("evolve", "damped_mixture.ini", "evolve_mixture_certified.csv", {},
+             ["--check-truncation"], ""),
             ("steady", "damped_coherent.ini", "steady_damped_coherent.txt", {}, [], ""),
             ("classical", "classical_damped.ini", "classical_damped.csv", {}, [], ""),
             ("classical", "classical_damped.ini", "classical_overdamped.csv", {"gamma": "3"}, [],

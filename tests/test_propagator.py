@@ -718,7 +718,7 @@ _WINDOW_CASES = {
     "tridiagonal": (
         fock.DensityMatrix(mat=_band_matrix(24, 1, np.random.default_rng(3)), trunc=trunc_of(24)),
         _DAMPED,
-        0,
+        1,
     ),
     "nu = 0": (_COHERENT_24, fock.ModelParams(omega=2 * np.pi, mu=1.0, nu=0.0), 1),
     "mu = 0": (_COHERENT_24, fock.ModelParams(omega=2 * np.pi, mu=0.0, nu=0.4), 1),
@@ -742,7 +742,7 @@ class TestWindowedBandSeries:
 
 
 class TestLayoutChoice:
-    """The matrix layout exactly when 2K + 1 exceeds the occupied width w."""
+    """The one-row diagonal layout exactly for a diagonal state, the matrix for any other."""
 
     def layout_of(self, mat):
         return propagator._layout(np.asarray(mat, dtype=complex))
@@ -753,13 +753,13 @@ class TestLayoutChoice:
             assert layout.row_step == 0
             assert layout.values.shape == (1, 8)
 
-    def test_tie_goes_to_the_band(self):
-        # Levels 2..4 occupied (w = 3) with K = 1: 2K + 1 = w.
+    def test_non_diagonal_takes_the_matrix_whatever_its_width(self):
+        # Levels 2..4 occupied (w = 3) with K = 1: narrow, but not diagonal.
         mat = np.zeros((8, 8))
         mat[2:5, 2:5] = np.eye(3) + np.eye(3, k=1) + np.eye(3, k=-1)
         layout = self.layout_of(mat)
-        assert layout.row_step == 0
-        assert layout.values.shape == (3, 8)
+        assert layout.row_step == 1
+        assert np.array_equal(layout.values, mat)
 
     def test_full_width_takes_the_matrix(self):
         # K = 2 on the same three levels: 2K + 1 = 5 > w = 3.
