@@ -101,10 +101,14 @@ def _apply(m: np.ndarray, p0: PhasePoint) -> PhasePoint:
     return PhasePoint(x=float(x), y=float(y))
 
 
-def evolve_classical_analytic(p0: PhasePoint, params: ClassicalParams, t: float) -> PhasePoint:
-    """Apply the closed-form evolution matrix to (x0, y0)."""
+def _check_time(t: float) -> None:
     if not math.isfinite(t) or t < 0:
         raise ValueError(f"time must be finite and non-negative, got {t}")
+
+
+def evolve_classical_analytic(p0: PhasePoint, params: ClassicalParams, t: float) -> PhasePoint:
+    """Apply the closed-form evolution matrix to (x0, y0)."""
+    _check_time(t)
     return _apply(evolution_matrix(params, t), p0)
 
 
@@ -134,12 +138,11 @@ def evolve_classical_rk4_grid(p0: PhasePoint, params: ClassicalParams, times) ->
     ``_CLASSICAL_STEP_LIMIT``; one of zero or negative length repeats the
     point before it.
     """
-    times = np.asarray(times, dtype=float)
-    bad = times[~(np.isfinite(times) & (times >= 0))]
-    if bad.size:
-        raise ValueError(f"time must be finite and non-negative, got {bad[0]}")
+    times = np.asarray(times, dtype=float).tolist()
+    for t in times:
+        _check_time(t)
     points, current, prev_t = [], p0, 0.0
-    for t in times.tolist():
+    for t in times:
         seg = t - prev_t
         if seg > 0:
             current = evolve_classical_rk4(
@@ -157,8 +160,7 @@ def evolve_classical_rk4(
 
     Costs O(log steps) 2x2 products; no loop runs over the steps.
     """
-    if not math.isfinite(t) or t < 0:
-        raise ValueError(f"time must be finite and non-negative, got {t}")
+    _check_time(t)
     if steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps}")
     needed = stability_steps(params, t)

@@ -66,9 +66,7 @@ def build_initial_state(spec: StateSpec, trunc) -> DensityMatrix:
     return mixture_state(list(spec.terms), trunc)
 
 
-def _analytic_on_grid(
-    rho0: DensityMatrix, cfg: RunConfig, times: np.ndarray
-) -> list[DensityMatrix]:
+def _analytic_on_grid(rho0: DensityMatrix, cfg: RunConfig, times: np.ndarray) -> np.ndarray:
     """Closed-form states on the grid, each certified first under check_truncation."""
     states, escapes = propagator.evolve_analytic_grid(
         rho0, cfg.params, times, tolerances=cfg.tolerances, certify=cfg.check_truncation
@@ -86,7 +84,7 @@ def _analytic_on_grid(
     return states
 
 
-def _evolve_on_grid(rho0: DensityMatrix, cfg: RunConfig, times: np.ndarray) -> list[DensityMatrix]:
+def _evolve_on_grid(rho0: DensityMatrix, cfg: RunConfig, times: np.ndarray) -> np.ndarray:
     if cfg.method == "analytic":
         return _analytic_on_grid(rho0, cfg, times)
     if cfg.check_truncation:
@@ -116,7 +114,7 @@ def cmd_evolve(cfg: RunConfig) -> str:
     lines = [",".join(header)]
     for t, rho in zip(times, states):
         report = validate_density(
-            rho.mat,
+            rho,
             hermiticity_tol=cfg.tolerances.hermiticity_tol,
             trace_tol=cfg.tolerances.trace_tol,
             positivity_tol=cfg.tolerances.positivity_tol,
@@ -125,7 +123,7 @@ def cmd_evolve(cfg: RunConfig) -> str:
             raise ToleranceFailure(f"state invariants failed at t={float(t):.6g}: {report.describe()}")
         dist = observables.photon_distribution(rho)
         values = (
-            [float(t), float(np.trace(rho.mat).real), observables.expect_n(rho), observables.purity(rho)]
+            [float(t), float(np.trace(rho).real), observables.expect_n(rho), observables.purity(rho)]
             + [float(dist[k]) for k in range(k_max + 1)]
             + [report.min_eigenvalue]
         )

@@ -100,7 +100,7 @@ class DensityMatrix:
     (Hermiticity, unit trace, positivity) are certified by
     :func:`validate_density`, which the evolution entry points run on their
     initial state (:func:`check_evolution_args`) and the CLI runs on every
-    state it writes out.
+    state it writes out. A grid run is one (times, D, D) array instead.
     """
 
     mat: np.ndarray

@@ -34,8 +34,8 @@ time at ``ORACLE_MAX_DIM``. The RK4 oracle takes h times the same complex
 blocks; block -k is the conjugate of block k, and so is its RK4 power, so
 it raises k >= 0 only. On a linear autonomous equation n RK4 steps are
 the n-th power of the one-step matrix, raised per block by binary
-powering: O(D^4 log steps) time and O(D^3) memory; the segments of
-:func:`evolve_numeric_rk4_grid` share one set of powers when equal.
+powering: O(D^4 log steps) time and O(D^3) memory; a grid segment reuses
+the powers of the one before it only if their lengths agree to the bit.
 """
 
 from __future__ import annotations
@@ -265,7 +265,7 @@ def evolve_numeric_expm_grid(
     times,
     *,
     tolerances: ToleranceConfig | None = None,
-) -> list[DensityMatrix]:
+) -> np.ndarray:
     """Evolve rho0 to every time in ``times`` by exp(t L_k) on each diagonal k.
 
     rho0, the rates and the times are checked once for the whole grid, by
@@ -274,7 +274,7 @@ def evolve_numeric_expm_grid(
     stacked real exponential per sector k >= 0; a chunk holds at most as
     many entries as those blocks at one time at D = ``ORACLE_MAX_DIM``.
     Raises ValueError, before anything is built, when D exceeds
-    ``ORACLE_MAX_DIM`` or the check refuses the arguments.
+    ``ORACLE_MAX_DIM`` or the check refuses the arguments, and on a NaN.
     """
     dim = rho0.dim
     if dim > ORACLE_MAX_DIM:
@@ -288,7 +288,7 @@ def evolve_numeric_expm_grid(
     chunk = max(1, _upper_block_entries(ORACLE_MAX_DIM) // _upper_block_entries(dim))
     order, spans = _sector_order(dim)
     sectors = rho0.mat.reshape(-1)[order]
-    states = []
+    states = np.empty((times.size, dim, dim), dtype=complex)
     for start in range(0, times.size, chunk):
         part = times[start : start + chunk]
         block_exps = _cached_propagator(params, dim, tuple(float(t) for t in part))
@@ -300,10 +300,9 @@ def evolve_numeric_expm_grid(
             parts = block_exps[abs(k)] @ sectors[span].view(float).reshape(-1, 2)
             phase = np.exp(1j * (params.omega * k * part))
             moved[:, span] = phase[:, None] * parts.view(complex)[..., 0]
-        evolved = np.empty_like(moved)
-        evolved[:, order] = moved
-        evolved = evolved.reshape(-1, dim, dim)
-        states += [DensityMatrix(mat=mat, trunc=rho0.trunc) for mat in evolved]
+        states[start : start + chunk].reshape(-1, dim * dim)[:, order] = moved
+        if not np.isfinite(moved).all():
+            raise ValueError("density matrix contains NaN/Inf entries")
     return states
 
 
@@ -315,7 +314,8 @@ def evolve_numeric_expm(
     tolerances: ToleranceConfig | None = None,
 ) -> DensityMatrix:
     """One time of :func:`evolve_numeric_expm_grid`."""
-    return evolve_numeric_expm_grid(rho0, params, [t], tolerances=tolerances)[0]
+    states = evolve_numeric_expm_grid(rho0, params, [t], tolerances=tolerances)
+    return DensityMatrix(mat=states[0], trunc=rho0.trunc)
 
 
 def stability_steps(params: ModelParams, dim: int, t: float) -> int:
@@ -380,8 +380,7 @@ def _increment_power(b: np.ndarray, n: int) -> np.ndarray:
 @lru_cache(maxsize=1)
 def _rk4_powers(params: ModelParams, dim: int, t: float, steps: int) -> tuple[np.ndarray, ...]:
     # (I + B_k)^steps - I for k = 0 .. D-1, about (1/3) 16 D^3 bytes; the
-    # -k power is its conjugate. Treat as read-only. Grid segments of equal
-    # length and step count share one entry.
+    # -k power is its conjugate. Treat as read-only.
     table = _literal_rhs(params, dim)
     h = t / steps
     powers = []
@@ -401,22 +400,25 @@ def evolve_numeric_rk4_grid(
     times,
     *,
     tolerances: ToleranceConfig | None = None,
-) -> list[DensityMatrix]:
+) -> np.ndarray:
     """Step rho0 along ``times`` by :func:`evolve_numeric_rk4`'s integrator.
 
     :func:`qdho.fock.check_evolution_args` checks rho0, the rates and the
     whole grid once. Each segment from the time before (0 at first) takes
     twice ``stability_steps`` of its length, for accuracy headroom; one of
-    zero or negative length repeats the state before it.
+    zero or negative length repeats the state before it. A NaN raises.
     """
     times = np.asarray(times, dtype=float)
     check_evolution_args(rho0, params, times, tolerances)
-    states, current, prev_t = [], rho0, 0.0
-    for t in times.tolist():
+    states = np.empty((times.size, rho0.dim, rho0.dim), dtype=complex)
+    current, prev_t = rho0.mat, 0.0
+    for s, t in enumerate(times.tolist()):
         if t > prev_t:
             seg = t - prev_t
             current = _rk4_segment(current, params, seg, 2 * stability_steps(params, rho0.dim, seg))
-        states.append(current)
+            if not np.isfinite(current).all():
+                raise ValueError("density matrix contains NaN/Inf entries")
+        states[s] = current
         prev_t = t
     return states
 
@@ -440,10 +442,10 @@ def evolve_numeric_rk4(
     ``steps`` RK4 steps of size h = t / steps are the ``steps``-th power of
     the block's one-step matrix, raised in O(log steps) products (see
     :func:`_increment_power`) for k >= 0 and conjugated for -k. The powers
-    of the last (params, D, t, steps) are kept, so equal segments of a grid
-    raise them once. ``steps`` must satisfy the
-    stability bound step * (omega + mu + nu) * D <= 0.1 and, times D^2,
-    stay within ``RK4_MAX_WORK``.
+    of the last (params, D, t, steps) are kept, so a grid segment of the
+    same length to the bit as the one before raises none. ``steps`` must
+    satisfy the stability bound step * (omega + mu + nu) * D <= 0.1 and,
+    times D^2, stay within ``RK4_MAX_WORK``.
     """
     check_evolution_args(rho0, params, t, tolerances)
     if steps < 1:
@@ -454,29 +456,29 @@ def evolve_numeric_rk4(
             f"{steps} steps violate the stability bound "
             f"h*(omega+mu+nu)*D <= {RK4_STABILITY_LIMIT} (need >= {needed})"
         )
-    return _rk4_segment(rho0, params, t, steps)
+    return DensityMatrix(mat=_rk4_segment(rho0.mat, params, t, steps), trunc=rho0.trunc)
 
 
-def _rk4_segment(rho0: DensityMatrix, params: ModelParams, t: float, steps: int) -> DensityMatrix:
-    """``steps`` RK4 steps over [0, t], refused only past ``RK4_MAX_WORK``.
+def _rk4_segment(rho0: np.ndarray, params: ModelParams, t: float, steps: int) -> np.ndarray:
+    """``steps`` RK4 steps of the D x D rho0 over [0, t], refused only past ``RK4_MAX_WORK``.
 
     The caller has checked the arguments, ``steps >= 1`` and the stability
     bound; the grid's twice ``stability_steps`` meets both.
     """
-    if steps * rho0.dim**2 > RK4_MAX_WORK:
+    dim = len(rho0)
+    if steps * dim**2 > RK4_MAX_WORK:
         # The count may pass the double range, so it is rounded as a Decimal,
         # imported here to keep it out of every other run's start-up.
         from decimal import Decimal
 
         raise ValueError(
-            f"{Decimal(steps):.3e} RK4 steps at D = {rho0.dim} exceed the work budget of "
+            f"{Decimal(steps):.3e} RK4 steps at D = {dim} exceed the work budget of "
             f"{RK4_MAX_WORK:.1e} steps x D^2; lower omega, mu + nu, the dimension "
             f"or the time step"
         )
-    dim = rho0.dim
     powers = _rk4_powers(params, dim, float(t), steps)
     order, spans = _sector_order(dim)
-    sectors = rho0.mat.reshape(-1)[order]
+    sectors = rho0.reshape(-1)[order]
     moved = np.empty_like(sectors)
     # Sector -k of the generator is the entrywise conjugate of sector k, and
     # so is every matrix formed from it, so the -k diagonal gets the
@@ -488,4 +490,4 @@ def _rk4_segment(rho0: DensityMatrix, params: ModelParams, t: float, steps: int)
         moved[span] = sectors[span] + power @ sectors[span]
     evolved = np.empty_like(moved)
     evolved[order] = moved
-    return DensityMatrix(mat=evolved.reshape(dim, dim), trunc=rho0.trunc)
+    return evolved.reshape(dim, dim)

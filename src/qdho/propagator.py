@@ -85,7 +85,7 @@ def evolve_analytic(
 ) -> DensityMatrix:
     """Evolve rho0 to time t under loss mu, pump nu and rotation omega."""
     states, _ = evolve_analytic_grid(rho0, params, [t], tolerances=tolerances)
-    return states[0]
+    return DensityMatrix(mat=states[0], trunc=rho0.trunc)
 
 
 def evolve_analytic_grid(
@@ -95,8 +95,8 @@ def evolve_analytic_grid(
     *,
     tolerances: ToleranceConfig | None = None,
     certify: bool = False,
-) -> tuple[list[DensityMatrix], np.ndarray | None]:
-    """Evolve rho0 to every time in ``times``: (states, escape distances).
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Evolve rho0 to every time in ``times``: ((times, D, D) states, escape distances).
 
     rho0 and the times are checked once for the whole grid, and the layout
     of the series (module docstring) is chosen on rho0 itself: its diagonal
@@ -132,9 +132,8 @@ def evolve_analytic_grid(
     outside = ~_inside(layout, d)
     diagonal = np.broadcast_to(layout.i == layout.j, layout.values.shape)
     trace0 = float(np.trace(rho0.mat).real)
-    states, escapes = [], []
-    for evolved, block in _evolved_chunks(layout, rho0.trunc, lower, left, upper, prefactor):
-        states += block
+    states, escapes = np.zeros((times.size, d, d), dtype=complex), []
+    for evolved in _evolved_chunks(layout, states, lower, left, upper, prefactor):
         if certify:
             for values in evolved:
                 escape = float(np.linalg.norm(values[outside]))
@@ -169,7 +168,8 @@ def evolve_nu_zero(
     :func:`qdho.fock.check_evolution_args`, with the rates as
     ``ModelParams(omega=omega, mu=mu)``.
     """
-    return evolve_nu_zero_grid(rho0, mu, omega, [t], tolerances=tolerances)[0]
+    states = evolve_nu_zero_grid(rho0, mu, omega, [t], tolerances=tolerances)
+    return DensityMatrix(mat=states[0], trunc=rho0.trunc)
 
 
 def evolve_nu_zero_grid(
@@ -179,19 +179,18 @@ def evolve_nu_zero_grid(
     times,
     *,
     tolerances: ToleranceConfig | None = None,
-) -> list[DensityMatrix]:
-    """:func:`evolve_nu_zero` at every time in ``times``, checking rho0 once."""
+) -> np.ndarray:
+    """:func:`evolve_nu_zero` at every time in ``times``, as one (times, D, D) array."""
     times = np.asarray(times, dtype=float)
     check_evolution_args(rho0, ModelParams(omega=omega, mu=mu), times, tolerances)
     ts = times.tolist()
     weight = np.array([-math.expm1(-mu * t) for t in ts])  # 1 - e^{-mu t}
     exponent = np.array([-(0.5 * mu + 1j * omega) * t for t in ts], dtype=complex)
-    layout = _layout(rho0.mat)
-    states = []
-    for _, block in _evolved_chunks(
-        layout, rho0.trunc, weight, exponent, np.zeros(times.size), np.ones(times.size)
+    states = np.zeros((times.size, rho0.dim, rho0.dim), dtype=complex)
+    for _ in _evolved_chunks(
+        _layout(rho0.mat), states, weight, exponent, np.zeros(times.size), np.ones(times.size)
     ):
-        states += block
+        pass
     return states
 
 
@@ -259,8 +258,8 @@ def _inside(layout: _Layout, d: int) -> np.ndarray:
     return (layout.i < d) & (layout.j < d)
 
 
-def _evolved_chunks(layout: _Layout, trunc, *weights):
-    """:func:`_series` over chunks of times: (evolved values, top-block states).
+def _evolved_chunks(layout: _Layout, out: np.ndarray, *weights):
+    """:func:`_series` over chunks of times into the zeroed (times, d, d) ``out``; yields each.
 
     Chunks stay within ``BAND_CHUNK_BYTES``. Every evolved layout is first
     checked for Hermiticity: the slot holding (i, j) is compared with the
@@ -270,14 +269,15 @@ def _evolved_chunks(layout: _Layout, trunc, *weights):
     anti-Hermitian part Y = rho0 - rho0^dag can carry through: the series
     is completely positive and trace-non-increasing, so each entry of the
     evolved Y is at most ||Y||_1 <= sqrt(D) ||Y||_F. That term is 0.0 for
-    an exactly Hermitian rho0. The states are the top trunc.dim block.
+    an exactly Hermitian rho0. The states, the top d x d block, raise
+    ValueError on a NaN, which passes that check (it compares False).
     """
     n = layout.values.shape[-1]
     i, j = np.broadcast_arrays(layout.i, layout.j)
     keys = (i * n + j).ravel()
     order = np.argsort(keys)
     mirror = order[np.searchsorted(keys[order], (j * n + i).ravel())]
-    d = trunc.dim
+    d = out.shape[-1]
     flat0 = layout.values.ravel()
     carried = math.sqrt(d) * float(np.linalg.norm(flat0 - flat0[mirror].conj()))
     inside = _inside(layout, d)
@@ -294,12 +294,10 @@ def _evolved_chunks(layout: _Layout, trunc, *weights):
                 raise ArithmeticError(
                     f"propagator output lost Hermiticity: deviation {dev:.3e} at scale {sc:.3e}"
                 )
-        states = []
-        for values in evolved[:, inside]:
-            mat = np.zeros((d, d), dtype=complex)
-            mat[rows, cols] = values
-            states.append(DensityMatrix(mat=mat, trunc=trunc))
-        yield evolved, states
+        out[part][:, rows, cols] = evolved[:, inside]
+        if not np.isfinite(out[part]).all():
+            raise ValueError("density matrix contains NaN/Inf entries")
+        yield evolved
 
 
 def _series(layout: _Layout, lower_weight, left_exp, raise_weight, scale):

@@ -877,6 +877,56 @@ class TestMainEntry:
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
+class TestNonFiniteOutput:
+    """A NaN out of the evolution is refused with ValueError, and the CLI exits 1.
+
+    The closed form's Hermiticity guard lets a NaN through, as a NaN
+    deviation compares False; the finiteness check behind it refuses it.
+    Each method's core is patched to return NaN values of the right shape.
+    """
+
+    @staticmethod
+    def _nan_everywhere(monkeypatch):
+        series = propagator._series
+        blocks = liouville._cached_propagator.__wrapped__
+        powers = liouville._rk4_powers.__wrapped__
+
+        def nan_like(arrays):
+            return tuple(np.full_like(a, np.nan) for a in arrays)
+
+        monkeypatch.setattr(propagator, "_series", lambda *a: np.full_like(series(*a), np.nan))
+        monkeypatch.setattr(liouville, "_cached_propagator", lambda *a: nan_like(blocks(*a)))
+        monkeypatch.setattr(liouville, "_rk4_powers", lambda *a: nan_like(powers(*a)))
+
+    @pytest.mark.parametrize(
+        "evolve",
+        [
+            lambda rho0, p, ts: propagator.evolve_analytic_grid(rho0, p, ts),
+            lambda rho0, p, ts: propagator.evolve_analytic_grid(rho0, p, ts, certify=True),
+            lambda rho0, p, ts: propagator.evolve_nu_zero_grid(rho0, p.mu, p.omega, ts),
+            liouville.evolve_numeric_expm_grid,
+            liouville.evolve_numeric_rk4_grid,
+        ],
+        ids=["analytic", "certified", "nu-zero", "expm", "rk4"],
+    )
+    def test_grid_refuses_nan(self, monkeypatch, evolve):
+        self._nan_everywhere(monkeypatch)
+        rho0 = fock.coherent_state(0.5, fock.TruncationConfig.for_support(3))
+        with pytest.raises(ValueError, match="NaN/Inf"):
+            evolve(rho0, fock.ModelParams(omega=1.0, mu=1.0), [0.0, 0.5, 1.0])
+
+    @pytest.mark.parametrize("method", ["analytic", "nu-zero", "expm", "rk4"])
+    @pytest.mark.parametrize("flags", [[], ["--check-truncation"]])
+    def test_evolve_exits_1_with_one_error_line(self, tmp_path, monkeypatch, capsys, method, flags):
+        self._nan_everywhere(monkeypatch)
+        path = write(tmp_path, QUANTUM_CONFIG.replace("method = analytic", f"method = {method}"))
+        capsys.readouterr()
+        assert cli.main(["evolve", "--config", path, *flags]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: density matrix contains NaN/Inf entries\n"
+
+
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -906,6 +956,7 @@ class TestGolden:
              {"method": "rk4"}, [], ""),
             ("evolve", "damped_mixture.ini", "evolve_mixture_certified.csv", {},
              ["--check-truncation"], ""),
+            ("compare", "damped_coherent.ini", "compare_damped_coherent.txt", {}, [], ""),
             ("steady", "damped_coherent.ini", "steady_damped_coherent.txt", {}, [], ""),
             ("classical", "classical_damped.ini", "classical_damped.csv", {}, [], ""),
             ("classical", "classical_damped.ini", "classical_overdamped.csv", {"gamma": "3"}, [],
