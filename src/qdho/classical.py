@@ -7,13 +7,17 @@ Critical and overdamped motion (omega <= gamma) is served only by the RK4
 integrator; the analytic path refuses it rather than substituting formulas
 outside its stated domain. :func:`evolve_classical_rk4_grid` steps a whole
 time grid at ``_CLASSICAL_STEP_LIMIT``; it and :func:`stability_steps` share
-one step rule, the rate max(omega, 2 gamma).
+one step rule, the rate max(omega, 2 gamma). The RK4 step powers of the last
+16 (params, t, steps) are kept: linspace segments differ in the last bit, so
+a grid of thousands of segments has only a dozen or so lengths.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -158,7 +162,9 @@ def evolve_classical_rk4(
 ) -> PhasePoint:
     """Fixed-step RK4 endpoint; valid for any damping, including overdamped.
 
-    Costs O(log steps) 2x2 products; no loop runs over the steps.
+    Costs O(log steps) 2x2 products; no loop runs over the steps. The power
+    of one (params, t, steps) is raised once and read by later calls with
+    the same arguments to the bit.
     """
     _check_time(t)
     if steps < 1:
@@ -169,9 +175,18 @@ def evolve_classical_rk4(
             f"{steps} steps violate the stability bound "
             f"h*max(omega, 2*gamma) <= {RK4_STABILITY_LIMIT} (need >= {needed})"
         )
+    # The cache key must hash: a 0-d array time or count is read as its number,
+    # and a non-integer count is refused as np.linalg.matrix_power refuses it.
+    return _apply(_rk4_power(params, float(t), operator.index(steps)), p0)
+
+
+@lru_cache(maxsize=16)
+def _rk4_power(params: ClassicalParams, t: float, steps: int) -> np.ndarray:
     # One RK4 step on a linear system is the matrix
     # I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24, so n steps are its n-th power.
     ha = (t / steps) * system_matrix(params)
     eye = np.eye(2)
     one_step = eye + ha @ (eye + ha @ (eye + ha @ (eye + ha / 4.0) / 3.0) / 2.0)
-    return _apply(np.linalg.matrix_power(one_step, steps), p0)
+    power = np.linalg.matrix_power(one_step, steps)
+    power.flags.writeable = False  # every call with these arguments reads it
+    return power

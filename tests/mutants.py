@@ -73,6 +73,9 @@ EQUIVALENT = [
     ("liouville.py", "lru_cache maxsize of _sector_order, _cached_propagator, _rk4_powers",
      "the caches are keyed by every argument and hold read-only results, so a size "
      "changes only what is recomputed"),
+    ("classical.py", "lru_cache maxsize of _rk4_power",
+     "the cache is keyed by every argument and holds read-only results, so a size "
+     "changes only what is recomputed"),
     ("fock.py", "_min_eigenvalue's diagonal test forced false",
      "eigvalsh of a diagonal matrix returns its diagonal, so only the time moves: the "
      "three evolve_diagonal ops took 35 ms in process against 23 ms (best of 7, one BLAS thread)"),

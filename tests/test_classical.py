@@ -131,6 +131,17 @@ class TestRk4:
         # The slow mode -gamma + sqrt(gamma^2 - omega^2) bounds the decay.
         assert xs[-1] <= 1.1 * np.exp(eigs.real.max() * 8.0)
 
+    def test_numpy_scalar_arguments_equal_python_ones(self):
+        # 0-d arrays do not hash; the cached power must still take them.
+        p = classical.ClassicalParams(omega=2.0, gamma=0.3)
+        p0 = classical.PhasePoint(1.3, -0.7)
+        ref = classical.evolve_classical_rk4(p0, p, 1.0, 100)
+        assert classical.evolve_classical_rk4(p0, p, np.array(1.0), 100) == ref
+        assert classical.evolve_classical_rk4(p0, p, np.float64(1.0), np.array(100)) == ref
+        assert classical.evolve_classical_rk4(p0, p, 1.0, np.int64(100)) == ref
+        with pytest.raises(TypeError):
+            classical.evolve_classical_rk4(p0, p, 1.0, 100.0)
+
     def test_rejects_unstable_steps(self):
         p = classical.ClassicalParams(omega=5.0, gamma=0.0)
         needed = classical.stability_steps(p, 2.0)
@@ -186,6 +197,42 @@ class TestRk4Grid:
         # Zero-length segments repeat the point before them.
         assert got[0] is p0 and got[2] is got[1] and got[4] is got[3]
         assert calls == [250, 500]
+
+    # The classical benchmark's grids, 0..t_end, under-, critically and
+    # overdamped, and the (segment, steps) pairs each has to the bit.
+    WORKLOAD_GRIDS = pytest.mark.parametrize(
+        "omega, gamma, t_end, num_points, pairs",
+        [(2.0 * np.pi, 0.1, 300.0, 3001, 13), (1.0, 1.0, 40.0, 401, 10),
+         (1.0, 5.0, 360.0, 3601, 13)],
+        ids=["under", "critical", "over"],
+    )
+
+    @WORKLOAD_GRIDS
+    def test_equals_uncached_calls(self, omega, gamma, t_end, num_points, pairs):
+        params = classical.ClassicalParams(omega=omega, gamma=gamma)
+        p0 = classical.PhasePoint(0.6, 0.8 * omega)
+        times = np.linspace(0.0, t_end, num_points)
+        got = classical.evolve_classical_rk4_grid(p0, params, times)
+        rate = max(omega, 2.0 * gamma)
+        expected, current, prev_t = [], p0, 0.0
+        for t in times.tolist():
+            if t > prev_t:
+                classical._rk4_power.cache_clear()
+                steps = max(1, int(np.ceil((t - prev_t) * rate / 4e-3)))
+                current = classical.evolve_classical_rk4(current, params, t - prev_t, steps)
+            expected.append(current)
+            prev_t = t
+        assert got == expected
+
+    @WORKLOAD_GRIDS
+    def test_raises_one_power_per_pair(self, omega, gamma, t_end, num_points, pairs):
+        params = classical.ClassicalParams(omega=omega, gamma=gamma)
+        classical._rk4_power.cache_clear()
+        classical.evolve_classical_rk4_grid(
+            classical.PhasePoint(1.0, 0.0), params, np.linspace(0.0, t_end, num_points)
+        )
+        info = classical._rk4_power.cache_info()
+        assert (info.misses, info.hits) == (pairs, num_points - 1 - pairs)
 
     @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
     def test_refuses_bad_times_before_stepping(self, monkeypatch, bad):

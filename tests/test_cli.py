@@ -937,9 +937,10 @@ class TestGolden:
     The steady golden pins t = 20/(mu - nu), the relaxation time; the
     overdamped classical run also pins its one warning line. The coherent
     goldens run on the matrix layout and both oracles, the mixture golden
-    on the one-row diagonal layout. The CI's
-    installed-script step diffs the console entry point against the same
-    files.
+    on the one-row diagonal layout. The 101-point coherent goldens run the
+    RK4 oracle on a grid whose segment lengths alternate in the last bit.
+    The CI's installed-script step diffs the console entry point against
+    the same files.
     """
 
     @pytest.mark.parametrize(
@@ -957,6 +958,10 @@ class TestGolden:
             ("evolve", "damped_mixture.ini", "evolve_mixture_certified.csv", {},
              ["--check-truncation"], ""),
             ("compare", "damped_coherent.ini", "compare_damped_coherent.txt", {}, [], ""),
+            ("compare", "damped_coherent.ini", "compare_damped_coherent_101.txt",
+             {"num_points": "101"}, [], ""),
+            ("evolve", "damped_coherent.ini", "evolve_damped_coherent_rk4_101.csv",
+             {"num_points": "101", "method": "rk4"}, [], ""),
             ("steady", "damped_coherent.ini", "steady_damped_coherent.txt", {}, [], ""),
             ("classical", "classical_damped.ini", "classical_damped.csv", {}, [], ""),
             ("classical", "classical_damped.ini", "classical_overdamped.csv", {"gamma": "3"}, [],
