@@ -5,7 +5,10 @@ same 2x2 su(1,1) generators used on the quantum side, and for omega > gamma
 its exponential has a closed cos/sin form with overall decay e^{-gamma t}.
 Critical and overdamped motion (omega <= gamma) is served only by the RK4
 integrator; the analytic path refuses it rather than substituting formulas
-outside its stated domain. :func:`evolve_classical_rk4_grid` steps a whole
+outside its stated domain. :func:`evolve_classical_analytic_grid` builds the
+closed form for a whole time grid as one (T, 2, 2) stack and applies it by
+one stacked product, each row with the bits of the one-time matrix and
+product. :func:`evolve_classical_rk4_grid` steps a whole
 time grid at ``_CLASSICAL_STEP_LIMIT``; it and :func:`stability_steps` share
 one step rule, the rate max(omega, 2 gamma). The RK4 step powers of the last
 16 (params, t, steps) are kept: linspace segments differ in the last bit, so
@@ -71,7 +74,7 @@ def system_matrix(params: ClassicalParams) -> np.ndarray:
     return np.array([[0.0, 1.0], [-params.omega**2, -2.0 * params.gamma]])
 
 
-def evolution_matrix(params: ClassicalParams, t: float) -> np.ndarray:
+def evolution_matrix(params: ClassicalParams, t) -> np.ndarray:
     """Closed-form exp(t * system_matrix) for the underdamped case.
 
     With Omega = sqrt(omega^2 - gamma^2):
@@ -80,29 +83,34 @@ def evolution_matrix(params: ClassicalParams, t: float) -> np.ndarray:
                       [-omega^2 sin(Omega t)/Omega, cos(Omega t) - gamma sin(Omega t)/Omega]]
 
     Its determinant is e^{-2 gamma t} (the system matrix has trace -2 gamma).
+    A scalar ``t`` gives one 2x2 matrix, an array of times a stack of shape
+    ``t.shape + (2, 2)``. The cos, sin and exp are taken per time with
+    :mod:`math` (``np.exp`` differs from ``math.exp`` in the last bit on some
+    arguments); the products and sums are elementwise, so every entry has
+    the bits of the one-time matrix.
     """
     if params.omega <= params.gamma:
         raise AnalyticUnsupportedError(
             f"analytic path requires omega > gamma, got omega={params.omega}, "
             f"gamma={params.gamma}; use the RK4 integrator"
         )
+    times = np.asarray(t, dtype=float)
     big_omega = math.sqrt(params.omega**2 - params.gamma**2)
-    c = math.cos(big_omega * t)
-    s = math.sin(big_omega * t) / big_omega
-    decay = math.exp(-params.gamma * t)
-    return decay * np.array(
-        [
-            [c + params.gamma * s, s],
-            [-params.omega**2 * s, c - params.gamma * s],
-        ]
-    )
+    flat = times.ravel().tolist()
+    c = np.array([math.cos(big_omega * x) for x in flat]).reshape(times.shape)
+    s = np.array([math.sin(big_omega * x) / big_omega for x in flat]).reshape(times.shape)
+    decay = np.array([math.exp(-params.gamma * x) for x in flat]).reshape(times.shape)
+    gamma_s = params.gamma * s
+    top = np.stack([c + gamma_s, s], axis=-1)
+    bottom = np.stack([-params.omega**2 * s, c - gamma_s], axis=-1)
+    return decay[..., None, None] * np.stack([top, bottom], axis=-2)
 
 
 def _apply(m: np.ndarray, p0: PhasePoint) -> PhasePoint:
     """m @ (x0, y0). An overflow gives a non-finite point, which PhasePoint refuses."""
     with np.errstate(over="ignore", invalid="ignore"):
-        x, y = m @ (p0.x, p0.y)
-    return PhasePoint(x=float(x), y=float(y))
+        x, y = (m @ (p0.x, p0.y)).tolist()
+    return PhasePoint(x=x, y=y)
 
 
 def _check_time(t: float) -> None:
@@ -110,10 +118,35 @@ def _check_time(t: float) -> None:
         raise ValueError(f"time must be finite and non-negative, got {t}")
 
 
+def _checked_times(times) -> list[float]:
+    """The grid ``times`` as floats, each checked by :func:`_check_time`."""
+    times = np.asarray(times, dtype=float).tolist()
+    for t in times:
+        _check_time(t)
+    return times
+
+
 def evolve_classical_analytic(p0: PhasePoint, params: ClassicalParams, t: float) -> PhasePoint:
-    """Apply the closed-form evolution matrix to (x0, y0)."""
-    _check_time(t)
-    return _apply(evolution_matrix(params, t), p0)
+    """Apply the closed-form evolution matrix to (x0, y0): the grid of one time."""
+    x, y = evolve_classical_analytic_grid(p0, params, [t])[0].tolist()
+    return PhasePoint(x=x, y=y)
+
+
+def evolve_classical_analytic_grid(p0: PhasePoint, params: ClassicalParams, times) -> np.ndarray:
+    """Closed-form (x, y) at each of ``times``, as a (T, 2) array.
+
+    The times are checked once, then :func:`evolution_matrix` builds the
+    (T, 2, 2) stack and one stacked product applies it. Row i has the bits
+    of ``evolution_matrix(params, times[i]) @ (x0, y0)``. The first row an
+    overflow made non-finite is refused as :class:`PhasePoint` refuses it.
+    """
+    mats = evolution_matrix(params, _checked_times(times))
+    with np.errstate(over="ignore", invalid="ignore"):
+        points = mats @ (p0.x, p0.y)
+    bad = ~np.isfinite(points).all(axis=1)
+    if bad.any():
+        PhasePoint(*points[bad.argmax()].tolist())  # raises: the point is not finite
+    return points
 
 
 def stability_steps(params: ClassicalParams, t: float) -> int:
@@ -142,11 +175,8 @@ def evolve_classical_rk4_grid(p0: PhasePoint, params: ClassicalParams, times) ->
     ``_CLASSICAL_STEP_LIMIT``; one of zero or negative length repeats the
     point before it.
     """
-    times = np.asarray(times, dtype=float).tolist()
-    for t in times:
-        _check_time(t)
     points, current, prev_t = [], p0, 0.0
-    for t in times:
+    for t in _checked_times(times):
         seg = t - prev_t
         if seg > 0:
             current = evolve_classical_rk4(

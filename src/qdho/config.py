@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import ModelParams, TruncationConfig
+from .fock import ModelParams, TruncationConfig, check_mixture_weights
 
 
 class ConfigError(ValueError):
@@ -242,11 +242,10 @@ def _read_state(reader: _Reader) -> StateSpec:
                 raise ConfigError(f"[state] terms: bad entry {piece!r}") from None
         if not terms:
             raise ConfigError("[state] terms: at least one level:weight entry required")
-        total = sum(w for _, w in terms)
-        if any(w < 0 for _, w in terms) or abs(total - 1.0) > 1e-12:
-            raise ConfigError(
-                f"[state] terms: weights must be non-negative and sum to 1 (got {total!r})"
-            )
+        try:
+            check_mixture_weights(terms)
+        except ValueError as exc:
+            raise ConfigError(f"[state] terms: {exc}") from None
         return StateSpec(kind=kind, terms=tuple(terms))
     raise ConfigError(f"[state] kind: must be one of {STATE_KINDS}, got {kind!r}")
 

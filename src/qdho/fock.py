@@ -227,24 +227,36 @@ def thermal_state(n_bar: float, trunc: TruncationConfig) -> DensityMatrix:
     return DensityMatrix(mat=np.diag(weights).astype(complex), trunc=trunc)
 
 
-def mixture_state(terms: list[tuple[int, float]], trunc: TruncationConfig) -> DensityMatrix:
-    """Statistical mixture sum_i w_i |n_i><n_i| of Fock projectors.
+def check_mixture_weights(terms) -> None:
+    """Refuse mixture weights that are NaN, negative or do not sum to 1 within 1e-12.
 
-    Weights must be non-negative and sum to 1 within 1e-12.
+    A NaN weight is refused by name: it would pass both ``w < 0`` and the
+    sum test, since every comparison with NaN is False.
     """
     if not terms:
         raise ValueError("mixture needs at least one (level, weight) term")
     total = 0.0
-    m = np.zeros((trunc.dim, trunc.dim), dtype=complex)
     for n, w in terms:
+        if math.isnan(w):
+            raise ValueError(f"mixture weight for level {n} is NaN")
         if w < 0:
             raise ValueError(f"mixture weight for level {n} is negative: {w}")
-        if n < 0 or n >= trunc.dim:
-            raise ValueError(f"mixture level {n} does not fit in {trunc.dim} retained levels")
-        m[n, n] += w
         total += w
     if abs(total - 1.0) > 1e-12:
         raise ValueError(f"mixture weights sum to {total!r}, expected 1 within 1e-12")
+
+
+def mixture_state(terms: list[tuple[int, float]], trunc: TruncationConfig) -> DensityMatrix:
+    """Statistical mixture sum_i w_i |n_i><n_i| of Fock projectors.
+
+    The weights must pass :func:`check_mixture_weights`.
+    """
+    check_mixture_weights(terms)
+    m = np.zeros((trunc.dim, trunc.dim), dtype=complex)
+    for n, w in terms:
+        if n < 0 or n >= trunc.dim:
+            raise ValueError(f"mixture level {n} does not fit in {trunc.dim} retained levels")
+        m[n, n] += w
     return DensityMatrix(mat=m, trunc=trunc)
 
 

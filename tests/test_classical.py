@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -247,6 +250,100 @@ class TestRk4Grid:
         params = classical.ClassicalParams(omega=2.0, gamma=2e305)
         with pytest.raises(ValueError, match=r"^RK4 step count at t = 2.5 overflows double precision$"):
             classical.evolve_classical_rk4_grid(classical.PhasePoint(1.0, 0.0), params, [1.0, 3.5])
+
+
+def closed_form(params, t):
+    # The one-time matrix as written before the stacked build: the bits the
+    # grid must reproduce.
+    big_omega = math.sqrt(params.omega**2 - params.gamma**2)
+    c = math.cos(big_omega * t)
+    s = math.sin(big_omega * t) / big_omega
+    decay = math.exp(-params.gamma * t)
+    return decay * np.array(
+        [[c + params.gamma * s, s], [-params.omega**2 * s, c - params.gamma * s]]
+    )
+
+
+class TestAnalyticGrid:
+    # The classical benchmark's three grids and the sample config's.
+    SHAPES = pytest.mark.parametrize(
+        "omega, gamma, t_end, num_points",
+        [(2.0 * np.pi, 0.1, 300.0, 3001), (1.0, 1.0, 40.0, 401), (1.0, 5.0, 360.0, 3601),
+         (2.0, 1.0, 10.0, 101)],
+        ids=["under", "critical", "over", "sample"],
+    )
+
+    @SHAPES
+    @pytest.mark.parametrize("angle", [0.0, 1.1, 2.9, 4.4])
+    def test_equals_per_time_loop(self, omega, gamma, t_end, num_points, angle):
+        params = classical.ClassicalParams(omega=omega, gamma=gamma)
+        p0 = classical.PhasePoint(math.cos(angle), omega * math.sin(angle))
+        times = np.linspace(0.0, t_end, num_points)
+        if omega <= gamma:
+            # Both refuse, with one message.
+            with pytest.raises(classical.AnalyticUnsupportedError) as grid_exc:
+                classical.evolve_classical_analytic_grid(p0, params, times)
+            with pytest.raises(classical.AnalyticUnsupportedError) as one_exc:
+                classical.evolve_classical_analytic(p0, params, float(times[-1]))
+            assert str(grid_exc.value) == str(one_exc.value)
+            return
+        got = classical.evolve_classical_analytic_grid(p0, params, times)
+        assert got.shape == (num_points, 2)
+        for i, t in enumerate(times.tolist()):
+            one = classical.evolve_classical_analytic(p0, params, t)
+            expected = (closed_form(params, t) @ (p0.x, p0.y)).tolist()
+            assert got[i].tolist() == [one.x, one.y] == expected
+
+    @SHAPES
+    def test_stacked_matrices_equal_per_time_ones(self, omega, gamma, t_end, num_points):
+        params = classical.ClassicalParams(omega=omega, gamma=gamma)
+        times = np.linspace(0.0, t_end, num_points)
+        if omega <= gamma:
+            with pytest.raises(classical.AnalyticUnsupportedError):
+                classical.evolution_matrix(params, times)
+            return
+        stack = classical.evolution_matrix(params, times)
+        assert stack.shape == (num_points, 2, 2)
+        for i, t in enumerate(times.tolist()):
+            one = classical.evolution_matrix(params, t)
+            assert one.shape == (2, 2)
+            assert stack[i].tobytes() == one.tobytes() == closed_form(params, t).tobytes()
+
+    def test_refuses_critical_damping_before_building(self, monkeypatch):
+        monkeypatch.setattr(classical.math, "cos", None)
+        monkeypatch.setattr(classical.np, "stack", None)
+        params = classical.ClassicalParams(omega=1.0, gamma=1.0)
+        message = (
+            "analytic path requires omega > gamma, got omega=1.0, gamma=1.0; "
+            "use the RK4 integrator"
+        )
+        with pytest.raises(classical.AnalyticUnsupportedError, match=f"^{re.escape(message)}$"):
+            classical.evolve_classical_analytic_grid(
+                classical.PhasePoint(1.0, 0.0), params, np.linspace(0.0, 1.0, 5)
+            )
+
+    @pytest.mark.parametrize("bad, shown", [(-0.5, "-0.5"), (np.nan, "nan")])
+    def test_refuses_bad_times_before_building(self, monkeypatch, bad, shown):
+        monkeypatch.setattr(classical, "evolution_matrix", None)
+        params = classical.ClassicalParams(omega=2.0, gamma=0.5)
+        with pytest.raises(
+            ValueError, match=f"^time must be finite and non-negative, got {shown}$"
+        ):
+            classical.evolve_classical_analytic_grid(
+                classical.PhasePoint(1.0, 0.0), params, [0.0, 1.0, bad]
+            )
+
+    def test_refuses_the_first_non_finite_row(self):
+        # y = -3 sin(3t) * 1e308 overflows at t = 0.5 and 0.6 but not at 0.1
+        # or 1.0; the message names the row at 0.5.
+        params = classical.ClassicalParams(omega=3.0, gamma=0.0)
+        p0 = classical.PhasePoint(1e308, 0.0)
+        x = float(closed_form(params, 0.5)[0, 0]) * p0.x  # y0 = 0 adds nothing
+        message = f"phase point must be finite, got ({x}, -inf)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            classical.evolve_classical_analytic_grid(p0, params, [0.0, 0.1, 0.5, 0.6, 1.0])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            classical.evolve_classical_analytic(p0, params, 0.5)
 
 
 class TestParams:

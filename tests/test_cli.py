@@ -108,10 +108,26 @@ class TestConfigParsing:
         cfg = config.load_run_config(write(tmp_path, text))
         assert cfg.state.terms == ((0, 0.25), (3, 0.75))
 
-    def test_rejects_bad_mixture_weights(self, tmp_path):
-        text = QUANTUM_CONFIG.replace("kind = fock\nn = 1", "kind = mixture\nterms = 0:0.5 1:0.6")
-        with pytest.raises(config.ConfigError):
+    @pytest.mark.parametrize(
+        "terms, message",
+        [
+            ("0:0.5 1:0.6", "mixture weights sum to 1.1, expected 1 within 1e-12"),
+            ("0:-0.1 1:1.1", "mixture weight for level 0 is negative: -0.1"),
+            ("0:nan 1:nan", "mixture weight for level 0 is NaN"),
+            ("0:1 1:nan", "mixture weight for level 1 is NaN"),
+        ],
+        ids=["sum", "negative", "nan", "nan-second"],
+    )
+    def test_rejects_bad_mixture_weights(self, tmp_path, capsys, terms, message):
+        # One weight check, fock.check_mixture_weights, serves the config
+        # reader and the library; a NaN weight once passed both.
+        text = QUANTUM_CONFIG.replace("kind = fock\nn = 1", f"kind = mixture\nterms = {terms}")
+        with pytest.raises(config.ConfigError, match=f"^\\[state\\] terms: {re.escape(message)}$"):
             config.load_run_config(write(tmp_path, text))
+        assert cli.main(["evolve", "--config", write(tmp_path, text)]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [state] terms: {message}\n"
 
     def test_rejects_unknown_method(self, tmp_path):
         with pytest.raises(config.ConfigError):
@@ -935,7 +951,9 @@ class TestGolden:
     """Verb stdout on the sample configs against tests/golden, byte for byte.
 
     The steady golden pins t = 20/(mu - nu), the relaxation time; the
-    overdamped classical run also pins its one warning line. The coherent
+    critically and overdamped classical runs also pin their one warning
+    line, and the 101-point classical golden pins the stacked closed form
+    on a longer grid. The coherent
     goldens run on the matrix layout and both oracles, the mixture golden
     on the one-row diagonal layout. The 101-point coherent goldens run the
     RK4 oracle on a grid whose segment lengths alternate in the last bit.
@@ -966,6 +984,10 @@ class TestGolden:
             ("classical", "classical_damped.ini", "classical_damped.csv", {}, [], ""),
             ("classical", "classical_damped.ini", "classical_overdamped.csv", {"gamma": "3"}, [],
              "warning: omega=2.0 <= gamma=3.0: analytic columns unsupported (RK4 only)\n"),
+            ("classical", "classical_damped.ini", "classical_critical.csv", {"gamma": "2"}, [],
+             "warning: omega=2.0 <= gamma=2.0: analytic columns unsupported (RK4 only)\n"),
+            ("classical", "classical_damped.ini", "classical_damped_101.csv",
+             {"num_points": "101"}, [], ""),
         ],
     )
     def test_stdout_equals_golden(self, tmp_path, capsys, verb, config, golden, edits, flags, err):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -171,11 +172,21 @@ class TestMixtureState:
             np.diag(rho.mat), np.array([0.25, 0, 0, 0.75, 0], dtype=complex)
         )
 
-    def test_rejects_bad_weights(self):
-        with pytest.raises(ValueError):
-            fock.mixture_state([(0, 0.5), (1, 0.6)], trunc_of(4))
-        with pytest.raises(ValueError):
-            fock.mixture_state([(0, -0.1), (1, 1.1)], trunc_of(4))
+    @pytest.mark.parametrize(
+        "terms, message",
+        [
+            ([(0, 0.5), (1, 0.6)], "mixture weights sum to 1.1, expected 1 within 1e-12"),
+            ([(0, -0.1), (1, 1.1)], "mixture weight for level 0 is negative: -0.1"),
+            ([(0, 0.5), (1, math.nan)], "mixture weight for level 1 is NaN"),
+            ([(0, math.nan), (1, math.nan)], "mixture weight for level 0 is NaN"),
+            ([(0, math.inf), (1, 0.0)], "mixture weights sum to inf, expected 1 within 1e-12"),
+            ([], "mixture needs at least one (level, weight) term"),
+        ],
+        ids=["sum", "negative", "nan", "all-nan", "inf", "empty"],
+    )
+    def test_rejects_bad_weights(self, terms, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fock.mixture_state(terms, trunc_of(4))
 
 
 class TestValidateDensity:
