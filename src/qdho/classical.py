@@ -83,11 +83,13 @@ def evolution_matrix(params: ClassicalParams, t) -> np.ndarray:
                       [-omega^2 sin(Omega t)/Omega, cos(Omega t) - gamma sin(Omega t)/Omega]]
 
     Its determinant is e^{-2 gamma t} (the system matrix has trace -2 gamma).
-    A scalar ``t`` gives one 2x2 matrix, an array of times a stack of shape
-    ``t.shape + (2, 2)``. The cos, sin and exp are taken per time with
-    :mod:`math` (``np.exp`` differs from ``math.exp`` in the last bit on some
-    arguments); the products and sums are elementwise, so every entry has
-    the bits of the one-time matrix.
+    Omega can underflow to 0 although omega > gamma (omega = 1e-300, say);
+    sin(Omega t)/Omega is then taken as its limit t, every Omega > 0 keeping
+    its bits. A scalar ``t`` gives one 2x2 matrix, an array of times a stack
+    of shape ``t.shape + (2, 2)``. The cos, sin and exp are taken per time
+    with :mod:`math` (``np.exp`` differs from ``math.exp`` in the last bit on
+    some arguments); the products and sums are elementwise, so every entry
+    has the bits of the one-time matrix.
     """
     if params.omega <= params.gamma:
         raise AnalyticUnsupportedError(
@@ -98,7 +100,8 @@ def evolution_matrix(params: ClassicalParams, t) -> np.ndarray:
     big_omega = math.sqrt(params.omega**2 - params.gamma**2)
     flat = times.ravel().tolist()
     c = np.array([math.cos(big_omega * x) for x in flat]).reshape(times.shape)
-    s = np.array([math.sin(big_omega * x) / big_omega for x in flat]).reshape(times.shape)
+    s = np.array([math.sin(big_omega * x) / big_omega if big_omega else x for x in flat])
+    s = s.reshape(times.shape)
     decay = np.array([math.exp(-params.gamma * x) for x in flat]).reshape(times.shape)
     gamma_s = params.gamma * s
     top = np.stack([c + gamma_s, s], axis=-1)

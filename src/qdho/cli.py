@@ -52,10 +52,6 @@ class NumericFailure(Exception):
     """NaN or Inf appeared in a computed quantity."""
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.16e}"
-
-
 def build_initial_state(spec: StateSpec, trunc) -> DensityMatrix:
     if spec.kind == "fock":
         return fock_state(spec.n, trunc)
@@ -112,6 +108,7 @@ def cmd_evolve(cfg: RunConfig) -> str:
         + ["min_eigenvalue"]
     )
     lines = [",".join(header)]
+    row = ",".join(["%.16e"] * len(header))
     for t, rho in zip(times, states):
         report = validate_density(
             rho,
@@ -127,7 +124,7 @@ def cmd_evolve(cfg: RunConfig) -> str:
             + [float(dist[k]) for k in range(k_max + 1)]
             + [report.min_eigenvalue]
         )
-        lines.append(",".join(_fmt(v) for v in values))
+        lines.append(row % tuple(values))
     return "\n".join(lines) + "\n"
 
 

@@ -240,8 +240,6 @@ def _read_state(reader: _Reader) -> StateSpec:
                 terms.append((int(level), float(weight)))
             except ValueError:
                 raise ConfigError(f"[state] terms: bad entry {piece!r}") from None
-        if not terms:
-            raise ConfigError("[state] terms: at least one level:weight entry required")
         try:
             check_mixture_weights(terms)
         except ValueError as exc:

@@ -24,10 +24,6 @@ class GainWarning(UserWarning):
 class ValidationError(ValueError):
     """A matrix offered as a density matrix failed its invariants."""
 
-    def __init__(self, message: str, report: "ValidationReport | None" = None):
-        super().__init__(message)
-        self.report = report
-
 
 @dataclass(frozen=True)
 class TruncationConfig:
@@ -114,8 +110,7 @@ class DensityMatrix:
             raise ValueError(
                 f"matrix dimension {m.shape[0]} does not match truncation dim {self.trunc.dim}"
             )
-        if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
-            raise ValueError("density matrix contains NaN/Inf entries")
+        _check_finite(m)
         object.__setattr__(self, "mat", m)
 
     @property
@@ -133,7 +128,6 @@ class ValidationReport:
     hermitian_ok: bool
     trace_ok: bool
     positive_ok: bool
-    dim: int
 
     @property
     def ok(self) -> bool:
@@ -154,8 +148,6 @@ def build_operators(trunc: TruncationConfig, theta: float = 0.0) -> FockOperator
     diag(0, 1, ..., D-1) for every theta because the phase cancels.
     """
     d = trunc.dim
-    if d < 2:
-        raise ValueError(f"need at least 2 Fock levels, got {d}")
     b = np.diag(np.sqrt(np.arange(1, d, dtype=float)), k=1).astype(complex)
     a = np.exp(1j * theta) * b
     a_dagger = a.conj().T.copy()
@@ -209,11 +201,14 @@ def coherent_state(alpha: complex, trunc: TruncationConfig) -> DensityMatrix:
 def thermal_state(n_bar: float, trunc: TruncationConfig) -> DensityMatrix:
     """Diagonal Gibbs state with geometric weights (n_bar/(n_bar+1))^n.
 
-    The geometric tail beyond level D-1 must be below 1e-8; the retained
-    weights are renormalized to unit trace.
+    n_bar must be finite and non-negative, and the geometric tail beyond
+    level D-1 below 1e-8; the retained weights are renormalized to unit
+    trace.
     """
     if n_bar < 0:
         raise ValueError(f"n_bar must be non-negative, got {n_bar}")
+    if not math.isfinite(n_bar):  # q = n_bar/(n_bar + 1) would be NaN
+        raise ValueError(f"n_bar must be finite, got {n_bar}")
     d = trunc.dim
     q = n_bar / (n_bar + 1.0)
     tail = q**d
@@ -289,7 +284,6 @@ def validate_density(
         hermitian_ok=herm_dev <= hermiticity_tol * scale,
         trace_ok=trace_dev <= trace_tol,
         positive_ok=min_eig >= -positivity_tol,
-        dim=m.shape[0],
     )
 
 
@@ -299,12 +293,23 @@ def _min_eigenvalue(h: np.ndarray) -> float:
     A diagonal h is its own spectrum, so the answer is its smallest
     diagonal entry; any other h goes to ``eigvalsh`` whole.
     """
-    if np.count_nonzero(h) == np.count_nonzero(h.diagonal()):
+    if _is_diagonal(h):
         return float(h.diagonal().real.min())
     return float(np.linalg.eigvalsh(h)[0])
 
 
-def check_evolution_args(rho0: DensityMatrix, params: ModelParams, t, tolerances=None):
+def _is_diagonal(x: np.ndarray) -> bool:
+    """Whether the square x has no nonzero entry off its diagonal."""
+    return np.count_nonzero(x) == np.count_nonzero(x.diagonal())
+
+
+def _check_finite(states: np.ndarray) -> None:
+    """Refuse a state, or a stack of states, holding a NaN or an infinity."""
+    if not np.isfinite(states).all():
+        raise ValueError("density matrix contains NaN/Inf entries")
+
+
+def check_evolution_args(rho0: DensityMatrix, params: ModelParams, t, tolerances) -> None:
     """The argument check of every quantum evolution: times, rates, rho0.
 
     ``t`` is one time or an array of grid times, all checked here, so a
@@ -317,12 +322,9 @@ def check_evolution_args(rho0: DensityMatrix, params: ModelParams, t, tolerances
     exponents ln F (n - 1) at n <= 2D, as |ln F| <= (mu + nu) t / 2, and,
     through max(1, t), the generator's entries at t < 1. A gain run
     (nu > mu) warns :class:`GainWarning`. ``tolerances`` is a
-    :class:`qdho.config.ToleranceConfig` (the defaults when None); its
-    Hermiticity, trace and positivity tolerances gate
-    :func:`validate_density`. Returns the tolerance bundle in force.
+    :class:`qdho.config.ToleranceConfig`; its Hermiticity, trace and
+    positivity tolerances gate :func:`validate_density`.
     """
-    from .config import DEFAULT_TOLERANCES  # config imports this module
-
     times = np.asarray(t, dtype=float)
     if not (times >= 0).all():  # NaN fails too
         raise ValueError(f"evolution time must be non-negative, got {times.min()}")
@@ -341,15 +343,11 @@ def check_evolution_args(rho0: DensityMatrix, params: ModelParams, t, tolerances
             GainWarning,
             stacklevel=3,
         )
-    tols = DEFAULT_TOLERANCES if tolerances is None else tolerances
     report = validate_density(
         rho0.mat,
-        hermiticity_tol=tols.hermiticity_tol,
-        trace_tol=tols.trace_tol,
-        positivity_tol=tols.positivity_tol,
+        hermiticity_tol=tolerances.hermiticity_tol,
+        trace_tol=tolerances.trace_tol,
+        positivity_tol=tolerances.positivity_tol,
     )
     if not report.ok:
-        raise ValidationError(
-            f"initial state is not a valid density matrix: {report.describe()}", report
-        )
-    return tols
+        raise ValidationError(f"initial state is not a valid density matrix: {report.describe()}")

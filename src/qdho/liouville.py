@@ -45,11 +45,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import ToleranceConfig
+from .config import DEFAULT_TOLERANCES, ToleranceConfig
 from .fock import (
     DensityMatrix,
     ModelParams,
     TruncationConfig,
+    _check_finite,
     build_operators,
     check_evolution_args,
 )
@@ -68,8 +69,7 @@ RK4_STABILITY_LIMIT = 0.1
 #: steps at D_o = 52 (1.7e7); the benchmark's is 1,844 steps at D = 24
 #: (1.1e6). A call costs O(D^4 log steps), not O(D^2) per step: at D = 24
 #: (one BLAS thread, 2-core box) 1,844 steps take ~8 ms and the 347,222
-#: this budget admits ~11 ms, where the step loop took 90 us per step
-#: (~30 s at this budget). At D = 1 it admits 2e8 steps, 28 squarings.
+#: this budget admits ~11 ms. At D = 1 it admits 2e8 steps, 28 squarings.
 RK4_MAX_WORK = 200_000_000
 #: Size budget of the dense superoperators. :func:`k_superoperators` returns
 #: four real D^2 x D^2 matrices of 8 D^4 bytes each (134 MB at D = 64,
@@ -264,7 +264,7 @@ def evolve_numeric_expm_grid(
     params: ModelParams,
     times,
     *,
-    tolerances: ToleranceConfig | None = None,
+    tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> np.ndarray:
     """Evolve rho0 to every time in ``times`` by exp(t L_k) on each diagonal k.
 
@@ -301,8 +301,7 @@ def evolve_numeric_expm_grid(
             phase = np.exp(1j * (params.omega * k * part))
             moved[:, span] = phase[:, None] * parts.view(complex)[..., 0]
         states[start : start + chunk].reshape(-1, dim * dim)[:, order] = moved
-        if not np.isfinite(moved).all():
-            raise ValueError("density matrix contains NaN/Inf entries")
+        _check_finite(moved)
     return states
 
 
@@ -311,7 +310,7 @@ def evolve_numeric_expm(
     params: ModelParams,
     t: float,
     *,
-    tolerances: ToleranceConfig | None = None,
+    tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> DensityMatrix:
     """One time of :func:`evolve_numeric_expm_grid`."""
     states = evolve_numeric_expm_grid(rho0, params, [t], tolerances=tolerances)
@@ -399,7 +398,7 @@ def evolve_numeric_rk4_grid(
     params: ModelParams,
     times,
     *,
-    tolerances: ToleranceConfig | None = None,
+    tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> np.ndarray:
     """Step rho0 along ``times`` by :func:`evolve_numeric_rk4`'s integrator.
 
@@ -416,8 +415,7 @@ def evolve_numeric_rk4_grid(
         if t > prev_t:
             seg = t - prev_t
             current = _rk4_segment(current, params, seg, 2 * stability_steps(params, rho0.dim, seg))
-            if not np.isfinite(current).all():
-                raise ValueError("density matrix contains NaN/Inf entries")
+            _check_finite(current)
         states[s] = current
         prev_t = t
     return states
@@ -429,7 +427,7 @@ def evolve_numeric_rk4(
     t: float,
     steps: int,
     *,
-    tolerances: ToleranceConfig | None = None,
+    tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> DensityMatrix:
     """Integrate the matrix-form master equation with classic fixed-step RK4.
 

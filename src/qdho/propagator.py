@@ -59,8 +59,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import su11
-from .config import ToleranceConfig
-from .fock import DensityMatrix, ModelParams, check_evolution_args
+from .config import DEFAULT_TOLERANCES, ToleranceConfig
+from .fock import DensityMatrix, ModelParams, _check_finite, _is_diagonal, check_evolution_args
 from .fock import GainWarning  # noqa: F401  (kept importable from here)
 
 #: Doubling-D truncation certificates must come in below this (Frobenius
@@ -81,7 +81,7 @@ def evolve_analytic(
     params: ModelParams,
     t: float,
     *,
-    tolerances: ToleranceConfig | None = None,
+    tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> DensityMatrix:
     """Evolve rho0 to time t under loss mu, pump nu and rotation omega."""
     states, _ = evolve_analytic_grid(rho0, params, [t], tolerances=tolerances)
@@ -93,7 +93,7 @@ def evolve_analytic_grid(
     params: ModelParams,
     times,
     *,
-    tolerances: ToleranceConfig | None = None,
+    tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
     certify: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Evolve rho0 to every time in ``times``: ((times, D, D) states, escape distances).
@@ -150,7 +150,7 @@ def evolve_nu_zero(
     omega: float,
     t: float,
     *,
-    tolerances: ToleranceConfig | None = None,
+    tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> DensityMatrix:
     """Pure-loss corollary, with weights that do not come from :mod:`qdho.su11`.
 
@@ -178,7 +178,7 @@ def evolve_nu_zero_grid(
     omega: float,
     times,
     *,
-    tolerances: ToleranceConfig | None = None,
+    tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> np.ndarray:
     """:func:`evolve_nu_zero` at every time in ``times``, as one (times, D, D) array."""
     times = np.asarray(times, dtype=float)
@@ -199,7 +199,7 @@ def doubled_truncation_distance(
     params: ModelParams,
     t: float,
     *,
-    tolerances: ToleranceConfig | None = None,
+    tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> float:
     """Truncation-convergence certificate: weight escaping above the cutoff.
 
@@ -248,7 +248,7 @@ def _layout(rho: np.ndarray, n: int | None = None) -> _Layout:
         mat = np.zeros((n, n), dtype=complex)
         mat[:d, :d] = rho
     levels = np.arange(n)
-    if np.count_nonzero(rho) == np.count_nonzero(rho.diagonal()):
+    if _is_diagonal(rho):
         return _Layout(mat.diagonal()[None, :], levels[None, :], levels[None, :], 0)
     return _Layout(mat, levels[:, None], levels[None, :], 1)
 
@@ -274,9 +274,9 @@ def _evolved_chunks(layout: _Layout, out: np.ndarray, *weights):
     """
     n = layout.values.shape[-1]
     i, j = np.broadcast_arrays(layout.i, layout.j)
-    keys = (i * n + j).ravel()
-    order = np.argsort(keys)
-    mirror = order[np.searchsorted(keys[order], (j * n + i).ravel())]
+    # The slot holding (j, i): row j, position i of the matrix; position j
+    # of the one row of the diagonal, where i = j.
+    mirror = (layout.row_step * j * n + i).ravel()
     d = out.shape[-1]
     flat0 = layout.values.ravel()
     carried = math.sqrt(d) * float(np.linalg.norm(flat0 - flat0[mirror].conj()))
@@ -295,8 +295,7 @@ def _evolved_chunks(layout: _Layout, out: np.ndarray, *weights):
                     f"propagator output lost Hermiticity: deviation {dev:.3e} at scale {sc:.3e}"
                 )
         out[part][:, rows, cols] = evolved[:, inside]
-        if not np.isfinite(out[part]).all():
-            raise ValueError("density matrix contains NaN/Inf entries")
+        _check_finite(out[part])
         yield evolved
 
 

@@ -77,6 +77,14 @@ def generator(mu: float, nu: float) -> np.ndarray:
     )
 
 
+def _check_rates(mu: float, nu: float, t: float) -> None:
+    """Refuse a non-finite rate or time, or a negative rate."""
+    if not (math.isfinite(mu) and math.isfinite(nu) and math.isfinite(t)):
+        raise ValueError("mu, nu, t must be finite")
+    if mu < 0 or nu < 0:
+        raise ValueError(f"mu and nu must be non-negative, got mu={mu}, nu={nu}")
+
+
 def flow(mu: float, nu: float, t: float) -> np.ndarray:
     """exp(t * generator(mu, nu)) in closed form.
 
@@ -85,10 +93,7 @@ def flow(mu: float, nu: float, t: float) -> np.ndarray:
     on the diagonal and nu*s, -mu*s off it. The result has determinant 1 up
     to rounding.
     """
-    if not (math.isfinite(mu) and math.isfinite(nu) and math.isfinite(t)):
-        raise ValueError("mu, nu, t must be finite")
-    if mu < 0 or nu < 0:
-        raise ValueError(f"mu and nu must be non-negative, got mu={mu}, nu={nu}")
+    _check_rates(mu, nu, t)
     x = 0.5 * (mu - nu) * t
     # Unlike the coefficients, which stay bounded, the entries of exp(tA)
     # themselves grow like cosh(x) and are not representable past |x| ~ 710,
@@ -134,10 +139,7 @@ def disentangling_coefficients(mu: float, nu: float, t: float) -> DisentanglingC
     non-negative rate and time, balanced rates and large t included; as
     t grows with mu > nu, E -> 1 and G -> nu/mu, the thermal state.
     """
-    if not (math.isfinite(mu) and math.isfinite(nu) and math.isfinite(t)):
-        raise ValueError("mu, nu, t must be finite")
-    if mu < 0 or nu < 0:
-        raise ValueError(f"mu and nu must be non-negative, got mu={mu}, nu={nu}")
+    _check_rates(mu, nu, t)
     if t < 0:
         raise ValueError(f"time must be non-negative, got {t}")
     d = abs(mu - nu)

@@ -58,12 +58,22 @@ MUTANTS = [
      "closed form's Hermiticity guard 1e-12 -> 1e-6"),
     ("cli.py", "t_ss = 20.0 / (params.mu - params.nu)", "t_ss = 12.0 / (params.mu - params.nu)",
      "steady relaxation time 20/(mu - nu) -> 12/(mu - nu)"),
-    ("propagator.py", "if np.count_nonzero(rho) == np.count_nonzero(rho.diagonal()):",
-     "if True:", "series layout: every state taken as diagonal"),
-    ("propagator.py", "if np.count_nonzero(rho) == np.count_nonzero(rho.diagonal()):",
-     "if False:", "series layout: no state taken as diagonal"),
-    ("fock.py", "if np.count_nonzero(h) == np.count_nonzero(h.diagonal()):",
-     "if True:", "positivity check: every state taken as diagonal"),
+    ("propagator.py", "if _is_diagonal(rho):", "if True:",
+     "series layout: every state taken as diagonal"),
+    ("propagator.py", "if _is_diagonal(rho):", "if False:",
+     "series layout: no state taken as diagonal"),
+    ("fock.py", "if _is_diagonal(h):", "if True:", "positivity check: every state taken as diagonal"),
+    ("config.py", "MAX_DIM = 256", "MAX_DIM = 257", "config dimension budget 256 -> 257"),
+    ("config.py", "MAX_GRID_POINTS = 100_000", "MAX_GRID_POINTS = 100_001",
+     "config grid budget 100,000 -> 100,001 points"),
+    ("config.py", "MAX_STATE_BYTES = 256 * 2**20", "MAX_STATE_BYTES = 257 * 2**20",
+     "config state budget 256 -> 257 MB"),
+    ("liouville.py", "RK4_MAX_WORK = 200_000_000", "RK4_MAX_WORK = 201_000_000",
+     "RK4 work budget 2.00e8 -> 2.01e8 steps x D^2"),
+    ("liouville.py", "ORACLE_MAX_DIM = 128", "ORACLE_MAX_DIM = 129",
+     "sector expm oracle budget D <= 128 -> 129"),
+    ("liouville.py", "DENSE_MAX_DIM = 64", "DENSE_MAX_DIM = 65",
+     "dense superoperator budget D <= 64 -> 65"),
 ]
 
 #: Changes that cannot alter any output, and why; not run.
@@ -76,7 +86,7 @@ EQUIVALENT = [
     ("classical.py", "lru_cache maxsize of _rk4_power",
      "the cache is keyed by every argument and holds read-only results, so a size "
      "changes only what is recomputed"),
-    ("fock.py", "_min_eigenvalue's diagonal test forced false",
+    ("fock.py", "_min_eigenvalue's 'if _is_diagonal(h):' forced false",
      "eigvalsh of a diagonal matrix returns its diagonal, so only the time moves: the "
      "three evolve_diagonal ops took 35 ms in process against 23 ms (best of 7, one BLAS thread)"),
 ]

@@ -38,6 +38,14 @@ class TestAnalytic:
         with pytest.raises(classical.AnalyticUnsupportedError):
             classical.evolution_matrix(classical.ClassicalParams(omega=1.0, gamma=2.0), 1.0)
 
+    @pytest.mark.parametrize("gamma", [0.0, 5e-301])
+    def test_underflowing_big_omega_takes_its_limit(self, gamma):
+        # omega > gamma, but Omega = sqrt(omega^2 - gamma^2) underflows to 0:
+        # sin(Omega t)/Omega is then its limit t.
+        p = classical.ClassicalParams(omega=1e-300, gamma=gamma)
+        for t in (0.0, 1.5, 10.0):
+            np.testing.assert_array_equal(classical.evolution_matrix(p, t), [[1.0, t], [0.0, 1.0]])
+
     def test_determinant_decays_at_twice_gamma(self):
         # det exp(tM) = e^{t tr M} with tr M = -2 gamma.
         for omega, gamma in [(2.0, 1.0), (1.0, 0.1), (5.0, 0.0)]:

@@ -115,8 +115,9 @@ class TestConfigParsing:
             ("0:-0.1 1:1.1", "mixture weight for level 0 is negative: -0.1"),
             ("0:nan 1:nan", "mixture weight for level 0 is NaN"),
             ("0:1 1:nan", "mixture weight for level 1 is NaN"),
+            ("", "mixture needs at least one (level, weight) term"),
         ],
-        ids=["sum", "negative", "nan", "nan-second"],
+        ids=["sum", "negative", "nan", "nan-second", "empty"],
     )
     def test_rejects_bad_mixture_weights(self, tmp_path, capsys, terms, message):
         # One weight check, fock.check_mixture_weights, serves the config
@@ -431,6 +432,21 @@ class TestCmdClassical:
         assert elapsed < 1.0
         assert len(out.read_text(encoding="utf-8").strip().split("\n")[1:]) == 2
 
+    @pytest.mark.parametrize("gamma", ["0.0", "5e-301"])
+    def test_underflowing_big_omega_exits_0(self, tmp_path, capsys, gamma):
+        # omega = 1e-300 passes omega > gamma, and Omega underflows to 0: the
+        # closed form is then [[1, t], [0, 1]], where it once divided by 0.
+        text = CLASSICAL_CONFIG.format(omega="1e-300", gamma=gamma, t_end=10.0, num_points=11)
+        path = write(tmp_path, text.replace("y0 = 0.0", "y0 = 1.0"))
+        assert cli.main(["classical", "--config", path]) == cli.EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = [[float(v) for v in line.split(",")] for line in captured.out.split("\n")[1:-1]]
+        assert len(rows) == 11
+        for t, x_analytic, _, _, _, deviation in rows:
+            assert x_analytic == 1.0 + t
+            assert deviation < 1e-12
+
     def test_overdamped_flags_analytic_columns(self, tmp_path):
         path = write(tmp_path, CLASSICAL_CONFIG.format(omega=1.0, gamma=2.0, t_end=4.0, num_points=5))
         with pytest.warns(UserWarning, match="analytic columns unsupported") as caught:
@@ -686,6 +702,17 @@ class TestMainEntry:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("n_bar", ["inf", "nan"])
+    def test_non_finite_n_bar_exits_1_by_name(self, tmp_path, capsys, n_bar):
+        # Both once reached the state check as a matrix of NaNs.
+        text = COMPARE_CONFIG.replace(
+            "kind = coherent\nre = 1.0\nim = 0.0", f"kind = thermal\nn_bar = {n_bar}"
+        )
+        assert cli.main(["evolve", "--config", write(tmp_path, text)]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: n_bar must be finite, got {n_bar}\n"
+
     def test_overflowing_classical_start_exits_1(self, tmp_path, capsys):
         text = CLASSICAL_CONFIG.format(omega=2.0, gamma=0.0, t_end=1.0, num_points=3)
         cfg_path = write(tmp_path, text.replace("x0 = 1.0", "x0 = 1e308"))
@@ -748,6 +775,55 @@ class TestMainEntry:
         monkeypatch.setattr(cli.liouville, "_literal_rhs", no_stepping)
         assert cli.main(["evolve", "--config", write(tmp_path, text)]) == cli.EXIT_VALIDATION
         assert "work budget" in capsys.readouterr().err
+
+    def test_rk4_work_budget_admits_its_limit_and_refuses_past_it(self, tmp_path, capsys):
+        # At D = 2 a segment of t = 1 takes 2 ceil(20 omega) steps: exactly
+        # 5e7 steps x D^2 = 2e8 runs, 50,000,002 steps are refused.
+        text = (
+            QUANTUM_CONFIG.replace("mu = 1.0", "mu = 0.0")
+            .replace("support_max = 1", "support_max = 1\nguard = 0")
+            .replace("method = analytic", "method = rk4")
+        )
+        at_limit = write(tmp_path, text.replace("omega = 0.0", "omega = 1249999.975"), "at.ini")
+        past = write(tmp_path, text.replace("omega = 0.0", "omega = 1250000.025"), "past.ini")
+        assert cli.main(["evolve", "--config", at_limit]) == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert cli.main(["evolve", "--config", past]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: 5.000e+7 RK4 steps at D = 2 exceed the work budget of 2.0e+08 steps x D^2; "
+            "lower omega, mu + nu, the dimension or the time step\n"
+        )
+
+    @pytest.mark.parametrize(
+        "admitted, refused, line",
+        [
+            ((246, 3), (247, 3),
+             "[truncation]: D = support_max + guard + 1 = 257 exceeds the budget of 256 levels"),
+            ((0, 100_000), (0, 100_001), "[grid] num_points: 100001 exceeds the budget of 100000"),
+            ((14, 29_127), (14, 29_128),
+             "[grid] num_points: 29128 states at D = 24 take 256 MB, over the budget of 256 MB"),
+        ],
+        ids=["dim", "grid", "state-bytes"],
+    )
+    def test_config_budget_admits_its_limit_and_refuses_past_it(
+        self, tmp_path, monkeypatch, capsys, admitted, refused, line
+    ):
+        # (guard, num_points) at and one past each literal limit: D = 256,
+        # 10^5 points (at D = 10) and 256 MiB of states (29,127 at D = 24).
+        def config_path(guard, num_points):
+            text = COMPARE_CONFIG.replace("guard = 14", f"guard = {guard}").replace(
+                "num_points = 3", f"num_points = {num_points}"
+            )
+            return write(tmp_path, text, f"{guard}_{num_points}.ini")
+
+        config.load_run_config(config_path(*admitted))
+
+        def no_state(*args, **kwargs):
+            raise AssertionError("an initial state was built despite the config budget")
+
+        monkeypatch.setattr(cli, "build_initial_state", no_state)
+        assert cli.main(["evolve", "--config", config_path(*refused)]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {line}\n"
 
     @pytest.mark.parametrize(
         "guard, num_points, key",

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from qdho import fock
+from qdho import config, fock
 from reference import doubled
 
 
@@ -164,6 +164,19 @@ class TestThermalState:
         with pytest.raises(fock.ValidationError):
             fock.thermal_state(5.0, trunc_of(6))
 
+    @pytest.mark.parametrize(
+        "n_bar, message",
+        [
+            (-1.0, "n_bar must be non-negative, got -1.0"),
+            (math.inf, "n_bar must be finite, got inf"),
+            (math.nan, "n_bar must be finite, got nan"),
+        ],
+    )
+    def test_rejects_negative_and_non_finite_n_bar(self, n_bar, message):
+        # NaN passes n_bar < 0, and at inf or NaN q = n_bar/(n_bar + 1) is NaN.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fock.thermal_state(n_bar, trunc_of(6))
+
 
 class TestMixtureState:
     def test_two_term_mixture(self):
@@ -270,6 +283,7 @@ class TestCheckEvolutionArgs:
     """The one argument check of every quantum evolution."""
 
     RHO0 = fock.fock_state(1, trunc_of(24))
+    TOLS = config.DEFAULT_TOLERANCES
     #: 8 (omega + mu + nu) D max(1, t) at D = 24 reaches the largest double
     #: at mu ~ 3.12e305 for t = 3 and ~ 9.36e305 for t <= 1.
     BOUND = np.finfo(float).max / (8 * 24 * 3)
@@ -283,7 +297,7 @@ class TestCheckEvolutionArgs:
         ],
     )
     def test_admits_rates_inside_the_bound(self, rates, times):
-        fock.check_evolution_args(self.RHO0, fock.ModelParams(**rates), times)
+        fock.check_evolution_args(self.RHO0, fock.ModelParams(**rates), times, self.TOLS)
 
     @pytest.mark.parametrize(
         "rates, times",
@@ -297,16 +311,16 @@ class TestCheckEvolutionArgs:
     )
     def test_refuses_rates_past_the_bound(self, rates, times):
         with pytest.raises(ValueError, match=r"^rate scale 8 \(omega \+ mu \+ nu\) D max\(1, t\) "):
-            fock.check_evolution_args(self.RHO0, fock.ModelParams(**rates), times)
+            fock.check_evolution_args(self.RHO0, fock.ModelParams(**rates), times, self.TOLS)
 
     def test_refuses_negative_and_nan_times(self):
         params = fock.ModelParams(mu=1.0)
         with pytest.raises(ValueError, match="must be non-negative"):
-            fock.check_evolution_args(self.RHO0, params, [1.0, -0.5])
+            fock.check_evolution_args(self.RHO0, params, [1.0, -0.5], self.TOLS)
         with pytest.raises(ValueError, match="must be non-negative, got nan"):
-            fock.check_evolution_args(self.RHO0, params, [1.0, math.nan])
+            fock.check_evolution_args(self.RHO0, params, [1.0, math.nan], self.TOLS)
 
     def test_warns_on_gain_only(self):
         with pytest.warns(fock.GainWarning, match="pump nu=0.5 exceeds loss mu=0.25"):
-            fock.check_evolution_args(self.RHO0, fock.ModelParams(mu=0.25, nu=0.5), 1.0)
-        fock.check_evolution_args(self.RHO0, fock.ModelParams(mu=0.5, nu=0.5), 1.0)
+            fock.check_evolution_args(self.RHO0, fock.ModelParams(mu=0.25, nu=0.5), 1.0, self.TOLS)
+        fock.check_evolution_args(self.RHO0, fock.ModelParams(mu=0.5, nu=0.5), 1.0, self.TOLS)

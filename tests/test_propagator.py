@@ -182,9 +182,13 @@ class TestHermiticityGuard:
     def test_refuses_series_error_on_a_hermitian_input(self, monkeypatch, method):
         series = propagator._series
         monkeypatch.setattr(propagator, "_series", lambda *args: series(*args) + 1e-9j)
-        rho0 = fock.coherent_state(1.0, fock.TruncationConfig.for_support(5))
-        with pytest.raises(ArithmeticError, match="lost Hermiticity: deviation 2.000e-09"):
-            self.runs(rho0, self.PARAMS, 1.3)[method]()
+        trunc = fock.TruncationConfig.for_support(5)
+        # Both mirrors: the matrix layout of a coherent state, the diagonal
+        # one of a Fock mixture, whose every slot is its own mirror.
+        mixture = fock.mixture_state([(0, 0.5), (3, 0.5)], trunc)
+        for rho0 in (fock.coherent_state(1.0, trunc), mixture):
+            with pytest.raises(ArithmeticError, match="lost Hermiticity: deviation 2.000e-09"):
+                self.runs(rho0, self.PARAMS, 1.3)[method]()
 
 
 class TestEvolveNuZero:
