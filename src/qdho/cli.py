@@ -2,6 +2,8 @@
 
 Each verb formats what the library computes on its time grid; the
 integrators, their step rules and their grid walks live in the library.
+The config file sets every run option but one: ``--check-truncation``
+certifies the truncation of ``evolve`` and ``compare``.
 
 Exit codes: 0 success, 1 validation/config error (overflowing rates
 included), 2 tolerance or acceptance failure, 3 internal numeric failure (a
@@ -243,21 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="stdout", help="output path, or 'stdout'")
         if verb in ("evolve", "compare"):
             p.add_argument("--check-truncation", action="store_true", dest="check_truncation")
-        if verb in ("evolve", "compare", "steady"):
-            p.add_argument(
-                "--tol-override",
-                action="append",
-                default=[],
-                metavar="KEY=VALUE",
-                help="override one tolerance, e.g. oracle_tol=1e-6 (repeatable)",
-            )
     return parser
-
-
-def _finalize_config(cfg: RunConfig, args) -> RunConfig:
-    tols = cfg.tolerances.replaced(args.tol_override)
-    check = cfg.check_truncation or getattr(args, "check_truncation", False)
-    return dataclasses.replace(cfg, tolerances=tols, check_truncation=check)
 
 
 def _write_output(text: str, destination: str) -> None:
@@ -297,7 +285,9 @@ def _run(argv) -> tuple[int, str | None]:
         elif args.verb == "classical":
             text, code = cmd_classical(load_classical_config(args.config)), EXIT_OK
         else:
-            cfg = _finalize_config(load_run_config(args.config), args)
+            cfg = load_run_config(args.config)
+            if getattr(args, "check_truncation", False):
+                cfg = dataclasses.replace(cfg, check_truncation=True)
             if args.verb == "evolve":
                 text, code = cmd_evolve(cfg), EXIT_OK
             elif args.verb == "compare":

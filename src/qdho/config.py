@@ -3,7 +3,8 @@
 Config files are flat key = value pairs under section headers, read with
 :mod:`configparser`. The exact grammar (sections, keys, defaults) is
 documented in the README; parse errors surface as :class:`ConfigError`
-naming the offending section and key.
+naming the offending section and key. Each option has one spelling: the
+tolerances come from ``[tolerances]`` alone.
 """
 
 from __future__ import annotations
@@ -35,24 +36,6 @@ class ToleranceConfig:
         for name, value in dataclasses.asdict(self).items():
             if not (0 < value <= 1e-2) or not math.isfinite(value):
                 raise ConfigError(f"tolerance {name} must lie in (0, 1e-2], got {value!r}")
-
-    def replaced(self, overrides: list[str]) -> "ToleranceConfig":
-        """Apply ``key=value`` override strings, e.g. from --tol-override."""
-        fields = {f.name for f in dataclasses.fields(self)}
-        updates = {}
-        for item in overrides:
-            key, sep, raw = item.partition("=")
-            key = key.strip()
-            if not sep or key not in fields:
-                raise ConfigError(
-                    f"tolerance override {item!r} is not of the form key=value with "
-                    f"key in {sorted(fields)}"
-                )
-            try:
-                updates[key] = float(raw)
-            except ValueError as exc:
-                raise ConfigError(f"tolerance override {item!r}: {exc}") from None
-        return dataclasses.replace(self, **updates)
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()
@@ -121,7 +104,11 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a quantum CLI run needs."""
+    """Everything a quantum CLI run needs.
+
+    A config file sets every field but ``check_truncation``, which only the
+    CLI's ``--check-truncation`` flag sets.
+    """
 
     params: ModelParams
     state: StateSpec
@@ -140,6 +127,8 @@ class RunConfig:
             raise ConfigError(f"method nu-zero requires nu = 0, got nu = {self.params.nu}")
         if self.photon_levels < 0:
             raise ConfigError(f"photon_levels must be non-negative, got {self.photon_levels}")
+        if not 0 < self.steady_tol < math.inf:
+            raise ConfigError(f"steady_tol must be positive and finite, got {self.steady_tol}")
 
 
 @dataclass(frozen=True)
@@ -157,17 +146,8 @@ class ClassicalRunConfig:
 _REQUIRED = object()
 
 
-def _parse_bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("true", "yes", "on", "1"):
-        return True
-    if lowered in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(raw)
-
-
 #: What each value parser of :meth:`_Reader.get` expects, for its error message.
-_EXPECTED = {float: "a number", int: "an integer", _parse_bool: "a boolean"}
+_EXPECTED = {float: "a number", int: "an integer"}
 
 
 class _Reader:
@@ -198,9 +178,8 @@ class _Reader:
     def get(self, section: str, key: str, parse, default=_REQUIRED):
         """The value of ``key`` through ``parse``, or ``default`` when it is absent.
 
-        ``parse`` is float, int, str.strip or _parse_bool; a ValueError from
-        it names the key. Without a default the key, and its section, are
-        required.
+        ``parse`` is float, int or str.strip; a ValueError from it names the
+        key. Without a default the key, and its section, are required.
         """
         self.asked.add((section, key))
         if not self.parser.has_option(section, key):
@@ -293,7 +272,7 @@ def load_run_config(path: str) -> RunConfig:
     if state_bytes > MAX_STATE_BYTES:
         raise ConfigError(
             f"[grid] num_points: {grid.num_points} states at D = {trunc.dim} take "
-            f"{state_bytes / 2**20:.0f} MB, over the budget of {MAX_STATE_BYTES / 2**20:.0f} MB"
+            f"{state_bytes} bytes, over the budget of {MAX_STATE_BYTES} bytes"
         )
     cfg = RunConfig(
         params=params,
@@ -301,7 +280,6 @@ def load_run_config(path: str) -> RunConfig:
         trunc=trunc,
         grid=grid,
         method=reader.get("run", "method", str.strip, "analytic"),
-        check_truncation=reader.get("run", "check_truncation", _parse_bool, False),
         tolerances=_read_tolerances(reader),
         photon_levels=reader.get("run", "photon_levels", int, 4),
         steady_tol=reader.get("run", "steady_tol", float, 1e-4),

@@ -68,6 +68,10 @@ MUTANTS = [
      "config grid budget 100,000 -> 100,001 points"),
     ("config.py", "MAX_STATE_BYTES = 256 * 2**20", "MAX_STATE_BYTES = 257 * 2**20",
      "config state budget 256 -> 257 MB"),
+    ("config.py", "if not 0 < self.steady_tol < math.inf:",
+     "if not 0 <= self.steady_tol < math.inf:", "steady_tol check admits 0"),
+    ("config.py", "if not 0 < self.steady_tol < math.inf:", "if not 0 < self.steady_tol:",
+     "steady_tol check admits inf"),
     ("liouville.py", "RK4_MAX_WORK = 200_000_000", "RK4_MAX_WORK = 201_000_000",
      "RK4 work budget 2.00e8 -> 2.01e8 steps x D^2"),
     ("liouville.py", "ORACLE_MAX_DIM = 128", "ORACLE_MAX_DIM = 129",

@@ -155,8 +155,9 @@ class TestConfigParsing:
             ("t_end = 1.0", "t_end = soon", "[grid] t_end: expected a number, got 'soon'"),
             ("num_points = 2", "num_points = many",
              "[grid] num_points: expected an integer, got 'many'"),
-            ("method = analytic", "method = analytic\ncheck_truncation = maybe",
-             "[run] check_truncation: expected a boolean, got 'maybe'"),
+            # --check-truncation is the one spelling of certification.
+            ("method = analytic", "method = analytic\ncheck_truncation = true",
+             "[run] check_truncation: unknown key"),
             ("t_end = 1.0\n", "", "[grid] t_end: required key is missing"),
             ("[grid]", "[grids]", "missing required section [grid] in {path}"),
             ("method = analytic", "method = analytic\ncolour = red", "[run] colour: unknown key"),
@@ -198,16 +199,6 @@ class TestConfigParsing:
 
 
 class TestToleranceConfig:
-    def test_overrides(self):
-        tols = config.DEFAULT_TOLERANCES.replaced(["oracle_tol=1e-6", "trace_tol=2e-9"])
-        assert tols.oracle_tol == 1e-6
-        assert tols.trace_tol == 2e-9
-        assert tols.positivity_tol == config.DEFAULT_TOLERANCES.positivity_tol
-
-    def test_rejects_unknown_key(self):
-        with pytest.raises(config.ConfigError):
-            config.DEFAULT_TOLERANCES.replaced(["sloppiness=1"])
-
     def test_rejects_out_of_range(self):
         with pytest.raises(config.ConfigError):
             config.ToleranceConfig(trace_tol=0.5)
@@ -277,9 +268,8 @@ class TestCmdEvolve:
                 assert abs(float(a) - float(b)) <= 1e-8
 
     def test_check_truncation_passes_for_damped_run(self, tmp_path):
-        text = COMPARE_CONFIG.replace("check_truncation = false", "")
         cfg = dataclasses.replace(
-            config.load_run_config(write(tmp_path, text)), check_truncation=True
+            config.load_run_config(write(tmp_path, COMPARE_CONFIG)), check_truncation=True
         )
         assert cli.cmd_evolve(cfg).count("\n") == 4
 
@@ -374,7 +364,7 @@ class TestCmdCompare:
     def test_unreachable_tolerance_fails_with_code_2(self, tmp_path):
         cfg = config.load_run_config(write(tmp_path, COMPARE_CONFIG))
         cfg = dataclasses.replace(
-            cfg, tolerances=cfg.tolerances.replaced(["oracle_tol=1e-15"])
+            cfg, tolerances=dataclasses.replace(cfg.tolerances, oracle_tol=1e-15)
         )
         report, code = cli.cmd_compare(cfg)
         assert code == cli.EXIT_TOLERANCE
@@ -555,6 +545,10 @@ class TestMainEntry:
         "verb, extra",
         [
             ("steady", ["--check-truncation"]),
+            # Tolerances come from [tolerances] alone.
+            ("evolve", ["--tol-override", "oracle_tol=1e-3"]),
+            ("compare", ["--tol-override", "oracle_tol=1e-3"]),
+            ("steady", ["--tol-override", "oracle_tol=1e-3"]),
             ("classical", ["--check-truncation"]),
             ("classical", ["--tol-override", "oracle_tol=1e-3"]),
             ("verify", ["--config", "{quantum}"]),
@@ -567,7 +561,8 @@ class TestMainEntry:
         classical_cfg = write(
             tmp_path, CLASSICAL_CONFIG.format(omega=1.0, gamma=0.0, t_end=1.0, num_points=2), "c.ini"
         )
-        config_of = {"steady": quantum, "classical": classical_cfg}
+        config_of = {"evolve": quantum, "compare": quantum, "steady": quantum,
+                     "classical": classical_cfg}
         argv = [verb] + (["--config", config_of[verb]] if verb in config_of else [])
         argv += [arg.format(quantum=quantum) for arg in extra]
         assert cli.main(argv) == cli.EXIT_VALIDATION
@@ -576,16 +571,15 @@ class TestMainEntry:
         assert captured.out == ""
 
     @pytest.mark.parametrize(
-        "text, extra, named",
+        "text, named",
         [
-            (COMPARE_CONFIG.replace("nu = 0.4", "nuu = 0.4"), [], "nuu"),
-            (COMPARE_CONFIG + "\n[tolerances]\ndegeneracy_threshold = 1e-6\n", [], "degeneracy_threshold"),
-            (COMPARE_CONFIG, ["--tol-override", "degeneracy_threshold=1e-6"], "degeneracy_threshold"),
+            (COMPARE_CONFIG.replace("nu = 0.4", "nuu = 0.4"), "nuu"),
+            (COMPARE_CONFIG + "\n[tolerances]\ndegeneracy_threshold = 1e-6\n", "degeneracy_threshold"),
         ],
     )
-    def test_unknown_key_exits_1(self, tmp_path, capsys, text, extra, named):
+    def test_unknown_key_exits_1(self, tmp_path, capsys, text, named):
         cfg_path = write(tmp_path, text)
-        assert cli.main(["evolve", "--config", cfg_path] + extra) == cli.EXIT_VALIDATION
+        assert cli.main(["evolve", "--config", cfg_path]) == cli.EXIT_VALIDATION
         captured = capsys.readouterr()
         assert named in captured.err
         assert captured.out == ""
@@ -733,16 +727,20 @@ class TestMainEntry:
         assert captured.out == ""
         assert "overflows double precision" in captured.err
 
-    def test_tol_override_flag(self, tmp_path):
-        cfg_path = write(tmp_path, COMPARE_CONFIG)
-        code = cli.main(
-            ["compare", "--config", cfg_path, "--out", "stdout", "--tol-override", "oracle_tol=1e-15"]
-        )
+    def test_tolerances_section_sets_oracle_tol(self, tmp_path):
+        cfg_path = write(tmp_path, COMPARE_CONFIG + "\n[tolerances]\noracle_tol = 1e-15\n")
+        code = cli.main(["compare", "--config", cfg_path, "--out", "stdout"])
         assert code == cli.EXIT_TOLERANCE
 
-    def test_bad_tol_override_exits_1(self, tmp_path):
-        cfg_path = write(tmp_path, COMPARE_CONFIG)
-        assert cli.main(["compare", "--config", cfg_path, "--tol-override", "bogus"]) == cli.EXIT_VALIDATION
+    @pytest.mark.parametrize("value, shown", [("nan", "nan"), ("inf", "inf"), ("0", "0.0"),
+                                              ("-1", "-1.0")])
+    def test_bad_steady_tol_exits_1(self, tmp_path, capsys, value, shown):
+        # Left unchecked, nan and -1 fail every steady run and inf passes any.
+        cfg_path = write(tmp_path, COMPARE_CONFIG + f"steady_tol = {value}\n")
+        assert cli.main(["steady", "--config", cfg_path]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: steady_tol must be positive and finite, got {shown}\n"
 
     def test_rk4_over_step_budget_exits_1(self, tmp_path, monkeypatch):
         text = QUANTUM_CONFIG.replace("omega = 0.0", "omega = 1e8").replace(
@@ -801,7 +799,8 @@ class TestMainEntry:
              "[truncation]: D = support_max + guard + 1 = 257 exceeds the budget of 256 levels"),
             ((0, 100_000), (0, 100_001), "[grid] num_points: 100001 exceeds the budget of 100000"),
             ((14, 29_127), (14, 29_128),
-             "[grid] num_points: 29128 states at D = 24 take 256 MB, over the budget of 256 MB"),
+             "[grid] num_points: 29128 states at D = 24 take 268443648 bytes, over the budget "
+             "of 268435456 bytes"),
         ],
         ids=["dim", "grid", "state-bytes"],
     )
@@ -830,7 +829,7 @@ class TestMainEntry:
         [
             (100000, 3, "support_max + guard + 1"),
             (14, 10**9, "num_points"),
-            (118, 20000, "MB"),  # D = 128: 5.2 GB of states
+            (118, 20000, "bytes"),  # D = 128: 5.2 GB of states
         ],
         ids=["dim", "grid", "state-bytes"],
     )

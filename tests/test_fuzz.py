@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from qdho import cli
 
 #: Keys whose values are words; an extreme value goes to the numeric ones.
-TEXT_KEYS = {"kind", "terms", "method", "check_truncation"}
+TEXT_KEYS = {"kind", "terms", "method"}
 #: Values that parse as numbers but lie outside or at the edge of the domain.
 EXTREME = ("1e308", "1e200", "nan", "inf", "-inf", "-1e308", "-1", "0",
            "99999999999999999999999")
@@ -44,7 +44,6 @@ QUANTUM = {
     },
     "run": {
         "method": ("analytic", "expm", "rk4", "nu-zero"),
-        "check_truncation": ("true", "false"),
         "photon_levels": ("0", "4"),
         "steady_tol": ("1e-4",),
     },
