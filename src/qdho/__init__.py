@@ -10,6 +10,7 @@ from .classical import (
     ClassicalParams,
     PhasePoint,
     evolve_classical_analytic,
+    evolve_classical_analytic_grid,
     evolve_classical_rk4,
     evolve_classical_rk4_grid,
 )

@@ -89,13 +89,12 @@ def _evolve_on_grid(rho0: DensityMatrix, cfg: RunConfig, times: np.ndarray) -> n
         # The certificate always uses the closed form, whatever the method:
         # it certifies the truncation, not the integrator.
         _analytic_on_grid(rho0, cfg, times)
-    params = cfg.params
-    tols = cfg.tolerances
-    if cfg.method == "nu-zero":
-        return propagator.evolve_nu_zero_grid(rho0, params.mu, params.omega, times, tolerances=tols)
-    if cfg.method == "expm":
-        return liouville.evolve_numeric_expm_grid(rho0, params, times, tolerances=tols)
-    return liouville.evolve_numeric_rk4_grid(rho0, params, times, tolerances=tols)
+    grid = {
+        "nu-zero": propagator.evolve_nu_zero_grid,
+        "expm": liouville.evolve_numeric_expm_grid,
+        "rk4": liouville.evolve_numeric_rk4_grid,
+    }[cfg.method]
+    return grid(rho0, cfg.params, times, tolerances=cfg.tolerances)
 
 
 def cmd_evolve(cfg: RunConfig) -> str:
@@ -112,12 +111,7 @@ def cmd_evolve(cfg: RunConfig) -> str:
     lines = [",".join(header)]
     row = ",".join(["%.16e"] * len(header))
     for t, rho in zip(times, states):
-        report = validate_density(
-            rho,
-            hermiticity_tol=cfg.tolerances.hermiticity_tol,
-            trace_tol=cfg.tolerances.trace_tol,
-            positivity_tol=cfg.tolerances.positivity_tol,
-        )
+        report = validate_density(rho, cfg.tolerances)
         if not report.ok:
             raise ToleranceFailure(f"state invariants failed at t={float(t):.6g}: {report.describe()}")
         dist = observables.photon_distribution(rho)
@@ -161,7 +155,7 @@ def cmd_compare(cfg: RunConfig) -> tuple[str, int]:
 
 
 def cmd_steady(cfg: RunConfig) -> tuple[str, int]:
-    """Relax the vacuum to t = 20/(mu-nu) and compare with the thermal fixed point."""
+    """Relax the vacuum to t = 20/(mu-nu) by ``[run] method``; compare with the thermal state."""
     params = cfg.params
     if params.mu <= params.nu:
         raise ConfigError(
@@ -169,8 +163,7 @@ def cmd_steady(cfg: RunConfig) -> tuple[str, int]:
         )
     t_ss = 20.0 / (params.mu - params.nu)
     n_target = params.nu / (params.mu - params.nu)
-    rho0 = fock_state(0, cfg.trunc)
-    rho_ss = propagator.evolve_analytic(rho0, params, t_ss, tolerances=cfg.tolerances)
+    rho_ss = _evolve_on_grid(fock_state(0, cfg.trunc), cfg, np.array([t_ss]))[0]
     n_measured = observables.expect_n(rho_ss)
     target = thermal_state(n_target, cfg.trunc)
     dist = observables.frobenius_distance(rho_ss, target)
@@ -193,8 +186,7 @@ def cmd_classical(cfg: ClassicalRunConfig) -> str:
     is one format. Critical and overdamped runs (omega <= gamma) leave the
     analytic and deviation columns blank and warn once.
     """
-    params = classical.ClassicalParams(omega=cfg.omega, gamma=cfg.gamma)
-    p0 = classical.PhasePoint(x=cfg.x0, y=cfg.y0)
+    params, p0 = cfg.params, cfg.start
     times = cfg.grid.times()
     rk4 = np.array([[p.x, p.y] for p in classical.evolve_classical_rk4_grid(p0, params, times)])
     if params.omega > params.gamma:
@@ -234,10 +226,11 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _parse(argv) -> argparse.Namespace:
+    """The verb and its flags; a flag the verb does not read exits 1 with the verb's usage."""
     parser = _Parser(prog="qdho", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
-    # Each verb registers only the flags it reads, so a stray flag exits 1.
+    # Each verb registers only the flags it reads.
     for verb in ("evolve", "compare", "steady", "classical", "verify"):
         p = sub.add_parser(verb)
         if verb != "verify":
@@ -245,7 +238,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="stdout", help="output path, or 'stdout'")
         if verb in ("evolve", "compare"):
             p.add_argument("--check-truncation", action="store_true", dest="check_truncation")
-    return parser
+    args, stray = parser.parse_known_args(argv)
+    if stray:
+        sub.choices[args.verb].error(f"unrecognized arguments: {' '.join(stray)}")
+    return args
 
 
 def _write_output(text: str, destination: str) -> None:
@@ -277,9 +273,8 @@ def main(argv=None) -> int:
 
 def _run(argv) -> tuple[int, str | None]:
     """(exit code, the stderr line of a failure or None)."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
         if args.verb == "verify":
             text, code = cmd_verify()
         elif args.verb == "classical":

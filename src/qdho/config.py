@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classical import ClassicalParams, PhasePoint
 from .fock import ModelParams, TruncationConfig, check_mixture_weights
 
 
@@ -135,10 +136,8 @@ class RunConfig:
 class ClassicalRunConfig:
     """Configuration of a classical-oscillator CLI run."""
 
-    omega: float
-    gamma: float
-    x0: float
-    y0: float
+    params: ClassicalParams
+    start: PhasePoint
     grid: TimeGrid
 
 
@@ -289,14 +288,17 @@ def load_run_config(path: str) -> RunConfig:
 
 
 def load_classical_config(path: str) -> ClassicalRunConfig:
-    """Parse a classical-run config file ([classical] and [grid] sections)."""
+    """Parse a classical-run config file ([classical] and [grid] sections).
+
+    Rates or a start point that :class:`~qdho.classical.ClassicalParams` or
+    :class:`~qdho.classical.PhasePoint` refuse raise their ValueError, once
+    every key has been read.
+    """
     reader = _Reader(path)
-    cfg = ClassicalRunConfig(
-        omega=reader.get("classical", "omega", float),
-        gamma=reader.get("classical", "gamma", float, 0.0),
-        x0=reader.get("classical", "x0", float),
-        y0=reader.get("classical", "y0", float, 0.0),
-        grid=_read_grid(reader),
-    )
+    omega = reader.get("classical", "omega", float)
+    gamma = reader.get("classical", "gamma", float, 0.0)
+    x0 = reader.get("classical", "x0", float)
+    y0 = reader.get("classical", "y0", float, 0.0)
+    grid = _read_grid(reader)
     reader.reject_unknown()
-    return cfg
+    return ClassicalRunConfig(ClassicalParams(omega, gamma), PhasePoint(x0, y0), grid)

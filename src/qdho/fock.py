@@ -31,11 +31,10 @@ class TruncationConfig:
 
     ``support_max`` is the highest level the initial state populates
     (non-negligibly); ``guard`` adds headroom for population pushed upward
-    during evolution. ``for_support`` applies the default guard policy
-    guard = support_max + 4.
+    during evolution. ``dim`` is derived from the two, never stored.
+    ``for_support`` applies the default guard policy guard = support_max + 4.
     """
 
-    dim: int
     support_max: int
     guard: int
 
@@ -44,17 +43,16 @@ class TruncationConfig:
             raise ValueError("support_max and guard must be non-negative")
         if self.dim < 2:
             raise ValueError(f"truncation dim must be >= 2, got {self.dim}")
-        if self.dim != self.support_max + 1 + self.guard:
-            raise ValueError(
-                f"dim={self.dim} != support_max + 1 + guard = "
-                f"{self.support_max + 1 + self.guard}"
-            )
+
+    @property
+    def dim(self) -> int:
+        return self.support_max + 1 + self.guard
 
     @classmethod
     def for_support(cls, support_max: int, guard: int | None = None) -> "TruncationConfig":
         if guard is None:
             guard = support_max + 4
-        return cls(dim=support_max + 1 + guard, support_max=support_max, guard=guard)
+        return cls(support_max=support_max, guard=guard)
 
 
 @dataclass(frozen=True)
@@ -90,7 +88,7 @@ class FockOperatorSet:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A D x D state matrix together with its truncation metadata.
+    """A D x D state matrix; D is the matrix's own size.
 
     Construction checks shape and finiteness only. The physical invariants
     (Hermiticity, unit trace, positivity) are certified by
@@ -100,22 +98,17 @@ class DensityMatrix:
     """
 
     mat: np.ndarray
-    trunc: TruncationConfig
 
     def __post_init__(self):
         m = np.array(self.mat, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
-        if m.shape[0] != self.trunc.dim:
-            raise ValueError(
-                f"matrix dimension {m.shape[0]} does not match truncation dim {self.trunc.dim}"
-            )
         _check_finite(m)
         object.__setattr__(self, "mat", m)
 
     @property
     def dim(self) -> int:
-        return self.trunc.dim
+        return len(self.mat)
 
 
 @dataclass(frozen=True)
@@ -141,13 +134,12 @@ class ValidationReport:
         )
 
 
-def build_operators(trunc: TruncationConfig, theta: float = 0.0) -> FockOperatorSet:
-    """Construct a = e^{i theta} b, its adjoint, N = a^dag a and the identity.
+def build_operators(d: int, theta: float = 0.0) -> FockOperatorSet:
+    """Construct a = e^{i theta} b, its adjoint, N = a^dag a and the identity on d levels.
 
     b carries sqrt(1), sqrt(2), ... on the superdiagonal; N is exactly
-    diag(0, 1, ..., D-1) for every theta because the phase cancels.
+    diag(0, 1, ..., d-1) for every theta because the phase cancels.
     """
-    d = trunc.dim
     b = np.diag(np.sqrt(np.arange(1, d, dtype=float)), k=1).astype(complex)
     a = np.exp(1j * theta) * b
     a_dagger = a.conj().T.copy()
@@ -163,7 +155,7 @@ def fock_state(n: int, trunc: TruncationConfig) -> DensityMatrix:
         raise ValueError(f"Fock level {n} does not fit in {trunc.dim} retained levels")
     m = np.zeros((trunc.dim, trunc.dim), dtype=complex)
     m[n, n] = 1.0
-    return DensityMatrix(mat=m, trunc=trunc)
+    return DensityMatrix(mat=m)
 
 
 def coherent_state(alpha: complex, trunc: TruncationConfig) -> DensityMatrix:
@@ -195,7 +187,7 @@ def coherent_state(alpha: complex, trunc: TruncationConfig) -> DensityMatrix:
         )
     amps /= np.sqrt(norm_sq)
     m = np.outer(amps, amps.conj())
-    return DensityMatrix(mat=m, trunc=trunc)
+    return DensityMatrix(mat=m)
 
 
 def thermal_state(n_bar: float, trunc: TruncationConfig) -> DensityMatrix:
@@ -219,7 +211,7 @@ def thermal_state(n_bar: float, trunc: TruncationConfig) -> DensityMatrix:
         )
     weights = q ** np.arange(d, dtype=float)
     weights /= weights.sum()
-    return DensityMatrix(mat=np.diag(weights).astype(complex), trunc=trunc)
+    return DensityMatrix(mat=np.diag(weights).astype(complex))
 
 
 def check_mixture_weights(terms) -> None:
@@ -252,23 +244,18 @@ def mixture_state(terms: list[tuple[int, float]], trunc: TruncationConfig) -> De
         if n < 0 or n >= trunc.dim:
             raise ValueError(f"mixture level {n} does not fit in {trunc.dim} retained levels")
         m[n, n] += w
-    return DensityMatrix(mat=m, trunc=trunc)
+    return DensityMatrix(mat=m)
 
 
-def validate_density(
-    rho,
-    *,
-    hermiticity_tol: float = 1e-10,
-    trace_tol: float = 1e-10,
-    positivity_tol: float = 1e-10,
-) -> ValidationReport:
+def validate_density(rho, tolerances) -> ValidationReport:
     """Measure Hermiticity, trace and positivity deviations of a candidate state.
 
-    Hermiticity is judged relative to the matrix scale, the trace deviation
-    absolutely, and positivity as smallest eigenvalue >= -positivity_tol
-    (LAPACK ``eigvalsh`` on the Hermitian part, which shares no code with
-    the evolution paths). This is a reporting operation and never raises
-    for a bad state.
+    ``tolerances`` is a :class:`qdho.config.ToleranceConfig`. Hermiticity
+    is judged against ``hermiticity_tol`` relative to the matrix scale, the
+    trace deviation absolutely against ``trace_tol``, and positivity as
+    smallest eigenvalue >= -``positivity_tol`` (LAPACK ``eigvalsh`` on the
+    Hermitian part, which shares no code with the evolution paths). This is
+    a reporting operation and never raises for a bad state.
     """
     m = np.asarray(getattr(rho, "mat", rho), dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -281,9 +268,9 @@ def validate_density(
         hermiticity_dev=herm_dev,
         trace_dev=trace_dev,
         min_eigenvalue=min_eig,
-        hermitian_ok=herm_dev <= hermiticity_tol * scale,
-        trace_ok=trace_dev <= trace_tol,
-        positive_ok=min_eig >= -positivity_tol,
+        hermitian_ok=herm_dev <= tolerances.hermiticity_tol * scale,
+        trace_ok=trace_dev <= tolerances.trace_tol,
+        positive_ok=min_eig >= -tolerances.positivity_tol,
     )
 
 
@@ -343,11 +330,6 @@ def check_evolution_args(rho0: DensityMatrix, params: ModelParams, t, tolerances
             GainWarning,
             stacklevel=3,
         )
-    report = validate_density(
-        rho0.mat,
-        hermiticity_tol=tolerances.hermiticity_tol,
-        trace_tol=tolerances.trace_tol,
-        positivity_tol=tolerances.positivity_tol,
-    )
+    report = validate_density(rho0.mat, tolerances)
     if not report.ok:
         raise ValidationError(f"initial state is not a valid density matrix: {report.describe()}")

@@ -49,7 +49,6 @@ from .config import DEFAULT_TOLERANCES, ToleranceConfig
 from .fock import (
     DensityMatrix,
     ModelParams,
-    TruncationConfig,
     _check_finite,
     build_operators,
     check_evolution_args,
@@ -109,23 +108,21 @@ def sandwich_check(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(direct - via_kron).max())
 
 
-def k_superoperators(
-    trunc: TruncationConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(K0, K+, K-, K3) as real dense D^2 x D^2 matrices, from phase-free operators.
+def k_superoperators(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(K0, K+, K-, K3) as real dense D^2 x D^2 matrices on D = ``dim`` levels.
 
-    Raises ValueError, before allocating anything, when D exceeds
-    ``DENSE_MAX_DIM``.
+    Built from phase-free operators. Raises ValueError, before allocating
+    anything, when D exceeds ``DENSE_MAX_DIM``.
     """
-    if trunc.dim > DENSE_MAX_DIM:
-        gigabytes = 4 * 8 * trunc.dim**4 / 1e9
+    if dim > DENSE_MAX_DIM:
+        gigabytes = 4 * 8 * dim**4 / 1e9
         raise ValueError(
-            f"the dense superoperators at D = {trunc.dim} would take {gigabytes:.1f} GB; "
+            f"the dense superoperators at D = {dim} would take {gigabytes:.1f} GB; "
             f"their budget is D <= {DENSE_MAX_DIM}"
         )
     # At theta = 0 every operator is real, so dropping the zero imaginary
     # parts is exact.
-    ops = build_operators(trunc, theta=0.0)
+    ops = build_operators(dim, theta=0.0)
     b = ops.a.real
     bd = ops.a_dagger.real
     n = ops.n_op.real
@@ -314,7 +311,7 @@ def evolve_numeric_expm(
 ) -> DensityMatrix:
     """One time of :func:`evolve_numeric_expm_grid`."""
     states = evolve_numeric_expm_grid(rho0, params, [t], tolerances=tolerances)
-    return DensityMatrix(mat=states[0], trunc=rho0.trunc)
+    return DensityMatrix(mat=states[0])
 
 
 def stability_steps(params: ModelParams, dim: int, t: float) -> int:
@@ -454,7 +451,7 @@ def evolve_numeric_rk4(
             f"{steps} steps violate the stability bound "
             f"h*(omega+mu+nu)*D <= {RK4_STABILITY_LIMIT} (need >= {needed})"
         )
-    return DensityMatrix(mat=_rk4_segment(rho0.mat, params, t, steps), trunc=rho0.trunc)
+    return DensityMatrix(mat=_rk4_segment(rho0.mat, params, t, steps))
 
 
 def _rk4_segment(rho0: np.ndarray, params: ModelParams, t: float, steps: int) -> np.ndarray:

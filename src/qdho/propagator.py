@@ -61,7 +61,6 @@ import numpy as np
 from . import su11
 from .config import DEFAULT_TOLERANCES, ToleranceConfig
 from .fock import DensityMatrix, ModelParams, _check_finite, _is_diagonal, check_evolution_args
-from .fock import GainWarning  # noqa: F401  (kept importable from here)
 
 #: Doubling-D truncation certificates must come in below this (Frobenius
 #: weight the dim-D run loses above its cutoff, measured against a 2D run).
@@ -85,7 +84,7 @@ def evolve_analytic(
 ) -> DensityMatrix:
     """Evolve rho0 to time t under loss mu, pump nu and rotation omega."""
     states, _ = evolve_analytic_grid(rho0, params, [t], tolerances=tolerances)
-    return DensityMatrix(mat=states[0], trunc=rho0.trunc)
+    return DensityMatrix(mat=states[0])
 
 
 def evolve_analytic_grid(
@@ -146,8 +145,7 @@ def evolve_analytic_grid(
 
 def evolve_nu_zero(
     rho0: DensityMatrix,
-    mu: float,
-    omega: float,
+    params: ModelParams,
     t: float,
     *,
     tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
@@ -165,24 +163,26 @@ def evolve_nu_zero(
     :func:`evolve_analytic_grid` runs. So agreeing with
     ``evolve_analytic(nu=0)`` to 1e-12 checks the coefficients, not the
     series. The arguments go through the check of every method,
-    :func:`qdho.fock.check_evolution_args`, with the rates as
-    ``ModelParams(omega=omega, mu=mu)``.
+    :func:`qdho.fock.check_evolution_args`; ``params.nu`` must be 0 and
+    ``params.theta`` cancels.
     """
-    states = evolve_nu_zero_grid(rho0, mu, omega, [t], tolerances=tolerances)
-    return DensityMatrix(mat=states[0], trunc=rho0.trunc)
+    states = evolve_nu_zero_grid(rho0, params, [t], tolerances=tolerances)
+    return DensityMatrix(mat=states[0])
 
 
 def evolve_nu_zero_grid(
     rho0: DensityMatrix,
-    mu: float,
-    omega: float,
+    params: ModelParams,
     times,
     *,
     tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> np.ndarray:
     """:func:`evolve_nu_zero` at every time in ``times``, as one (times, D, D) array."""
+    if params.nu != 0.0:
+        raise ValueError(f"the pure-loss series requires nu = 0, got nu = {params.nu}")
     times = np.asarray(times, dtype=float)
-    check_evolution_args(rho0, ModelParams(omega=omega, mu=mu), times, tolerances)
+    check_evolution_args(rho0, params, times, tolerances)
+    mu, omega = params.mu, params.omega
     ts = times.tolist()
     weight = np.array([-math.expm1(-mu * t) for t in ts])  # 1 - e^{-mu t}
     exponent = np.array([-(0.5 * mu + 1j * omega) * t for t in ts], dtype=complex)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import liouville, su11
-from .fock import TruncationConfig
 
 
 @dataclass(frozen=True)
@@ -150,8 +149,7 @@ def suite_k0_commutativity(dims: tuple[int, ...] = (4, 8, 16)) -> SuiteResult:
     """
     worst = 0.0
     for dim in dims:
-        trunc = TruncationConfig(dim=dim, support_max=dim - 1, guard=0)
-        k0, k_plus, k_minus, k3 = liouville.k_superoperators(trunc)
+        k0, k_plus, k_minus, k3 = liouville.k_superoperators(dim)
         d = np.diagonal(k0)
         worst = max(worst, float(np.abs(k0 - np.diag(d)).max()))
         gaps = d[:, None] - d[None, :]
@@ -175,12 +173,11 @@ def suite_disentangling_superop(
     pair's residual is its 2-norm over all sectors.
     """
     rng = np.random.default_rng(seed)
-    trunc = TruncationConfig(dim=dim, support_max=dim - 4, guard=3)
     index = _padded_sector_index(dim)
     # (2D - 1, D, D) stacks of blocks and (2D - 1, D, 1) stacks of columns.
     k_plus, k_minus, k3 = (
         np.pad(op, (0, 1))[index[:, :, None], index[:, None, :]]
-        for op in liouville.k_superoperators(trunc)[1:]
+        for op in liouville.k_superoperators(dim)[1:]
     )
     states = [
         np.append(liouville.vectorize(random_interior_density(dim, dim - 4, rng)), 0.0)[index, None]

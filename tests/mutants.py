@@ -45,14 +45,15 @@ MUTANTS = [
      "escapes.append(escape)", "certificate's lost-trace rule dropped"),
     ("classical.py", "_CLASSICAL_STEP_LIMIT = 4e-3", "_CLASSICAL_STEP_LIMIT = 4e-2",
      "classical CSV step limit 4e-3 -> 4e-2"),
-    ("fock.py", "positive_ok=min_eig >= -positivity_tol,",
-     "positive_ok=min_eig >= -100 * positivity_tol,", "positivity check loosened 100x"),
+    ("fock.py", "positive_ok=min_eig >= -tolerances.positivity_tol,",
+     "positive_ok=min_eig >= -100 * tolerances.positivity_tol,",
+     "positivity check loosened 100x"),
     ("fock.py", "if not math.isfinite(8.0 * (omega + mu + nu)",
      "if not math.isfinite(4.0 * (omega + mu + nu)", "rate bound's 8 -> 4"),
-    ("fock.py", "hermitian_ok=herm_dev <= hermiticity_tol * scale,", "hermitian_ok=True,",
-     "validate_density always Hermitian"),
-    ("fock.py", "hermitian_ok=herm_dev <= hermiticity_tol * scale,",
-     "hermitian_ok=herm_dev <= 100 * hermiticity_tol * scale,",
+    ("fock.py", "hermitian_ok=herm_dev <= tolerances.hermiticity_tol * scale,",
+     "hermitian_ok=True,", "validate_density always Hermitian"),
+    ("fock.py", "hermitian_ok=herm_dev <= tolerances.hermiticity_tol * scale,",
+     "hermitian_ok=herm_dev <= 100 * tolerances.hermiticity_tol * scale,",
      "validate_density Hermiticity test loosened 100x"),
     ("propagator.py", "_HERMITICITY_GUARD = 1e-12", "_HERMITICITY_GUARD = 1e-6",
      "closed form's Hermiticity guard 1e-12 -> 1e-6"),

@@ -7,7 +7,13 @@ the vectorization convention and the truncation certificate stand for.
 
 import numpy as np
 
-from qdho import fock, liouville, su11, verification
+from qdho import config, fock, liouville, su11, verification
+
+#: 1e-10 on Hermiticity, trace and positivity alike: the bound the
+#: validation tests hold a candidate state to.
+TIGHT_TOLERANCES = config.ToleranceConfig(
+    hermiticity_tol=1e-10, trace_tol=1e-10, positivity_tol=1e-10
+)
 
 
 def devectorize(v: np.ndarray, dim: int) -> np.ndarray:
@@ -18,8 +24,8 @@ def devectorize(v: np.ndarray, dim: int) -> np.ndarray:
     return v.reshape(dim, dim).copy()
 
 
-def build_liouvillian(params: fock.ModelParams, trunc: fock.TruncationConfig) -> np.ndarray:
-    """The K form of the generator, a dense D^2 x D^2 matrix.
+def build_liouvillian(params: fock.ModelParams, dim: int) -> np.ndarray:
+    """The K form of the generator on D = ``dim`` levels, a dense D^2 x D^2 matrix.
 
     The phase theta cancels from every term, so the result is
     theta-independent. The K3 term absorbs the commutator rewriting
@@ -29,8 +35,8 @@ def build_liouvillian(params: fock.ModelParams, trunc: fock.TruncationConfig) ->
     the form of the identity suites; the oracles integrate
     :func:`literal_liouvillian`.
     """
-    k0, k_plus, k_minus, k3 = liouville.k_superoperators(trunc)
-    d2 = trunc.dim**2
+    k0, k_plus, k_minus, k3 = liouville.k_superoperators(dim)
+    d2 = dim**2
     return (
         -1j * params.omega * k0
         + params.nu * k_plus
@@ -40,13 +46,13 @@ def build_liouvillian(params: fock.ModelParams, trunc: fock.TruncationConfig) ->
     )
 
 
-def literal_rhs(params: fock.ModelParams, trunc: fock.TruncationConfig):
+def literal_rhs(params: fock.ModelParams, dim: int):
     """The master equation's right-hand side with the literal truncated operators.
 
     -i w [N,r] - mu/2 (Nr+rN-2 a r a+) - nu/2 (aa+ r + r aa+ - 2 a+ r a),
     from dense products of the phased, truncated operators.
     """
-    ops = fock.build_operators(trunc, params.theta)
+    ops = fock.build_operators(dim, params.theta)
     a, ad, n = ops.a, ops.a_dagger, ops.n_op
     aad = a @ ad
 
@@ -60,24 +66,21 @@ def literal_rhs(params: fock.ModelParams, trunc: fock.TruncationConfig):
     return rhs
 
 
-def literal_liouvillian(params: fock.ModelParams, trunc: fock.TruncationConfig) -> np.ndarray:
+def literal_liouvillian(params: fock.ModelParams, dim: int) -> np.ndarray:
     """Generator of the literal truncated equation, a dense D^2 x D^2 matrix.
 
     Column m is the vectorized :func:`literal_rhs` of the m-th basis matrix
     of the row-major flattening. It is the generator both oracles integrate.
     """
-    rhs = literal_rhs(params, trunc)
-    d = trunc.dim
+    rhs = literal_rhs(params, dim)
     return np.stack(
-        [liouville.vectorize(rhs(basis.reshape(d, d))) for basis in np.eye(d * d)], axis=1
+        [liouville.vectorize(rhs(basis.reshape(dim, dim))) for basis in np.eye(dim * dim)], axis=1
     )
 
 
 def doubled(trunc: fock.TruncationConfig) -> fock.TruncationConfig:
     """Same support with the retained dimension doubled (guard grows)."""
-    return fock.TruncationConfig(
-        dim=2 * trunc.dim, support_max=trunc.support_max, guard=trunc.guard + trunc.dim
-    )
+    return fock.TruncationConfig(support_max=trunc.support_max, guard=trunc.guard + trunc.dim)
 
 
 def dense_disentangling_superop_residual(dim: int, n_states: int, seed: int) -> float:
@@ -88,8 +91,7 @@ def dense_disentangling_superop_residual(dim: int, n_states: int, seed: int) -> 
     difference of the evolved vectors.
     """
     rng = np.random.default_rng(seed)
-    trunc = fock.TruncationConfig(dim=dim, support_max=dim - 4, guard=3)
-    k0, k_plus, k_minus, k3 = liouville.k_superoperators(trunc)
+    k0, k_plus, k_minus, k3 = liouville.k_superoperators(dim)
     states = [
         liouville.vectorize(verification.random_interior_density(dim, dim - 4, rng))
         for _ in range(n_states)

@@ -35,6 +35,7 @@ from qdho.verification import (
     random_interior_density,
     scaled_max_residual,
 )
+from reference import TIGHT_TOLERANCES
 
 GRID_STATES = ("coherent", "fock3", "thermal")
 GRID_PARAMS = ((1.0, 0.0, 0.0), (1.0, 0.4, 2 * np.pi), (0.5, 0.5, 1.0), (0.2, 0.6, 3.0))
@@ -65,7 +66,7 @@ def _grid_state(kind, trunc):
 
 @pytest.fixture(scope="module")
 def dim24():
-    return fock.TruncationConfig(dim=24, support_max=9, guard=14)
+    return fock.TruncationConfig(support_max=9, guard=14)
 
 
 def test_criterion_01_disentangling_2x2():
@@ -102,8 +103,7 @@ def test_criterion_02_vectorization_identity():
 def test_criterion_03_superoperator_disentangling():
     start = time.time()
     dim = 12
-    trunc = fock.TruncationConfig(dim=dim, support_max=dim - 4, guard=3)
-    k0, k_plus, k_minus, k3 = liouville.k_superoperators(trunc)
+    k0, k_plus, k_minus, k3 = liouville.k_superoperators(dim)
     rng = np.random.default_rng(31415)
     states = [
         liouville.vectorize(random_interior_density(dim, dim - 4, rng)) for _ in range(20)
@@ -159,13 +159,10 @@ def _three_way_cells():
 
 
 def _zero_padded(rho0, dim):
-    # The same state on ``dim`` levels: support kept, guard grown.
-    trunc = fock.TruncationConfig(
-        dim=dim, support_max=rho0.trunc.support_max, guard=dim - 1 - rho0.trunc.support_max
-    )
+    # The same state on ``dim`` levels.
     mat = np.zeros((dim, dim), dtype=complex)
     mat[: rho0.dim, : rho0.dim] = rho0.mat
-    return fock.DensityMatrix(mat=mat, trunc=trunc)
+    return fock.DensityMatrix(mat=mat)
 
 
 def _certified_dim(states, params, t, dim_max):
@@ -197,7 +194,7 @@ def test_criterion_04_main_theorem_three_way(dim24):
     n_cells = 0
     oracle_dims = []
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", propagator.GainWarning)
+        warnings.simplefilter("ignore", fock.GainWarning)
         for params, t in _three_way_rows():
             states = [_grid_state(kind, dim24) for kind in GRID_STATES]
             d_o, certs = _oracle_dim(states, params, t)
@@ -258,7 +255,7 @@ def _largest_fitting(make, size):
 def _drawn_state(kind, dim, seed):
     # A state on ``dim`` levels populating at most the lower half.
     support = (dim - 1) // 2
-    trunc = fock.TruncationConfig(dim=dim, support_max=support, guard=dim - 1 - support)
+    trunc = fock.TruncationConfig(support_max=support, guard=dim - 1 - support)
     rng = np.random.default_rng(seed)
     if kind == "fock":
         return fock.fock_state(int(rng.integers(support + 1)), trunc)
@@ -272,7 +269,7 @@ def _drawn_state(kind, dim, seed):
         weights = rng.dirichlet(np.ones(levels.size))
         weights[-1] = 1.0 - weights[:-1].sum()
         return fock.mixture_state([(int(n), float(w)) for n, w in zip(levels, weights)], trunc)
-    return fock.DensityMatrix(mat=random_interior_density(dim, support, rng), trunc=trunc)
+    return fock.DensityMatrix(mat=random_interior_density(dim, support, rng))
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -302,7 +299,7 @@ def test_three_way_agreement_property(omega, mu, nu, t, dim, kind, seed):
     params = fock.ModelParams(omega=omega, mu=mu, nu=nu)
     rho0 = _drawn_state(kind, dim, seed)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", propagator.GainWarning)
+        warnings.simplefilter("ignore", fock.GainWarning)
         found = _certified_dim([rho0], params, t, PROPERTY_DIM_MAX)
         assume(found is not None)
         d_o = found[0]
@@ -325,19 +322,17 @@ def test_three_way_agreement_property(omega, mu, nu, t, dim, kind, seed):
 def test_criterion_05_nu_zero_corollary():
     start = time.time()
     dim = 12
-    trunc = fock.TruncationConfig(dim=dim, support_max=8, guard=3)
     rng = np.random.default_rng(55)
     worst_entry = 0.0
     worst_decay = 0.0
     for _ in range(50):
-        rho0 = fock.DensityMatrix(mat=random_interior_density(dim, 8, rng), trunc=trunc)
+        rho0 = fock.DensityMatrix(mat=random_interior_density(dim, 8, rng))
         mu = float(rng.uniform(0.05, 2.0))
         omega = float(rng.uniform(0.0, 5.0))
         t = float(rng.uniform(0.0, 3.0))
-        direct = propagator.evolve_nu_zero(rho0, mu, omega, t)
-        via_full = propagator.evolve_analytic(
-            rho0, fock.ModelParams(omega=omega, mu=mu, nu=0.0), t
-        )
+        params = fock.ModelParams(omega=omega, mu=mu, nu=0.0)
+        direct = propagator.evolve_nu_zero(rho0, params, t)
+        via_full = propagator.evolve_analytic(rho0, params, t)
         worst_entry = max(worst_entry, float(np.abs(direct.mat - via_full.mat).max()))
         decay_dev = abs(
             observables.expect_n(direct) - math.exp(-mu * t) * observables.expect_n(rho0)
@@ -366,7 +361,7 @@ def test_criterion_06_conservation_suite(dim24):
     uncertified = []
     n_cells = 0
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", propagator.GainWarning)
+        warnings.simplefilter("ignore", fock.GainWarning)
         for kind, params, t in _three_way_cells():
             rho0 = _grid_state(kind, dim24)
             out = propagator.evolve_analytic(rho0, params, t)
@@ -374,7 +369,7 @@ def test_criterion_06_conservation_suite(dim24):
             worst_herm = max(
                 worst_herm, float(np.abs(out.mat - out.mat.conj().T).max()) / scale
             )
-            report = fock.validate_density(out.mat)
+            report = fock.validate_density(out.mat, TIGHT_TOLERANCES)
             worst_eig = min(worst_eig, report.min_eigenvalue)
             n_cells += 1
             # The trace bound applies where the doubling-dimension check
@@ -403,7 +398,7 @@ def test_criterion_06_conservation_suite(dim24):
 
 def test_criterion_07_steady_state():
     start = time.time()
-    trunc = fock.TruncationConfig(dim=40, support_max=17, guard=22)
+    trunc = fock.TruncationConfig(support_max=17, guard=22)
     params = fock.ModelParams(omega=0.0, mu=1.0, nu=0.5)
     rho_ss = propagator.evolve_analytic(fock.fock_state(0, trunc), params, 40.0)
     n_dev = abs(observables.expect_n(rho_ss) - 1.0)
@@ -452,8 +447,7 @@ def test_criterion_09_k0_commutativity():
     start = time.time()
     worst = 0.0
     for dim in (4, 8, 16):
-        trunc = fock.TruncationConfig(dim=dim, support_max=dim - 1, guard=0)
-        k0, k_plus, k_minus, k3 = liouville.k_superoperators(trunc)
+        k0, k_plus, k_minus, k3 = liouville.k_superoperators(dim)
         for other in (k_plus, k_minus, k3):
             worst = max(worst, float(np.abs(k0 @ other - other @ k0).max()))
     elapsed = time.time() - start

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import qdho
 from qdho import classical, su11
 
 
@@ -273,6 +274,9 @@ def closed_form(params, t):
 
 
 class TestAnalyticGrid:
+    def test_exported_from_the_package(self):
+        assert qdho.evolve_classical_analytic_grid is classical.evolve_classical_analytic_grid
+
     # The classical benchmark's three grids and the sample config's.
     SHAPES = pytest.mark.parametrize(
         "omega, gamma, t_end, num_points",

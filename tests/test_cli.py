@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qdho.su11
-from qdho import cli, config, fock, liouville, propagator, verification
+from qdho import classical, cli, config, fock, liouville, propagator, verification
 
 QUANTUM_CONFIG = """
 [model]
@@ -194,8 +194,14 @@ class TestConfigParsing:
     def test_classical_round_trip(self, tmp_path):
         path = write(tmp_path, CLASSICAL_CONFIG.format(omega=2.0, gamma=1.0, t_end=10.0, num_points=5))
         ccfg = config.load_classical_config(path)
-        assert ccfg.omega == 2.0 and ccfg.gamma == 1.0
+        assert ccfg.params == classical.ClassicalParams(omega=2.0, gamma=1.0)
+        assert ccfg.start == classical.PhasePoint(x=1.0, y=0.0)
         assert ccfg.grid.times()[-1] == 10.0
+
+    def test_classical_config_refuses_rates_the_params_refuse(self, tmp_path):
+        text = CLASSICAL_CONFIG.format(omega=-1.0, gamma=1.0, t_end=10.0, num_points=5)
+        with pytest.raises(ValueError, match="^omega must be positive, got -1.0$"):
+            config.load_classical_config(write(tmp_path, text))
 
 
 class TestToleranceConfig:
@@ -385,6 +391,31 @@ class TestCmdSteady:
         assert code == cli.EXIT_OK
         assert "RESULT pass" in report
 
+    @pytest.mark.parametrize("method, nu", [("expm", "0.4"), ("rk4", "0.4"), ("nu-zero", "0.0")])
+    def test_runs_the_configured_method(self, tmp_path, monkeypatch, method, nu):
+        text = COMPARE_CONFIG.replace("nu = 0.4", f"nu = {nu}")
+        analytic = cli.cmd_steady(config.load_run_config(write(tmp_path, text)))
+        grid = {
+            "expm": (liouville, "evolve_numeric_expm_grid"),
+            "rk4": (liouville, "evolve_numeric_rk4_grid"),
+            "nu-zero": (propagator, "evolve_nu_zero_grid"),
+        }[method]
+        calls = []
+        real = getattr(*grid)
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(*grid, counted)
+        text = text.replace("method = analytic", f"method = {method}")
+        cfg = config.load_run_config(write(tmp_path, text))
+        report, code = cli.cmd_steady(cfg)
+        assert [list(times) for times in calls] == [[20.0 / (cfg.params.mu - cfg.params.nu)]]
+        assert code == cli.EXIT_OK and "RESULT pass" in report
+        if method != "nu-zero":  # without a pump the vacuum stays put exactly
+            assert report != analytic[0]
+
     def test_rejects_balanced_rates(self, tmp_path):
         text = COMPARE_CONFIG.replace("mu = 1.0", "mu = 0.5").replace("nu = 0.4", "nu = 0.5")
         cfg = config.load_run_config(write(tmp_path, text))
@@ -567,8 +598,17 @@ class TestMainEntry:
         argv += [arg.format(quantum=quantum) for arg in extra]
         assert cli.main(argv) == cli.EXIT_VALIDATION
         captured = capsys.readouterr()
+        assert captured.err.startswith(f"usage: qdho {verb} [-h] ")
         assert "unrecognized arguments" in captured.err
         assert captured.out == ""
+
+    def test_stray_flag_prints_the_verbs_usage(self, tmp_path, capsys):
+        argv = ["compare", "--config", write(tmp_path, QUANTUM_CONFIG)]
+        assert cli.main(argv + ["--tol-override", "oracle_tol=1e-3"]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == [
+            "usage: qdho compare [-h] --config CONFIG [--out OUT] [--check-truncation]",
+            "error: unrecognized arguments: --tol-override oracle_tol=1e-3",
+        ]
 
     @pytest.mark.parametrize(
         "text, named",
@@ -994,7 +1034,7 @@ class TestNonFiniteOutput:
         [
             lambda rho0, p, ts: propagator.evolve_analytic_grid(rho0, p, ts),
             lambda rho0, p, ts: propagator.evolve_analytic_grid(rho0, p, ts, certify=True),
-            lambda rho0, p, ts: propagator.evolve_nu_zero_grid(rho0, p.mu, p.omega, ts),
+            propagator.evolve_nu_zero_grid,
             liouville.evolve_numeric_expm_grid,
             liouville.evolve_numeric_rk4_grid,
         ],

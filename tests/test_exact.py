@@ -127,7 +127,7 @@ def _decimal_series(populations, mu, nu, t, dim):
 @pytest.mark.parametrize("terms", [[(4, 1.0)], [(0, 0.5), (2, 0.3), (5, 0.2)]],
                          ids=["fock", "mixture"])
 def test_diagonal_state_against_decimal_series(terms, dim, nu):
-    trunc = fock.TruncationConfig(dim=dim, support_max=5, guard=dim - 6)
+    trunc = fock.TruncationConfig(support_max=5, guard=dim - 6)
     rho0 = fock.mixture_state(terms, trunc)
     params = fock.ModelParams(omega=2 * math.pi, mu=1.0, nu=nu)
     times = [1.3, 3.0]

@@ -5,20 +5,21 @@ import numpy as np
 import pytest
 
 from qdho import config, fock
-from reference import doubled
+from reference import TIGHT_TOLERANCES, doubled
 
 
 def trunc_of(dim, support=None):
     support = dim - 1 if support is None else support
-    return fock.TruncationConfig(dim=dim, support_max=support, guard=dim - 1 - support)
+    return fock.TruncationConfig(support_max=support, guard=dim - 1 - support)
 
 
 class TestTruncationConfig:
     def test_invariant_enforced(self):
         with pytest.raises(ValueError):
-            fock.TruncationConfig(dim=10, support_max=3, guard=3)
-        with pytest.raises(ValueError):
-            fock.TruncationConfig(dim=1, support_max=0, guard=0)
+            fock.TruncationConfig(support_max=0, guard=0)
+
+    def test_dim_is_derived(self):
+        assert fock.TruncationConfig(support_max=3, guard=5).dim == 9
 
     def test_default_guard_policy(self):
         trunc = fock.TruncationConfig.for_support(9)
@@ -34,7 +35,7 @@ class TestTruncationConfig:
 
 class TestBuildOperators:
     def test_three_level_matrices(self):
-        ops = fock.build_operators(trunc_of(3), theta=0.0)
+        ops = fock.build_operators(3, theta=0.0)
         expected_a = np.array(
             [[0, 1, 0], [0, 0, np.sqrt(2)], [0, 0, 0]], dtype=complex
         )
@@ -43,38 +44,48 @@ class TestBuildOperators:
         np.testing.assert_array_equal(ops.a_dagger, expected_a.conj().T)
 
     def test_two_level_commutator(self):
-        ops = fock.build_operators(trunc_of(2))
+        ops = fock.build_operators(2)
         comm = ops.a @ ops.a_dagger - ops.a_dagger @ ops.a
         np.testing.assert_array_equal(comm, np.diag([1.0, -1.0]).astype(complex))
 
     def test_phase_cancels_in_number_operator(self):
-        plain = fock.build_operators(trunc_of(4), theta=0.0)
-        rotated = fock.build_operators(trunc_of(4), theta=np.pi / 2)
+        plain = fock.build_operators(4, theta=0.0)
+        rotated = fock.build_operators(4, theta=np.pi / 2)
         np.testing.assert_allclose(
             rotated.a_dagger @ rotated.a, plain.a_dagger @ plain.a, atol=1e-15
         )
 
     def test_rejects_tiny_dimension(self):
         with pytest.raises(ValueError):
-            fock.TruncationConfig(dim=1, support_max=0, guard=0)
+            fock.TruncationConfig(support_max=0, guard=0)
 
     @pytest.mark.parametrize("dim", [2, 5, 16])
     @pytest.mark.parametrize("theta", [0.0, 0.7, np.pi])
     def test_shift_commutators_are_truncation_exact(self, dim, theta):
         # [N, a] = -a and [N, a^dag] = a^dag hold on the full truncated
         # matrices, unlike [a, a^dag].
-        ops = fock.build_operators(trunc_of(dim), theta)
+        ops = fock.build_operators(dim, theta)
         n = ops.n_op
         assert np.abs(n @ ops.a - ops.a @ n + ops.a).max() <= 1e-14
         assert np.abs(n @ ops.a_dagger - ops.a_dagger @ n - ops.a_dagger).max() <= 1e-14
 
     @pytest.mark.parametrize("dim", [2, 3, 8])
     def test_canonical_commutator_fails_only_at_corner(self, dim):
-        ops = fock.build_operators(trunc_of(dim))
+        ops = fock.build_operators(dim)
         defect = ops.a @ ops.a_dagger - ops.a_dagger @ ops.a - ops.identity
         expected = np.zeros((dim, dim), dtype=complex)
         expected[dim - 1, dim - 1] = -dim
         np.testing.assert_allclose(defect, expected, atol=1e-14)
+
+
+class TestDensityMatrix:
+    def test_dim_is_the_matrix_size(self):
+        m = np.eye(5, dtype=complex) / 5
+        assert fock.DensityMatrix(m).dim == len(m) == 5
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="must be square"):
+            fock.DensityMatrix(np.zeros((2, 3)))
 
 
 class TestFockState:
@@ -129,7 +140,7 @@ class TestCoherentState:
 
     def test_rejects_norm_deficit(self):
         # |alpha|^2 = 4 <= support_max, but 8 levels cannot hold the tail.
-        trunc = fock.TruncationConfig(dim=8, support_max=7, guard=0)
+        trunc = fock.TruncationConfig(support_max=7, guard=0)
         with pytest.raises(fock.ValidationError):
             fock.coherent_state(2.0, trunc)
 
@@ -204,14 +215,14 @@ class TestMixtureState:
 
 class TestValidateDensity:
     def test_clean_projector_passes(self):
-        report = fock.validate_density(np.diag([1.0, 0.0]).astype(complex))
+        report = fock.validate_density(np.diag([1.0, 0.0]).astype(complex), TIGHT_TOLERANCES)
         assert report.ok
         assert report.hermiticity_dev == 0.0
         assert report.trace_dev == 0.0
 
     def test_indefinite_diagonal(self):
         # diag(2, -1) has unit trace but a negative eigenvalue.
-        report = fock.validate_density(np.diag([2.0, -1.0]).astype(complex))
+        report = fock.validate_density(np.diag([2.0, -1.0]).astype(complex), TIGHT_TOLERANCES)
         assert report.trace_ok
         assert not report.positive_ok
         assert not report.ok
@@ -221,7 +232,7 @@ class TestValidateDensity:
         # Eigenvalues of [[0.5, 0.6], [0.6, 0.5]] are 1.1 and -0.1 by the
         # quadratic formula.
         m = np.array([[0.5, 0.6], [0.6, 0.5]], dtype=complex)
-        report = fock.validate_density(m)
+        report = fock.validate_density(m, TIGHT_TOLERANCES)
         assert not report.positive_ok
         assert abs(report.min_eigenvalue + 0.1) < 1e-12
         assert report.trace_ok and report.hermitian_ok
@@ -236,7 +247,7 @@ class TestValidateDensity:
         ],
     )
     def test_constructors_pass_validation(self, make):
-        report = fock.validate_density(make(trunc_of(18)).mat)
+        report = fock.validate_density(make(trunc_of(18)).mat, TIGHT_TOLERANCES)
         assert report.ok, report.describe()
 
 
@@ -257,16 +268,17 @@ class TestPositivityByShape:
     def test_blocks_match_dense_eigvalsh(self, dim, g):
         # x is exactly Hermitian, so its Hermitian part 0.5 (x + x^dag) is x.
         x = _residue_block_hermitian(dim, g, np.random.default_rng(10 * dim + g))
-        assert fock.validate_density(x).min_eigenvalue == np.linalg.eigvalsh(x)[0]
+        assert fock.validate_density(x, TIGHT_TOLERANCES).min_eigenvalue == np.linalg.eigvalsh(x)[0]
 
     @pytest.mark.parametrize("dim", [1, 2, 9, 64])
     def test_diagonal_state_is_its_smallest_diagonal_entry(self, dim):
         rng = np.random.default_rng(dim)
         mat = np.diag(rng.normal(size=dim) + 1e-3j * rng.normal(size=dim))
         # Only the real part of the diagonal survives the Hermitian part.
-        assert fock.validate_density(mat).min_eigenvalue == np.min(mat.diagonal().real)
+        min_eig = fock.validate_density(mat, TIGHT_TOLERANCES).min_eigenvalue
+        assert min_eig == np.min(mat.diagonal().real)
         mixture = fock.mixture_state([(0, 0.25), (3, 0.75)], trunc_of(max(dim, 4)))
-        assert fock.validate_density(mixture.mat).min_eigenvalue == 0.0
+        assert fock.validate_density(mixture.mat, TIGHT_TOLERANCES).min_eigenvalue == 0.0
 
     def test_full_state_is_one_dense_call(self):
         # g = 1: exactly the eigvalsh of the whole Hermitian part, bit for bit.
@@ -276,7 +288,7 @@ class TestPositivityByShape:
             _residue_block_hermitian(24, 2, rng) + np.diag(np.ones(23), 1) * 1e-3,
         ):
             want = float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))[0])
-            assert fock.validate_density(mat).min_eigenvalue == want
+            assert fock.validate_density(mat, TIGHT_TOLERANCES).min_eigenvalue == want
 
 
 class TestCheckEvolutionArgs:

@@ -22,7 +22,7 @@ from reference import (
 
 def trunc_of(dim, support=None):
     support = dim - 1 if support is None else support
-    return fock.TruncationConfig(dim=dim, support_max=support, guard=dim - 1 - support)
+    return fock.TruncationConfig(support_max=support, guard=dim - 1 - support)
 
 
 def rk4_step_loop(rhs, r, h, steps):
@@ -73,7 +73,7 @@ class TestSandwichCheck:
 
     def test_ladder_sandwich(self):
         # The exact pattern the Liouvillian is built from: a rho a^dag.
-        ops = fock.build_operators(trunc_of(4), theta=0.3)
+        ops = fock.build_operators(4, theta=0.3)
         rho = fock.coherent_state(1.0, trunc_of(12)).mat[:4, :4]
         assert liouville.sandwich_check(ops.a, rho, ops.a_dagger) <= 1e-12
 
@@ -84,18 +84,18 @@ class TestSandwichCheck:
 
 class TestKSuperoperators:
     def test_k0_commutes_exactly(self):
-        k0, k_plus, k_minus, k3 = liouville.k_superoperators(trunc_of(6))
+        k0, k_plus, k_minus, k3 = liouville.k_superoperators(6)
         for other in (k_plus, k_minus, k3):
             assert np.abs(k0 @ other - other @ k0).max() <= 1e-14
 
     def test_ladder_commutators_truncation_exact(self):
-        k0, k_plus, k_minus, k3 = liouville.k_superoperators(trunc_of(6))
+        k0, k_plus, k_minus, k3 = liouville.k_superoperators(6)
         assert np.abs(k3 @ k_plus - k_plus @ k3 - k_plus).max() <= 1e-14
         assert np.abs(k3 @ k_minus - k_minus @ k3 + k_minus).max() <= 1e-14
 
     def test_su11_closure_fails_only_at_edge(self):
         dim = 6
-        k0, k_plus, k_minus, k3 = liouville.k_superoperators(trunc_of(dim))
+        k0, k_plus, k_minus, k3 = liouville.k_superoperators(dim)
         defect = k_plus @ k_minus - k_minus @ k_plus + 2.0 * k3
         # The defect is diagonal and supported only on basis kets |i><j| that
         # touch the top level.
@@ -130,7 +130,6 @@ class TestKSuperoperators:
         for name in ("build_operators", "liouvillian_sector", "expm"):
             monkeypatch.setattr(liouville, name, no_operators)
         oracle_dim = liouville.ORACLE_MAX_DIM + 1
-        rho_dense = fock.fock_state(0, trunc_of(dim, support=1))
         rho_sector = fock.fock_state(0, trunc_of(oracle_dim, support=1))
         params = fock.ModelParams(omega=1.0, mu=1.0, nu=0.4)
         tracemalloc.start()
@@ -138,7 +137,7 @@ class TestKSuperoperators:
             with pytest.raises(ValueError, match=f"budget is D <= {liouville.ORACLE_MAX_DIM}"):
                 liouville.evolve_numeric_expm(rho_sector, params, 1.0)
             with pytest.raises(ValueError, match="budget is D <= 64"):
-                liouville.k_superoperators(rho_dense.trunc)
+                liouville.k_superoperators(dim)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -148,14 +147,14 @@ class TestKSuperoperators:
 class TestBuildLiouvillian:
     def test_vacuum_is_stationary_without_pump(self):
         trunc = trunc_of(5)
-        lv = build_liouvillian(fock.ModelParams(omega=2.0, mu=1.3, nu=0.0), trunc)
+        lv = build_liouvillian(fock.ModelParams(omega=2.0, mu=1.3, nu=0.0), trunc.dim)
         vac = liouville.vectorize(fock.fock_state(0, trunc).mat)
         assert np.abs(lv @ vac).max() <= 1e-14
 
     def test_single_excitation_rate_equation(self):
         # Applying the generator to |1><1| must yield |0><0| - |1><1|.
         trunc = trunc_of(5)
-        lv = build_liouvillian(fock.ModelParams(omega=0.0, mu=1.0, nu=0.0), trunc)
+        lv = build_liouvillian(fock.ModelParams(omega=0.0, mu=1.0, nu=0.0), trunc.dim)
         image = lv @ liouville.vectorize(fock.fock_state(1, trunc).mat)
         expected = liouville.vectorize(
             fock.fock_state(0, trunc).mat - fock.fock_state(1, trunc).mat
@@ -164,8 +163,7 @@ class TestBuildLiouvillian:
 
     def test_trace_annihilated_on_interior_states(self):
         dim = 7
-        trunc = trunc_of(dim)
-        lv = build_liouvillian(fock.ModelParams(omega=3.0, mu=0.7, nu=0.4), trunc)
+        lv = build_liouvillian(fock.ModelParams(omega=3.0, mu=0.7, nu=0.4), dim)
         trace_form = liouville.vectorize(np.eye(dim))
         rng = np.random.default_rng(8)
         for _ in range(10):
@@ -179,10 +177,9 @@ class TestBuildLiouvillian:
         # -nu (D P r P + ...) at the top level; on the identity/D input the
         # difference is the single corner entry -nu.
         dim = 6
-        trunc = trunc_of(dim)
         params = fock.ModelParams(omega=1.2, mu=0.8, nu=0.5)
-        direct_rhs = literal_rhs(params, trunc)
-        lv = build_liouvillian(params, trunc)
+        direct_rhs = literal_rhs(params, dim)
+        lv = build_liouvillian(params, dim)
         rho = np.eye(dim, dtype=complex) / dim
         via_l = devectorize(lv @ liouville.vectorize(rho), dim)
         direct = direct_rhs(rho)
@@ -209,8 +206,7 @@ class TestLiouvillianSectors:
         # It differs from the K form only on the diagonal: by nu D / 2 for
         # each of i and j at the top level D - 1.
         params = fock.ModelParams(omega=omega, mu=mu, nu=nu, theta=0.4)
-        trunc = trunc_of(dim)
-        dense = literal_liouvillian(params, trunc)
+        dense = literal_liouvillian(params, dim)
         assembled = np.zeros_like(dense)
         for k in range(1 - dim, dim):
             idx = [i * dim + i + k for i in range(dim) if 0 <= i + k < dim]
@@ -219,7 +215,7 @@ class TestLiouvillianSectors:
         assert np.abs(assembled - dense).max() <= 1e-15 * scale
         top = np.arange(dim) == dim - 1
         edge = 0.5 * nu * dim * (top[:, None].astype(float) + top[None, :]).reshape(-1)
-        k_form = build_liouvillian(params, trunc)
+        k_form = build_liouvillian(params, dim)
         assert np.abs(assembled - k_form - np.diag(edge)).max() <= 1e-15 * scale
 
     @pytest.mark.parametrize("dim", [1, 5, 16])
@@ -446,8 +442,7 @@ class TestEvolveNumericExpm:
         assert np.abs(off).max() <= 1e-10
 
     def test_rejects_invalid_state(self):
-        trunc = trunc_of(4)
-        bad = fock.DensityMatrix(mat=np.diag([2.0, -1.0, 0, 0]).astype(complex), trunc=trunc)
+        bad = fock.DensityMatrix(mat=np.diag([2.0, -1.0, 0, 0]).astype(complex))
         with pytest.raises(fock.ValidationError):
             liouville.evolve_numeric_expm(bad, fock.ModelParams(mu=1.0), 1.0)
 
@@ -504,7 +499,7 @@ def skewed_state(dim, seed):
     skew = 1e-3 * (g - g.conj().T) / 2
     np.fill_diagonal(skew, 0.0)
     mat = random_interior_density(dim, dim - 1, rng) + skew
-    return fock.DensityMatrix(mat=mat, trunc=trunc_of(dim))
+    return fock.DensityMatrix(mat=mat)
 
 
 #: Accepts skewed_state, whose Hermiticity deviation is ~1e-3.
@@ -521,7 +516,7 @@ class TestEvolveNumericExpmGrid:
         monkeypatch.setattr(liouville, "ORACLE_MAX_DIM", 10)
         params = fock.ModelParams(omega=2.0, mu=1.0, nu=0.4, theta=0.3)
         rho0 = fock.DensityMatrix(
-            mat=random_interior_density(dim, dim - 1, np.random.default_rng(3)), trunc=trunc_of(dim)
+            mat=random_interior_density(dim, dim - 1, np.random.default_rng(3))
         )
         times = [0.0, 0.35, 0.35, 1.2, 3.0, 0.05, 2.5]
         liouville._cached_propagator.cache_clear()
@@ -554,7 +549,7 @@ class TestEvolveNumericExpmGrid:
         dim = 7
         params = fock.ModelParams(omega=1.3, mu=0.7, nu=0.4, theta=0.9)
         rho0 = skewed_state(dim, 11)
-        lv = literal_liouvillian(params, trunc_of(dim))
+        lv = literal_liouvillian(params, dim)
         for t, state in zip(
             (0.4, 1.5),
             liouville.evolve_numeric_expm_grid(rho0, params, [0.4, 1.5], tolerances=SKEW_TOLERANCES),
@@ -580,13 +575,10 @@ class TestEvolveNumericExpmGrid:
         # The pump and the times keep the leak below those tolerances.
         dim = 16
         params = fock.ModelParams(omega=omega, mu=mu, nu=pump_fraction * mu)
-        rho0 = fock.DensityMatrix(
-            mat=random_interior_density(dim, 5, np.random.default_rng(seed)),
-            trunc=trunc_of(dim, support=5),
-        )
+        rho0 = fock.DensityMatrix(mat=random_interior_density(dim, 5, np.random.default_rng(seed)))
         mid, whole = liouville.evolve_numeric_expm_grid(rho0, params, [s, s + t])
         loose = config.ToleranceConfig(hermiticity_tol=1e-2, trace_tol=1e-2, positivity_tol=1e-2)
-        mid = fock.DensityMatrix(mat=mid, trunc=rho0.trunc)
+        mid = fock.DensityMatrix(mat=mid)
         two_step = liouville.evolve_numeric_expm(mid, params, t, tolerances=loose)
         assert np.abs(two_step.mat - whole).max() <= 1e-12 * np.abs(whole).max()
 
@@ -658,9 +650,8 @@ class TestEvolveNumericRk4:
         # Interior-supported state and a weak pump: the aa^dag = N + 1 edge
         # term (the one place where the two formulations differ on the
         # truncated space) then stays far below the comparison tolerance.
-        trunc = trunc_of(12, support=8)
         rng = np.random.default_rng(42)
-        rho0 = fock.DensityMatrix(mat=random_interior_density(12, 8, rng), trunc=trunc)
+        rho0 = fock.DensityMatrix(mat=random_interior_density(12, 8, rng))
         params = fock.ModelParams(omega=0.4, mu=0.3, nu=0.001)
         via_rk4 = liouville.evolve_numeric_rk4(rho0, params, 1.0, 1000)
         via_expm = liouville.evolve_numeric_expm(rho0, params, 1.0)
@@ -672,12 +663,11 @@ class TestEvolveNumericRk4:
         # products of the phased operators; every level is populated, so the
         # top-level corner of the truncated a a^dag is exercised.
         params = fock.ModelParams(omega=1.3, mu=0.7, nu=0.4, theta=0.9)
-        trunc = trunc_of(dim)
-        rhs = literal_rhs(params, trunc)
+        rhs = literal_rhs(params, dim)
         t = 0.6
         steps = liouville.stability_steps(params, dim, t)
         rho0 = fock.DensityMatrix(
-            mat=random_interior_density(dim, dim - 1, np.random.default_rng(dim)), trunc=trunc
+            mat=random_interior_density(dim, dim - 1, np.random.default_rng(dim))
         )
         r = rk4_step_loop(rhs, rho0.mat.copy(), t / steps, steps)
         got = liouville.evolve_numeric_rk4(rho0, params, t, steps).mat
@@ -692,7 +682,6 @@ class TestEvolveNumericRk4:
         # including the odd ones binary powering splits unevenly, with
         # gain (nu > mu), damping only (nu = 0) and pumping only (mu = 0).
         params = fock.ModelParams(omega=1.3, mu=mu, nu=nu, theta=0.9)
-        trunc = trunc_of(dim)
         rate = (params.omega + mu + nu) * dim
         if steps == "stability":
             t = 0.6
@@ -701,9 +690,9 @@ class TestEvolveNumericRk4:
             t = 0.99 * steps * liouville.RK4_STABILITY_LIMIT / rate
         assert liouville.stability_steps(params, dim, t) == steps
         rho0 = fock.DensityMatrix(
-            mat=random_interior_density(dim, dim - 1, np.random.default_rng(dim)), trunc=trunc
+            mat=random_interior_density(dim, dim - 1, np.random.default_rng(dim))
         )
-        r = rk4_step_loop(literal_rhs(params, trunc), rho0.mat.copy(), t / steps, steps)
+        r = rk4_step_loop(literal_rhs(params, dim), rho0.mat.copy(), t / steps, steps)
         got = liouville.evolve_numeric_rk4(rho0, params, t, steps).mat
         assert np.abs(got - r).max() <= 1e-14 * np.abs(r).max()
 
@@ -760,7 +749,7 @@ class TestEvolveNumericRk4:
         dim = 7
         params = fock.ModelParams(omega=1.3, mu=0.7, nu=0.0, theta=0.9)
         rho0 = skewed_state(dim, 12)
-        lv = build_liouvillian(params, trunc_of(dim))
+        lv = build_liouvillian(params, dim)
         t = 0.6
         steps = liouville.stability_steps(params, dim, t)
         expected = devectorize(
@@ -909,8 +898,7 @@ class TestSuperoperatorDisentangling:
         # pump ladder nu*t*D stays well inside the guard band; these points
         # are within the measured envelope at dim 12.
         dim = 12
-        trunc = trunc_of(dim, support=8)
-        k0, k_plus, k_minus, k3 = liouville.k_superoperators(trunc)
+        k0, k_plus, k_minus, k3 = liouville.k_superoperators(dim)
         rng = np.random.default_rng(12)
         states = [
             liouville.vectorize(random_interior_density(dim, 8, rng)) for _ in range(10)
@@ -939,8 +927,7 @@ class TestSuperoperatorDisentangling:
         c = su11.disentangling_coefficients(mu, nu, t)
         residuals = []
         for dim in (12, 20, 28, 32):
-            trunc = trunc_of(dim, support=support)
-            k0, k_plus, k_minus, k3 = liouville.k_superoperators(trunc)
+            k0, k_plus, k_minus, k3 = liouville.k_superoperators(dim)
             states = [
                 liouville.vectorize(random_interior_density(dim, support, rng))
                 for _ in range(5)
@@ -990,11 +977,10 @@ class TestSuperoperatorDisentangling:
         # exp(tL) = exp(-i w t K0) exp(t(nu K+ + mu K- - (mu+nu)K3)) e^{(mu-nu)t/2}
         # holds to rounding at any dim because K0 commutes exactly.
         dim = 10
-        trunc = trunc_of(dim, support=6)
         params = fock.ModelParams(omega=2.0, mu=1.0, nu=0.4)
         t = 0.9
-        k0, k_plus, k_minus, k3 = liouville.k_superoperators(trunc)
-        lhs = liouville.expm(t * build_liouvillian(params, trunc))
+        k0, k_plus, k_minus, k3 = liouville.k_superoperators(dim)
+        lhs = liouville.expm(t * build_liouvillian(params, dim))
         gen = params.nu * k_plus + params.mu * k_minus - (params.mu + params.nu) * k3
         rhs = (
             np.exp(0.5 * (params.mu - params.nu) * t)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,11 +6,12 @@ import pytest
 import scipy.linalg
 
 from qdho import fock, observables
+from reference import TIGHT_TOLERANCES
 
 
 def trunc_of(dim, support=None):
     support = dim - 1 if support is None else support
-    return fock.TruncationConfig(dim=dim, support_max=support, guard=dim - 1 - support)
+    return fock.TruncationConfig(support_max=support, guard=dim - 1 - support)
 
 
 def random_hermitian(dim, rng, scale=1.0):
@@ -33,7 +35,7 @@ class TestExpectN:
     def test_matches_number_operator_trace(self):
         # N = a^dag a is diag(0..D-1) whatever the operator phase theta.
         trunc = trunc_of(6)
-        ops = fock.build_operators(trunc, theta=0.4)
+        ops = fock.build_operators(trunc.dim, theta=0.4)
         rho = fock.mixture_state([(1, 0.25), (4, 0.75)], trunc)
         assert np.trace(ops.n_op @ rho.mat).real == observables.expect_n(rho) == 3.25
 
@@ -92,27 +94,27 @@ class TestHermitianEigenvalues:
     """Smallest eigenvalue as reported by the positivity check of validate_density."""
 
     def test_diagonal_is_sorted(self):
-        report = fock.validate_density(np.diag([3.0, 1.0, 2.0]).astype(complex))
+        report = fock.validate_density(np.diag([3.0, 1.0, 2.0]).astype(complex), TIGHT_TOLERANCES)
         assert abs(report.min_eigenvalue - 1.0) <= 1e-14
 
     def test_pauli_x_spectrum(self):
-        report = fock.validate_density(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        report = fock.validate_density(np.array([[0.0, 1.0], [1.0, 0.0]]), TIGHT_TOLERANCES)
         assert abs(report.min_eigenvalue + 1.0) <= 1e-14
 
     def test_random_hermitian_against_oracle(self):
         rng = np.random.default_rng(17)
         for _ in range(5):
             m = random_hermitian(8, rng)
-            min_eig = fock.validate_density(m).min_eigenvalue
+            min_eig = fock.validate_density(m, TIGHT_TOLERANCES).min_eigenvalue
             assert abs(min_eig - np.linalg.eigvalsh(m)[0]) <= 1e-11
             assert abs(min_eig - scipy.linalg.eigvalsh(m)[0]) <= 1e-11
 
     def test_complex_phase_handling(self):
         m = np.array([[1.0, 1j], [-1j, 1.0]])
-        assert abs(fock.validate_density(m).min_eigenvalue) <= 1e-13
+        assert abs(fock.validate_density(m, TIGHT_TOLERANCES).min_eigenvalue) <= 1e-13
 
     def test_rejects_non_hermitian(self):
-        report = fock.validate_density(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        report = fock.validate_density(np.array([[0.0, 1.0], [0.0, 0.0]]), TIGHT_TOLERANCES)
         assert not report.hermitian_ok
         assert not report.ok
 
@@ -124,7 +126,8 @@ class TestHermitianEigenvalues:
         for factor, ok in ((0.99, True), (1.01, False)):
             m = np.diag([top, 0.5]).astype(complex)
             m[0, 1] = factor * tol * scale
-            report = fock.validate_density(m, hermiticity_tol=tol)
+            tols = dataclasses.replace(TIGHT_TOLERANCES, hermiticity_tol=tol)
+            report = fock.validate_density(m, tols)
             assert report.hermiticity_dev == factor * tol * scale
             assert report.hermitian_ok == ok
 
@@ -148,16 +151,17 @@ class TestKnownSpectrumPositivity:
     def test_min_eigenvalue_and_positivity_flag(self, dim, smallest):
         rho, lam = self.known_spectrum(dim, smallest, seed=dim)
         assert abs(lam.sum() - 1.0) <= 1e-15
-        assert abs(fock.validate_density(rho).min_eigenvalue - lam.min()) <= 1e-12
+        assert abs(fock.validate_density(rho, TIGHT_TOLERANCES).min_eigenvalue - lam.min()) <= 1e-12
         # Just below and just above |min lam|, the flag follows the exact spectrum:
         # it flips across the tolerance for a negative eigenvalue only.
         for tol in (abs(smallest) * (1 - 1e-3), abs(smallest) * (1 + 1e-3)):
             expected = smallest >= -tol
-            assert fock.validate_density(rho, positivity_tol=tol).positive_ok == expected
+            tols = dataclasses.replace(TIGHT_TOLERANCES, positivity_tol=tol)
+            assert fock.validate_density(rho, tols).positive_ok == expected
 
     def test_rank_one_coherent_state(self):
         rho = fock.coherent_state(2.0, trunc_of(48, support=23))
-        assert fock.validate_density(rho).min_eigenvalue >= -1e-13
+        assert fock.validate_density(rho, TIGHT_TOLERANCES).min_eigenvalue >= -1e-13
 
 
 class TestPhotonDistribution:

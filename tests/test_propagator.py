@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from unittest import mock
 
@@ -8,19 +9,17 @@ from hypothesis import strategies as st
 
 from qdho import config, fock, liouville, observables, propagator, su11
 from qdho.verification import random_interior_density
-from reference import doubled
+from reference import TIGHT_TOLERANCES
 
 
 def trunc_of(dim, support=None):
     support = dim - 1 if support is None else support
-    return fock.TruncationConfig(dim=dim, support_max=support, guard=dim - 1 - support)
+    return fock.TruncationConfig(support_max=support, guard=dim - 1 - support)
 
 
 def interior_state(dim, support, seed):
     rng = np.random.default_rng(seed)
-    return fock.DensityMatrix(
-        mat=random_interior_density(dim, support, rng), trunc=trunc_of(dim, support)
-    )
+    return fock.DensityMatrix(mat=random_interior_density(dim, support, rng))
 
 
 class TestEvolveLindbladOnly:
@@ -61,9 +60,7 @@ class TestEvolveLindbladOnly:
             self.evolve(fock.fock_state(0, trunc_of(4)), 1.0, 0.0, -1.0)
 
     def test_rejects_invalid_state(self):
-        bad = fock.DensityMatrix(
-            mat=np.diag([0.7, 0.7, -0.4, 0.0]).astype(complex), trunc=trunc_of(4)
-        )
+        bad = fock.DensityMatrix(mat=np.diag([0.7, 0.7, -0.4, 0.0]).astype(complex))
         with pytest.raises(fock.ValidationError):
             self.evolve(bad, 1.0, 0.0, 1.0)
 
@@ -144,12 +141,12 @@ class TestEvolveAnalytic:
         # ~745; a zero prefactor would erase the state.
         rho0 = fock.fock_state(0, trunc_of(8))
         params = fock.ModelParams(mu=0.2, nu=1.5)
-        with pytest.warns(propagator.GainWarning), pytest.raises(ValueError, match="prefactor"):
+        with pytest.warns(fock.GainWarning), pytest.raises(ValueError, match="prefactor"):
             propagator.evolve_analytic_grid(rho0, params, [0.0, 1.0, 1000.0])
 
     def test_gain_regime_warns(self):
         rho0 = fock.fock_state(0, trunc_of(16))
-        with pytest.warns(propagator.GainWarning):
+        with pytest.warns(fock.GainWarning):
             propagator.evolve_analytic(rho0, fock.ModelParams(mu=0.2, nu=0.6), 0.5)
 
 
@@ -160,10 +157,11 @@ class TestHermiticityGuard:
 
     @staticmethod
     def runs(rho0, params, t):
+        pure_loss = dataclasses.replace(params, nu=0.0)
         return {
             "analytic": lambda: propagator.evolve_analytic(rho0, params, t),
             "certified": lambda: propagator.evolve_analytic_grid(rho0, params, [t], certify=True),
-            "nu-zero": lambda: propagator.evolve_nu_zero(rho0, params.mu, params.omega, t),
+            "nu-zero": lambda: propagator.evolve_nu_zero(rho0, pure_loss, t),
         }
 
     @pytest.mark.parametrize("method", ["analytic", "certified", "nu-zero"])
@@ -174,8 +172,8 @@ class TestHermiticityGuard:
         trunc = fock.TruncationConfig.for_support(5)
         mat = fock.coherent_state(1.0, trunc).mat.copy()
         mat[0, 1] += eps * 1j
-        assert fock.validate_density(mat).hermitian_ok
-        rho0 = fock.DensityMatrix(mat=mat, trunc=trunc)
+        assert fock.validate_density(mat, TIGHT_TOLERANCES).hermitian_ok
+        rho0 = fock.DensityMatrix(mat=mat)
         self.runs(rho0, self.PARAMS, 1.3)[method]()
 
     @pytest.mark.parametrize("method", ["analytic", "certified", "nu-zero"])
@@ -194,13 +192,13 @@ class TestHermiticityGuard:
 class TestEvolveNuZero:
     def test_vacuum_fixed(self):
         rho0 = fock.fock_state(0, trunc_of(6))
-        out = propagator.evolve_nu_zero(rho0, 0.7, 2.0, 3.0)
+        out = propagator.evolve_nu_zero(rho0, fock.ModelParams(omega=2.0, mu=0.7), 3.0)
         np.testing.assert_allclose(out.mat, rho0.mat, atol=1e-15)
 
     def test_half_life_populations(self):
         # mu = ln 2, t = 1: e^{-mu t} = 1/2 exactly.
         rho0 = fock.fock_state(1, trunc_of(6))
-        out = propagator.evolve_nu_zero(rho0, np.log(2.0), 0.0, 1.0)
+        out = propagator.evolve_nu_zero(rho0, fock.ModelParams(mu=np.log(2.0)), 1.0)
         expected = np.zeros((6, 6), dtype=complex)
         expected[0, 0] = 0.5
         expected[1, 1] = 0.5
@@ -211,8 +209,8 @@ class TestEvolveNuZero:
         # at w t = pi the 01-coherence picks up e^{i pi} = -1.
         mat = np.zeros((4, 4), dtype=complex)
         mat[:2, :2] = 0.5
-        rho0 = fock.DensityMatrix(mat=mat, trunc=trunc_of(4))
-        out = propagator.evolve_nu_zero(rho0, 0.0, np.pi, 1.0)
+        rho0 = fock.DensityMatrix(mat=mat)
+        out = propagator.evolve_nu_zero(rho0, fock.ModelParams(omega=np.pi), 1.0)
         expected = mat.copy()
         expected[0, 1] = -0.5
         expected[1, 0] = -0.5
@@ -225,17 +223,16 @@ class TestEvolveNuZero:
             mu = float(rng.uniform(0.05, 2.0))
             omega = float(rng.uniform(0.0, 5.0))
             t = float(rng.uniform(0.0, 3.0))
-            direct = propagator.evolve_nu_zero(rho0, mu, omega, t)
-            via_full = propagator.evolve_analytic(
-                rho0, fock.ModelParams(omega=omega, mu=mu, nu=0.0), t
-            )
+            params = fock.ModelParams(omega=omega, mu=mu, nu=0.0)
+            direct = propagator.evolve_nu_zero(rho0, params, t)
+            via_full = propagator.evolve_analytic(rho0, params, t)
             assert np.abs(direct.mat - via_full.mat).max() <= 1e-12
 
     def test_mean_occupation_decays_exponentially(self):
         rho0 = interior_state(14, 8, seed=4)
         n0 = observables.expect_n(rho0)
         for mu, omega, t in [(0.8, 0.0, 1.0), (0.8, 3.0, 2.5), (1.5, 1.0, 0.4)]:
-            out = propagator.evolve_nu_zero(rho0, mu, omega, t)
+            out = propagator.evolve_nu_zero(rho0, fock.ModelParams(omega=omega, mu=mu), t)
             assert abs(observables.expect_n(out) - np.exp(-mu * t) * n0) <= 1e-8
         # The law is verified against both oracles as well, not assumed.
         mu, omega, t = 0.8, 3.0, 1.0
@@ -250,7 +247,7 @@ class TestEvolveNuZero:
 def _dense_series(x, lower_weight, left_exp, right_exp, raise_weight, scale, theta):
     """The closed-form series with dense operator products, theta != 0 allowed."""
     d = x.shape[0]
-    ops = fock.build_operators(trunc_of(d), theta=theta)
+    ops = fock.build_operators(d, theta=theta)
 
     def series(mat, weight, left, right):
         total = mat.copy()
@@ -342,20 +339,21 @@ class TestBandSeriesEquivalence:
         got = _series_on_matrix(mat, coeffs.e_coef, left, coeffs.g_coef, prefactor)
         self.assert_close(got, want, mat)
         if is_state:
-            rho0 = fock.DensityMatrix(mat=mat, trunc=trunc_of(dim))
+            rho0 = fock.DensityMatrix(mat=mat)
             self.assert_close(propagator.evolve_analytic(rho0, params, t).mat, want, mat)
 
     @pytest.mark.parametrize("dim, name, mat, is_state", _EQUIVALENCE_CASES)
     def test_lowering_only(self, dim, name, mat, is_state):
         # evolve_nu_zero's series: no raising part, no prefactor.
-        mu, omega, t = self.PARAMS.mu, self.PARAMS.omega, self.T
+        params = dataclasses.replace(self.PARAMS, nu=0.0)
+        mu, omega, t = params.mu, params.omega, self.T
         weight = -np.expm1(-mu * t)
         exponent = -(0.5 * mu + 1j * omega) * t
         want = _dense_series(mat, weight, exponent, np.conj(exponent), 0.0, 1.0, self.PARAMS.theta)
         self.assert_close(_series_on_matrix(mat, weight, exponent), want, mat)
         if is_state:
-            rho0 = fock.DensityMatrix(mat=mat, trunc=trunc_of(dim))
-            self.assert_close(propagator.evolve_nu_zero(rho0, mu, omega, t).mat, want, mat)
+            rho0 = fock.DensityMatrix(mat=mat)
+            self.assert_close(propagator.evolve_nu_zero(rho0, params, t).mat, want, mat)
 
 
 class TestTruncationBehaviour:
@@ -369,12 +367,9 @@ class TestTruncationBehaviour:
         rho0 = interior_state(12, 8, seed=5)
         params = fock.ModelParams(omega=1.0, mu=0.5, nu=0.5)
         small = propagator.evolve_analytic(rho0, params, 2.0)
-        big_trunc = doubled(rho0.trunc)
         big_mat = np.zeros((24, 24), dtype=complex)
         big_mat[:12, :12] = rho0.mat
-        big = propagator.evolve_analytic(
-            fock.DensityMatrix(mat=big_mat, trunc=big_trunc), params, 2.0
-        )
+        big = propagator.evolve_analytic(fock.DensityMatrix(mat=big_mat), params, 2.0)
         np.testing.assert_array_equal(big.mat[:12, :12], small.mat)
 
     def test_escape_distance_small_for_damped_run(self):
@@ -428,12 +423,7 @@ class TestAnalyticOutputIsAState:
         )
         tols = config.DEFAULT_TOLERANCES
         out = propagator.evolve_analytic(rho0, params, t)
-        report = fock.validate_density(
-            out,
-            hermiticity_tol=tols.hermiticity_tol,
-            trace_tol=tols.trace_tol,
-            positivity_tol=tols.positivity_tol,
-        )
+        report = fock.validate_density(out, tols)
         assert report.hermitian_ok, report.describe()
         assert report.positive_ok, report.describe()
         assert np.trace(out.mat).real <= 1.0 + tols.trace_tol
@@ -443,7 +433,7 @@ def _zero_padded(rho0):
     d = rho0.dim
     mat = np.zeros((2 * d, 2 * d), dtype=complex)
     mat[:d, :d] = rho0.mat
-    return fock.DensityMatrix(mat=mat, trunc=doubled(rho0.trunc))
+    return fock.DensityMatrix(mat=mat)
 
 
 class TestAnalyticProperties:
@@ -494,8 +484,9 @@ class TestAnalyticProperties:
         t=st.floats(0.0, 3.0),
     )
     def test_nu_zero_matches_evolve_nu_zero(self, rho0, mu, omega, t):
-        via_full = propagator.evolve_analytic(rho0, fock.ModelParams(omega=omega, mu=mu, nu=0.0), t)
-        direct = propagator.evolve_nu_zero(rho0, mu, omega, t)
+        params = fock.ModelParams(omega=omega, mu=mu, nu=0.0)
+        via_full = propagator.evolve_analytic(rho0, params, t)
+        direct = propagator.evolve_nu_zero(rho0, params, t)
         assert np.abs(via_full.mat - direct.mat).max() <= 1e-12
 
 
@@ -546,7 +537,7 @@ def grid_states(draw):
     mat = _band_matrix(16, width, np.random.default_rng(draw(st.integers(0, 2**16))))
     if draw(st.booleans()):
         mat[0, 1], mat[1, 0] = complex(-0.0, -0.0), complex(-0.0, 0.0)
-    return fock.DensityMatrix(mat=mat, trunc=_PROPERTY_TRUNC)
+    return fock.DensityMatrix(mat=mat)
 
 
 def _bits(states):
@@ -702,7 +693,7 @@ def _full_rank_state(dim, seed):
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     mat = g @ g.conj().T
-    return fock.DensityMatrix(mat=mat / np.trace(mat).real, trunc=trunc_of(dim))
+    return fock.DensityMatrix(mat=mat / np.trace(mat).real)
 
 
 _COHERENT_24 = fock.coherent_state(1.5 * np.exp(0.7j), trunc_of(24))
@@ -719,7 +710,7 @@ _WINDOW_CASES = {
     "random full rank": (_full_rank_state(24, 5), _DAMPED, 1),
     "high Fock level": (fock.fock_state(20, trunc_of(24)), _DAMPED, 0),
     "tridiagonal": (
-        fock.DensityMatrix(mat=_band_matrix(24, 1, np.random.default_rng(3)), trunc=trunc_of(24)),
+        fock.DensityMatrix(mat=_band_matrix(24, 1, np.random.default_rng(3))),
         _DAMPED,
         1,
     ),
@@ -796,12 +787,18 @@ class TestNuZeroGrid:
         chunk_bytes=st.sampled_from([1, 5_000, propagator.BAND_CHUNK_BYTES]),
     )
     def test_grid_equals_per_time_loop(self, rho0, mu, omega, times, chunk_bytes):
+        params = fock.ModelParams(omega=omega, mu=mu)
         with mock.patch.object(propagator, "BAND_CHUNK_BYTES", chunk_bytes):
-            grid = propagator.evolve_nu_zero_grid(rho0, mu, omega, times)
-        loop = [propagator.evolve_nu_zero(rho0, mu, omega, t).mat for t in times]
+            grid = propagator.evolve_nu_zero_grid(rho0, params, times)
+        loop = [propagator.evolve_nu_zero(rho0, params, t).mat for t in times]
         assert _bits(grid) == _bits(loop)
 
     def test_checks_every_time(self):
         rho0 = fock.fock_state(1, trunc_of(6))
         with pytest.raises(ValueError, match="non-negative"):
-            propagator.evolve_nu_zero_grid(rho0, 1.0, 0.0, [0.0, 1.0, -0.5])
+            propagator.evolve_nu_zero_grid(rho0, fock.ModelParams(mu=1.0), [0.0, 1.0, -0.5])
+
+    def test_refuses_a_pump(self):
+        rho0 = fock.fock_state(1, trunc_of(6))
+        with pytest.raises(ValueError, match="^the pure-loss series requires nu = 0, got nu = 0.4"):
+            propagator.evolve_nu_zero_grid(rho0, fock.ModelParams(mu=1.0, nu=0.4), [1.0])
