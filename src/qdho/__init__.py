@@ -9,7 +9,6 @@ from .classical import (
     AnalyticUnsupportedError,
     ClassicalParams,
     PhasePoint,
-    evolve_classical_analytic,
     evolve_classical_analytic_grid,
     evolve_classical_rk4,
     evolve_classical_rk4_grid,
@@ -25,7 +24,6 @@ from .config import (
     load_run_config,
 )
 from .fock import (
-    DensityMatrix,
     FockOperatorSet,
     GainWarning,
     ModelParams,
@@ -40,7 +38,6 @@ from .fock import (
     validate_density,
 )
 from .liouville import (
-    evolve_numeric_expm,
     evolve_numeric_expm_grid,
     evolve_numeric_rk4,
     evolve_numeric_rk4_grid,
@@ -57,10 +54,7 @@ from .observables import (
     purity,
 )
 from .propagator import (
-    doubled_truncation_distance,
-    evolve_analytic,
     evolve_analytic_grid,
-    evolve_nu_zero,
     evolve_nu_zero_grid,
 )
 from .su11 import (

@@ -129,12 +129,6 @@ def _checked_times(times) -> list[float]:
     return times
 
 
-def evolve_classical_analytic(p0: PhasePoint, params: ClassicalParams, t: float) -> PhasePoint:
-    """Apply the closed-form evolution matrix to (x0, y0): the grid of one time."""
-    x, y = evolve_classical_analytic_grid(p0, params, [t])[0].tolist()
-    return PhasePoint(x=x, y=y)
-
-
 def evolve_classical_analytic_grid(p0: PhasePoint, params: ClassicalParams, times) -> np.ndarray:
     """Closed-form (x, y) at each of ``times``, as a (T, 2) array.
 

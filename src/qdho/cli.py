@@ -31,7 +31,6 @@ from .config import (
     load_run_config,
 )
 from .fock import (
-    DensityMatrix,
     ValidationError,
     coherent_state,
     fock_state,
@@ -54,7 +53,7 @@ class NumericFailure(Exception):
     """NaN or Inf appeared in a computed quantity."""
 
 
-def build_initial_state(spec: StateSpec, trunc) -> DensityMatrix:
+def build_initial_state(spec: StateSpec, trunc) -> np.ndarray:
     if spec.kind == "fock":
         return fock_state(spec.n, trunc)
     if spec.kind == "coherent":
@@ -64,7 +63,7 @@ def build_initial_state(spec: StateSpec, trunc) -> DensityMatrix:
     return mixture_state(list(spec.terms), trunc)
 
 
-def _analytic_on_grid(rho0: DensityMatrix, cfg: RunConfig, times: np.ndarray) -> np.ndarray:
+def _analytic_on_grid(rho0: np.ndarray, cfg: RunConfig, times: np.ndarray) -> np.ndarray:
     """Closed-form states on the grid, each certified first under check_truncation."""
     states, escapes = propagator.evolve_analytic_grid(
         rho0, cfg.params, times, tolerances=cfg.tolerances, certify=cfg.check_truncation
@@ -82,7 +81,7 @@ def _analytic_on_grid(rho0: DensityMatrix, cfg: RunConfig, times: np.ndarray) ->
     return states
 
 
-def _evolve_on_grid(rho0: DensityMatrix, cfg: RunConfig, times: np.ndarray) -> np.ndarray:
+def _evolve_on_grid(rho0: np.ndarray, cfg: RunConfig, times: np.ndarray) -> np.ndarray:
     if cfg.method == "analytic":
         return _analytic_on_grid(rho0, cfg, times)
     if cfg.check_truncation:

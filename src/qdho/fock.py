@@ -87,31 +87,6 @@ class FockOperatorSet:
 
 
 @dataclass(frozen=True)
-class DensityMatrix:
-    """A D x D state matrix; D is the matrix's own size.
-
-    Construction checks shape and finiteness only. The physical invariants
-    (Hermiticity, unit trace, positivity) are certified by
-    :func:`validate_density`, which the evolution entry points run on their
-    initial state (:func:`check_evolution_args`) and the CLI runs on every
-    state it writes out. A grid run is one (times, D, D) array instead.
-    """
-
-    mat: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.mat, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {m.shape}")
-        _check_finite(m)
-        object.__setattr__(self, "mat", m)
-
-    @property
-    def dim(self) -> int:
-        return len(self.mat)
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     """Measured deviations of a candidate density matrix, with pass flags."""
 
@@ -147,7 +122,7 @@ def build_operators(d: int, theta: float = 0.0) -> FockOperatorSet:
     return FockOperatorSet(a=a, a_dagger=a_dagger, n_op=n_op, identity=np.eye(d, dtype=complex))
 
 
-def fock_state(n: int, trunc: TruncationConfig) -> DensityMatrix:
+def fock_state(n: int, trunc: TruncationConfig) -> np.ndarray:
     """Projector |n><n| on the truncated space."""
     if n < 0:
         raise ValueError(f"Fock level must be non-negative, got {n}")
@@ -155,10 +130,10 @@ def fock_state(n: int, trunc: TruncationConfig) -> DensityMatrix:
         raise ValueError(f"Fock level {n} does not fit in {trunc.dim} retained levels")
     m = np.zeros((trunc.dim, trunc.dim), dtype=complex)
     m[n, n] = 1.0
-    return DensityMatrix(mat=m)
+    return m
 
 
-def coherent_state(alpha: complex, trunc: TruncationConfig) -> DensityMatrix:
+def coherent_state(alpha: complex, trunc: TruncationConfig) -> np.ndarray:
     """Projector onto the coherent state with amplitude alpha, renormalized.
 
     Amplitudes are c_n = e^{-|alpha|^2/2} alpha^n / sqrt(n!) for n < D.
@@ -186,11 +161,10 @@ def coherent_state(alpha: complex, trunc: TruncationConfig) -> DensityMatrix:
             f"in {d} levels (tolerance 1e-8); increase the truncation"
         )
     amps /= np.sqrt(norm_sq)
-    m = np.outer(amps, amps.conj())
-    return DensityMatrix(mat=m)
+    return np.outer(amps, amps.conj())
 
 
-def thermal_state(n_bar: float, trunc: TruncationConfig) -> DensityMatrix:
+def thermal_state(n_bar: float, trunc: TruncationConfig) -> np.ndarray:
     """Diagonal Gibbs state with geometric weights (n_bar/(n_bar+1))^n.
 
     n_bar must be finite and non-negative, and the geometric tail beyond
@@ -211,7 +185,7 @@ def thermal_state(n_bar: float, trunc: TruncationConfig) -> DensityMatrix:
         )
     weights = q ** np.arange(d, dtype=float)
     weights /= weights.sum()
-    return DensityMatrix(mat=np.diag(weights).astype(complex))
+    return np.diag(weights).astype(complex)
 
 
 def check_mixture_weights(terms) -> None:
@@ -233,7 +207,7 @@ def check_mixture_weights(terms) -> None:
         raise ValueError(f"mixture weights sum to {total!r}, expected 1 within 1e-12")
 
 
-def mixture_state(terms: list[tuple[int, float]], trunc: TruncationConfig) -> DensityMatrix:
+def mixture_state(terms: list[tuple[int, float]], trunc: TruncationConfig) -> np.ndarray:
     """Statistical mixture sum_i w_i |n_i><n_i| of Fock projectors.
 
     The weights must pass :func:`check_mixture_weights`.
@@ -244,7 +218,7 @@ def mixture_state(terms: list[tuple[int, float]], trunc: TruncationConfig) -> De
         if n < 0 or n >= trunc.dim:
             raise ValueError(f"mixture level {n} does not fit in {trunc.dim} retained levels")
         m[n, n] += w
-    return DensityMatrix(mat=m)
+    return m
 
 
 def validate_density(rho, tolerances) -> ValidationReport:
@@ -257,7 +231,7 @@ def validate_density(rho, tolerances) -> ValidationReport:
     Hermitian part, which shares no code with the evolution paths). This is
     a reporting operation and never raises for a bad state.
     """
-    m = np.asarray(getattr(rho, "mat", rho), dtype=complex)
+    m = np.asarray(rho, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     scale = max(1.0, float(np.abs(m).max()))
@@ -296,13 +270,15 @@ def _check_finite(states: np.ndarray) -> None:
         raise ValueError("density matrix contains NaN/Inf entries")
 
 
-def check_evolution_args(rho0: DensityMatrix, params: ModelParams, t, tolerances) -> None:
-    """The argument check of every quantum evolution: times, rates, rho0.
+def check_evolution_args(rho0, params: ModelParams, t, tolerances) -> np.ndarray:
+    """The argument check of every quantum evolution: rho0, times, rates.
 
-    ``t`` is one time or an array of grid times, all checked here, so a
-    grid validates its initial state once. One rate bound serves every
-    method: 8 (omega + mu + nu) D max(1, t) must be finite, with D =
-    rho0.dim and t the largest time. The 8 is the expm oracle's: it scales
+    Returns rho0 as the complex D x D array every method evolves. A rho0
+    that is not a square matrix, or holds a NaN or an infinity, is refused
+    first. ``t`` is one time or an array of grid times, all checked here,
+    so a grid validates its initial state once. One rate bound serves every
+    method: 8 (omega + mu + nu) D max(1, t) must be finite, with t the
+    largest time. The 8 is the expm oracle's: it scales
     t R_k, of max row sum at most 2 (mu + nu) D t, by 2^-s to norm 0.5, and
     2.0**s is finite while that row sum over 0.5 stays below 2^1023. The
     bound also keeps finite the phase omega (D-1) t, the series' number
@@ -312,15 +288,20 @@ def check_evolution_args(rho0: DensityMatrix, params: ModelParams, t, tolerances
     :class:`qdho.config.ToleranceConfig`; its Hermiticity, trace and
     positivity tolerances gate :func:`validate_density`.
     """
+    rho0 = np.asarray(rho0, dtype=complex)
+    if rho0.ndim != 2 or rho0.shape[0] != rho0.shape[1]:
+        raise ValueError(f"density matrix must be square, got shape {rho0.shape}")
+    _check_finite(rho0)
+    d = len(rho0)
     times = np.asarray(t, dtype=float)
     if not (times >= 0).all():  # NaN fails too
         raise ValueError(f"evolution time must be non-negative, got {times.min()}")
     t_max = float(times.max(initial=0.0))
     omega, mu, nu = float(params.omega), float(params.mu), float(params.nu)
-    if not math.isfinite(8.0 * (omega + mu + nu) * rho0.dim * max(1.0, t_max)):
+    if not math.isfinite(8.0 * (omega + mu + nu) * d * max(1.0, t_max)):
         raise ValueError(
             f"rate scale 8 (omega + mu + nu) D max(1, t) at omega = {omega:.6g}, "
-            f"mu = {mu:.6g}, nu = {nu:.6g}, D = {rho0.dim}, t = {t_max:.6g} "
+            f"mu = {mu:.6g}, nu = {nu:.6g}, D = {d}, t = {t_max:.6g} "
             f"overflows double precision"
         )
     if nu > mu:
@@ -330,6 +311,7 @@ def check_evolution_args(rho0: DensityMatrix, params: ModelParams, t, tolerances
             GainWarning,
             stacklevel=3,
         )
-    report = validate_density(rho0.mat, tolerances)
+    report = validate_density(rho0, tolerances)
     if not report.ok:
         raise ValidationError(f"initial state is not a valid density matrix: {report.describe()}")
+    return rho0

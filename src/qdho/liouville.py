@@ -46,13 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, ToleranceConfig
-from .fock import (
-    DensityMatrix,
-    ModelParams,
-    _check_finite,
-    build_operators,
-    check_evolution_args,
-)
+from .fock import ModelParams, _check_finite, build_operators, check_evolution_args
 
 #: Taylor scaling threshold for the matrix exponential (max-row-sum norm).
 _EXPM_SCALE_LIMIT = 0.5
@@ -257,7 +251,7 @@ def _cached_propagator(
 
 
 def evolve_numeric_expm_grid(
-    rho0: DensityMatrix,
+    rho0: np.ndarray,
     params: ModelParams,
     times,
     *,
@@ -273,7 +267,7 @@ def evolve_numeric_expm_grid(
     Raises ValueError, before anything is built, when D exceeds
     ``ORACLE_MAX_DIM`` or the check refuses the arguments, and on a NaN.
     """
-    dim = rho0.dim
+    dim = len(rho0)
     if dim > ORACLE_MAX_DIM:
         megabytes = 8 * _upper_block_entries(dim) / 1e6
         raise ValueError(
@@ -281,10 +275,10 @@ def evolve_numeric_expm_grid(
             f"exponentials per time; its budget is D <= {ORACLE_MAX_DIM}"
         )
     times = np.asarray(times, dtype=float)
-    check_evolution_args(rho0, params, times, tolerances)
+    rho0 = check_evolution_args(rho0, params, times, tolerances)
     chunk = max(1, _upper_block_entries(ORACLE_MAX_DIM) // _upper_block_entries(dim))
     order, spans = _sector_order(dim)
-    sectors = rho0.mat.reshape(-1)[order]
+    sectors = rho0.reshape(-1)[order]
     states = np.empty((times.size, dim, dim), dtype=complex)
     for start in range(0, times.size, chunk):
         part = times[start : start + chunk]
@@ -300,18 +294,6 @@ def evolve_numeric_expm_grid(
         states[start : start + chunk].reshape(-1, dim * dim)[:, order] = moved
         _check_finite(moved)
     return states
-
-
-def evolve_numeric_expm(
-    rho0: DensityMatrix,
-    params: ModelParams,
-    t: float,
-    *,
-    tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
-) -> DensityMatrix:
-    """One time of :func:`evolve_numeric_expm_grid`."""
-    states = evolve_numeric_expm_grid(rho0, params, [t], tolerances=tolerances)
-    return DensityMatrix(mat=states[0])
 
 
 def stability_steps(params: ModelParams, dim: int, t: float) -> int:
@@ -391,7 +373,7 @@ def _rk4_powers(params: ModelParams, dim: int, t: float, steps: int) -> tuple[np
 
 
 def evolve_numeric_rk4_grid(
-    rho0: DensityMatrix,
+    rho0: np.ndarray,
     params: ModelParams,
     times,
     *,
@@ -405,13 +387,14 @@ def evolve_numeric_rk4_grid(
     zero or negative length repeats the state before it. A NaN raises.
     """
     times = np.asarray(times, dtype=float)
-    check_evolution_args(rho0, params, times, tolerances)
-    states = np.empty((times.size, rho0.dim, rho0.dim), dtype=complex)
-    current, prev_t = rho0.mat, 0.0
+    rho0 = check_evolution_args(rho0, params, times, tolerances)
+    dim = len(rho0)
+    states = np.empty((times.size, dim, dim), dtype=complex)
+    current, prev_t = rho0, 0.0
     for s, t in enumerate(times.tolist()):
         if t > prev_t:
             seg = t - prev_t
-            current = _rk4_segment(current, params, seg, 2 * stability_steps(params, rho0.dim, seg))
+            current = _rk4_segment(current, params, seg, 2 * stability_steps(params, dim, seg))
             _check_finite(current)
         states[s] = current
         prev_t = t
@@ -419,13 +402,13 @@ def evolve_numeric_rk4_grid(
 
 
 def evolve_numeric_rk4(
-    rho0: DensityMatrix,
+    rho0: np.ndarray,
     params: ModelParams,
     t: float,
     steps: int,
     *,
     tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
-) -> DensityMatrix:
+) -> np.ndarray:
     """Integrate the matrix-form master equation with classic fixed-step RK4.
 
     The right-hand side is -i omega [N, rho]
@@ -442,16 +425,16 @@ def evolve_numeric_rk4(
     satisfy the stability bound step * (omega + mu + nu) * D <= 0.1 and,
     times D^2, stay within ``RK4_MAX_WORK``.
     """
-    check_evolution_args(rho0, params, t, tolerances)
+    rho0 = check_evolution_args(rho0, params, t, tolerances)
     if steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps}")
-    needed = stability_steps(params, rho0.dim, t)
+    needed = stability_steps(params, len(rho0), t)
     if steps < needed:
         raise ValueError(
             f"{steps} steps violate the stability bound "
             f"h*(omega+mu+nu)*D <= {RK4_STABILITY_LIMIT} (need >= {needed})"
         )
-    return DensityMatrix(mat=_rk4_segment(rho0.mat, params, t, steps))
+    return _rk4_segment(rho0, params, t, steps)
 
 
 def _rk4_segment(rho0: np.ndarray, params: ModelParams, t: float, steps: int) -> np.ndarray:

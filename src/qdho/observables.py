@@ -1,16 +1,12 @@
 """Scalar diagnostics of density matrices: moments, purity, distances, populations.
 
-All functions accept either a :class:`~qdho.fock.DensityMatrix` or a bare
-complex square array; wrappers are unwrapped via their ``mat`` attribute.
+A state is a square array, read as complex: one D x D slice of an evolved
+(times, D, D) grid, or a state builder's result.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def _as_matrix(x) -> np.ndarray:
-    return np.asarray(getattr(x, "mat", x), dtype=complex)
 
 
 def expect_n(rho) -> float:
@@ -19,7 +15,7 @@ def expect_n(rho) -> float:
     The number operator is diag(0, 1, ..., D-1) for every operator phase.
     The imaginary part must vanish to 1e-10.
     """
-    mat = _as_matrix(rho)
+    mat = np.asarray(rho, dtype=complex)
     n_diag = np.arange(mat.shape[0], dtype=float)
     val = complex(np.sum(n_diag * np.diag(mat)))
     if abs(val.imag) > 1e-10:
@@ -32,14 +28,14 @@ def purity(rho) -> float:
 
     Computed as sum |rho_ij|^2, which equals Tr(rho^2) for Hermitian rho.
     """
-    mat = _as_matrix(rho)
+    mat = np.asarray(rho, dtype=complex)
     return float(np.vdot(mat, mat).real)
 
 
 def frobenius_distance(a, b) -> float:
     """Frobenius norm of the difference, sqrt(sum |a-b|^2)."""
-    ma = _as_matrix(a)
-    mb = _as_matrix(b)
+    ma = np.asarray(a, dtype=complex)
+    mb = np.asarray(b, dtype=complex)
     if ma.shape != mb.shape:
         raise ValueError(f"shape mismatch: {ma.shape} vs {mb.shape}")
     return float(np.linalg.norm(ma - mb))
@@ -47,4 +43,4 @@ def frobenius_distance(a, b) -> float:
 
 def photon_distribution(rho) -> np.ndarray:
     """Diagonal populations (p_0, ..., p_{D-1}) as a real vector."""
-    return np.real(np.diag(_as_matrix(rho))).copy()
+    return np.real(np.diag(np.asarray(rho, dtype=complex))).copy()

@@ -60,7 +60,7 @@ import numpy as np
 
 from . import su11
 from .config import DEFAULT_TOLERANCES, ToleranceConfig
-from .fock import DensityMatrix, ModelParams, _check_finite, _is_diagonal, check_evolution_args
+from .fock import ModelParams, _check_finite, _is_diagonal, check_evolution_args
 
 #: Doubling-D truncation certificates must come in below this (Frobenius
 #: weight the dim-D run loses above its cutoff, measured against a 2D run).
@@ -75,20 +75,8 @@ BAND_CHUNK_BYTES = 256 * 1024
 _HERMITICITY_GUARD = 1e-12
 
 
-def evolve_analytic(
-    rho0: DensityMatrix,
-    params: ModelParams,
-    t: float,
-    *,
-    tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
-) -> DensityMatrix:
-    """Evolve rho0 to time t under loss mu, pump nu and rotation omega."""
-    states, _ = evolve_analytic_grid(rho0, params, [t], tolerances=tolerances)
-    return DensityMatrix(mat=states[0])
-
-
 def evolve_analytic_grid(
-    rho0: DensityMatrix,
+    rho0: np.ndarray,
     params: ModelParams,
     times,
     *,
@@ -101,17 +89,22 @@ def evolve_analytic_grid(
     of the series (module docstring) is chosen on rho0 itself: its diagonal
     for a diagonal state, the matrix for any other. Without
     ``certify`` the series runs at D and the escape distances are None.
-    With it, the series runs once per time on rho0 zero-padded to 2D, in
-    the same layout; each state is the top D x D block of that run (equal
-    to the dim-D result; only zeros outside a term's box may differ in
-    sign) and its escape distance, the quantity of
-    :func:`doubled_truncation_distance`, is the Frobenius norm of the
-    entries outside the block. Weight the 2D run pushes past its own top
-    level is outside both; so a 2D run that has lost more than
-    ``TRUNCATION_DOUBLING_TOL`` of rho0's trace reports at least that loss.
+
+    With it, each time gets a truncation-convergence certificate: the
+    weight escaping above the cutoff. The series runs once per time on
+    rho0 zero-padded to 2D, in the same layout; each state is the top
+    D x D block of that run (equal to the dim-D result; only zeros outside
+    a term's box may differ in sign) and its escape distance is the
+    Frobenius norm of the entries outside the block, exactly the weight
+    the dim-D run loses above its top level. A small value certifies that
+    D levels hold the evolution; the CLI's ``--check-truncation`` gates
+    runs on it at ``TRUNCATION_DOUBLING_TOL``. Weight the 2D run pushes
+    past its own top level is outside both; so a 2D run that has lost more
+    than ``TRUNCATION_DOUBLING_TOL`` of rho0's trace reports at least that
+    loss.
     """
     times = np.asarray(times, dtype=float)
-    check_evolution_args(rho0, params, times, tolerances)
+    rho0 = check_evolution_args(rho0, params, times, tolerances)
     scalars = []
     for t in times:
         c = su11.disentangling_coefficients(params.mu, params.nu, float(t))
@@ -125,12 +118,12 @@ def evolve_analytic_grid(
     left = np.empty(times.size, dtype=complex)
     left.real, left.imag = -log_f, -phase
 
-    d = rho0.dim
+    d = len(rho0)
     # Zero-padding keeps Hermiticity, trace and spectrum: no second check.
-    layout = _layout(rho0.mat, 2 * d if certify else d)
+    layout = _layout(rho0, 2 * d if certify else d)
     outside = ~_inside(layout, d)
     diagonal = np.broadcast_to(layout.i == layout.j, layout.values.shape)
-    trace0 = float(np.trace(rho0.mat).real)
+    trace0 = float(np.trace(rho0).real)
     states, escapes = np.zeros((times.size, d, d), dtype=complex), []
     for evolved in _evolved_chunks(layout, states, lower, left, upper, prefactor):
         if certify:
@@ -143,14 +136,14 @@ def evolve_analytic_grid(
     return states, np.array(escapes) if certify else None
 
 
-def evolve_nu_zero(
-    rho0: DensityMatrix,
+def evolve_nu_zero_grid(
+    rho0: np.ndarray,
     params: ModelParams,
-    t: float,
+    times,
     *,
     tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
-) -> DensityMatrix:
-    """Pure-loss corollary, with weights that do not come from :mod:`qdho.su11`.
+) -> np.ndarray:
+    """Pure-loss corollary at every time in ``times``, as one (times, D, D) array.
 
     rho(t) = e^{-(mu/2 + i omega) t N}
              { sum_m (1 - e^{-mu t})^m / m!  a^m rho(0) (a^dag)^m }
@@ -161,59 +154,25 @@ def evolve_nu_zero(
     the layout, the chunking and the series routine (``_layout``,
     ``_evolved_chunks``, ``_series``) are the ones
     :func:`evolve_analytic_grid` runs. So agreeing with
-    ``evolve_analytic(nu=0)`` to 1e-12 checks the coefficients, not the
-    series. The arguments go through the check of every method,
+    ``evolve_analytic_grid`` at nu = 0 to 1e-12 checks the coefficients,
+    not the series. The arguments go through the check of every method,
     :func:`qdho.fock.check_evolution_args`; ``params.nu`` must be 0 and
     ``params.theta`` cancels.
     """
-    states = evolve_nu_zero_grid(rho0, params, [t], tolerances=tolerances)
-    return DensityMatrix(mat=states[0])
-
-
-def evolve_nu_zero_grid(
-    rho0: DensityMatrix,
-    params: ModelParams,
-    times,
-    *,
-    tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
-) -> np.ndarray:
-    """:func:`evolve_nu_zero` at every time in ``times``, as one (times, D, D) array."""
     if params.nu != 0.0:
         raise ValueError(f"the pure-loss series requires nu = 0, got nu = {params.nu}")
     times = np.asarray(times, dtype=float)
-    check_evolution_args(rho0, params, times, tolerances)
+    rho0 = check_evolution_args(rho0, params, times, tolerances)
     mu, omega = params.mu, params.omega
     ts = times.tolist()
     weight = np.array([-math.expm1(-mu * t) for t in ts])  # 1 - e^{-mu t}
     exponent = np.array([-(0.5 * mu + 1j * omega) * t for t in ts], dtype=complex)
-    states = np.zeros((times.size, rho0.dim, rho0.dim), dtype=complex)
+    states = np.zeros((times.size,) + rho0.shape, dtype=complex)
     for _ in _evolved_chunks(
-        _layout(rho0.mat), states, weight, exponent, np.zeros(times.size), np.ones(times.size)
+        _layout(rho0), states, weight, exponent, np.zeros(times.size), np.ones(times.size)
     ):
         pass
     return states
-
-
-def doubled_truncation_distance(
-    rho0: DensityMatrix,
-    params: ModelParams,
-    t: float,
-    *,
-    tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
-) -> float:
-    """Truncation-convergence certificate: weight escaping above the cutoff.
-
-    The run is repeated with the state embedded in a doubled space and the
-    dim-D result (zero-padded) is compared against the dim-2D result in
-    Frobenius norm. A small value certifies the retained dimension holds the
-    evolution; the CLI --check-truncation flag gates runs on it at 1e-9.
-    The shared block agrees identically, so this is exactly the weight the
-    dim-D run loses above its top level, unless the weight has left the 2D
-    space too: then the trace the 2D run lost is reported instead (see
-    :func:`evolve_analytic_grid`).
-    """
-    _, escapes = evolve_analytic_grid(rho0, params, [t], tolerances=tolerances, certify=True)
-    return float(escapes[0])
 
 
 class _Layout(NamedTuple):

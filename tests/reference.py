@@ -78,11 +78,6 @@ def literal_liouvillian(params: fock.ModelParams, dim: int) -> np.ndarray:
     )
 
 
-def doubled(trunc: fock.TruncationConfig) -> fock.TruncationConfig:
-    """Same support with the retained dimension doubled (guard grows)."""
-    return fock.TruncationConfig(support_max=trunc.support_max, guard=trunc.guard + trunc.dim)
-
-
 def dense_disentangling_superop_residual(dim: int, n_states: int, seed: int) -> float:
     """:func:`qdho.verification.suite_disentangling_superop` on the dense superoperators.
 

@@ -9,9 +9,9 @@ whose dimension D_o is certified by the closed form alone. The closed form
 is block-exact (its dim-D output is the top D x D block of any larger run),
 while the oracles solve the master equation truncated at D and so lose the
 population that flows back down from the levels above. For each
-(params, t) row, D_o is the smallest dimension >= 24 at which
-``doubled_truncation_distance`` passes ``TRUNCATION_DOUBLING_TOL`` for all
-three grid states, found by growing the guard one level at a time; rows
+(params, t) row, D_o is the smallest dimension >= 24 at which the
+certified escape distance of ``evolve_analytic_grid`` passes
+``TRUNCATION_DOUBLING_TOL`` for all three grid states, found by growing the guard one level at a time; rows
 certified at 24 levels run there unchanged. The states are zero-padded to
 D_o, the three methods must agree there, and the dim-24 closed form must
 equal the top 24 x 24 block of both oracles.
@@ -161,17 +161,19 @@ def _three_way_cells():
 def _zero_padded(rho0, dim):
     # The same state on ``dim`` levels.
     mat = np.zeros((dim, dim), dtype=complex)
-    mat[: rho0.dim, : rho0.dim] = rho0.mat
-    return fock.DensityMatrix(mat=mat)
+    mat[: len(rho0), : len(rho0)] = rho0
+    return mat
 
 
 def _certified_dim(states, params, t, dim_max):
     # (dimension, certificates) for the smallest dimension >= the states' own,
     # up to dim_max, at which the closed-form doubling certificate passes for
     # every state; None past dim_max. The oracle residual plays no part.
-    for dim in range(states[0].dim, dim_max + 1):
+    for dim in range(len(states[0]), dim_max + 1):
         certs = [
-            propagator.doubled_truncation_distance(_zero_padded(rho0, dim), params, t)
+            propagator.evolve_analytic_grid(
+                _zero_padded(rho0, dim), params, [t], certify=True
+            )[1][0]
             for rho0 in states
         ]
         if max(certs) <= propagator.TRUNCATION_DOUBLING_TOL:
@@ -202,17 +204,17 @@ def test_criterion_04_main_theorem_three_way(dim24):
             steps = 2 * liouville.stability_steps(params, d_o, t)
             for kind, rho0, cert in zip(GRID_STATES, states, certs):
                 big0 = _zero_padded(rho0, d_o)
-                ana = propagator.evolve_analytic(big0, params, t)
-                via_expm = liouville.evolve_numeric_expm(big0, params, t)
+                ana = propagator.evolve_analytic_grid(big0, params, [t])[0][0]
+                via_expm = liouville.evolve_numeric_expm_grid(big0, params, [t])[0]
                 via_rk4 = liouville.evolve_numeric_rk4(big0, params, t, steps)
-                ana24 = propagator.evolve_analytic(rho0, params, t).mat
-                d = rho0.dim
+                ana24 = propagator.evolve_analytic_grid(rho0, params, [t])[0][0]
+                d = len(rho0)
                 cell_worst = max(
                     observables.frobenius_distance(ana, via_expm),
                     observables.frobenius_distance(ana, via_rk4),
                     observables.frobenius_distance(via_expm, via_rk4),
-                    observables.frobenius_distance(ana24, via_expm.mat[:d, :d]),
-                    observables.frobenius_distance(ana24, via_rk4.mat[:d, :d]),
+                    observables.frobenius_distance(ana24, via_expm[:d, :d]),
+                    observables.frobenius_distance(ana24, via_rk4[:d, :d]),
                 )
                 worst = max(worst, cell_worst)
                 n_cells += 1
@@ -269,7 +271,7 @@ def _drawn_state(kind, dim, seed):
         weights = rng.dirichlet(np.ones(levels.size))
         weights[-1] = 1.0 - weights[:-1].sum()
         return fock.mixture_state([(int(n), float(w)) for n, w in zip(levels, weights)], trunc)
-    return fock.DensityMatrix(mat=random_interior_density(dim, support, rng))
+    return random_interior_density(dim, support, rng)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -304,17 +306,17 @@ def test_three_way_agreement_property(omega, mu, nu, t, dim, kind, seed):
         assume(found is not None)
         d_o = found[0]
         big0 = _zero_padded(rho0, d_o)
-        ana = propagator.evolve_analytic(big0, params, t)
-        ana_d = propagator.evolve_analytic(rho0, params, t).mat
-    via_expm = liouville.evolve_numeric_expm(big0, params, t)
+        ana = propagator.evolve_analytic_grid(big0, params, [t])[0][0]
+        ana_d = propagator.evolve_analytic_grid(rho0, params, [t])[0][0]
+    via_expm = liouville.evolve_numeric_expm_grid(big0, params, [t])[0]
     steps = 2 * liouville.stability_steps(params, d_o, t)
     via_rk4 = liouville.evolve_numeric_rk4(big0, params, t, steps)
     distances = {
         "analytic_vs_expm": observables.frobenius_distance(ana, via_expm),
         "analytic_vs_rk4": observables.frobenius_distance(ana, via_rk4),
         "expm_vs_rk4": observables.frobenius_distance(via_expm, via_rk4),
-        "block_vs_expm": observables.frobenius_distance(ana_d, via_expm.mat[:dim, :dim]),
-        "block_vs_rk4": observables.frobenius_distance(ana_d, via_rk4.mat[:dim, :dim]),
+        "block_vs_expm": observables.frobenius_distance(ana_d, via_expm[:dim, :dim]),
+        "block_vs_rk4": observables.frobenius_distance(ana_d, via_rk4[:dim, :dim]),
     }
     assert max(distances.values()) <= 1e-7, f"D_o = {d_o}: {distances}"
 
@@ -326,14 +328,14 @@ def test_criterion_05_nu_zero_corollary():
     worst_entry = 0.0
     worst_decay = 0.0
     for _ in range(50):
-        rho0 = fock.DensityMatrix(mat=random_interior_density(dim, 8, rng))
+        rho0 = random_interior_density(dim, 8, rng)
         mu = float(rng.uniform(0.05, 2.0))
         omega = float(rng.uniform(0.0, 5.0))
         t = float(rng.uniform(0.0, 3.0))
         params = fock.ModelParams(omega=omega, mu=mu, nu=0.0)
-        direct = propagator.evolve_nu_zero(rho0, params, t)
-        via_full = propagator.evolve_analytic(rho0, params, t)
-        worst_entry = max(worst_entry, float(np.abs(direct.mat - via_full.mat).max()))
+        direct = propagator.evolve_nu_zero_grid(rho0, params, [t])[0]
+        via_full = propagator.evolve_analytic_grid(rho0, params, [t])[0][0]
+        worst_entry = max(worst_entry, float(np.abs(direct - via_full).max()))
         decay_dev = abs(
             observables.expect_n(direct) - math.exp(-mu * t) * observables.expect_n(rho0)
         )
@@ -364,17 +366,17 @@ def test_criterion_06_conservation_suite(dim24):
         warnings.simplefilter("ignore", fock.GainWarning)
         for kind, params, t in _three_way_cells():
             rho0 = _grid_state(kind, dim24)
-            out = propagator.evolve_analytic(rho0, params, t)
-            scale = max(1.0, float(np.abs(out.mat).max()))
+            out = propagator.evolve_analytic_grid(rho0, params, [t])[0][0]
+            scale = max(1.0, float(np.abs(out).max()))
             worst_herm = max(
-                worst_herm, float(np.abs(out.mat - out.mat.conj().T).max()) / scale
+                worst_herm, float(np.abs(out - out.conj().T).max()) / scale
             )
-            report = fock.validate_density(out.mat, TIGHT_TOLERANCES)
+            report = fock.validate_density(out, TIGHT_TOLERANCES)
             worst_eig = min(worst_eig, report.min_eigenvalue)
             n_cells += 1
             # The trace bound applies where the doubling-dimension check
             # certifies truncation convergence.
-            escape = propagator.doubled_truncation_distance(rho0, params, t)
+            escape = propagator.evolve_analytic_grid(rho0, params, [t], certify=True)[1][0]
             if escape <= propagator.TRUNCATION_DOUBLING_TOL:
                 worst_certified_trace = max(worst_certified_trace, report.trace_dev)
             else:
@@ -400,7 +402,7 @@ def test_criterion_07_steady_state():
     start = time.time()
     trunc = fock.TruncationConfig(support_max=17, guard=22)
     params = fock.ModelParams(omega=0.0, mu=1.0, nu=0.5)
-    rho_ss = propagator.evolve_analytic(fock.fock_state(0, trunc), params, 40.0)
+    rho_ss = propagator.evolve_analytic_grid(fock.fock_state(0, trunc), params, [40.0])[0][0]
     n_dev = abs(observables.expect_n(rho_ss) - 1.0)
     dist = observables.frobenius_distance(rho_ss, fock.thermal_state(1.0, trunc))
     elapsed = time.time() - start
@@ -425,9 +427,9 @@ def test_criterion_08_classical_appendix():
             if t == 0.0:
                 continue
             steps = max(1, int(np.ceil(t * max(omega, 2 * gamma) / 0.003)))
-            exact = classical.evolve_classical_analytic(p0, params, t)
+            (x, y), = classical.evolve_classical_analytic_grid(p0, params, [t])
             approx = classical.evolve_classical_rk4(p0, params, t, steps)
-            worst_traj = max(worst_traj, abs(exact.x - approx.x), abs(exact.y - approx.y))
+            worst_traj = max(worst_traj, abs(x - approx.x), abs(y - approx.y))
     elapsed = time.time() - start
     ok = worst_traj <= 1e-8 and worst_det <= 1e-12
     text = _line(

@@ -13,29 +13,30 @@ class TestAnalytic:
         p = classical.ClassicalParams(omega=2.0, gamma=0.5)
         m = classical.evolution_matrix(p, 0.0)
         np.testing.assert_array_equal(m, np.eye(2))
-        out = classical.evolve_classical_analytic(classical.PhasePoint(1.2, -0.3), p, 0.0)
-        assert (out.x, out.y) == (1.2, -0.3)
+        out = classical.evolve_classical_analytic_grid(classical.PhasePoint(1.2, -0.3), p, [0.0])
+        assert out.tolist() == [[1.2, -0.3]]
 
     def test_undamped_quarter_period(self):
         # gamma = 0, omega = 2, t = pi/4: x = cos(pi/2) = 0, y = -2 sin(pi/2).
         p = classical.ClassicalParams(omega=2.0, gamma=0.0)
-        out = classical.evolve_classical_analytic(classical.PhasePoint(1.0, 0.0), p, np.pi / 4)
-        assert abs(out.x) <= 1e-15
-        assert abs(out.y + 2.0) <= 1e-14
+        (x, y), = classical.evolve_classical_analytic_grid(
+            classical.PhasePoint(1.0, 0.0), p, [np.pi / 4]
+        )
+        assert abs(x) <= 1e-15
+        assert abs(y + 2.0) <= 1e-14
 
     def test_against_rk4_oracle(self):
         p = classical.ClassicalParams(omega=2.0, gamma=1.0)
         start = classical.PhasePoint(1.0, 0.0)
-        exact = classical.evolve_classical_analytic(start, p, 1.0)
+        (x, y), = classical.evolve_classical_analytic_grid(start, p, [1.0])
         approx = classical.evolve_classical_rk4(start, p, 1.0, 10_000)
-        assert abs(exact.x - approx.x) <= 1e-9
-        assert abs(exact.y - approx.y) <= 1e-9
+        assert abs(x - approx.x) <= 1e-9
+        assert abs(y - approx.y) <= 1e-9
 
     def test_rejects_critical_and_overdamped(self):
+        critical = classical.ClassicalParams(omega=1.0, gamma=1.0)
         with pytest.raises(classical.AnalyticUnsupportedError):
-            classical.evolve_classical_analytic(
-                classical.PhasePoint(1.0, 0.0), classical.ClassicalParams(omega=1.0, gamma=1.0), 1.0
-            )
+            classical.evolve_classical_analytic_grid(classical.PhasePoint(1.0, 0.0), critical, [1.0])
         with pytest.raises(classical.AnalyticUnsupportedError):
             classical.evolution_matrix(classical.ClassicalParams(omega=1.0, gamma=2.0), 1.0)
 
@@ -118,11 +119,11 @@ class TestRk4:
     def test_fourth_order_convergence(self):
         p = classical.ClassicalParams(omega=2.0, gamma=1.0)
         start = classical.PhasePoint(1.0, 0.0)
-        exact = classical.evolve_classical_analytic(start, p, 5.0)
+        (x, y), = classical.evolve_classical_analytic_grid(start, p, [5.0])
         errors = []
         for steps in (200, 400, 800):
             out = classical.evolve_classical_rk4(start, p, 5.0, steps)
-            errors.append(np.hypot(out.x - exact.x, out.y - exact.y))
+            errors.append(np.hypot(out.x - x, out.y - y))
         assert 13.0 <= errors[0] / errors[1] <= 19.0
         assert 13.0 <= errors[1] / errors[2] <= 19.0
 
@@ -292,19 +293,15 @@ class TestAnalyticGrid:
         p0 = classical.PhasePoint(math.cos(angle), omega * math.sin(angle))
         times = np.linspace(0.0, t_end, num_points)
         if omega <= gamma:
-            # Both refuse, with one message.
-            with pytest.raises(classical.AnalyticUnsupportedError) as grid_exc:
+            with pytest.raises(classical.AnalyticUnsupportedError):
                 classical.evolve_classical_analytic_grid(p0, params, times)
-            with pytest.raises(classical.AnalyticUnsupportedError) as one_exc:
-                classical.evolve_classical_analytic(p0, params, float(times[-1]))
-            assert str(grid_exc.value) == str(one_exc.value)
             return
         got = classical.evolve_classical_analytic_grid(p0, params, times)
         assert got.shape == (num_points, 2)
         for i, t in enumerate(times.tolist()):
-            one = classical.evolve_classical_analytic(p0, params, t)
-            expected = (closed_form(params, t) @ (p0.x, p0.y)).tolist()
-            assert got[i].tolist() == [one.x, one.y] == expected
+            one = classical.evolution_matrix(params, t) @ (p0.x, p0.y)
+            expected = closed_form(params, t) @ (p0.x, p0.y)
+            assert got[i].tobytes() == one.tobytes() == expected.tobytes()
 
     @SHAPES
     def test_stacked_matrices_equal_per_time_ones(self, omega, gamma, t_end, num_points):
@@ -355,7 +352,7 @@ class TestAnalyticGrid:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             classical.evolve_classical_analytic_grid(p0, params, [0.0, 0.1, 0.5, 0.6, 1.0])
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            classical.evolve_classical_analytic(p0, params, 0.5)
+            classical.evolve_classical_analytic_grid(p0, params, [0.5])
 
 
 class TestParams:

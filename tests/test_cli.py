@@ -300,9 +300,10 @@ class TestCmdEvolve:
         original_check = propagator.check_evolution_args
         original_series = propagator._series
 
-        def counting_check(rho0, *args, **kwargs):
-            checked.append(rho0.dim)
-            return original_check(rho0, *args, **kwargs)
+        def counting_check(*args, **kwargs):
+            rho0 = original_check(*args, **kwargs)
+            checked.append(len(rho0))
+            return rho0
 
         def counting_series(layout, *weights):
             # Levels of the layout, once per time: both layouts end in n positions.

@@ -71,18 +71,18 @@ def test_against_displaced_thermal_state(row, alpha):
     omega, mu, nu, t = row
     params = fock.ModelParams(omega=omega, mu=mu, nu=nu)
     rho0 = fock.fock_state(0, TRUNC) if alpha == 0 else fock.coherent_state(alpha, TRUNC)
-    assert propagator._layout(rho0.mat).row_step == (0 if alpha == 0 else 1)
+    assert propagator._layout(rho0).row_step == (0 if alpha == 0 else 1)
     want = _displaced_thermal(alpha, params, t, TRUNC.dim)
-    closed = propagator.evolve_analytic(rho0, params, t).mat
+    closed = propagator.evolve_analytic_grid(rho0, params, [t])[0][0]
     assert np.abs(closed - want).max() <= CLOSED_FORM_BUDGET
-    escape = propagator.doubled_truncation_distance(rho0, params, t)
+    escape = propagator.evolve_analytic_grid(rho0, params, [t], certify=True)[1][0]
     assert (escape <= propagator.TRUNCATION_DOUBLING_TOL) == (row in CERTIFIED)
     if row in CERTIFIED:
-        oracle = liouville.evolve_numeric_expm(rho0, params, t).mat
+        oracle = liouville.evolve_numeric_expm_grid(rho0, params, [t])[0]
         assert np.abs(oracle - want).max() <= EXPM_BUDGET
         stable = liouville.stability_steps(params, TRUNC.dim, t)
         for n in (1, 2, 4):
-            rk4 = liouville.evolve_numeric_rk4(rho0, params, t, n * stable).mat
+            rk4 = liouville.evolve_numeric_rk4(rho0, params, t, n * stable)
             assert np.abs(rk4 - want).max() <= RK4_BUDGET / n**4
 
 
@@ -132,7 +132,7 @@ def test_diagonal_state_against_decimal_series(terms, dim, nu):
     params = fock.ModelParams(omega=2 * math.pi, mu=1.0, nu=nu)
     times = [1.3, 3.0]
     states, _ = propagator.evolve_analytic_grid(rho0, params, times)
-    populations = np.diag(rho0.mat).real
+    populations = np.diag(rho0).real
     for state, t in zip(states, times):
         want = [float(x) for x in _decimal_series(populations, params.mu, params.nu, t, dim)]
         assert not (state - np.diag(np.diag(state))).any()

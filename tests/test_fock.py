@@ -4,8 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from qdho import config, fock
-from reference import TIGHT_TOLERANCES, doubled
+from qdho import config, fock, liouville, propagator
+from reference import TIGHT_TOLERANCES
 
 
 def trunc_of(dim, support=None):
@@ -25,12 +25,6 @@ class TestTruncationConfig:
         trunc = fock.TruncationConfig.for_support(9)
         assert trunc.guard == 13
         assert trunc.dim == 23
-
-    def test_doubled_keeps_support(self):
-        trunc = fock.TruncationConfig.for_support(4, guard=5)
-        big = doubled(trunc)
-        assert big.dim == 2 * trunc.dim
-        assert big.support_max == trunc.support_max
 
 
 class TestBuildOperators:
@@ -78,24 +72,14 @@ class TestBuildOperators:
         np.testing.assert_allclose(defect, expected, atol=1e-14)
 
 
-class TestDensityMatrix:
-    def test_dim_is_the_matrix_size(self):
-        m = np.eye(5, dtype=complex) / 5
-        assert fock.DensityMatrix(m).dim == len(m) == 5
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError, match="must be square"):
-            fock.DensityMatrix(np.zeros((2, 3)))
-
-
 class TestFockState:
     def test_vacuum_projector(self):
         rho = fock.fock_state(0, trunc_of(4))
-        np.testing.assert_array_equal(rho.mat, np.diag([1.0, 0, 0, 0]).astype(complex))
+        np.testing.assert_array_equal(rho, np.diag([1.0, 0, 0, 0]).astype(complex))
 
     def test_basis_projector(self):
         rho = fock.fock_state(2, trunc_of(4))
-        np.testing.assert_array_equal(rho.mat, np.diag([0, 0, 1.0, 0]).astype(complex))
+        np.testing.assert_array_equal(rho, np.diag([0, 0, 1.0, 0]).astype(complex))
 
     def test_rejects_level_outside_truncation(self):
         with pytest.raises(ValueError):
@@ -105,7 +89,7 @@ class TestFockState:
 class TestCoherentState:
     def test_alpha_zero_is_vacuum(self):
         rho = fock.coherent_state(0.0, trunc_of(5))
-        np.testing.assert_array_equal(rho.mat, fock.fock_state(0, trunc_of(5)).mat)
+        np.testing.assert_array_equal(rho, fock.fock_state(0, trunc_of(5)))
 
     def test_mean_photon_number_matches_poisson_sum(self):
         # Oracle: direct summation of the Poisson distribution n e^{-1}/n!.
@@ -113,7 +97,7 @@ class TestCoherentState:
         n = np.arange(20)
         poisson = np.exp(-1.0) / np.array([math.factorial(k) for k in n])
         oracle_mean = float(np.sum(n * poisson))
-        mean = float(np.sum(n * np.real(np.diag(rho.mat))))
+        mean = float(np.sum(n * np.real(np.diag(rho))))
         assert abs(mean - oracle_mean) < 1e-10
         assert abs(mean - 1.0) < 1e-10
 
@@ -122,7 +106,7 @@ class TestCoherentState:
         alpha = 1.2
         dim = 24
         rho = fock.coherent_state(alpha, trunc_of(dim))
-        weights = np.real(np.diag(rho.mat))
+        weights = np.real(np.diag(rho))
         expected = np.array(
             [np.exp(-abs(alpha) ** 2) * abs(alpha) ** (2 * k) / math.factorial(k) for k in range(dim)]
         )
@@ -148,7 +132,7 @@ class TestCoherentState:
 class TestThermalState:
     def test_zero_temperature_is_vacuum(self):
         rho = fock.thermal_state(0.0, trunc_of(4))
-        np.testing.assert_array_equal(rho.mat, np.diag([1.0, 0, 0, 0]).astype(complex))
+        np.testing.assert_array_equal(rho, np.diag([1.0, 0, 0, 0]).astype(complex))
 
     def test_mean_occupation_matches_geometric_sum(self):
         dim = 40
@@ -156,7 +140,7 @@ class TestThermalState:
         n = np.arange(dim)
         weights = 0.5**(n + 1)  # (1/(n_bar+1)) q^n with q = 1/2
         oracle_mean = float(np.sum(n * weights) / np.sum(weights))
-        mean = float(np.sum(n * np.real(np.diag(rho.mat))))
+        mean = float(np.sum(n * np.real(np.diag(rho))))
         assert abs(mean - oracle_mean) < 1e-12
         assert abs(mean - 1.0) < 1e-8
 
@@ -167,7 +151,7 @@ class TestThermalState:
         q = n_bar / (n_bar + 1.0)
         weights = (1 - q) * q ** np.arange(dim)
         oracle = float(np.sum(weights**2) / np.sum(weights) ** 2)
-        measured = float(np.real(np.trace(rho.mat @ rho.mat)))
+        measured = float(np.real(np.trace(rho @ rho)))
         assert abs(measured - oracle) < 1e-12
         assert abs(measured - 1.0 / (2 * n_bar + 1)) < 1e-8
 
@@ -193,7 +177,7 @@ class TestMixtureState:
     def test_two_term_mixture(self):
         rho = fock.mixture_state([(0, 0.25), (3, 0.75)], trunc_of(5))
         np.testing.assert_array_equal(
-            np.diag(rho.mat), np.array([0.25, 0, 0, 0.75, 0], dtype=complex)
+            np.diag(rho), np.array([0.25, 0, 0, 0.75, 0], dtype=complex)
         )
 
     @pytest.mark.parametrize(
@@ -247,7 +231,7 @@ class TestValidateDensity:
         ],
     )
     def test_constructors_pass_validation(self, make):
-        report = fock.validate_density(make(trunc_of(18)).mat, TIGHT_TOLERANCES)
+        report = fock.validate_density(make(trunc_of(18)), TIGHT_TOLERANCES)
         assert report.ok, report.describe()
 
 
@@ -278,13 +262,13 @@ class TestPositivityByShape:
         min_eig = fock.validate_density(mat, TIGHT_TOLERANCES).min_eigenvalue
         assert min_eig == np.min(mat.diagonal().real)
         mixture = fock.mixture_state([(0, 0.25), (3, 0.75)], trunc_of(max(dim, 4)))
-        assert fock.validate_density(mixture.mat, TIGHT_TOLERANCES).min_eigenvalue == 0.0
+        assert fock.validate_density(mixture, TIGHT_TOLERANCES).min_eigenvalue == 0.0
 
     def test_full_state_is_one_dense_call(self):
         # g = 1: exactly the eigvalsh of the whole Hermitian part, bit for bit.
         rng = np.random.default_rng(4)
         for mat in (
-            fock.coherent_state(1.0 + 0.5j, trunc_of(24, support=9)).mat,
+            fock.coherent_state(1.0 + 0.5j, trunc_of(24, support=9)),
             _residue_block_hermitian(24, 2, rng) + np.diag(np.ones(23), 1) * 1e-3,
         ):
             want = float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))[0])
@@ -336,3 +320,32 @@ class TestCheckEvolutionArgs:
         with pytest.warns(fock.GainWarning, match="pump nu=0.5 exceeds loss mu=0.25"):
             fock.check_evolution_args(self.RHO0, fock.ModelParams(mu=0.25, nu=0.5), 1.0, self.TOLS)
         fock.check_evolution_args(self.RHO0, fock.ModelParams(mu=0.5, nu=0.5), 1.0, self.TOLS)
+
+
+_PURE_LOSS = fock.ModelParams(omega=1.0, mu=0.5)
+
+
+@pytest.mark.parametrize(
+    "evolve",
+    [
+        lambda rho0, t: propagator.evolve_analytic_grid(rho0, _PURE_LOSS, [t])[0],
+        lambda rho0, t: propagator.evolve_nu_zero_grid(rho0, _PURE_LOSS, [t]),
+        lambda rho0, t: liouville.evolve_numeric_expm_grid(rho0, _PURE_LOSS, [t]),
+        lambda rho0, t: liouville.evolve_numeric_rk4_grid(rho0, _PURE_LOSS, [t]),
+        lambda rho0, t: liouville.evolve_numeric_rk4(rho0, _PURE_LOSS, t, 200),
+    ],
+    ids=["analytic", "nu-zero", "expm", "rk4-grid", "rk4"],
+)
+def test_every_method_checks_the_state_first(evolve):
+    # A negative time would be refused too: the state is checked before it.
+    with pytest.raises(ValueError, match="density matrix must be square"):
+        evolve(np.zeros((2, 3)), -1.0)
+    for bad in (math.nan, math.inf):
+        rho0 = np.diag([0.5, 0.5, 0.0]).astype(complex)
+        rho0[2, 0] = bad
+        with pytest.raises(ValueError, match="density matrix contains NaN/Inf entries"):
+            evolve(rho0, -1.0)
+    # The checked state is complex: a real rho0 evolves as its complex copy.
+    real = fock.coherent_state(0.8, trunc_of(12)).real
+    assert real.dtype == float and real[0, 1] != 0.0
+    assert evolve(real, 0.7).tobytes() == evolve(real.astype(complex), 0.7).tobytes()

@@ -74,7 +74,7 @@ class TestSandwichCheck:
     def test_ladder_sandwich(self):
         # The exact pattern the Liouvillian is built from: a rho a^dag.
         ops = fock.build_operators(4, theta=0.3)
-        rho = fock.coherent_state(1.0, trunc_of(12)).mat[:4, :4]
+        rho = fock.coherent_state(1.0, trunc_of(12))[:4, :4]
         assert liouville.sandwich_check(ops.a, rho, ops.a_dagger) <= 1e-12
 
     def test_rejects_mismatched_dims(self):
@@ -135,7 +135,7 @@ class TestKSuperoperators:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=f"budget is D <= {liouville.ORACLE_MAX_DIM}"):
-                liouville.evolve_numeric_expm(rho_sector, params, 1.0)
+                liouville.evolve_numeric_expm_grid(rho_sector, params, [1.0])
             with pytest.raises(ValueError, match="budget is D <= 64"):
                 liouville.k_superoperators(dim)
             _, peak = tracemalloc.get_traced_memory()
@@ -148,16 +148,16 @@ class TestBuildLiouvillian:
     def test_vacuum_is_stationary_without_pump(self):
         trunc = trunc_of(5)
         lv = build_liouvillian(fock.ModelParams(omega=2.0, mu=1.3, nu=0.0), trunc.dim)
-        vac = liouville.vectorize(fock.fock_state(0, trunc).mat)
+        vac = liouville.vectorize(fock.fock_state(0, trunc))
         assert np.abs(lv @ vac).max() <= 1e-14
 
     def test_single_excitation_rate_equation(self):
         # Applying the generator to |1><1| must yield |0><0| - |1><1|.
         trunc = trunc_of(5)
         lv = build_liouvillian(fock.ModelParams(omega=0.0, mu=1.0, nu=0.0), trunc.dim)
-        image = lv @ liouville.vectorize(fock.fock_state(1, trunc).mat)
+        image = lv @ liouville.vectorize(fock.fock_state(1, trunc))
         expected = liouville.vectorize(
-            fock.fock_state(0, trunc).mat - fock.fock_state(1, trunc).mat
+            fock.fock_state(0, trunc) - fock.fock_state(1, trunc)
         )
         np.testing.assert_allclose(image, expected, atol=1e-14)
 
@@ -420,37 +420,41 @@ class TestEvolveNumericExpm:
     def test_t_zero_is_identity_map(self):
         trunc = trunc_of(12, support=8)
         rho0 = fock.coherent_state(1.0, trunc)
-        out = liouville.evolve_numeric_expm(rho0, fock.ModelParams(omega=1, mu=1, nu=0), 0.0)
-        np.testing.assert_allclose(out.mat, rho0.mat, atol=1e-15)
+        out = liouville.evolve_numeric_expm_grid(
+            rho0, fock.ModelParams(omega=1, mu=1, nu=0), [0.0]
+        )[0]
+        np.testing.assert_allclose(out, rho0, atol=1e-15)
 
     def test_two_level_rate_equation(self):
         trunc = trunc_of(6)
         rho0 = fock.fock_state(1, trunc)
-        out = liouville.evolve_numeric_expm(rho0, fock.ModelParams(omega=0, mu=1, nu=0), 1.0)
+        out = liouville.evolve_numeric_expm_grid(
+            rho0, fock.ModelParams(omega=0, mu=1, nu=0), [1.0]
+        )[0]
         expected = np.zeros((6, 6))
         expected[0, 0] = 1 - np.exp(-1)
         expected[1, 1] = np.exp(-1)
-        np.testing.assert_allclose(out.mat, expected, atol=1e-10)
+        np.testing.assert_allclose(out, expected, atol=1e-10)
 
     def test_diagonal_states_stay_diagonal(self):
         trunc = trunc_of(14)
         rho0 = fock.thermal_state(0.3, trunc)
-        out = liouville.evolve_numeric_expm(
-            rho0, fock.ModelParams(omega=5.0, mu=1.0, nu=0.2), 0.7
-        )
-        off = out.mat - np.diag(np.diag(out.mat))
+        out = liouville.evolve_numeric_expm_grid(
+            rho0, fock.ModelParams(omega=5.0, mu=1.0, nu=0.2), [0.7]
+        )[0]
+        off = out - np.diag(np.diag(out))
         assert np.abs(off).max() <= 1e-10
 
     def test_rejects_invalid_state(self):
-        bad = fock.DensityMatrix(mat=np.diag([2.0, -1.0, 0, 0]).astype(complex))
+        bad = np.diag([2.0, -1.0, 0, 0]).astype(complex)
         with pytest.raises(fock.ValidationError):
-            liouville.evolve_numeric_expm(bad, fock.ModelParams(mu=1.0), 1.0)
+            liouville.evolve_numeric_expm_grid(bad, fock.ModelParams(mu=1.0), [1.0])
 
     def test_both_oracles_warn_on_gain(self):
         rho0 = fock.fock_state(1, trunc_of(8))
         params = fock.ModelParams(mu=0.2, nu=1.5)
         with pytest.warns(fock.GainWarning, match="pump nu=1.5 exceeds loss mu=0.2"):
-            liouville.evolve_numeric_expm(rho0, params, 0.1)
+            liouville.evolve_numeric_expm_grid(rho0, params, [0.1])
         steps = liouville.stability_steps(params, 8, 0.1)
         with pytest.warns(fock.GainWarning, match="pump nu=1.5 exceeds loss mu=0.2"):
             liouville.evolve_numeric_rk4(rho0, params, 0.1, steps)
@@ -468,7 +472,7 @@ class TestEvolveNumericExpm:
         liouville._cached_propagator.cache_clear()
         try:
             for rho0 in states:
-                liouville.evolve_numeric_expm(rho0, params, 0.7)
+                liouville.evolve_numeric_expm_grid(rho0, params, [0.7])
             info = liouville._cached_propagator.cache_info()
         finally:
             liouville._cached_propagator.cache_clear()
@@ -480,12 +484,12 @@ def sector_reference(rho0, params, t):
     # the oracle without the grid stacking. exp(t L_k) is e^{i omega k t}
     # exp(t R_k), R_k the real part of L_k, and the real exponential takes
     # the diagonal's real and imaginary parts as two columns.
-    dim = rho0.dim
-    out = np.empty_like(rho0.mat)
+    dim = len(rho0)
+    out = np.empty_like(rho0)
     for k in range(1 - dim, dim):
         rows, cols = liouville._sector_entries(dim, k)
         block_exp = liouville.expm(t * liouville.liouvillian_sector(params, dim, k).real)
-        parts = block_exp @ np.stack([rho0.mat[rows, cols].real, rho0.mat[rows, cols].imag], axis=1)
+        parts = block_exp @ np.stack([rho0[rows, cols].real, rho0[rows, cols].imag], axis=1)
         phase = np.exp(1j * (params.omega * k * np.array([t])))
         out[rows, cols] = phase * (parts[:, 0] + 1j * parts[:, 1])
     return out
@@ -499,7 +503,7 @@ def skewed_state(dim, seed):
     skew = 1e-3 * (g - g.conj().T) / 2
     np.fill_diagonal(skew, 0.0)
     mat = random_interior_density(dim, dim - 1, rng) + skew
-    return fock.DensityMatrix(mat=mat)
+    return mat
 
 
 #: Accepts skewed_state, whose Hermiticity deviation is ~1e-3.
@@ -515,22 +519,20 @@ class TestEvolveNumericExpmGrid:
         dim = 7
         monkeypatch.setattr(liouville, "ORACLE_MAX_DIM", 10)
         params = fock.ModelParams(omega=2.0, mu=1.0, nu=0.4, theta=0.3)
-        rho0 = fock.DensityMatrix(
-            mat=random_interior_density(dim, dim - 1, np.random.default_rng(3))
-        )
+        rho0 = random_interior_density(dim, dim - 1, np.random.default_rng(3))
         times = [0.0, 0.35, 0.35, 1.2, 3.0, 0.05, 2.5]
         liouville._cached_propagator.cache_clear()
         try:
             grid = liouville.evolve_numeric_expm_grid(rho0, params, times)
             misses = liouville._cached_propagator.cache_info().misses
-            singles = [liouville.evolve_numeric_expm(rho0, params, t) for t in times]
+            singles = [liouville.evolve_numeric_expm_grid(rho0, params, [t])[0] for t in times]
         finally:
             liouville._cached_propagator.cache_clear()
         assert misses == 4
         for t, state, single in zip(times, grid, singles):
-            assert state.tobytes() == single.mat.tobytes()
+            assert state.tobytes() == single.tobytes()
             assert state.tobytes() == sector_reference(rho0, params, t).tobytes()
-        np.testing.assert_array_equal(grid[0], rho0.mat)
+        np.testing.assert_array_equal(grid[0], rho0)
 
     def test_empty_grid_gives_no_states(self):
         rho0 = fock.fock_state(1, trunc_of(5))
@@ -555,7 +557,7 @@ class TestEvolveNumericExpmGrid:
             liouville.evolve_numeric_expm_grid(rho0, params, [0.4, 1.5], tolerances=SKEW_TOLERANCES),
         ):
             expected = devectorize(
-                scipy.linalg.expm(t * lv) @ liouville.vectorize(rho0.mat), dim
+                scipy.linalg.expm(t * lv) @ liouville.vectorize(rho0), dim
             )
             assert np.abs(state - expected).max() <= 1e-14 * np.abs(expected).max()
 
@@ -575,12 +577,11 @@ class TestEvolveNumericExpmGrid:
         # The pump and the times keep the leak below those tolerances.
         dim = 16
         params = fock.ModelParams(omega=omega, mu=mu, nu=pump_fraction * mu)
-        rho0 = fock.DensityMatrix(mat=random_interior_density(dim, 5, np.random.default_rng(seed)))
+        rho0 = random_interior_density(dim, 5, np.random.default_rng(seed))
         mid, whole = liouville.evolve_numeric_expm_grid(rho0, params, [s, s + t])
         loose = config.ToleranceConfig(hermiticity_tol=1e-2, trace_tol=1e-2, positivity_tol=1e-2)
-        mid = fock.DensityMatrix(mat=mid)
-        two_step = liouville.evolve_numeric_expm(mid, params, t, tolerances=loose)
-        assert np.abs(two_step.mat - whole).max() <= 1e-12 * np.abs(whole).max()
+        two_step = liouville.evolve_numeric_expm_grid(mid, params, [t], tolerances=loose)[0]
+        assert np.abs(two_step - whole).max() <= 1e-12 * np.abs(whole).max()
 
 
 class TestOracleCaches:
@@ -628,7 +629,7 @@ class TestEvolveNumericRk4:
         rho0 = fock.fock_state(0, trunc)
         params = fock.ModelParams(omega=1.0, mu=1.0, nu=0.0)
         out = liouville.evolve_numeric_rk4(rho0, params, 1.0, 200)
-        np.testing.assert_allclose(out.mat, rho0.mat, atol=1e-12)
+        np.testing.assert_allclose(out, rho0, atol=1e-12)
 
     def test_fourth_order_convergence(self):
         # Halving the step size must shrink the error against the expm
@@ -638,10 +639,10 @@ class TestEvolveNumericRk4:
         trunc = trunc_of(8)
         rho0 = fock.fock_state(2, trunc)
         params = fock.ModelParams(omega=1.0, mu=0.5, nu=0.0)
-        reference = liouville.evolve_numeric_expm(rho0, params, 1.0).mat
+        reference = liouville.evolve_numeric_expm_grid(rho0, params, [1.0])[0]
         errors = []
         for steps in (160, 320, 640):
-            approx = liouville.evolve_numeric_rk4(rho0, params, 1.0, steps).mat
+            approx = liouville.evolve_numeric_rk4(rho0, params, 1.0, steps)
             errors.append(np.abs(approx - reference).max())
         assert 12.0 <= errors[0] / errors[1] <= 20.0
         assert 12.0 <= errors[1] / errors[2] <= 20.0
@@ -651,11 +652,11 @@ class TestEvolveNumericRk4:
         # term (the one place where the two formulations differ on the
         # truncated space) then stays far below the comparison tolerance.
         rng = np.random.default_rng(42)
-        rho0 = fock.DensityMatrix(mat=random_interior_density(12, 8, rng))
+        rho0 = random_interior_density(12, 8, rng)
         params = fock.ModelParams(omega=0.4, mu=0.3, nu=0.001)
         via_rk4 = liouville.evolve_numeric_rk4(rho0, params, 1.0, 1000)
-        via_expm = liouville.evolve_numeric_expm(rho0, params, 1.0)
-        assert np.linalg.norm(via_rk4.mat - via_expm.mat) <= 1e-8
+        via_expm = liouville.evolve_numeric_expm_grid(rho0, params, [1.0])[0]
+        assert np.linalg.norm(via_rk4 - via_expm) <= 1e-8
 
     @pytest.mark.parametrize("dim", [2, 7, 24])
     def test_matches_dense_operator_reference(self, dim):
@@ -666,11 +667,9 @@ class TestEvolveNumericRk4:
         rhs = literal_rhs(params, dim)
         t = 0.6
         steps = liouville.stability_steps(params, dim, t)
-        rho0 = fock.DensityMatrix(
-            mat=random_interior_density(dim, dim - 1, np.random.default_rng(dim))
-        )
-        r = rk4_step_loop(rhs, rho0.mat.copy(), t / steps, steps)
-        got = liouville.evolve_numeric_rk4(rho0, params, t, steps).mat
+        rho0 = random_interior_density(dim, dim - 1, np.random.default_rng(dim))
+        r = rk4_step_loop(rhs, rho0.copy(), t / steps, steps)
+        got = liouville.evolve_numeric_rk4(rho0, params, t, steps)
         assert np.abs(got - r).max() <= 1e-14 * np.abs(r).max()
 
     @pytest.mark.parametrize("dim", [2, 7, 24])
@@ -689,11 +688,9 @@ class TestEvolveNumericRk4:
         else:
             t = 0.99 * steps * liouville.RK4_STABILITY_LIMIT / rate
         assert liouville.stability_steps(params, dim, t) == steps
-        rho0 = fock.DensityMatrix(
-            mat=random_interior_density(dim, dim - 1, np.random.default_rng(dim))
-        )
-        r = rk4_step_loop(literal_rhs(params, dim), rho0.mat.copy(), t / steps, steps)
-        got = liouville.evolve_numeric_rk4(rho0, params, t, steps).mat
+        rho0 = random_interior_density(dim, dim - 1, np.random.default_rng(dim))
+        r = rk4_step_loop(literal_rhs(params, dim), rho0.copy(), t / steps, steps)
+        got = liouville.evolve_numeric_rk4(rho0, params, t, steps)
         assert np.abs(got - r).max() <= 1e-14 * np.abs(r).max()
 
     def test_call_at_work_budget_finishes_at_once(self):
@@ -710,8 +707,8 @@ class TestEvolveNumericRk4:
         start = time.perf_counter()
         got = liouville.evolve_numeric_rk4(rho0, params, 3.0, steps)
         elapsed = time.perf_counter() - start
-        reference = liouville.evolve_numeric_expm(rho0, params, 3.0)
-        assert np.abs(got.mat - reference.mat).max() <= 1e-12
+        reference = liouville.evolve_numeric_expm_grid(rho0, params, [3.0])[0]
+        assert np.abs(got - reference).max() <= 1e-12
         assert elapsed < 1.0
 
     def test_equal_segments_share_one_set_of_powers(self):
@@ -738,8 +735,8 @@ class TestEvolveNumericRk4:
         steps = liouville.stability_steps(params, dim, 1.0)
         coarse = liouville.evolve_numeric_rk4(rho0, params, 1.0, steps)
         fine = liouville.evolve_numeric_rk4(rho0, params, 1.0, 2 * steps)
-        assert not np.array_equal(coarse.mat, fine.mat)
-        np.testing.assert_allclose(coarse.mat, fine.mat, atol=1e-6)
+        assert not np.array_equal(coarse, fine)
+        np.testing.assert_allclose(coarse, fine, atol=1e-6)
 
     def test_skewed_state_matches_dense_liouvillian(self):
         # As for the expm oracle: the -k diagonal gets the conjugate power.
@@ -753,10 +750,10 @@ class TestEvolveNumericRk4:
         t = 0.6
         steps = liouville.stability_steps(params, dim, t)
         expected = devectorize(
-            rk4_step_loop(lambda v: lv @ v, liouville.vectorize(rho0.mat), t / steps, steps), dim
+            rk4_step_loop(lambda v: lv @ v, liouville.vectorize(rho0), t / steps, steps), dim
         )
         got = liouville.evolve_numeric_rk4(rho0, params, t, steps, tolerances=SKEW_TOLERANCES)
-        assert np.abs(got.mat - expected).max() <= 1e-14 * np.abs(expected).max()
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
 
     def test_rejects_unstable_step(self):
         trunc = trunc_of(10)
@@ -817,7 +814,7 @@ def rk4_segment_loop(rho0, params, times):
     for t in times:
         seg = float(t) - prev_t
         if seg > 0:
-            steps = 2 * liouville.stability_steps(params, rho0.dim, seg)
+            steps = 2 * liouville.stability_steps(params, len(rho0), seg)
             current = liouville.evolve_numeric_rk4(current, params, seg, steps)
         out.append(current)
         prev_t = float(t)
@@ -841,7 +838,7 @@ class TestEvolveNumericRk4Grid:
             loop = rk4_segment_loop(rho0, params, times)
         assert len(grid) == len(loop) == 101
         for state, reference in zip(grid, loop):
-            assert np.array_equal(state, reference.mat)
+            assert np.array_equal(state, reference)
 
     def test_validates_rho0_once_per_grid(self, monkeypatch):
         calls = []
@@ -881,7 +878,7 @@ class TestEvolveNumericRk4Grid:
         rho0 = fock.coherent_state(0.8, trunc_of(10, support=5))
         params = fock.ModelParams(omega=1.0, mu=0.5, nu=0.2)
         states = liouville.evolve_numeric_rk4_grid(rho0, params, [0.0, 0.5, 0.5])
-        assert states[0].tobytes() == rho0.mat.tobytes()
+        assert states[0].tobytes() == rho0.tobytes()
         assert states[2].tobytes() == states[1].tobytes()
         empty = liouville.evolve_numeric_rk4_grid(rho0, params, [])
         assert (empty.shape, empty.dtype) == ((0, 10, 10), complex)

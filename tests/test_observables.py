@@ -37,7 +37,7 @@ class TestExpectN:
         trunc = trunc_of(6)
         ops = fock.build_operators(trunc.dim, theta=0.4)
         rho = fock.mixture_state([(1, 0.25), (4, 0.75)], trunc)
-        assert np.trace(ops.n_op @ rho.mat).real == observables.expect_n(rho) == 3.25
+        assert np.trace(ops.n_op @ rho).real == observables.expect_n(rho) == 3.25
 
 
 class TestPurity:
@@ -57,7 +57,7 @@ class TestPurity:
     def test_matches_trace_of_square(self, kind):
         # Off-diagonal coherences count: sum |rho_ij|^2 = Tr(rho rho) for Hermitian rho.
         if kind == "coherent":
-            rho = fock.coherent_state(1.1 - 0.6j, trunc_of(16, support=8)).mat
+            rho = fock.coherent_state(1.1 - 0.6j, trunc_of(16, support=8))
         else:
             rng = np.random.default_rng(5)
             g = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))

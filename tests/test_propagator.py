@@ -19,25 +19,27 @@ def trunc_of(dim, support=None):
 
 def interior_state(dim, support, seed):
     rng = np.random.default_rng(seed)
-    return fock.DensityMatrix(mat=random_interior_density(dim, support, rng))
+    return random_interior_density(dim, support, rng)
 
 
 class TestEvolveLindbladOnly:
-    """The dissipator alone: evolve_analytic at omega = 0."""
+    """The dissipator alone: the closed form at omega = 0."""
 
     @staticmethod
     def evolve(rho0, mu, nu, t):
-        return propagator.evolve_analytic(rho0, fock.ModelParams(omega=0.0, mu=mu, nu=nu), t)
+        return propagator.evolve_analytic_grid(
+            rho0, fock.ModelParams(omega=0.0, mu=mu, nu=nu), [t]
+        )[0][0]
 
     def test_t_zero_returns_state_exactly(self):
         rho0 = fock.coherent_state(1.0, trunc_of(14))
         out = self.evolve(rho0, 1.3, 0.2, 0.0)
-        np.testing.assert_array_equal(out.mat, rho0.mat)
+        np.testing.assert_array_equal(out, rho0)
 
     def test_vacuum_fixed_point_without_pump(self):
         rho0 = fock.fock_state(0, trunc_of(8))
         out = self.evolve(rho0, 1.0, 0.0, 2.0)
-        np.testing.assert_allclose(out.mat, rho0.mat, atol=1e-15)
+        np.testing.assert_allclose(out, rho0, atol=1e-15)
 
     def test_single_excitation_decay_law(self):
         # |1><1| -> e^{-mu t}|1><1| + (1 - e^{-mu t})|0><0|; checked against
@@ -49,18 +51,18 @@ class TestEvolveLindbladOnly:
             expected = np.zeros((dim, dim), dtype=complex)
             expected[0, 0] = 1 - np.exp(-mu * t)
             expected[1, 1] = np.exp(-mu * t)
-            np.testing.assert_allclose(out.mat, expected, atol=1e-13)
-            oracle = liouville.evolve_numeric_expm(
-                rho0, fock.ModelParams(mu=mu, nu=0.0), t
-            )
-            np.testing.assert_allclose(out.mat, oracle.mat, atol=1e-12)
+            np.testing.assert_allclose(out, expected, atol=1e-13)
+            oracle = liouville.evolve_numeric_expm_grid(
+                rho0, fock.ModelParams(mu=mu, nu=0.0), [t]
+            )[0]
+            np.testing.assert_allclose(out, oracle, atol=1e-12)
 
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
             self.evolve(fock.fock_state(0, trunc_of(4)), 1.0, 0.0, -1.0)
 
     def test_rejects_invalid_state(self):
-        bad = fock.DensityMatrix(mat=np.diag([0.7, 0.7, -0.4, 0.0]).astype(complex))
+        bad = np.diag([0.7, 0.7, -0.4, 0.0]).astype(complex)
         with pytest.raises(fock.ValidationError):
             self.evolve(bad, 1.0, 0.0, 1.0)
 
@@ -68,33 +70,39 @@ class TestEvolveLindbladOnly:
 class TestEvolveAnalytic:
     def test_t_zero_returns_state_exactly(self):
         rho0 = fock.thermal_state(0.4, trunc_of(16))
-        out = propagator.evolve_analytic(rho0, fock.ModelParams(omega=3, mu=1, nu=0.2), 0.0)
-        np.testing.assert_array_equal(out.mat, rho0.mat)
+        out = propagator.evolve_analytic_grid(
+            rho0, fock.ModelParams(omega=3, mu=1, nu=0.2), [0.0]
+        )[0][0]
+        np.testing.assert_array_equal(out, rho0)
 
     def test_diagonal_state_ignores_rotation(self):
         # Diagonal rho commutes with N, so the e^{-i w t N} factors cancel
         # and the full evolution equals the dissipator-only one.
         rho0 = fock.thermal_state(0.4, trunc_of(16))
-        full = propagator.evolve_analytic(rho0, fock.ModelParams(omega=4.2, mu=0.8, nu=0.3), 0.9)
-        lindblad = propagator.evolve_analytic(rho0, fock.ModelParams(omega=0.0, mu=0.8, nu=0.3), 0.9)
-        np.testing.assert_allclose(full.mat, lindblad.mat, atol=1e-15)
+        full = propagator.evolve_analytic_grid(
+            rho0, fock.ModelParams(omega=4.2, mu=0.8, nu=0.3), [0.9]
+        )[0][0]
+        lindblad = propagator.evolve_analytic_grid(
+            rho0, fock.ModelParams(omega=0.0, mu=0.8, nu=0.3), [0.9]
+        )[0][0]
+        np.testing.assert_allclose(full, lindblad, atol=1e-15)
 
     def test_coherent_state_against_expm_oracle(self):
         trunc = trunc_of(24, support=9)
         rho0 = fock.coherent_state(1.0, trunc)
         params = fock.ModelParams(omega=2 * np.pi, mu=0.5, nu=0.0)
-        out = propagator.evolve_analytic(rho0, params, 1.0)
-        oracle = liouville.evolve_numeric_expm(rho0, params, 1.0)
+        out = propagator.evolve_analytic_grid(rho0, params, [1.0])[0][0]
+        oracle = liouville.evolve_numeric_expm_grid(rho0, params, [1.0])[0]
         assert observables.frobenius_distance(out, oracle) <= 1e-8
 
     def test_populations_independent_of_omega(self):
         rho0 = fock.coherent_state(1.2, trunc_of(20, support=9))
         diags = []
         for omega in (0.0, 1.0, 10.0):
-            out = propagator.evolve_analytic(
-                rho0, fock.ModelParams(omega=omega, mu=0.7, nu=0.2), 1.1
-            )
-            diags.append(np.real(np.diag(out.mat)))
+            out = propagator.evolve_analytic_grid(
+                rho0, fock.ModelParams(omega=omega, mu=0.7, nu=0.2), [1.1]
+            )[0][0]
+            diags.append(np.real(np.diag(out)))
         np.testing.assert_allclose(diags[0], diags[1], atol=1e-12)
         np.testing.assert_allclose(diags[0], diags[2], atol=1e-12)
 
@@ -102,26 +110,28 @@ class TestEvolveAnalytic:
         # Random interior states carry O(1) weight at their support edge, so
         # the guard band is sized for the pump (nu t ~ 0.45 needs ~18 levels).
         rho0 = interior_state(28, 8, seed=1)
-        out = propagator.evolve_analytic(rho0, fock.ModelParams(omega=1, mu=1, nu=0.3), 1.5)
-        assert np.abs(out.mat - out.mat.conj().T).max() <= 1e-12
-        assert abs(np.trace(out.mat).real - 1.0) <= 1e-8
+        out = propagator.evolve_analytic_grid(
+            rho0, fock.ModelParams(omega=1, mu=1, nu=0.3), [1.5]
+        )[0][0]
+        assert np.abs(out - out.conj().T).max() <= 1e-12
+        assert abs(np.trace(out).real - 1.0) <= 1e-8
         assert observables.purity(out) <= 1.0 + 1e-10
 
     def test_semigroup_property(self):
         rho0 = interior_state(26, 8, seed=2)
         params = fock.ModelParams(omega=2.0, mu=0.9, nu=0.2)
-        stepped = propagator.evolve_analytic(
-            propagator.evolve_analytic(rho0, params, 0.6), params, 0.9
-        )
-        direct = propagator.evolve_analytic(rho0, params, 1.5)
+        stepped = propagator.evolve_analytic_grid(
+            propagator.evolve_analytic_grid(rho0, params, [0.6])[0][0], params, [0.9]
+        )[0][0]
+        direct = propagator.evolve_analytic_grid(rho0, params, [1.5])[0][0]
         assert observables.frobenius_distance(stepped, direct) <= 1e-8
 
     def test_theta_invariance(self):
         rho0 = interior_state(14, 8, seed=3)
         outs = [
-            propagator.evolve_analytic(
-                rho0, fock.ModelParams(omega=1.5, mu=1.0, nu=0.4, theta=theta), 0.8
-            ).mat
+            propagator.evolve_analytic_grid(
+                rho0, fock.ModelParams(omega=1.5, mu=1.0, nu=0.4, theta=theta), [0.8]
+            )[0][0]
             for theta in (0.0, np.pi / 3, np.pi)
         ]
         np.testing.assert_allclose(outs[0], outs[1], atol=1e-12)
@@ -132,8 +142,8 @@ class TestEvolveAnalytic:
         params = fock.ModelParams(omega=1.0, mu=0.5, nu=0.5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # must not warn: nu == mu is not gain
-            out = propagator.evolve_analytic(rho0, params, 0.8)
-        oracle = liouville.evolve_numeric_expm(rho0, params, 0.8)
+            out = propagator.evolve_analytic_grid(rho0, params, [0.8])[0][0]
+        oracle = liouville.evolve_numeric_expm_grid(rho0, params, [0.8])[0]
         assert observables.frobenius_distance(out, oracle) <= 1e-8
 
     def test_rejects_underflowed_prefactor(self):
@@ -147,7 +157,7 @@ class TestEvolveAnalytic:
     def test_gain_regime_warns(self):
         rho0 = fock.fock_state(0, trunc_of(16))
         with pytest.warns(fock.GainWarning):
-            propagator.evolve_analytic(rho0, fock.ModelParams(mu=0.2, nu=0.6), 0.5)
+            propagator.evolve_analytic_grid(rho0, fock.ModelParams(mu=0.2, nu=0.6), [0.5])
 
 
 class TestHermiticityGuard:
@@ -159,9 +169,9 @@ class TestHermiticityGuard:
     def runs(rho0, params, t):
         pure_loss = dataclasses.replace(params, nu=0.0)
         return {
-            "analytic": lambda: propagator.evolve_analytic(rho0, params, t),
+            "analytic": lambda: propagator.evolve_analytic_grid(rho0, params, [t])[0][0],
             "certified": lambda: propagator.evolve_analytic_grid(rho0, params, [t], certify=True),
-            "nu-zero": lambda: propagator.evolve_nu_zero(rho0, pure_loss, t),
+            "nu-zero": lambda: propagator.evolve_nu_zero_grid(rho0, pure_loss, [t])[0],
         }
 
     @pytest.mark.parametrize("method", ["analytic", "certified", "nu-zero"])
@@ -170,11 +180,10 @@ class TestHermiticityGuard:
         # validate_density passes a deviation up to 1e-10; the series
         # carries it into its output, where a guard of 1e-12 alone refused it.
         trunc = fock.TruncationConfig.for_support(5)
-        mat = fock.coherent_state(1.0, trunc).mat.copy()
+        mat = fock.coherent_state(1.0, trunc).copy()
         mat[0, 1] += eps * 1j
         assert fock.validate_density(mat, TIGHT_TOLERANCES).hermitian_ok
-        rho0 = fock.DensityMatrix(mat=mat)
-        self.runs(rho0, self.PARAMS, 1.3)[method]()
+        self.runs(mat, self.PARAMS, 1.3)[method]()
 
     @pytest.mark.parametrize("method", ["analytic", "certified", "nu-zero"])
     def test_refuses_series_error_on_a_hermitian_input(self, monkeypatch, method):
@@ -192,29 +201,32 @@ class TestHermiticityGuard:
 class TestEvolveNuZero:
     def test_vacuum_fixed(self):
         rho0 = fock.fock_state(0, trunc_of(6))
-        out = propagator.evolve_nu_zero(rho0, fock.ModelParams(omega=2.0, mu=0.7), 3.0)
-        np.testing.assert_allclose(out.mat, rho0.mat, atol=1e-15)
+        out = propagator.evolve_nu_zero_grid(
+            rho0, fock.ModelParams(omega=2.0, mu=0.7), [3.0]
+        )[0]
+        np.testing.assert_allclose(out, rho0, atol=1e-15)
 
     def test_half_life_populations(self):
         # mu = ln 2, t = 1: e^{-mu t} = 1/2 exactly.
         rho0 = fock.fock_state(1, trunc_of(6))
-        out = propagator.evolve_nu_zero(rho0, fock.ModelParams(mu=np.log(2.0)), 1.0)
+        out = propagator.evolve_nu_zero_grid(
+            rho0, fock.ModelParams(mu=np.log(2.0)), [1.0]
+        )[0]
         expected = np.zeros((6, 6), dtype=complex)
         expected[0, 0] = 0.5
         expected[1, 1] = 0.5
-        np.testing.assert_allclose(out.mat, expected, atol=1e-15)
+        np.testing.assert_allclose(out, expected, atol=1e-15)
 
     def test_pure_rotation_flips_coherence_sign(self):
         # mu = 0 reduces to the unitary rotation e^{-i w t N} rho e^{+i w t N};
         # at w t = pi the 01-coherence picks up e^{i pi} = -1.
         mat = np.zeros((4, 4), dtype=complex)
         mat[:2, :2] = 0.5
-        rho0 = fock.DensityMatrix(mat=mat)
-        out = propagator.evolve_nu_zero(rho0, fock.ModelParams(omega=np.pi), 1.0)
+        out = propagator.evolve_nu_zero_grid(mat, fock.ModelParams(omega=np.pi), [1.0])[0]
         expected = mat.copy()
         expected[0, 1] = -0.5
         expected[1, 0] = -0.5
-        np.testing.assert_allclose(out.mat, expected, atol=1e-15)
+        np.testing.assert_allclose(out, expected, atol=1e-15)
 
     def test_matches_analytic_on_random_instances(self):
         rng = np.random.default_rng(10)
@@ -224,22 +236,25 @@ class TestEvolveNuZero:
             omega = float(rng.uniform(0.0, 5.0))
             t = float(rng.uniform(0.0, 3.0))
             params = fock.ModelParams(omega=omega, mu=mu, nu=0.0)
-            direct = propagator.evolve_nu_zero(rho0, params, t)
-            via_full = propagator.evolve_analytic(rho0, params, t)
-            assert np.abs(direct.mat - via_full.mat).max() <= 1e-12
+            direct = propagator.evolve_nu_zero_grid(rho0, params, [t])[0]
+            via_full = propagator.evolve_analytic_grid(rho0, params, [t])[0][0]
+            assert np.abs(direct - via_full).max() <= 1e-12
 
     def test_mean_occupation_decays_exponentially(self):
         rho0 = interior_state(14, 8, seed=4)
         n0 = observables.expect_n(rho0)
         for mu, omega, t in [(0.8, 0.0, 1.0), (0.8, 3.0, 2.5), (1.5, 1.0, 0.4)]:
-            out = propagator.evolve_nu_zero(rho0, fock.ModelParams(omega=omega, mu=mu), t)
+            out = propagator.evolve_nu_zero_grid(
+                rho0, fock.ModelParams(omega=omega, mu=mu), [t]
+            )[0]
             assert abs(observables.expect_n(out) - np.exp(-mu * t) * n0) <= 1e-8
         # The law is verified against both oracles as well, not assumed.
         mu, omega, t = 0.8, 3.0, 1.0
         params = fock.ModelParams(omega=omega, mu=mu, nu=0.0)
         target = np.exp(-mu * t) * n0
-        assert abs(observables.expect_n(liouville.evolve_numeric_expm(rho0, params, t)) - target) <= 1e-8
-        steps = 2 * liouville.stability_steps(params, rho0.dim, t)
+        via_expm = liouville.evolve_numeric_expm_grid(rho0, params, [t])[0]
+        assert abs(observables.expect_n(via_expm) - target) <= 1e-8
+        steps = 2 * liouville.stability_steps(params, len(rho0), t)
         assert abs(observables.expect_n(liouville.evolve_numeric_rk4(rho0, params, t, steps)) - target) <= 1e-8
 
 
@@ -339,12 +354,11 @@ class TestBandSeriesEquivalence:
         got = _series_on_matrix(mat, coeffs.e_coef, left, coeffs.g_coef, prefactor)
         self.assert_close(got, want, mat)
         if is_state:
-            rho0 = fock.DensityMatrix(mat=mat)
-            self.assert_close(propagator.evolve_analytic(rho0, params, t).mat, want, mat)
+            self.assert_close(propagator.evolve_analytic_grid(mat, params, [t])[0][0], want, mat)
 
     @pytest.mark.parametrize("dim, name, mat, is_state", _EQUIVALENCE_CASES)
     def test_lowering_only(self, dim, name, mat, is_state):
-        # evolve_nu_zero's series: no raising part, no prefactor.
+        # The pure-loss series: no raising part, no prefactor.
         params = dataclasses.replace(self.PARAMS, nu=0.0)
         mu, omega, t = params.mu, params.omega, self.T
         weight = -np.expm1(-mu * t)
@@ -352,8 +366,7 @@ class TestBandSeriesEquivalence:
         want = _dense_series(mat, weight, exponent, np.conj(exponent), 0.0, 1.0, self.PARAMS.theta)
         self.assert_close(_series_on_matrix(mat, weight, exponent), want, mat)
         if is_state:
-            rho0 = fock.DensityMatrix(mat=mat)
-            self.assert_close(propagator.evolve_nu_zero(rho0, params, t).mat, want, mat)
+            self.assert_close(propagator.evolve_nu_zero_grid(mat, params, [t])[0], want, mat)
 
 
 class TestTruncationBehaviour:
@@ -366,26 +379,26 @@ class TestTruncationBehaviour:
         # and 2D, so the agreement is bit for bit.
         rho0 = interior_state(12, 8, seed=5)
         params = fock.ModelParams(omega=1.0, mu=0.5, nu=0.5)
-        small = propagator.evolve_analytic(rho0, params, 2.0)
+        small = propagator.evolve_analytic_grid(rho0, params, [2.0])[0][0]
         big_mat = np.zeros((24, 24), dtype=complex)
-        big_mat[:12, :12] = rho0.mat
-        big = propagator.evolve_analytic(fock.DensityMatrix(mat=big_mat), params, 2.0)
-        np.testing.assert_array_equal(big.mat[:12, :12], small.mat)
+        big_mat[:12, :12] = rho0
+        big = propagator.evolve_analytic_grid(big_mat, params, [2.0])[0][0]
+        np.testing.assert_array_equal(big[:12, :12], small)
 
     def test_escape_distance_small_for_damped_run(self):
         rho0 = fock.coherent_state(1.0, trunc_of(24, support=9))
-        dist = propagator.doubled_truncation_distance(
-            rho0, fock.ModelParams(omega=1.0, mu=1.0, nu=0.2), 2.0
-        )
+        dist = propagator.evolve_analytic_grid(
+            rho0, fock.ModelParams(omega=1.0, mu=1.0, nu=0.2), [2.0], certify=True
+        )[1][0]
         assert dist <= 1e-9
 
     def test_escape_distance_flags_underprovisioned_run(self):
         rho0 = fock.fock_state(3, trunc_of(12))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            dist = propagator.doubled_truncation_distance(
-                rho0, fock.ModelParams(omega=0.0, mu=0.5, nu=0.5), 3.0
-            )
+            dist = propagator.evolve_analytic_grid(
+                rho0, fock.ModelParams(omega=0.0, mu=0.5, nu=0.5), [3.0], certify=True
+            )[1][0]
         assert dist > 1e-6
 
 
@@ -418,22 +431,22 @@ class TestAnalyticOutputIsAState:
     def test_certified_output_is_a_density_matrix(self, rho0, mu, pump_fraction, omega, t):
         params = fock.ModelParams(omega=omega, mu=mu, nu=pump_fraction * mu)
         assume(
-            propagator.doubled_truncation_distance(rho0, params, t)
+            propagator.evolve_analytic_grid(rho0, params, [t], certify=True)[1][0]
             <= propagator.TRUNCATION_DOUBLING_TOL
         )
         tols = config.DEFAULT_TOLERANCES
-        out = propagator.evolve_analytic(rho0, params, t)
+        out = propagator.evolve_analytic_grid(rho0, params, [t])[0][0]
         report = fock.validate_density(out, tols)
         assert report.hermitian_ok, report.describe()
         assert report.positive_ok, report.describe()
-        assert np.trace(out.mat).real <= 1.0 + tols.trace_tol
+        assert np.trace(out).real <= 1.0 + tols.trace_tol
 
 
 def _zero_padded(rho0):
-    d = rho0.dim
+    d = len(rho0)
     mat = np.zeros((2 * d, 2 * d), dtype=complex)
-    mat[:d, :d] = rho0.mat
-    return fock.DensityMatrix(mat=mat)
+    mat[:d, :d] = rho0
+    return mat
 
 
 class TestAnalyticProperties:
@@ -447,9 +460,9 @@ class TestAnalyticProperties:
     )
     def test_block_stable_under_zero_padding(self, rho0, mu, pump_fraction, omega, t):
         params = fock.ModelParams(omega=omega, mu=mu, nu=pump_fraction * mu)
-        small = propagator.evolve_analytic(rho0, params, t)
-        big = propagator.evolve_analytic(_zero_padded(rho0), params, t)
-        np.testing.assert_array_equal(big.mat[: rho0.dim, : rho0.dim], small.mat)
+        small = propagator.evolve_analytic_grid(rho0, params, [t])[0][0]
+        big = propagator.evolve_analytic_grid(_zero_padded(rho0), params, [t])[0][0]
+        np.testing.assert_array_equal(big[: len(rho0), : len(rho0)], small)
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(
@@ -468,12 +481,13 @@ class TestAnalyticProperties:
         # certificate's 1e-9), which flows back down during t.
         params = fock.ModelParams(omega=omega, mu=mu, nu=pump_fraction * mu)
         assume(
-            propagator.doubled_truncation_distance(rho0, params, s + t)
+            propagator.evolve_analytic_grid(rho0, params, [s + t], certify=True)[1][0]
             <= propagator.TRUNCATION_DOUBLING_TOL
         )
-        whole = propagator.evolve_analytic(rho0, params, s + t).mat
-        mid = propagator.evolve_analytic(_zero_padded(rho0), params, s)
-        two_step = propagator.evolve_analytic(mid, params, t).mat[: rho0.dim, : rho0.dim]
+        whole = propagator.evolve_analytic_grid(rho0, params, [s + t])[0][0]
+        mid = propagator.evolve_analytic_grid(_zero_padded(rho0), params, [s])[0][0]
+        d = len(rho0)
+        two_step = propagator.evolve_analytic_grid(mid, params, [t])[0][0][:d, :d]
         assert np.abs(two_step - whole).max() <= 1e-12 * np.abs(whole).max()
 
     @settings(derandomize=True, max_examples=60, deadline=None)
@@ -485,9 +499,9 @@ class TestAnalyticProperties:
     )
     def test_nu_zero_matches_evolve_nu_zero(self, rho0, mu, omega, t):
         params = fock.ModelParams(omega=omega, mu=mu, nu=0.0)
-        via_full = propagator.evolve_analytic(rho0, params, t)
-        direct = propagator.evolve_nu_zero(rho0, params, t)
-        assert np.abs(via_full.mat - direct.mat).max() <= 1e-12
+        via_full = propagator.evolve_analytic_grid(rho0, params, [t])[0][0]
+        direct = propagator.evolve_nu_zero_grid(rho0, params, [t])[0]
+        assert np.abs(via_full - direct).max() <= 1e-12
 
 
 _LARGE_T_TRUNC = trunc_of(48, support=7)
@@ -521,7 +535,7 @@ class TestLargeTime:
         assert escapes[0] <= propagator.TRUNCATION_DOUBLING_TOL
         n_bar = params.nu / (params.mu - params.nu)
         thermal = fock.thermal_state(n_bar, _LARGE_T_TRUNC)
-        assert np.abs(out - thermal.mat).max() <= 1e-13
+        assert np.abs(out - thermal).max() <= 1e-13
 
 
 @st.composite
@@ -537,7 +551,7 @@ def grid_states(draw):
     mat = _band_matrix(16, width, np.random.default_rng(draw(st.integers(0, 2**16))))
     if draw(st.booleans()):
         mat[0, 1], mat[1, 0] = complex(-0.0, -0.0), complex(-0.0, 0.0)
-    return fock.DensityMatrix(mat=mat)
+    return mat
 
 
 def _bits(states):
@@ -572,7 +586,7 @@ class TestAnalyticGrid:
                 rho0, params, times, certify=True
             )
         assert none is None
-        loop = [propagator.evolve_analytic(rho0, params, t).mat for t in times]
+        loop = [propagator.evolve_analytic_grid(rho0, params, [t])[0][0] for t in times]
         assert _bits(plain) == _bits(loop)
         certified_loop = [
             propagator.evolve_analytic_grid(rho0, params, [t], certify=True) for t in times
@@ -582,7 +596,7 @@ class TestAnalyticGrid:
         # Block stability: the dim-D states of the 2D run are the dim-D run's.
         # Only zeros off the band may differ in sign, which equality ignores.
         np.testing.assert_array_equal(certified, plain)
-        np.testing.assert_array_equal(plain[times.index(0.0)], rho0.mat)
+        np.testing.assert_array_equal(plain[times.index(0.0)], rho0)
 
     def test_long_grid_spans_several_chunks(self):
         # A 101-point grid at D = 24 on a full state: four chunks at the
@@ -591,15 +605,17 @@ class TestAnalyticGrid:
         rho0 = fock.coherent_state(1.0 + 0.5j, trunc_of(24, support=9))
         params = fock.ModelParams(omega=2 * np.pi, mu=1.0, nu=0.4, theta=0.3)
         times = np.linspace(0.0, 3.0, 101)
-        band_bytes = propagator._layout(rho0.mat).values.nbytes
+        band_bytes = propagator._layout(rho0).values.nbytes
         assert 1 < times.size * band_bytes / propagator.BAND_CHUNK_BYTES < times.size
         plain, _ = propagator.evolve_analytic_grid(rho0, params, times)
         certified, escapes = propagator.evolve_analytic_grid(rho0, params, times, certify=True)
-        loop = [propagator.evolve_analytic(rho0, params, float(t)).mat for t in times]
+        loop = [propagator.evolve_analytic_grid(rho0, params, [float(t)])[0][0] for t in times]
         assert _bits(plain) == _bits(loop)
         for t, state, got, escape in zip(times[::10], loop[::10], certified[::10], escapes[::10]):
             np.testing.assert_array_equal(got, state)
-            big = propagator.evolve_analytic(_zero_padded(rho0), params, float(t)).mat
+            big = propagator.evolve_analytic_grid(
+                _zero_padded(rho0), params, [float(t)]
+            )[0][0]
             big[:24, :24] -= state
             assert escape == pytest.approx(np.linalg.norm(big), rel=1e-12, abs=1e-300)
 
@@ -680,11 +696,11 @@ def _series_matches_reference(rho0, params, times):
     Returns the row step of the layout the series ran on.
     """
     weights = _analytic_weights(params, times)
-    layout = propagator._layout(rho0.mat)
+    layout = propagator._layout(rho0)
     got = _on_matrix(layout, propagator._series(layout, *weights))
-    cols, band = _skew_reference(rho0.mat)
+    cols, band = _skew_reference(rho0)
     want = np.zeros_like(got)
-    want[:, np.arange(rho0.dim), cols] = _full_width_band_series(band, cols, *weights)
+    want[:, np.arange(len(rho0)), cols] = _full_width_band_series(band, cols, *weights)
     assert np.array_equal(got, want)
     return layout.row_step
 
@@ -693,7 +709,7 @@ def _full_rank_state(dim, seed):
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     mat = g @ g.conj().T
-    return fock.DensityMatrix(mat=mat / np.trace(mat).real)
+    return mat / np.trace(mat).real
 
 
 _COHERENT_24 = fock.coherent_state(1.5 * np.exp(0.7j), trunc_of(24))
@@ -710,7 +726,7 @@ _WINDOW_CASES = {
     "random full rank": (_full_rank_state(24, 5), _DAMPED, 1),
     "high Fock level": (fock.fock_state(20, trunc_of(24)), _DAMPED, 0),
     "tridiagonal": (
-        fock.DensityMatrix(mat=_band_matrix(24, 1, np.random.default_rng(3))),
+        _band_matrix(24, 1, np.random.default_rng(3)),
         _DAMPED,
         1,
     ),
@@ -743,7 +759,7 @@ class TestLayoutChoice:
 
     def test_diagonal_states_keep_the_band(self):
         for rho0 in (fock.fock_state(0, trunc_of(8)), fock.mixture_state([(1, 0.5), (6, 0.5)], trunc_of(8))):
-            layout = self.layout_of(rho0.mat)
+            layout = self.layout_of(rho0)
             assert layout.row_step == 0
             assert layout.values.shape == (1, 8)
 
@@ -765,13 +781,13 @@ class TestLayoutChoice:
 
     def test_padding_keeps_the_choice(self):
         rho0 = _COHERENT_24
-        plain, padded = propagator._layout(rho0.mat), propagator._layout(rho0.mat, 48)
+        plain, padded = propagator._layout(rho0), propagator._layout(rho0, 48)
         assert plain.row_step == padded.row_step == 1
         assert padded.values.shape == (48, 48)
-        assert np.array_equal(padded.values[:24, :24], rho0.mat)
+        assert np.array_equal(padded.values[:24, :24], rho0)
         assert not padded.values[24:].any() and not padded.values[:, 24:].any()
         mixture = fock.mixture_state([(0, 0.5), (3, 0.5)], trunc_of(24, support=3))
-        band = propagator._layout(mixture.mat, 48)
+        band = propagator._layout(mixture, 48)
         assert band.row_step == 0 and band.values.shape == (1, 48)
 
 
@@ -790,7 +806,7 @@ class TestNuZeroGrid:
         params = fock.ModelParams(omega=omega, mu=mu)
         with mock.patch.object(propagator, "BAND_CHUNK_BYTES", chunk_bytes):
             grid = propagator.evolve_nu_zero_grid(rho0, params, times)
-        loop = [propagator.evolve_nu_zero(rho0, params, t).mat for t in times]
+        loop = [propagator.evolve_nu_zero_grid(rho0, params, [t])[0] for t in times]
         assert _bits(grid) == _bits(loop)
 
     def test_checks_every_time(self):
