@@ -25,7 +25,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from qdho import classical, cli, config, fock, liouville, observables, propagator, su11
@@ -274,6 +274,9 @@ def _drawn_state(kind, dim, seed):
     return random_interior_density(dim, support, rng)
 
 
+# A pinned seed is the one derandomize drew from this test's source, so
+# editing the test keeps its draws.
+@seed(5556603782075100318596701120603922086206894870045437279523239300996451819920813774069966696104613455516298622118593)
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(
     omega=st.floats(0.0, 10.0),

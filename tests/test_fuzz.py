@@ -12,7 +12,7 @@ import io
 from datetime import timedelta
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from qdho import cli
@@ -144,6 +144,9 @@ def config_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "run.ini"
 
 
+# A pinned seed is the one derandomize drew from this test's source, so
+# editing the test keeps its draws.
+@seed(22803133123631372849496919624555008668708217191498009578052331259593805015055962722495749371968365323227071778690150)
 @settings(max_examples=600, derandomize=True, database=None, deadline=timedelta(seconds=5))
 @given(invocations())
 def test_every_config_exits_0_to_3(config_path, invocation):

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from qdho import config, fock, liouville, su11, verification
@@ -295,6 +295,9 @@ class TestExpm:
         with pytest.raises(ValueError):
             liouville.expm(bad)
 
+    # A pinned seed is the one derandomize drew from this test's source, so
+    # editing the test keeps its draws.
+    @seed(1919933723341870616631211952982404918363271232063352631479916467602800511913858517151605755206377867864690221037242)
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(stack=expm_stacks())
     def test_stack_equals_member_loop(self, stack):
@@ -561,6 +564,7 @@ class TestEvolveNumericExpmGrid:
             )
             assert np.abs(state - expected).max() <= 1e-14 * np.abs(expected).max()
 
+    @seed(36745837359261044607350406312374776135518854199617513953511881937182454222072439661474842713581256497153701590612915)
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(
         omega=st.floats(0.0, 3.0),

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from qdho import config, fock, liouville, observables, propagator, su11
@@ -420,6 +420,9 @@ def initial_states(draw):
 
 
 class TestAnalyticOutputIsAState:
+    # A pinned seed is the one derandomize drew from this test's source, so
+    # editing the test keeps its draws.
+    @seed(10146499618228561928283507041554545265012431098142861971841186358020152546014129748511007464242603932570528311783430)
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(
         rho0=initial_states(),
@@ -450,6 +453,7 @@ def _zero_padded(rho0):
 
 
 class TestAnalyticProperties:
+    @seed(8081354598374945962285745740889762651443908403413296413982854091525336932793544441959300692536120039047539980965320)
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(
         rho0=initial_states(),
@@ -464,6 +468,7 @@ class TestAnalyticProperties:
         big = propagator.evolve_analytic_grid(_zero_padded(rho0), params, [t])[0][0]
         np.testing.assert_array_equal(big[: len(rho0), : len(rho0)], small)
 
+    @seed(26430765527716777492141636282334909954647176802697850825677796068341037168004796645182371336428255463570001852908708)
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(
         rho0=initial_states(),
@@ -490,6 +495,7 @@ class TestAnalyticProperties:
         two_step = propagator.evolve_analytic_grid(mid, params, [t])[0][0][:d, :d]
         assert np.abs(two_step - whole).max() <= 1e-12 * np.abs(whole).max()
 
+    @seed(9650394004699059751211818407679268871927632443268974242845162713033235395154812364667510408034323315999736792001740)
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(
         rho0=initial_states(),
@@ -518,6 +524,7 @@ def large_t_states(draw):
 
 
 class TestLargeTime:
+    @seed(37926780184185669905687962081988317637170913616694768389306278830219582321454985467692785555245443367912184431091048)
     @settings(derandomize=True, max_examples=30, deadline=None)
     @given(
         rho0=large_t_states(),
@@ -561,6 +568,7 @@ def _bits(states):
 class TestAnalyticGrid:
     """evolve_analytic_grid against a loop of one-time runs, bit for bit."""
 
+    @seed(25063873237585909726245360980538328856190403492645400582363880642370661664211212786961940949587424919698493970573468)
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(
         rho0=grid_states(),
@@ -794,6 +802,7 @@ class TestLayoutChoice:
 class TestNuZeroGrid:
     """evolve_nu_zero_grid against a loop of one-time runs, bit for bit."""
 
+    @seed(17171170168005972754979749272535341490849094943269477560536958281933929255820983398692652028306022169473548273767825)
     @settings(derandomize=True, max_examples=30, deadline=None)
     @given(
         rho0=grid_states(),
