@@ -24,13 +24,11 @@ from .config import (
     load_run_config,
 )
 from .fock import (
-    FockOperatorSet,
     GainWarning,
     ModelParams,
     TruncationConfig,
     ValidationError,
     ValidationReport,
-    build_operators,
     coherent_state,
     fock_state,
     mixture_state,
@@ -53,10 +51,7 @@ from .observables import (
     photon_distribution,
     purity,
 )
-from .propagator import (
-    evolve_analytic_grid,
-    evolve_nu_zero_grid,
-)
+from .propagator import evolve_analytic_grid
 from .su11 import (
     DisentanglingCoefficients,
     disentangling_coefficients,

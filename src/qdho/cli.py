@@ -89,7 +89,6 @@ def _evolve_on_grid(rho0: np.ndarray, cfg: RunConfig, times: np.ndarray) -> np.n
         # it certifies the truncation, not the integrator.
         _analytic_on_grid(rho0, cfg, times)
     grid = {
-        "nu-zero": propagator.evolve_nu_zero_grid,
         "expm": liouville.evolve_numeric_expm_grid,
         "rk4": liouville.evolve_numeric_rk4_grid,
     }[cfg.method]

@@ -55,7 +55,7 @@ MAX_GRID_POINTS = 100_000
 #: num_points * D^2 * 16.
 MAX_STATE_BYTES = 256 * 2**20
 
-METHODS = ("analytic", "expm", "rk4", "nu-zero")
+METHODS = ("analytic", "expm", "rk4")
 STATE_KINDS = ("fock", "coherent", "thermal", "mixture")
 
 
@@ -124,8 +124,6 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.method == "nu-zero" and self.params.nu != 0.0:
-            raise ConfigError(f"method nu-zero requires nu = 0, got nu = {self.params.nu}")
         if self.photon_levels < 0:
             raise ConfigError(f"photon_levels must be non-negative, got {self.photon_levels}")
         if not 0 < self.steady_tol < math.inf:

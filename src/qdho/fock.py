@@ -1,11 +1,11 @@
-"""Truncated Fock-space linear algebra: operators, states, validation.
+"""Truncated Fock space: model parameters, states, validation.
 
-The oscillator Hilbert space is cut to D levels |0>..|D-1>. On that space
-the annihilation operator is the superdiagonal matrix with entries
-e^{i theta} sqrt(j) and the canonical commutator [a, a^dag] = 1 holds
-everywhere except the last diagonal entry, which picks up -(D-1) from the
-truncation. Everything here is dense complex128 and immutable by
-convention: functions return fresh arrays and never mutate arguments.
+The oscillator Hilbert space is cut to D levels |0>..|D-1>. No operator
+matrix is built here: the closed form applies a and a^dag as index
+shifts, and the oracles of :mod:`qdho.liouville` build the K
+superoperators from the shift matrix themselves. Every state is a dense
+complex128 D x D array, immutable by convention: functions return fresh
+arrays and never mutate arguments.
 """
 
 from __future__ import annotations
@@ -77,16 +77,6 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class FockOperatorSet:
-    """Dense D x D matrices a, a^dag, N and the identity."""
-
-    a: np.ndarray
-    a_dagger: np.ndarray
-    n_op: np.ndarray
-    identity: np.ndarray
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     """Measured deviations of a candidate density matrix, with pass flags."""
 
@@ -107,19 +97,6 @@ class ValidationReport:
             f"trace_dev={self.trace_dev:.3e} ({'ok' if self.trace_ok else 'FAIL'}), "
             f"min_eigenvalue={self.min_eigenvalue:.3e} ({'ok' if self.positive_ok else 'FAIL'})"
         )
-
-
-def build_operators(d: int, theta: float = 0.0) -> FockOperatorSet:
-    """Construct a = e^{i theta} b, its adjoint, N = a^dag a and the identity on d levels.
-
-    b carries sqrt(1), sqrt(2), ... on the superdiagonal; N is exactly
-    diag(0, 1, ..., d-1) for every theta because the phase cancels.
-    """
-    b = np.diag(np.sqrt(np.arange(1, d, dtype=float)), k=1).astype(complex)
-    a = np.exp(1j * theta) * b
-    a_dagger = a.conj().T.copy()
-    n_op = np.diag(np.arange(d, dtype=float)).astype(complex)
-    return FockOperatorSet(a=a, a_dagger=a_dagger, n_op=n_op, identity=np.eye(d, dtype=complex))
 
 
 def fock_state(n: int, trunc: TruncationConfig) -> np.ndarray:

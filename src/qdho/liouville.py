@@ -46,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, ToleranceConfig
-from .fock import ModelParams, _check_finite, build_operators, check_evolution_args
+from .fock import ModelParams, _check_finite, check_evolution_args
 
 #: Taylor scaling threshold for the matrix exponential (max-row-sum norm).
 _EXPM_SCALE_LIMIT = 0.5
@@ -105,8 +105,10 @@ def sandwich_check(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
 def k_superoperators(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(K0, K+, K-, K3) as real dense D^2 x D^2 matrices on D = ``dim`` levels.
 
-    Built from phase-free operators. Raises ValueError, before allocating
-    anything, when D exceeds ``DENSE_MAX_DIM``.
+    Built from the real shift b (sqrt(1), ..., sqrt(D-1) on its
+    superdiagonal) and N = diag(0, ..., D-1): the phase theta of a cancels
+    from every K. Raises ValueError, before allocating anything, when D
+    exceeds ``DENSE_MAX_DIM``.
     """
     if dim > DENSE_MAX_DIM:
         gigabytes = 4 * 8 * dim**4 / 1e9
@@ -114,15 +116,11 @@ def k_superoperators(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
             f"the dense superoperators at D = {dim} would take {gigabytes:.1f} GB; "
             f"their budget is D <= {DENSE_MAX_DIM}"
         )
-    # At theta = 0 every operator is real, so dropping the zero imaginary
-    # parts is exact.
-    ops = build_operators(dim, theta=0.0)
-    b = ops.a.real
-    bd = ops.a_dagger.real
-    n = ops.n_op.real
-    eye = ops.identity.real
+    b = np.diag(np.sqrt(np.arange(1, dim)), 1)
+    n = np.diag(np.arange(dim, dtype=float))
+    eye = np.eye(dim)
     k0 = np.kron(n, eye) - np.kron(eye, n)
-    k_plus = np.kron(bd, bd)
+    k_plus = np.kron(b.T, b.T)
     k_minus = np.kron(b, b)
     k3 = 0.5 * (np.kron(n, eye) + np.kron(eye, n) + np.kron(eye, eye))
     return k0, k_plus, k_minus, k3

@@ -39,8 +39,6 @@ Times go through in chunks whose array stays within ``BAND_CHUNK_BYTES``:
 a (times x 1 x D) diagonal stack, or for any other state a (times x D x D)
 matrix stack. Each element sees the same operations in the same order as
 in a one-time run, so a grid equals the per-time loop bit for bit.
-:func:`evolve_nu_zero_grid` runs the pure-loss series over a grid the
-same way.
 
 The truncation certificate uses block stability: the dim-D result equals,
 entry for entry, the top D x D block of the run on the state zero-padded to 2D
@@ -89,6 +87,8 @@ def evolve_analytic_grid(
     of the series (module docstring) is chosen on rho0 itself: its diagonal
     for a diagonal state, the matrix for any other. Without
     ``certify`` the series runs at D and the escape distances are None.
+    Pure loss (nu = 0) is the point E = 1 - e^{-mu t}, G = 0,
+    ln F = mu t / 2, prefactor 1 of the same series.
 
     With it, each time gets a truncation-convergence certificate: the
     weight escaping above the cutoff. The series runs once per time on
@@ -134,45 +134,6 @@ def evolve_analytic_grid(
                 lost = trace0 - float(values[diagonal].sum().real)
                 escapes.append(max(escape, lost) if lost > TRUNCATION_DOUBLING_TOL else escape)
     return states, np.array(escapes) if certify else None
-
-
-def evolve_nu_zero_grid(
-    rho0: np.ndarray,
-    params: ModelParams,
-    times,
-    *,
-    tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
-) -> np.ndarray:
-    """Pure-loss corollary at every time in ``times``, as one (times, D, D) array.
-
-    rho(t) = e^{-(mu/2 + i omega) t N}
-             { sum_m (1 - e^{-mu t})^m / m!  a^m rho(0) (a^dag)^m }
-             e^{-(mu/2 - i omega) t N}
-
-    No disentangling coefficients enter: the series weight comes from
-    expm1 directly. Only the weights are independent of the closed form;
-    the layout, the chunking and the series routine (``_layout``,
-    ``_evolved_chunks``, ``_series``) are the ones
-    :func:`evolve_analytic_grid` runs. So agreeing with
-    ``evolve_analytic_grid`` at nu = 0 to 1e-12 checks the coefficients,
-    not the series. The arguments go through the check of every method,
-    :func:`qdho.fock.check_evolution_args`; ``params.nu`` must be 0 and
-    ``params.theta`` cancels.
-    """
-    if params.nu != 0.0:
-        raise ValueError(f"the pure-loss series requires nu = 0, got nu = {params.nu}")
-    times = np.asarray(times, dtype=float)
-    rho0 = check_evolution_args(rho0, params, times, tolerances)
-    mu, omega = params.mu, params.omega
-    ts = times.tolist()
-    weight = np.array([-math.expm1(-mu * t) for t in ts])  # 1 - e^{-mu t}
-    exponent = np.array([-(0.5 * mu + 1j * omega) * t for t in ts], dtype=complex)
-    states = np.zeros((times.size,) + rho0.shape, dtype=complex)
-    for _ in _evolved_chunks(
-        _layout(rho0), states, weight, exponent, np.zeros(times.size), np.ones(times.size)
-    ):
-        pass
-    return states
 
 
 class _Layout(NamedTuple):

@@ -1,9 +1,12 @@
 """Dense reference constructions that only the tests use.
 
 The oracles in :mod:`qdho.liouville` run by sectors and never form the
-D^2 x D^2 Liouvillian; these full-size objects pin what the sectors,
-the vectorization convention and the truncation certificate stand for.
+D^2 x D^2 Liouvillian, and the closed form never forms an operator
+matrix; these full-size objects pin what the sectors, the series, the
+vectorization convention and the truncation certificate stand for.
 """
+
+import math
 
 import numpy as np
 
@@ -14,6 +17,52 @@ from qdho import config, fock, liouville, su11, verification
 TIGHT_TOLERANCES = config.ToleranceConfig(
     hermiticity_tol=1e-10, trace_tol=1e-10, positivity_tol=1e-10
 )
+
+
+def ladder(dim: int, theta: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense (a, a^dag, N) on ``dim`` levels, a = e^{i theta} b.
+
+    b carries sqrt(1), sqrt(2), ... on its superdiagonal; N = a^dag a is
+    diag(0, 1, ..., dim-1) for every theta, because the phase cancels.
+    """
+    a = np.exp(1j * theta) * np.diag(np.sqrt(np.arange(1, dim)), 1)
+    return a, a.conj().T, np.diag(np.arange(dim, dtype=complex))
+
+
+def dense_series(x, lower_weight, left_exp, right_exp, raise_weight, scale, theta):
+    """The closed-form series by dense products of the theta-phased ladder.
+
+    scale * sum_n R^n/n! (a^dag)^n [e^{l N} X e^{r N}] a^n with
+    X = sum_m L^m/m! a^m x (a^dag)^m, both sums to the last level of x.
+    """
+    d = x.shape[0]
+    a, a_dagger, _ = ladder(d, theta)
+
+    def series(mat, weight, left, right):
+        total = mat.copy()
+        term = mat
+        for m in range(1, d):
+            term = (weight / m) * (left @ term @ right)
+            total = total + term
+        return total
+
+    levels = np.arange(d)
+    inner = series(x, lower_weight, a, a_dagger)
+    core = np.exp(left_exp * levels)[:, None] * inner * np.exp(right_exp * levels)[None, :]
+    return scale * series(core, raise_weight, a_dagger, a)
+
+
+def dense_pure_loss(rho0: np.ndarray, params: fock.ModelParams, t: float) -> np.ndarray:
+    """The pure-loss (nu = 0) evolution of rho0 to t by :func:`dense_series`.
+
+    rho(t) = e^{-(mu/2 + i omega) t N} {sum_m (1 - e^{-mu t})^m/m! a^m rho0 (a^dag)^m}
+    e^{-(mu/2 - i omega) t N} (Breuer and Petruccione, *The Theory of Open
+    Quantum Systems*, ch. 3). Its weight comes from expm1 directly: no
+    disentangling coefficient enters, and ``params.nu`` is not read.
+    """
+    exponent = -(0.5 * params.mu + 1j * params.omega) * t
+    weight = -math.expm1(-params.mu * t)
+    return dense_series(rho0, weight, exponent, exponent.conjugate(), 0.0, 1.0, params.theta)
 
 
 def devectorize(v: np.ndarray, dim: int) -> np.ndarray:
@@ -52,8 +101,7 @@ def literal_rhs(params: fock.ModelParams, dim: int):
     -i w [N,r] - mu/2 (Nr+rN-2 a r a+) - nu/2 (aa+ r + r aa+ - 2 a+ r a),
     from dense products of the phased, truncated operators.
     """
-    ops = fock.build_operators(dim, params.theta)
-    a, ad, n = ops.a, ops.a_dagger, ops.n_op
+    a, ad, n = ladder(dim, params.theta)
     aad = a @ ad
 
     def rhs(r):

@@ -134,10 +134,16 @@ class TestConfigParsing:
         with pytest.raises(config.ConfigError):
             config.load_run_config(write(tmp_path, QUANTUM_CONFIG.replace("analytic", "magic")))
 
-    def test_nu_zero_method_requires_zero_pump(self, tmp_path):
-        text = COMPARE_CONFIG.replace("method = analytic", "method = nu-zero")
-        with pytest.raises(config.ConfigError):
-            config.load_run_config(write(tmp_path, text))
+    def test_removed_nu_zero_method_exits_1(self, tmp_path, capsys):
+        # Pure loss is the analytic method at nu = 0; the old method name is
+        # refused like any unknown one.
+        text = QUANTUM_CONFIG.replace("method = analytic", "method = nu-zero")
+        assert cli.main(["evolve", "--config", write(tmp_path, text)]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: method must be one of ('analytic', 'expm', 'rk4'), got 'nu-zero'\n"
+        )
 
     def test_missing_section_is_flagged(self, tmp_path):
         with pytest.raises(config.ConfigError) as err:
@@ -261,7 +267,7 @@ class TestCmdEvolve:
             assert len(mantissa.lstrip("-").replace(".", "")) == 17
             assert exponent
 
-    @pytest.mark.parametrize("method", ["expm", "rk4", "nu-zero"])
+    @pytest.mark.parametrize("method", ["expm", "rk4"])
     def test_methods_agree_on_observables(self, tmp_path, method):
         base = config.load_run_config(write(tmp_path, QUANTUM_CONFIG))
         alt = config.load_run_config(
@@ -322,13 +328,10 @@ class TestCmdEvolve:
         assert checked == [24]
         assert evolved == [48] * 3
 
-    @pytest.mark.parametrize("method", ["analytic", "nu-zero"])
-    def test_grid_validates_rho0_once(self, tmp_path, monkeypatch, method):
+    def test_grid_validates_rho0_once(self, tmp_path, monkeypatch):
         # One check of rho0 for the whole grid, then one per CSV row.
-        text = (
-            COMPARE_CONFIG.replace("nu = 0.4", "nu = 0.0")
-            .replace("num_points = 3", "num_points = 101")
-            .replace("method = analytic", f"method = {method}")
+        text = COMPARE_CONFIG.replace("nu = 0.4", "nu = 0.0").replace(
+            "num_points = 3", "num_points = 101"
         )
         cfg = config.load_run_config(write(tmp_path, text))
         calls = []
@@ -392,30 +395,24 @@ class TestCmdSteady:
         assert code == cli.EXIT_OK
         assert "RESULT pass" in report
 
-    @pytest.mark.parametrize("method, nu", [("expm", "0.4"), ("rk4", "0.4"), ("nu-zero", "0.0")])
-    def test_runs_the_configured_method(self, tmp_path, monkeypatch, method, nu):
-        text = COMPARE_CONFIG.replace("nu = 0.4", f"nu = {nu}")
-        analytic = cli.cmd_steady(config.load_run_config(write(tmp_path, text)))
-        grid = {
-            "expm": (liouville, "evolve_numeric_expm_grid"),
-            "rk4": (liouville, "evolve_numeric_rk4_grid"),
-            "nu-zero": (propagator, "evolve_nu_zero_grid"),
-        }[method]
+    @pytest.mark.parametrize("method", ["expm", "rk4"])
+    def test_runs_the_configured_method(self, tmp_path, monkeypatch, method):
+        analytic = cli.cmd_steady(config.load_run_config(write(tmp_path, COMPARE_CONFIG)))
+        name = f"evolve_numeric_{method}_grid"
         calls = []
-        real = getattr(*grid)
+        real = getattr(liouville, name)
 
         def counted(*args, **kwargs):
             calls.append(args[2])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(*grid, counted)
-        text = text.replace("method = analytic", f"method = {method}")
+        monkeypatch.setattr(liouville, name, counted)
+        text = COMPARE_CONFIG.replace("method = analytic", f"method = {method}")
         cfg = config.load_run_config(write(tmp_path, text))
         report, code = cli.cmd_steady(cfg)
         assert [list(times) for times in calls] == [[20.0 / (cfg.params.mu - cfg.params.nu)]]
         assert code == cli.EXIT_OK and "RESULT pass" in report
-        if method != "nu-zero":  # without a pump the vacuum stays put exactly
-            assert report != analytic[0]
+        assert report != analytic[0]
 
     def test_rejects_balanced_rates(self, tmp_path):
         text = COMPARE_CONFIG.replace("mu = 1.0", "mu = 0.5").replace("nu = 0.4", "nu = 0.5")
@@ -688,7 +685,7 @@ class TestMainEntry:
             ("evolve", "analytic", "0.4"),
             ("evolve", "expm", "0.4"),
             ("evolve", "rk4", "0.4"),
-            ("evolve", "nu-zero", "0.0"),
+            ("evolve", "analytic", "0.0"),
             ("compare", "analytic", "0.4"),
             ("steady", "analytic", "0.4"),
         ],
@@ -719,8 +716,7 @@ class TestMainEntry:
             ({"mu": "1e308", "method": "rk4"}, "evolve", _rate_overflow(mu=1e308)),
             ({"nu": "1e308", "method": "expm"}, "evolve", _rate_overflow(nu=1e308)),
             ({"mu": "1e308"}, "evolve", _rate_overflow(mu=1e308)),
-            ({"mu": "1e308", "nu": "0", "method": "nu-zero"}, "evolve",
-             _rate_overflow(mu=1e308, nu=0)),
+            ({"mu": "1e308", "nu": "0"}, "evolve", _rate_overflow(mu=1e308, nu=0)),
             ({"mu": "1e308", "t_end": "0"}, "compare", _rate_overflow(mu=1e308, t=0)),
             ({"re": "nan"}, "evolve", "|alpha|^2 = nan exceeds support_max = 9"),
             ({"re": "1e200"}, "evolve", "|alpha|^2 = inf exceeds support_max = 9"),
@@ -1035,11 +1031,10 @@ class TestNonFiniteOutput:
         [
             lambda rho0, p, ts: propagator.evolve_analytic_grid(rho0, p, ts),
             lambda rho0, p, ts: propagator.evolve_analytic_grid(rho0, p, ts, certify=True),
-            propagator.evolve_nu_zero_grid,
             liouville.evolve_numeric_expm_grid,
             liouville.evolve_numeric_rk4_grid,
         ],
-        ids=["analytic", "certified", "nu-zero", "expm", "rk4"],
+        ids=["analytic", "certified", "expm", "rk4"],
     )
     def test_grid_refuses_nan(self, monkeypatch, evolve):
         self._nan_everywhere(monkeypatch)
@@ -1047,7 +1042,7 @@ class TestNonFiniteOutput:
         with pytest.raises(ValueError, match="NaN/Inf"):
             evolve(rho0, fock.ModelParams(omega=1.0, mu=1.0), [0.0, 0.5, 1.0])
 
-    @pytest.mark.parametrize("method", ["analytic", "nu-zero", "expm", "rk4"])
+    @pytest.mark.parametrize("method", ["analytic", "expm", "rk4"])
     @pytest.mark.parametrize("flags", [[], ["--check-truncation"]])
     def test_evolve_exits_1_with_one_error_line(self, tmp_path, monkeypatch, capsys, method, flags):
         self._nan_everywhere(monkeypatch)
@@ -1084,7 +1079,7 @@ class TestGolden:
             ("evolve", "damped_coherent.ini", "evolve_damped_coherent_certified.csv", {},
              ["--check-truncation"], ""),
             ("evolve", "damped_coherent.ini", "evolve_damped_coherent_nu_zero.csv",
-             {"nu": "0", "method": "nu-zero"}, [], ""),
+             {"nu": "0"}, [], ""),
             ("evolve", "damped_coherent.ini", "evolve_damped_coherent_expm.csv",
              {"method": "expm"}, [], ""),
             ("evolve", "damped_coherent.ini", "evolve_damped_coherent_rk4.csv",
@@ -1133,7 +1128,7 @@ class TestOneRateBound:
     RUNS = [
         ("evolve", {}, []),
         ("evolve", {}, ["--check-truncation"]),
-        ("evolve", {"nu": "0", "method": "nu-zero"}, []),
+        ("evolve", {"nu": "0"}, []),
         ("evolve", {"method": "expm"}, []),
         ("evolve", {"method": "rk4"}, []),
         ("compare", {}, []),

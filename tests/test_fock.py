@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qdho import config, fock, liouville, propagator
-from reference import TIGHT_TOLERANCES
+from reference import TIGHT_TOLERANCES, ladder
 
 
 def trunc_of(dim, support=None):
@@ -27,46 +27,43 @@ class TestTruncationConfig:
         assert trunc.dim == 23
 
 
-class TestBuildOperators:
+class TestLadder:
+    """The dense ladder the test references build on."""
+
     def test_three_level_matrices(self):
-        ops = fock.build_operators(3, theta=0.0)
+        a, a_dagger, n = ladder(3, theta=0.0)
         expected_a = np.array(
             [[0, 1, 0], [0, 0, np.sqrt(2)], [0, 0, 0]], dtype=complex
         )
-        np.testing.assert_array_equal(ops.a, expected_a)
-        np.testing.assert_array_equal(ops.n_op, np.diag([0.0, 1.0, 2.0]))
-        np.testing.assert_array_equal(ops.a_dagger, expected_a.conj().T)
+        np.testing.assert_array_equal(a, expected_a)
+        np.testing.assert_array_equal(n, np.diag([0.0, 1.0, 2.0]))
+        np.testing.assert_array_equal(a_dagger, expected_a.conj().T)
 
     def test_two_level_commutator(self):
-        ops = fock.build_operators(2)
-        comm = ops.a @ ops.a_dagger - ops.a_dagger @ ops.a
+        a, a_dagger, _ = ladder(2)
+        comm = a @ a_dagger - a_dagger @ a
         np.testing.assert_array_equal(comm, np.diag([1.0, -1.0]).astype(complex))
 
     def test_phase_cancels_in_number_operator(self):
-        plain = fock.build_operators(4, theta=0.0)
-        rotated = fock.build_operators(4, theta=np.pi / 2)
+        plain, plain_dagger, _ = ladder(4, theta=0.0)
+        rotated, rotated_dagger, _ = ladder(4, theta=np.pi / 2)
         np.testing.assert_allclose(
-            rotated.a_dagger @ rotated.a, plain.a_dagger @ plain.a, atol=1e-15
+            rotated_dagger @ rotated, plain_dagger @ plain, atol=1e-15
         )
-
-    def test_rejects_tiny_dimension(self):
-        with pytest.raises(ValueError):
-            fock.TruncationConfig(support_max=0, guard=0)
 
     @pytest.mark.parametrize("dim", [2, 5, 16])
     @pytest.mark.parametrize("theta", [0.0, 0.7, np.pi])
     def test_shift_commutators_are_truncation_exact(self, dim, theta):
         # [N, a] = -a and [N, a^dag] = a^dag hold on the full truncated
         # matrices, unlike [a, a^dag].
-        ops = fock.build_operators(dim, theta)
-        n = ops.n_op
-        assert np.abs(n @ ops.a - ops.a @ n + ops.a).max() <= 1e-14
-        assert np.abs(n @ ops.a_dagger - ops.a_dagger @ n - ops.a_dagger).max() <= 1e-14
+        a, a_dagger, n = ladder(dim, theta)
+        assert np.abs(n @ a - a @ n + a).max() <= 1e-14
+        assert np.abs(n @ a_dagger - a_dagger @ n - a_dagger).max() <= 1e-14
 
     @pytest.mark.parametrize("dim", [2, 3, 8])
     def test_canonical_commutator_fails_only_at_corner(self, dim):
-        ops = fock.build_operators(dim)
-        defect = ops.a @ ops.a_dagger - ops.a_dagger @ ops.a - ops.identity
+        a, a_dagger, _ = ladder(dim)
+        defect = a @ a_dagger - a_dagger @ a - np.eye(dim)
         expected = np.zeros((dim, dim), dtype=complex)
         expected[dim - 1, dim - 1] = -dim
         np.testing.assert_allclose(defect, expected, atol=1e-14)
@@ -329,12 +326,11 @@ _PURE_LOSS = fock.ModelParams(omega=1.0, mu=0.5)
     "evolve",
     [
         lambda rho0, t: propagator.evolve_analytic_grid(rho0, _PURE_LOSS, [t])[0],
-        lambda rho0, t: propagator.evolve_nu_zero_grid(rho0, _PURE_LOSS, [t]),
         lambda rho0, t: liouville.evolve_numeric_expm_grid(rho0, _PURE_LOSS, [t]),
         lambda rho0, t: liouville.evolve_numeric_rk4_grid(rho0, _PURE_LOSS, [t]),
         lambda rho0, t: liouville.evolve_numeric_rk4(rho0, _PURE_LOSS, t, 200),
     ],
-    ids=["analytic", "nu-zero", "expm", "rk4-grid", "rk4"],
+    ids=["analytic", "expm", "rk4-grid", "rk4"],
 )
 def test_every_method_checks_the_state_first(evolve):
     # A negative time would be refused too: the state is checked before it.

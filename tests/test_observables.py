@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 from qdho import fock, observables
-from reference import TIGHT_TOLERANCES
+from reference import TIGHT_TOLERANCES, ladder
 
 
 def trunc_of(dim, support=None):
@@ -35,9 +35,9 @@ class TestExpectN:
     def test_matches_number_operator_trace(self):
         # N = a^dag a is diag(0..D-1) whatever the operator phase theta.
         trunc = trunc_of(6)
-        ops = fock.build_operators(trunc.dim, theta=0.4)
+        _, _, n = ladder(trunc.dim, theta=0.4)
         rho = fock.mixture_state([(1, 0.25), (4, 0.75)], trunc)
-        assert np.trace(ops.n_op @ rho).real == observables.expect_n(rho) == 3.25
+        assert np.trace(n @ rho).real == observables.expect_n(rho) == 3.25
 
 
 class TestPurity:

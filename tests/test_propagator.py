@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qdho import config, fock, liouville, observables, propagator, su11
 from qdho.verification import random_interior_density
-from reference import TIGHT_TOLERANCES
+from reference import TIGHT_TOLERANCES, dense_pure_loss, dense_series
 
 
 def trunc_of(dim, support=None):
@@ -171,10 +171,10 @@ class TestHermiticityGuard:
         return {
             "analytic": lambda: propagator.evolve_analytic_grid(rho0, params, [t])[0][0],
             "certified": lambda: propagator.evolve_analytic_grid(rho0, params, [t], certify=True),
-            "nu-zero": lambda: propagator.evolve_nu_zero_grid(rho0, pure_loss, [t])[0],
+            "pure-loss": lambda: propagator.evolve_analytic_grid(rho0, pure_loss, [t])[0][0],
         }
 
-    @pytest.mark.parametrize("method", ["analytic", "certified", "nu-zero"])
+    @pytest.mark.parametrize("method", ["analytic", "certified", "pure-loss"])
     @pytest.mark.parametrize("eps", [5e-12, 9e-11])
     def test_evolves_what_validate_density_accepts(self, method, eps):
         # validate_density passes a deviation up to 1e-10; the series
@@ -185,7 +185,7 @@ class TestHermiticityGuard:
         assert fock.validate_density(mat, TIGHT_TOLERANCES).hermitian_ok
         self.runs(mat, self.PARAMS, 1.3)[method]()
 
-    @pytest.mark.parametrize("method", ["analytic", "certified", "nu-zero"])
+    @pytest.mark.parametrize("method", ["analytic", "certified", "pure-loss"])
     def test_refuses_series_error_on_a_hermitian_input(self, monkeypatch, method):
         series = propagator._series
         monkeypatch.setattr(propagator, "_series", lambda *args: series(*args) + 1e-9j)
@@ -198,20 +198,24 @@ class TestHermiticityGuard:
                 self.runs(rho0, self.PARAMS, 1.3)[method]()
 
 
-class TestEvolveNuZero:
+class TestPureLoss:
+    """Exact pure-loss (nu = 0) answers from the closed form."""
+
+    @staticmethod
+    def evolve(rho0, omega, mu, t):
+        return propagator.evolve_analytic_grid(
+            rho0, fock.ModelParams(omega=omega, mu=mu), [t]
+        )[0][0]
+
     def test_vacuum_fixed(self):
         rho0 = fock.fock_state(0, trunc_of(6))
-        out = propagator.evolve_nu_zero_grid(
-            rho0, fock.ModelParams(omega=2.0, mu=0.7), [3.0]
-        )[0]
+        out = self.evolve(rho0, 2.0, 0.7, 3.0)
         np.testing.assert_allclose(out, rho0, atol=1e-15)
 
     def test_half_life_populations(self):
         # mu = ln 2, t = 1: e^{-mu t} = 1/2 exactly.
         rho0 = fock.fock_state(1, trunc_of(6))
-        out = propagator.evolve_nu_zero_grid(
-            rho0, fock.ModelParams(mu=np.log(2.0)), [1.0]
-        )[0]
+        out = self.evolve(rho0, 0.0, np.log(2.0), 1.0)
         expected = np.zeros((6, 6), dtype=complex)
         expected[0, 0] = 0.5
         expected[1, 1] = 0.5
@@ -222,31 +226,17 @@ class TestEvolveNuZero:
         # at w t = pi the 01-coherence picks up e^{i pi} = -1.
         mat = np.zeros((4, 4), dtype=complex)
         mat[:2, :2] = 0.5
-        out = propagator.evolve_nu_zero_grid(mat, fock.ModelParams(omega=np.pi), [1.0])[0]
+        out = self.evolve(mat, np.pi, 0.0, 1.0)
         expected = mat.copy()
         expected[0, 1] = -0.5
         expected[1, 0] = -0.5
         np.testing.assert_allclose(out, expected, atol=1e-15)
 
-    def test_matches_analytic_on_random_instances(self):
-        rng = np.random.default_rng(10)
-        for seed in range(10):
-            rho0 = interior_state(12, 8, seed=100 + seed)
-            mu = float(rng.uniform(0.05, 2.0))
-            omega = float(rng.uniform(0.0, 5.0))
-            t = float(rng.uniform(0.0, 3.0))
-            params = fock.ModelParams(omega=omega, mu=mu, nu=0.0)
-            direct = propagator.evolve_nu_zero_grid(rho0, params, [t])[0]
-            via_full = propagator.evolve_analytic_grid(rho0, params, [t])[0][0]
-            assert np.abs(direct - via_full).max() <= 1e-12
-
     def test_mean_occupation_decays_exponentially(self):
         rho0 = interior_state(14, 8, seed=4)
         n0 = observables.expect_n(rho0)
         for mu, omega, t in [(0.8, 0.0, 1.0), (0.8, 3.0, 2.5), (1.5, 1.0, 0.4)]:
-            out = propagator.evolve_nu_zero_grid(
-                rho0, fock.ModelParams(omega=omega, mu=mu), [t]
-            )[0]
+            out = self.evolve(rho0, omega, mu, t)
             assert abs(observables.expect_n(out) - np.exp(-mu * t) * n0) <= 1e-8
         # The law is verified against both oracles as well, not assumed.
         mu, omega, t = 0.8, 3.0, 1.0
@@ -256,26 +246,6 @@ class TestEvolveNuZero:
         assert abs(observables.expect_n(via_expm) - target) <= 1e-8
         steps = 2 * liouville.stability_steps(params, len(rho0), t)
         assert abs(observables.expect_n(liouville.evolve_numeric_rk4(rho0, params, t, steps)) - target) <= 1e-8
-
-
-
-def _dense_series(x, lower_weight, left_exp, right_exp, raise_weight, scale, theta):
-    """The closed-form series with dense operator products, theta != 0 allowed."""
-    d = x.shape[0]
-    ops = fock.build_operators(d, theta=theta)
-
-    def series(mat, weight, left, right):
-        total = mat.copy()
-        term = mat
-        for m in range(1, d):
-            term = (weight / m) * (left @ term @ right)
-            total = total + term
-        return total
-
-    levels = np.arange(d)
-    inner = series(x, lower_weight, ops.a, ops.a_dagger)
-    core = np.exp(left_exp * levels)[:, None] * inner * np.exp(right_exp * levels)[None, :]
-    return scale * series(core, raise_weight, ops.a_dagger, ops.a)
 
 
 def _on_matrix(layout, evolved):
@@ -350,7 +320,7 @@ class TestBandSeriesEquivalence:
         prefactor = coeffs.prefactor
         log_f, phase = coeffs.log_f, params.omega * t
         left, right = complex(-log_f, -phase), complex(-log_f, phase)
-        want = _dense_series(mat, coeffs.e_coef, left, right, coeffs.g_coef, prefactor, params.theta)
+        want = dense_series(mat, coeffs.e_coef, left, right, coeffs.g_coef, prefactor, params.theta)
         got = _series_on_matrix(mat, coeffs.e_coef, left, coeffs.g_coef, prefactor)
         self.assert_close(got, want, mat)
         if is_state:
@@ -363,10 +333,10 @@ class TestBandSeriesEquivalence:
         mu, omega, t = params.mu, params.omega, self.T
         weight = -np.expm1(-mu * t)
         exponent = -(0.5 * mu + 1j * omega) * t
-        want = _dense_series(mat, weight, exponent, np.conj(exponent), 0.0, 1.0, self.PARAMS.theta)
+        want = dense_pure_loss(mat, params, t)
         self.assert_close(_series_on_matrix(mat, weight, exponent), want, mat)
         if is_state:
-            self.assert_close(propagator.evolve_nu_zero_grid(mat, params, [t])[0], want, mat)
+            self.assert_close(propagator.evolve_analytic_grid(mat, params, [t])[0][0], want, mat)
 
 
 class TestTruncationBehaviour:
@@ -503,11 +473,10 @@ class TestAnalyticProperties:
         omega=st.floats(0.0, 3.0),
         t=st.floats(0.0, 3.0),
     )
-    def test_nu_zero_matches_evolve_nu_zero(self, rho0, mu, omega, t):
+    def test_nu_zero_matches_dense_pure_loss(self, rho0, mu, omega, t):
         params = fock.ModelParams(omega=omega, mu=mu, nu=0.0)
         via_full = propagator.evolve_analytic_grid(rho0, params, [t])[0][0]
-        direct = propagator.evolve_nu_zero_grid(rho0, params, [t])[0]
-        assert np.abs(via_full - direct).max() <= 1e-12
+        assert np.abs(via_full - dense_pure_loss(rho0, params, t)).max() <= 1e-12
 
 
 _LARGE_T_TRUNC = trunc_of(48, support=7)
@@ -797,33 +766,3 @@ class TestLayoutChoice:
         mixture = fock.mixture_state([(0, 0.5), (3, 0.5)], trunc_of(24, support=3))
         band = propagator._layout(mixture, 48)
         assert band.row_step == 0 and band.values.shape == (1, 48)
-
-
-class TestNuZeroGrid:
-    """evolve_nu_zero_grid against a loop of one-time runs, bit for bit."""
-
-    @seed(17171170168005972754979749272535341490849094943269477560536958281933929255820983398692652028306022169473548273767825)
-    @settings(derandomize=True, max_examples=30, deadline=None)
-    @given(
-        rho0=grid_states(),
-        mu=st.floats(0.0, 3.0),
-        omega=st.floats(0.0, 3.0),
-        times=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=12),
-        chunk_bytes=st.sampled_from([1, 5_000, propagator.BAND_CHUNK_BYTES]),
-    )
-    def test_grid_equals_per_time_loop(self, rho0, mu, omega, times, chunk_bytes):
-        params = fock.ModelParams(omega=omega, mu=mu)
-        with mock.patch.object(propagator, "BAND_CHUNK_BYTES", chunk_bytes):
-            grid = propagator.evolve_nu_zero_grid(rho0, params, times)
-        loop = [propagator.evolve_nu_zero_grid(rho0, params, [t])[0] for t in times]
-        assert _bits(grid) == _bits(loop)
-
-    def test_checks_every_time(self):
-        rho0 = fock.fock_state(1, trunc_of(6))
-        with pytest.raises(ValueError, match="non-negative"):
-            propagator.evolve_nu_zero_grid(rho0, fock.ModelParams(mu=1.0), [0.0, 1.0, -0.5])
-
-    def test_refuses_a_pump(self):
-        rho0 = fock.fock_state(1, trunc_of(6))
-        with pytest.raises(ValueError, match="^the pure-loss series requires nu = 0, got nu = 0.4"):
-            propagator.evolve_nu_zero_grid(rho0, fock.ModelParams(mu=1.0, nu=0.4), [1.0])
