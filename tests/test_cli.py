@@ -267,11 +267,22 @@ class TestCmdEvolve:
             assert len(mantissa.lstrip("-").replace(".", "")) == 17
             assert exponent
 
-    @pytest.mark.parametrize("method", ["expm", "rk4"])
-    def test_methods_agree_on_observables(self, tmp_path, method):
-        base = config.load_run_config(write(tmp_path, QUANTUM_CONFIG))
+    # A pump lifts population past the one-level support: the oracles then
+    # need guard levels to keep the trace, as the closed form does.
+    PUMP = {"nu = 0.0": "nu = 0.4", "support_max = 1": "support_max = 1\nguard = 24"}
+
+    @pytest.mark.parametrize(
+        "method, edits",
+        [("expm", {}), ("rk4", {}), ("expm", PUMP), ("rk4", PUMP)],
+        ids=["expm", "rk4", "expm-pumped", "rk4-pumped"],
+    )
+    def test_methods_agree_on_observables(self, tmp_path, method, edits):
+        text = QUANTUM_CONFIG
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        base = config.load_run_config(write(tmp_path, text))
         alt = config.load_run_config(
-            write(tmp_path, QUANTUM_CONFIG.replace("method = analytic", f"method = {method}"), "alt.ini")
+            write(tmp_path, text.replace("method = analytic", f"method = {method}"), "alt.ini")
         )
         ref_rows = cli.cmd_evolve(base).strip().split("\n")[1:]
         alt_rows = cli.cmd_evolve(alt).strip().split("\n")[1:]
@@ -328,10 +339,13 @@ class TestCmdEvolve:
         assert checked == [24]
         assert evolved == [48] * 3
 
-    def test_grid_validates_rho0_once(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("method", ["analytic", "expm", "rk4"])
+    def test_grid_validates_rho0_once(self, tmp_path, monkeypatch, method):
         # One check of rho0 for the whole grid, then one per CSV row.
-        text = COMPARE_CONFIG.replace("nu = 0.4", "nu = 0.0").replace(
-            "num_points = 3", "num_points = 101"
+        text = (
+            COMPARE_CONFIG.replace("nu = 0.4", "nu = 0.0")
+            .replace("num_points = 3", "num_points = 101")
+            .replace("method = analytic", f"method = {method}")
         )
         cfg = config.load_run_config(write(tmp_path, text))
         calls = []
@@ -413,6 +427,23 @@ class TestCmdSteady:
         assert [list(times) for times in calls] == [[20.0 / (cfg.params.mu - cfg.params.nu)]]
         assert code == cli.EXIT_OK and "RESULT pass" in report
         assert report != analytic[0]
+
+    @pytest.mark.parametrize("nu", ["0.0", "0.4"])
+    def test_runs_the_closed_form_once(self, tmp_path, monkeypatch, nu):
+        # The analytic method, pure loss included, is one grid call at
+        # 20/(mu - nu).
+        calls = []
+        real = propagator.evolve_analytic_grid
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(propagator, "evolve_analytic_grid", counted)
+        cfg = config.load_run_config(write(tmp_path, COMPARE_CONFIG.replace("nu = 0.4", f"nu = {nu}")))
+        report, code = cli.cmd_steady(cfg)
+        assert [list(times) for times in calls] == [[20.0 / (cfg.params.mu - cfg.params.nu)]]
+        assert code == cli.EXIT_OK and "RESULT pass" in report
 
     def test_rejects_balanced_rates(self, tmp_path):
         text = COMPARE_CONFIG.replace("mu = 1.0", "mu = 0.5").replace("nu = 0.4", "nu = 0.5")

@@ -326,11 +326,12 @@ _PURE_LOSS = fock.ModelParams(omega=1.0, mu=0.5)
     "evolve",
     [
         lambda rho0, t: propagator.evolve_analytic_grid(rho0, _PURE_LOSS, [t])[0],
+        lambda rho0, t: propagator.evolve_analytic_grid(rho0, _PURE_LOSS, [t], certify=True)[0],
         lambda rho0, t: liouville.evolve_numeric_expm_grid(rho0, _PURE_LOSS, [t]),
         lambda rho0, t: liouville.evolve_numeric_rk4_grid(rho0, _PURE_LOSS, [t]),
         lambda rho0, t: liouville.evolve_numeric_rk4(rho0, _PURE_LOSS, t, 200),
     ],
-    ids=["analytic", "expm", "rk4-grid", "rk4"],
+    ids=["analytic", "certified", "expm", "rk4-grid", "rk4"],
 )
 def test_every_method_checks_the_state_first(evolve):
     # A negative time would be refused too: the state is checked before it.

@@ -107,6 +107,28 @@ class TestKSuperoperators:
         assert np.abs(interior).max() <= 5e-14
         assert np.abs(diag[dim - 1, :]).max() > 1.0
 
+    @pytest.mark.parametrize("dim", [2, 5, 16])
+    def test_phase_of_a_cancels_from_every_k(self, dim):
+        # Under vec(A X B) = kron(A, B^T) vec(X), K- is rho -> a rho a^dag
+        # and K+ is rho -> a^dag rho a. The phase of a = e^{i theta} b
+        # cancels from both, so the real-shift K are those of any phased
+        # ladder, and bit for bit those of the theta = 0 one.
+        eye = np.eye(dim)
+        got = liouville.k_superoperators(dim)
+        assert all(k.dtype == float for k in got)
+        for theta in (0.0, 0.7, np.pi):
+            a, a_dagger, n = ladder(dim, theta)
+            want = (
+                np.kron(n, eye) - np.kron(eye, n),
+                np.kron(a_dagger, a.T),
+                np.kron(a, a_dagger.T),
+                0.5 * (np.kron(n, eye) + np.kron(eye, n) + np.kron(eye, eye)),
+            )
+            for k, expected in zip(got, want):
+                if theta == 0.0:
+                    np.testing.assert_array_equal(k, expected)
+                else:
+                    np.testing.assert_allclose(k, expected, rtol=0, atol=1e-14)
 
     def test_size_budget_admits_every_criterion_4_dimension(self):
         # Criterion 4 may run the sector oracles at up to 64 levels. The

@@ -172,9 +172,14 @@ class TestHermiticityGuard:
             "analytic": lambda: propagator.evolve_analytic_grid(rho0, params, [t])[0][0],
             "certified": lambda: propagator.evolve_analytic_grid(rho0, params, [t], certify=True),
             "pure-loss": lambda: propagator.evolve_analytic_grid(rho0, pure_loss, [t])[0][0],
+            "certified-pure-loss": lambda: propagator.evolve_analytic_grid(
+                rho0, pure_loss, [t], certify=True
+            ),
         }
 
-    @pytest.mark.parametrize("method", ["analytic", "certified", "pure-loss"])
+    @pytest.mark.parametrize(
+        "method", ["analytic", "certified", "pure-loss", "certified-pure-loss"]
+    )
     @pytest.mark.parametrize("eps", [5e-12, 9e-11])
     def test_evolves_what_validate_density_accepts(self, method, eps):
         # validate_density passes a deviation up to 1e-10; the series
@@ -185,7 +190,9 @@ class TestHermiticityGuard:
         assert fock.validate_density(mat, TIGHT_TOLERANCES).hermitian_ok
         self.runs(mat, self.PARAMS, 1.3)[method]()
 
-    @pytest.mark.parametrize("method", ["analytic", "certified", "pure-loss"])
+    @pytest.mark.parametrize(
+        "method", ["analytic", "certified", "pure-loss", "certified-pure-loss"]
+    )
     def test_refuses_series_error_on_a_hermitian_input(self, monkeypatch, method):
         series = propagator._series
         monkeypatch.setattr(propagator, "_series", lambda *args: series(*args) + 1e-9j)
@@ -231,6 +238,32 @@ class TestPureLoss:
         expected[0, 1] = -0.5
         expected[1, 0] = -0.5
         np.testing.assert_allclose(out, expected, atol=1e-15)
+
+    def test_matches_expm_on_random_instances(self):
+        # The matrix-exponential oracle shares no code with the series.
+        # Without a pump nothing leaves the support, so truncation is exact.
+        rng = np.random.default_rng(10)
+        for seed in range(10):
+            rho0 = interior_state(12, 8, seed=100 + seed)
+            mu = float(rng.uniform(0.05, 2.0))
+            omega = float(rng.uniform(0.0, 5.0))
+            t = float(rng.uniform(0.0, 3.0))
+            params = fock.ModelParams(omega=omega, mu=mu, nu=0.0)
+            oracle = liouville.evolve_numeric_expm_grid(rho0, params, [t])[0]
+            assert np.abs(self.evolve(rho0, omega, mu, t) - oracle).max() <= 1e-12
+
+    def test_is_the_limit_of_a_vanishing_pump(self):
+        # nu = 0 is a point of the general solution, not a branch of its own:
+        # the state moves linearly in a small pump and meets the pure-loss one.
+        rho0 = interior_state(24, 8, seed=7)
+        pure = self.evolve(rho0, 1.3, 0.9, 1.7)
+        moved = []
+        for nu in (1e-5, 1e-8):
+            params = fock.ModelParams(omega=1.3, mu=0.9, nu=nu)
+            pumped = propagator.evolve_analytic_grid(rho0, params, [1.7])[0][0]
+            moved.append(np.abs(pumped - pure).max())
+        assert 0.0 < moved[1] <= moved[0] <= 1e-5
+        assert moved[0] / moved[1] == pytest.approx(1e3, rel=1e-3)
 
     def test_mean_occupation_decays_exponentially(self):
         rho0 = interior_state(14, 8, seed=4)
