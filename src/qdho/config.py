@@ -163,11 +163,11 @@ class _Reader:
         self.asked: set[tuple[str, str]] = set()
 
     def reject_unknown(self) -> None:
-        """Refuse any key, in a section that was read, that nothing asked for."""
+        """Refuse any section or key that nothing asked for."""
         read = {section for section, _ in self.asked}
         for section in self.parser.sections():
             if section not in read:
-                continue
+                raise ConfigError(f"[{section}]: unknown section")
             for key in self.parser.options(section):
                 if (section, key) not in self.asked:
                     raise ConfigError(f"[{section}] {key}: unknown key")

@@ -1,13 +1,15 @@
 import dataclasses
 import math
+import os
 import re
+import sys
 import time
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cli_runs
 import qdho.su11
 from qdho import classical, cli, config, fock, liouville, propagator, verification
 
@@ -167,6 +169,9 @@ class TestConfigParsing:
             ("t_end = 1.0\n", "", "[grid] t_end: required key is missing"),
             ("[grid]", "[grids]", "missing required section [grid] in {path}"),
             ("method = analytic", "method = analytic\ncolour = red", "[run] colour: unknown key"),
+            # A misspelled section is refused, not skipped for its defaults.
+            ("method = analytic", "method = analytic\n\n[tolerance]\noracle_tol = 1e-30",
+             "[tolerance]: unknown section"),
             ("mu = 1.0", "mu = fast", "[model] mu: expected a number, got 'fast'"),
             ("mu = 1.0", "mu = -1.0", "[model]: omega, mu, nu must be non-negative"),
             # A negative guard is refused, not read as "use the default".
@@ -191,11 +196,18 @@ class TestConfigParsing:
         with pytest.raises(config.ConfigError, match=r"\[state\] re: unknown key"):
             config.load_run_config(write(tmp_path, text))
 
-    def test_classical_rejects_misspelled_key(self, tmp_path):
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("gamma = 1.0", "gama = 1.0", "[classical] gama: unknown key"),
+            ("[grid]", "[run]\nmethod = rk4\n\n[grid]", "[run]: unknown section"),
+        ],
+    )
+    def test_classical_rejects_unknown_names(self, tmp_path, old, new, message):
         text = CLASSICAL_CONFIG.format(omega=2.0, gamma=1.0, t_end=10.0, num_points=5)
-        path = write(tmp_path, text.replace("gamma = 1.0", "gama = 1.0"))
-        with pytest.raises(config.ConfigError, match=r"\[classical\] gama: unknown key"):
-            config.load_classical_config(path)
+        with pytest.raises(config.ConfigError) as err:
+            config.load_classical_config(write(tmp_path, text.replace(old, new)))
+        assert str(err.value) == message
 
     def test_classical_round_trip(self, tmp_path):
         path = write(tmp_path, CLASSICAL_CONFIG.format(omega=2.0, gamma=1.0, t_end=10.0, num_points=5))
@@ -567,10 +579,6 @@ class TestMainEntry:
     def test_missing_config_file_exits_1(self):
         assert cli.main(["evolve", "--config", "/nonexistent.ini"]) == cli.EXIT_VALIDATION
 
-    def test_verify_runs_without_config(self, capsys):
-        assert cli.main(["verify"]) == cli.EXIT_OK
-        assert "RESULT pass" in capsys.readouterr().out
-
     def test_overdamped_warning_prints_through_main(self, tmp_path, capsys):
         path = write(tmp_path, CLASSICAL_CONFIG.format(omega=2.0, gamma=3.0, t_end=1.0, num_points=3))
         assert cli.main(["classical", "--config", path]) == cli.EXIT_OK
@@ -630,14 +638,6 @@ class TestMainEntry:
         assert captured.err.startswith(f"usage: qdho {verb} [-h] ")
         assert "unrecognized arguments" in captured.err
         assert captured.out == ""
-
-    def test_stray_flag_prints_the_verbs_usage(self, tmp_path, capsys):
-        argv = ["compare", "--config", write(tmp_path, QUANTUM_CONFIG)]
-        assert cli.main(argv + ["--tol-override", "oracle_tol=1e-3"]) == cli.EXIT_VALIDATION
-        assert capsys.readouterr().err.splitlines() == [
-            "usage: qdho compare [-h] --config CONFIG [--out OUT] [--check-truncation]",
-            "error: unrecognized arguments: --tol-override oracle_tol=1e-3",
-        ]
 
     @pytest.mark.parametrize(
         "text, named",
@@ -955,16 +955,8 @@ class TestMainEntry:
         # A pure pump carries Fock level 4 of D = 9 past level 17 by t = 3:
         # the D and 2D runs both read ~0 on and above the cutoff, and only
         # the trace the 2D run lost shows the escape.
-        edits = {
-            "omega": "0.0", "mu": "0.0", "nu": "2.0", "kind": "fock\nn = 4",
-            "support_max": "4", "guard": "4", "t_start": "3.0", "num_points": "1",
-            "method": method,
-        }
-        text = (ROOT / "configs" / "damped_coherent.ini").read_text()
-        text = re.sub(r"^(re|im) = .*\n", "", text, flags=re.M)
-        for key, value in edits.items():
-            text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
-        path = write(tmp_path, text)
+        edits = {**cli_runs.PUMP, **cli_runs.sets(method=method)}
+        path = write(tmp_path, cli_runs.config_text(cli_runs.COHERENT, edits))
         capsys.readouterr()
         assert cli.main(["evolve", "--config", path, "--check-truncation"]) == cli.EXIT_TOLERANCE
         captured = capsys.readouterr()
@@ -1085,64 +1077,46 @@ class TestNonFiniteOutput:
         assert captured.err == "error: density matrix contains NaN/Inf entries\n"
 
 
-ROOT = Path(__file__).resolve().parents[1]
-GOLDEN = Path(__file__).resolve().parent / "golden"
+@pytest.mark.parametrize("run", cli_runs.RUNS, ids=lambda run: run.name)
+def test_cli_run(tmp_path, capsys, run):
+    """Each row of tests/cli_runs.py, in process through cli.main."""
+    args = run.argv(tmp_path / "run.ini")
+    capsys.readouterr()
+    code = cli.main(args)
+    captured = capsys.readouterr()
+    assert cli_runs.mismatches(run, code, captured.out, captured.err) == []
 
 
-class TestGolden:
-    """Verb stdout on the sample configs against tests/golden, byte for byte.
+@pytest.mark.parametrize("name", ["verify", "malformed mu", "stray flag"])
+def test_cli_run_by_subprocess(tmp_path, name):
+    """The runner that ``python tests/cli_runs.py`` drives, on three cheap rows."""
+    run = next(run for run in cli_runs.RUNS if run.name == name)
+    env = dict(os.environ, PYTHONPATH=str(cli_runs.ROOT / "src"))
+    args = run.argv(tmp_path / "run.ini")
+    result = cli_runs.run_command([sys.executable, "-m", "qdho"], args, tmp_path, env)
+    assert cli_runs.mismatches(run, *result) == []
 
-    The steady golden pins t = 20/(mu - nu), the relaxation time; the
-    critically and overdamped classical runs also pin their one warning
-    line, and the 101-point classical golden pins the stacked closed form
-    on a longer grid. The coherent
-    goldens run on the matrix layout and both oracles, the mixture golden
-    on the one-row diagonal layout. The 101-point coherent goldens run the
-    RK4 oracle on a grid whose segment lengths alternate in the last bit.
-    The CI's installed-script step diffs the console entry point against
-    the same files.
-    """
 
-    @pytest.mark.parametrize(
-        "verb, config, golden, edits, flags, err",
-        [
-            ("evolve", "damped_coherent.ini", "evolve_damped_coherent.csv", {}, [], ""),
-            ("evolve", "damped_coherent.ini", "evolve_damped_coherent_certified.csv", {},
-             ["--check-truncation"], ""),
-            ("evolve", "damped_coherent.ini", "evolve_damped_coherent_nu_zero.csv",
-             {"nu": "0"}, [], ""),
-            ("evolve", "damped_coherent.ini", "evolve_damped_coherent_expm.csv",
-             {"method": "expm"}, [], ""),
-            ("evolve", "damped_coherent.ini", "evolve_damped_coherent_rk4.csv",
-             {"method": "rk4"}, [], ""),
-            ("evolve", "damped_mixture.ini", "evolve_mixture_certified.csv", {},
-             ["--check-truncation"], ""),
-            ("compare", "damped_coherent.ini", "compare_damped_coherent.txt", {}, [], ""),
-            ("compare", "damped_coherent.ini", "compare_damped_coherent_101.txt",
-             {"num_points": "101"}, [], ""),
-            ("evolve", "damped_coherent.ini", "evolve_damped_coherent_rk4_101.csv",
-             {"num_points": "101", "method": "rk4"}, [], ""),
-            ("steady", "damped_coherent.ini", "steady_damped_coherent.txt", {}, [], ""),
-            ("classical", "classical_damped.ini", "classical_damped.csv", {}, [], ""),
-            ("classical", "classical_damped.ini", "classical_overdamped.csv", {"gamma": "3"}, [],
-             "warning: omega=2.0 <= gamma=3.0: analytic columns unsupported (RK4 only)\n"),
-            ("classical", "classical_damped.ini", "classical_critical.csv", {"gamma": "2"}, [],
-             "warning: omega=2.0 <= gamma=2.0: analytic columns unsupported (RK4 only)\n"),
-            ("classical", "classical_damped.ini", "classical_damped_101.csv",
-             {"num_points": "101"}, [], ""),
-        ],
-    )
-    def test_stdout_equals_golden(self, tmp_path, capsys, verb, config, golden, edits, flags, err):
-        text = (ROOT / "configs" / config).read_text()
-        for key, value in edits.items():
-            text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
-        path = tmp_path / "run.ini"
-        path.write_text(text)
-        capsys.readouterr()
-        assert cli.main([verb, "--config", str(path), *flags]) == cli.EXIT_OK
-        captured = capsys.readouterr()
-        assert captured.out == (GOLDEN / golden).read_text()
-        assert captured.err == err
+def test_cli_runs_match_the_goldens_and_configs():
+    """Each golden file is one row's; each row's edits replace one config line each."""
+    goldens = sorted(run.golden for run in cli_runs.RUNS if run.golden is not None)
+    assert goldens == sorted(path.name for path in cli_runs.GOLDEN.iterdir())
+    assert len({run.name for run in cli_runs.RUNS}) == len(cli_runs.RUNS)
+    for run in cli_runs.RUNS:
+        if run.config is not None:
+            cli_runs.config_text(run.config, run.edits)  # ValueError unless one line per edit
+
+
+def test_cli_run_mismatches_name_each_departure():
+    run = next(run for run in cli_runs.RUNS if run.name == "compare")
+    out = (cli_runs.GOLDEN / run.golden).read_text().replace("max expm_vs_rk4=1.", "max expm_vs_rk4=11.")
+    assert cli_runs.mismatches(run, 2, out, "warning: x\n") == [
+        "exit 2, expected 0",
+        "stdout line 10 is 'max expm_vs_rk4=11.861609e-11 (tol 1.0e-07)\\n'; tests/golden/"
+        "compare_damped_coherent.txt has 'max expm_vs_rk4=1.861609e-11 (tol 1.0e-07)\\n'",
+        "stdout fails oracles_agree",
+        "stderr is 'warning: x\\n', expected ''",
+    ]
 
 
 class TestOneRateBound:
@@ -1170,11 +1144,8 @@ class TestOneRateBound:
     )
 
     def _run(self, tmp_path, capsys, mu, verb, edits, flags):
-        text = (ROOT / "configs" / "damped_coherent.ini").read_text()
-        for key, value in {"mu": mu, **edits}.items():
-            text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
         path = tmp_path / "run.ini"
-        path.write_text(text)
+        path.write_text(cli_runs.config_text(cli_runs.COHERENT, cli_runs.sets(mu=mu, **edits)))
         capsys.readouterr()
         code = cli.main([verb, "--config", str(path), *flags])
         return code, capsys.readouterr()
