@@ -116,7 +116,8 @@ def oracles_agree(out: str) -> bool:
 
 def steady_expm_passes(out: str) -> bool:
     """steady runs [run] method: the expm oracle passes with its own numbers."""
-    return _ends_in_pass(out) and out != (GOLDEN / "steady_damped_coherent.txt").read_text()
+    plain = (GOLDEN / "steady_damped_coherent.txt").read_text(encoding="utf-8")
+    return _ends_in_pass(out) and out != plain
 
 
 PUMP = {

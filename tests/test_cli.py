@@ -1091,7 +1091,8 @@ def test_cli_run(tmp_path, capsys, run):
 def test_cli_run_by_subprocess(tmp_path, name):
     """The runner that ``python tests/cli_runs.py`` drives, on three cheap rows."""
     run = next(run for run in cli_runs.RUNS if run.name == name)
-    env = dict(os.environ, PYTHONPATH=str(cli_runs.ROOT / "src"))
+    # The child imports the qdho that this process imported.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     args = run.argv(tmp_path / "run.ini")
     result = cli_runs.run_command([sys.executable, "-m", "qdho"], args, tmp_path, env)
     assert cli_runs.mismatches(run, *result) == []
