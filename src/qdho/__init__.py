@@ -37,7 +37,6 @@ from .fock import (
 )
 from .liouville import (
     evolve_numeric_expm_grid,
-    evolve_numeric_rk4,
     evolve_numeric_rk4_grid,
     expm,
     k_superoperators,

@@ -151,7 +151,11 @@ class _Reader:
     """configparser wrapper producing ConfigError with section/key context."""
 
     def __init__(self, path: str):
-        self.parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        # No header can spell a newline, so [DEFAULT] is an ordinary section,
+        # refused as unknown, not defaults copied into every other section.
+        self.parser = configparser.ConfigParser(
+            inline_comment_prefixes=("#", ";"), default_section="\n"
+        )
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 self.parser.read_file(fh, source=path)
@@ -248,7 +252,11 @@ def _read_grid(reader: _Reader) -> TimeGrid:
 def load_run_config(path: str) -> RunConfig:
     """Parse a quantum-run config file. See README for the grammar."""
     reader = _Reader(path)
-    rates = {key: reader.get("model", key, float, 0.0) for key in ("omega", "mu", "nu", "theta")}
+    rates = {key: reader.get("model", key, float, 0.0) for key in ("omega", "mu", "nu")}
+    # The phase of a cancels from every result; the key is checked, then dropped.
+    theta = reader.get("model", "theta", float, 0.0)
+    if not math.isfinite(theta):
+        raise ConfigError(f"[model] theta: expected a finite number, got {theta!r}")
     try:
         params = ModelParams(**rates)
     except ValueError as exc:

@@ -57,19 +57,20 @@ class TruncationConfig:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Oscillator frequency omega, loss rate mu, pump rate nu, operator phase theta.
+    """Oscillator frequency omega, loss rate mu, pump rate nu.
 
     All rates are in units of inverse time. mu = nu = 0 degenerates to purely
-    unitary rotation, which is allowed.
+    unitary rotation, which is allowed. The phase of the operator a is not a
+    parameter: it cancels from a rho a^dag and a^dag rho a, so every result
+    depends on omega, mu, nu and t alone.
     """
 
     omega: float = 0.0
     mu: float = 0.0
     nu: float = 0.0
-    theta: float = 0.0
 
     def __post_init__(self):
-        vals = (self.omega, self.mu, self.nu, self.theta)
+        vals = (self.omega, self.mu, self.nu)
         if not all(np.isfinite(v) for v in vals):
             raise ValueError(f"model parameters must be finite, got {vals}")
         if self.omega < 0 or self.mu < 0 or self.nu < 0:

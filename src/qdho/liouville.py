@@ -57,10 +57,10 @@ _EXPM_DEGREE = 15
 _EXPM_MAX_NORM = 2.0**1022
 #: RK4 stability heuristic: step * (omega + mu + nu) * dim must not exceed this.
 RK4_STABILITY_LIMIT = 0.1
-#: The one budget of an RK4 call, in steps x D^2; a call asking for more
-#: fails at once. The largest call tier-1 makes is criterion 4's 6,240
-#: steps at D_o = 52 (1.7e7); the benchmark's is 1,844 steps at D = 24
-#: (1.1e6). A call costs O(D^4 log steps), not O(D^2) per step: at D = 24
+#: The one budget of an RK4 segment, in steps x D^2; a segment asking for
+#: more fails at once. The largest segment tier-1 runs is criterion 4's
+#: 6,240 steps at D_o = 52 (1.7e7); the benchmark's is 1,844 steps at D = 24
+#: (1.1e6). A segment costs O(D^4 log steps), not O(D^2) per step: at D = 24
 #: (one BLAS thread, 2-core box) 1,844 steps take ~8 ms and the 347,222
 #: this budget admits ~11 ms. At D = 1 it admits 2e8 steps, 28 squarings.
 RK4_MAX_WORK = 200_000_000
@@ -106,7 +106,7 @@ def k_superoperators(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     """(K0, K+, K-, K3) as real dense D^2 x D^2 matrices on D = ``dim`` levels.
 
     Built from the real shift b (sqrt(1), ..., sqrt(D-1) on its
-    superdiagonal) and N = diag(0, ..., D-1): the phase theta of a cancels
+    superdiagonal) and N = diag(0, ..., D-1): the phase of a cancels
     from every K. Raises ValueError, before allocating anything, when D
     exceeds ``DENSE_MAX_DIM``.
     """
@@ -205,7 +205,14 @@ def _sector_order(dim: int) -> tuple[np.ndarray, tuple[slice, ...]]:
 
 
 def _sector_block(table, k: int) -> np.ndarray:
-    """Block k of the :func:`_literal_rhs` ``table``; row p is the entry with min(i, j) = p."""
+    """Block k of the :func:`_literal_rhs` ``table``; row p is the entry with min(i, j) = p.
+
+    The block of the truncated generator on the entries (i, j = i + k), for
+    -D < k < D: a (D - |k|)-square tridiagonal whose entry (i, j) has the
+    diagonal -i omega (i - j) - mu (i + j)/2 - nu (c_i + c_j)/2, c the
+    diagonal of the truncated a a^dag, and couples to (i+1, j+1) with
+    mu sqrt(i+1) sqrt(j+1) and to (i-1, j-1) with nu sqrt(i) sqrt(j).
+    """
     coef, lower, raise_ = table
     rows, cols = _sector_entries(len(coef), k)
     block = np.diag(coef[rows, cols])
@@ -213,19 +220,6 @@ def _sector_block(table, k: int) -> np.ndarray:
     block[p, p + 1] = lower[rows[:-1], cols[:-1]]
     block[p + 1, p] = raise_[rows[:-1], cols[:-1]]
     return block
-
-
-def liouvillian_sector(params: ModelParams, dim: int, k: int) -> np.ndarray:
-    """Block of the truncated generator on the entries (i, j = i + k).
-
-    A (D - |k|)-square tridiagonal: entry (i, j) has the diagonal
-    -i omega (i - j) - mu (i + j)/2 - nu (c_i + c_j)/2, c the diagonal of
-    the truncated a a^dag, and couples to (i+1, j+1) with
-    mu sqrt(i+1) sqrt(j+1) and to (i-1, j-1) with nu sqrt(i) sqrt(j).
-    """
-    if not -dim < k < dim:
-        raise ValueError(f"sector k = {k} lies outside -(D-1)..D-1 for D = {dim}")
-    return _sector_block(_literal_rhs(params, dim), k)
 
 
 def _upper_block_entries(dim: int) -> int:
@@ -313,7 +307,7 @@ def _literal_rhs(params: ModelParams, dim: int) -> tuple[np.ndarray, np.ndarray,
 
     Returns (coef, lower, raise_) with
     dr/dt[i, j] = coef[i, j] r[i, j] + lower[i, j] r[i+1, j+1]
-    + raise_[i-1, j-1] r[i-1, j-1]. The phase theta cancels from a r a^dag
+    + raise_[i-1, j-1] r[i-1, j-1]. The phase of a cancels from a r a^dag
     and a^dag r a, so both are weighted corner shifts:
     (a r a^dag)[i, j] = sqrt((i+1)(j+1)) r[i+1, j+1] and
     (a^dag r a)[i, j] = sqrt(i j) r[i-1, j-1]; ``lower`` and ``raise_`` are
@@ -377,12 +371,27 @@ def evolve_numeric_rk4_grid(
     *,
     tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> np.ndarray:
-    """Step rho0 along ``times`` by :func:`evolve_numeric_rk4`'s integrator.
+    """Integrate the matrix-form master equation along ``times`` with classic fixed-step RK4.
+
+    The right-hand side is -i omega [N, rho]
+    - (mu/2)(N rho + rho N - 2 a rho a^dag)
+    - (nu/2)(a a^dag rho + rho a a^dag - 2 a^dag rho a) with the truncated
+    operators (see :func:`_literal_rhs`), making it independent of both the
+    closed form and the Liouvillian construction. It keeps k = j - i, so
+    each diagonal k of rho evolves under its own tridiagonal block A_k, and
+    n RK4 steps of size h are the n-th power of the block's one-step
+    matrix, raised in O(log n) products (see :func:`_increment_power`) for
+    k >= 0 and conjugated for -k.
 
     :func:`qdho.fock.check_evolution_args` checks rho0, the rates and the
     whole grid once. Each segment from the time before (0 at first) takes
-    twice ``stability_steps`` of its length, for accuracy headroom; one of
-    zero or negative length repeats the state before it. A NaN raises.
+    twice ``stability_steps`` of its length, which meets the stability
+    bound h (omega + mu + nu) D <= 0.1 with headroom for accuracy; one of
+    zero or negative length repeats the state before it. The powers of the
+    last segment are kept, so a segment of the same length to the bit as
+    the one before raises none. A NaN raises ValueError, and so does a
+    segment whose steps x D^2 pass ``RK4_MAX_WORK``, before its powers are
+    raised.
     """
     times = np.asarray(times, dtype=float)
     rho0 = check_evolution_args(rho0, params, times, tolerances)
@@ -399,47 +408,12 @@ def evolve_numeric_rk4_grid(
     return states
 
 
-def evolve_numeric_rk4(
-    rho0: np.ndarray,
-    params: ModelParams,
-    t: float,
-    steps: int,
-    *,
-    tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
-) -> np.ndarray:
-    """Integrate the matrix-form master equation with classic fixed-step RK4.
-
-    The right-hand side is -i omega [N, rho]
-    - (mu/2)(N rho + rho N - 2 a rho a^dag)
-    - (nu/2)(a a^dag rho + rho a a^dag - 2 a^dag rho a) with the truncated
-    operators (see :func:`_literal_rhs`), making it independent of both the
-    closed form and the Liouvillian construction. It keeps k = j - i, so
-    each diagonal k of rho evolves under its own tridiagonal block A_k, and
-    ``steps`` RK4 steps of size h = t / steps are the ``steps``-th power of
-    the block's one-step matrix, raised in O(log steps) products (see
-    :func:`_increment_power`) for k >= 0 and conjugated for -k. The powers
-    of the last (params, D, t, steps) are kept, so a grid segment of the
-    same length to the bit as the one before raises none. ``steps`` must
-    satisfy the stability bound step * (omega + mu + nu) * D <= 0.1 and,
-    times D^2, stay within ``RK4_MAX_WORK``.
-    """
-    rho0 = check_evolution_args(rho0, params, t, tolerances)
-    if steps < 1:
-        raise ValueError(f"steps must be a positive integer, got {steps}")
-    needed = stability_steps(params, len(rho0), t)
-    if steps < needed:
-        raise ValueError(
-            f"{steps} steps violate the stability bound "
-            f"h*(omega+mu+nu)*D <= {RK4_STABILITY_LIMIT} (need >= {needed})"
-        )
-    return _rk4_segment(rho0, params, t, steps)
-
-
 def _rk4_segment(rho0: np.ndarray, params: ModelParams, t: float, steps: int) -> np.ndarray:
     """``steps`` RK4 steps of the D x D rho0 over [0, t], refused only past ``RK4_MAX_WORK``.
 
     The caller has checked the arguments, ``steps >= 1`` and the stability
-    bound; the grid's twice ``stability_steps`` meets both.
+    bound; :func:`evolve_numeric_rk4_grid`'s twice ``stability_steps``
+    meets both.
     """
     dim = len(rho0)
     if steps * dim**2 > RK4_MAX_WORK:

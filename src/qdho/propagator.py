@@ -15,7 +15,7 @@ is the truncation itself.
 No operator matrix is built. Every factor keeps the off-diagonal index
 k = j - i of an entry rho[i, j]: (a X a^dag)[i, j] = sqrt((i+1)(j+1))
 X[i+1, j+1], (a^dag X a)[i, j] = sqrt(i j) X[i-1, j-1], and the number
-exponentials scale entry (i, j) by e^{l i + r j}. The phase theta of a
+exponentials scale entry (i, j) by e^{l i + r j}. The phase of a
 cancels from both sandwiches. So each series term is the previous one
 moved one level along the main diagonal (down for lowering, up for
 raising) and scaled entrywise. The series runs on one of two layouts

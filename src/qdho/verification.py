@@ -57,27 +57,23 @@ def parameter_grid(count: int, seed: int = 421) -> list[tuple[float, float, floa
 def disentangled_product_2x2(coeffs, generators=None) -> np.ndarray:
     """exp(G k+) exp(-2 ln F k3) exp(E k-) via honest matrix exponentials.
 
-    ``coeffs`` is one :class:`su11.DisentanglingCoefficients` (one product)
-    or a sequence of them (a stack of products, one stacked exponential per
-    factor). ``generators`` is (k+, k-, k3) in any representation, each one
-    matrix or a stack of them; the default is the defining 2x2 one of
-    :func:`su11.k_generators`. The product has shape
-    (len(coeffs),) + generator shape, without the first axis for one
-    :class:`su11.DisentanglingCoefficients`.
+    ``coeffs`` is a sequence of :class:`su11.DisentanglingCoefficients`,
+    one product each, with one stacked exponential per factor.
+    ``generators`` is (k+, k-, k3) in any representation, each one matrix
+    or a stack of them; the default is the defining 2x2 one of
+    :func:`su11.k_generators`. The products have shape
+    (len(coeffs),) + generator shape.
     """
-    single = isinstance(coeffs, su11.DisentanglingCoefficients)
-    batch = [coeffs] if single else coeffs
     k_plus, k_minus, k3 = su11.k_generators() if generators is None else generators
 
     def factor(values, generator):
         return liouville.expm(np.array(values).reshape((-1,) + (1,) * generator.ndim) * generator)
 
-    product = (
-        factor([c.g_coef for c in batch], k_plus)
-        @ factor([-2.0 * c.log_f for c in batch], k3)
-        @ factor([c.e_coef for c in batch], k_minus)
+    return (
+        factor([c.g_coef for c in coeffs], k_plus)
+        @ factor([-2.0 * c.log_f for c in coeffs], k3)
+        @ factor([c.e_coef for c in coeffs], k_minus)
     )
-    return product[0] if single else product
 
 
 def suite_sandwich_identity(seed: int = 7) -> SuiteResult:

@@ -196,6 +196,19 @@ RUNS = [
     Run("unknown section", "compare", COHERENT,
         {"photon_levels": "photon_levels = 4\n\n[tolerance]\noracle_tol = 1e-30"}, code=1,
         err="error: [tolerance]: unknown section\n"),
+    # [DEFAULT] is a section like any other, not defaults for the rest.
+    Run("default section", "evolve", COHERENT,
+        {"photon_levels": "photon_levels = 4\n\n[DEFAULT]\nmu = 0.5"}, code=1,
+        err="error: [DEFAULT]: unknown section\n"),
+    Run("classical default section", "classical", CLASSICAL,
+        {"num_points": "num_points = 11\n\n[DEFAULT]\nx0 = 0.5"}, code=1,
+        err="error: [DEFAULT]: unknown section\n"),
+    # theta, the phase of a, cancels from every result: it is read, must be
+    # finite, and is then dropped.
+    Run("theta nan", "evolve", COHERENT, sets(theta="nan"), code=1,
+        err="error: [model] theta: expected a finite number, got nan\n"),
+    Run("non-finite mu", "evolve", COHERENT, sets(mu="nan"), code=1,
+        err="error: [model]: model parameters must be finite, got (6.283185307179586, nan, 0.4)\n"),
     # A gain run warns in one line, then fails on its underflowed prefactor.
     Run("gain underflow", "evolve", COHERENT, sets(mu="0.2", nu="1.5", t_end="1e3"), code=1,
         err="warning: pump nu=1.5 exceeds loss mu=0.2: no steady state exists and truncation "

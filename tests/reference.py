@@ -52,17 +52,20 @@ def dense_series(x, lower_weight, left_exp, right_exp, raise_weight, scale, thet
     return scale * series(core, raise_weight, a_dagger, a)
 
 
-def dense_pure_loss(rho0: np.ndarray, params: fock.ModelParams, t: float) -> np.ndarray:
+def dense_pure_loss(
+    rho0: np.ndarray, params: fock.ModelParams, t: float, theta: float = 0.0
+) -> np.ndarray:
     """The pure-loss (nu = 0) evolution of rho0 to t by :func:`dense_series`.
 
     rho(t) = e^{-(mu/2 + i omega) t N} {sum_m (1 - e^{-mu t})^m/m! a^m rho0 (a^dag)^m}
     e^{-(mu/2 - i omega) t N} (Breuer and Petruccione, *The Theory of Open
-    Quantum Systems*, ch. 3). Its weight comes from expm1 directly: no
-    disentangling coefficient enters, and ``params.nu`` is not read.
+    Quantum Systems*, ch. 3), on the ladder of phase ``theta``. Its weight
+    comes from expm1 directly: no disentangling coefficient enters, and
+    ``params.nu`` is not read.
     """
     exponent = -(0.5 * params.mu + 1j * params.omega) * t
     weight = -math.expm1(-params.mu * t)
-    return dense_series(rho0, weight, exponent, exponent.conjugate(), 0.0, 1.0, params.theta)
+    return dense_series(rho0, weight, exponent, exponent.conjugate(), 0.0, 1.0, theta)
 
 
 def devectorize(v: np.ndarray, dim: int) -> np.ndarray:
@@ -95,13 +98,14 @@ def build_liouvillian(params: fock.ModelParams, dim: int) -> np.ndarray:
     )
 
 
-def literal_rhs(params: fock.ModelParams, dim: int):
+def literal_rhs(params: fock.ModelParams, dim: int, theta: float = 0.0):
     """The master equation's right-hand side with the literal truncated operators.
 
     -i w [N,r] - mu/2 (Nr+rN-2 a r a+) - nu/2 (aa+ r + r aa+ - 2 a+ r a),
-    from dense products of the phased, truncated operators.
+    from dense products of the truncated operators of :func:`ladder` with
+    phase ``theta``.
     """
-    a, ad, n = ladder(dim, params.theta)
+    a, ad, n = ladder(dim, theta)
     aad = a @ ad
 
     def rhs(r):
@@ -114,13 +118,14 @@ def literal_rhs(params: fock.ModelParams, dim: int):
     return rhs
 
 
-def literal_liouvillian(params: fock.ModelParams, dim: int) -> np.ndarray:
+def literal_liouvillian(params: fock.ModelParams, dim: int, theta: float = 0.0) -> np.ndarray:
     """Generator of the literal truncated equation, a dense D^2 x D^2 matrix.
 
-    Column m is the vectorized :func:`literal_rhs` of the m-th basis matrix
-    of the row-major flattening. It is the generator both oracles integrate.
+    Column m is the vectorized :func:`literal_rhs` (phase ``theta``) of the
+    m-th basis matrix of the row-major flattening. It is the generator both
+    oracles integrate.
     """
-    rhs = literal_rhs(params, dim)
+    rhs = literal_rhs(params, dim, theta)
     return np.stack(
         [liouville.vectorize(rhs(basis.reshape(dim, dim))) for basis in np.eye(dim * dim)], axis=1
     )

@@ -75,7 +75,7 @@ def test_criterion_01_disentangling_2x2():
     points = parameter_grid(200, seed=20240811)
     for mu, nu, t in points:
         lhs = su11.flow(mu, nu, t)
-        rhs = disentangled_product_2x2(su11.disentangling_coefficients(mu, nu, t))
+        rhs = disentangled_product_2x2([su11.disentangling_coefficients(mu, nu, t)])[0]
         worst = max(worst, scaled_max_residual(lhs, rhs))
     elapsed = time.time() - start
     text = _line("01 2x2-disentangling", worst, 1e-12, elapsed, worst <= 1e-12)
@@ -201,12 +201,11 @@ def test_criterion_04_main_theorem_three_way(dim24):
             states = [_grid_state(kind, dim24) for kind in GRID_STATES]
             d_o, certs = _oracle_dim(states, params, t)
             oracle_dims.append(d_o)
-            steps = 2 * liouville.stability_steps(params, d_o, t)
             for kind, rho0, cert in zip(GRID_STATES, states, certs):
                 big0 = _zero_padded(rho0, d_o)
                 ana = propagator.evolve_analytic_grid(big0, params, [t])[0][0]
                 via_expm = liouville.evolve_numeric_expm_grid(big0, params, [t])[0]
-                via_rk4 = liouville.evolve_numeric_rk4(big0, params, t, steps)
+                via_rk4 = liouville.evolve_numeric_rk4_grid(big0, params, [t])[0]
                 ana24 = propagator.evolve_analytic_grid(rho0, params, [t])[0][0]
                 d = len(rho0)
                 cell_worst = max(
@@ -312,8 +311,7 @@ def test_three_way_agreement_property(omega, mu, nu, t, dim, kind, seed):
         ana = propagator.evolve_analytic_grid(big0, params, [t])[0][0]
         ana_d = propagator.evolve_analytic_grid(rho0, params, [t])[0][0]
     via_expm = liouville.evolve_numeric_expm_grid(big0, params, [t])[0]
-    steps = 2 * liouville.stability_steps(params, d_o, t)
-    via_rk4 = liouville.evolve_numeric_rk4(big0, params, t, steps)
+    via_rk4 = liouville.evolve_numeric_rk4_grid(big0, params, [t])[0]
     distances = {
         "analytic_vs_expm": observables.frobenius_distance(ana, via_expm),
         "analytic_vs_rk4": observables.frobenius_distance(ana, via_rk4),

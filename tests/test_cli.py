@@ -764,6 +764,17 @@ class TestMainEntry:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("verb", ["evolve", "compare", "steady"])
+    def test_theta_changes_no_output(self, tmp_path, capsys, verb):
+        # The phase of a cancels from a rho a^dag and a^dag rho a, so the
+        # coherent run, off-diagonal entries and all, prints the same bytes.
+        outs = []
+        for theta in ("0.0", "0.7", repr(math.pi)):
+            text = cli_runs.config_text(cli_runs.COHERENT, cli_runs.sets(theta=theta))
+            assert cli.main([verb, "--config", write(tmp_path, text)]) == cli.EXIT_OK
+            outs.append(capsys.readouterr().out)
+        assert outs[0] and outs[1] == outs[0] and outs[2] == outs[0]
+
     @pytest.mark.parametrize("n_bar", ["inf", "nan"])
     def test_non_finite_n_bar_exits_1_by_name(self, tmp_path, capsys, n_bar):
         # Both once reached the state check as a matrix of NaNs.
@@ -977,7 +988,7 @@ class TestMainEntry:
         def no_blocks(*args, **kwargs):
             raise AssertionError("the expm oracle built its blocks despite the budget")
 
-        for name in ("liouvillian_sector", "expm"):
+        for name in ("_sector_block", "expm"):
             monkeypatch.setattr(cli.liouville, name, no_blocks)
         assert cli.main(["evolve", "--config", cfg_path]) == cli.EXIT_VALIDATION
         assert f"budget is D <= {cli.liouville.ORACLE_MAX_DIM}" in capsys.readouterr().err

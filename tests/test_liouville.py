@@ -150,7 +150,7 @@ class TestKSuperoperators:
         def no_operators(*args, **kwargs):
             raise AssertionError("an oracle built its operators despite the budget")
 
-        for name in ("liouvillian_sector", "expm"):
+        for name in ("_sector_block", "expm"):
             monkeypatch.setattr(liouville, name, no_operators)
         oracle_dim = liouville.ORACLE_MAX_DIM + 1
         rho_sector = fock.fock_state(0, trunc_of(oracle_dim, support=1))
@@ -228,12 +228,13 @@ class TestLiouvillianSectors:
         # truncated generator entry by entry, zeros between sectors included.
         # It differs from the K form only on the diagonal: by nu D / 2 for
         # each of i and j at the top level D - 1.
-        params = fock.ModelParams(omega=omega, mu=mu, nu=nu, theta=0.4)
-        dense = literal_liouvillian(params, dim)
+        params = fock.ModelParams(omega=omega, mu=mu, nu=nu)
+        dense = literal_liouvillian(params, dim, theta=0.4)
         assembled = np.zeros_like(dense)
+        table = liouville._literal_rhs(params, dim)
         for k in range(1 - dim, dim):
             idx = [i * dim + i + k for i in range(dim) if 0 <= i + k < dim]
-            assembled[np.ix_(idx, idx)] = liouville.liouvillian_sector(params, dim, k)
+            assembled[np.ix_(idx, idx)] = liouville._sector_block(table, k)
         scale = max(1.0, float(np.abs(dense).max()))
         assert np.abs(assembled - dense).max() <= 1e-15 * scale
         top = np.arange(dim) == dim - 1
@@ -244,16 +245,11 @@ class TestLiouvillianSectors:
     @pytest.mark.parametrize("dim", [1, 5, 16])
     def test_negative_sector_is_conjugate_of_positive(self, dim):
         # Both oracles exponentiate or power only k >= 0 and conjugate for -k.
-        params = fock.ModelParams(omega=1.7, mu=0.8, nu=0.3, theta=0.4)
+        table = liouville._literal_rhs(fock.ModelParams(omega=1.7, mu=0.8, nu=0.3), dim)
         for k in range(dim):
             np.testing.assert_array_equal(
-                liouville.liouvillian_sector(params, dim, -k),
-                np.conj(liouville.liouvillian_sector(params, dim, k)),
+                liouville._sector_block(table, -k), np.conj(liouville._sector_block(table, k))
             )
-
-    def test_rejects_sector_outside_space(self):
-        with pytest.raises(ValueError):
-            liouville.liouvillian_sector(fock.ModelParams(mu=1.0), 4, 4)
 
     @pytest.mark.parametrize("dim", range(1, 10))
     def test_sector_order_lists_each_sector_in_turn(self, dim):
@@ -401,7 +397,8 @@ _SECTOR_RATES = [(2.0 * math.pi, 1.0, 0.4), (0.0, 1.0, 0.0), (1.7, 0.8, 0.8), (3
 def test_expm_of_sector_block_against_scipy(omega, mu, nu, dim, k, t):
     # The blocks the expm oracle exponentiates: loss, balanced rates and
     # gain, up to ORACLE_MAX_DIM. Worst seen: 8.1e-14 (D = 128, k = 0).
-    block = t * liouville.liouvillian_sector(fock.ModelParams(omega=omega, mu=mu, nu=nu), dim, k)
+    params = fock.ModelParams(omega=omega, mu=mu, nu=nu)
+    block = t * liouville._sector_block(liouville._literal_rhs(params, dim), k)
     reference = scipy.linalg.expm(block)
     scale = max(1.0, float(np.abs(reference).max()))
     assert np.abs(liouville.expm(block) - reference).max() / scale <= 5e-13
@@ -415,7 +412,8 @@ def test_expm_of_sector_block_against_scipy(omega, mu, nu, dim, k, t):
 def test_rotation_factors_out_of_sector_exponential(omega, mu, nu, dim, k, t):
     # The expm oracle's factorization: on sector k the rotation is the scalar
     # i omega k, so exp(t L_k) = e^{i omega k t} exp(t R_k) with R_k real.
-    block = liouville.liouvillian_sector(fock.ModelParams(omega=omega, mu=mu, nu=nu), dim, k)
+    params = fock.ModelParams(omega=omega, mu=mu, nu=nu)
+    block = liouville._sector_block(liouville._literal_rhs(params, dim), k)
     real_part = liouville.expm(t * block.real)
     assert real_part.dtype == np.float64
     reference = scipy.linalg.expm(t * block)
@@ -481,9 +479,8 @@ class TestEvolveNumericExpm:
         params = fock.ModelParams(mu=0.2, nu=1.5)
         with pytest.warns(fock.GainWarning, match="pump nu=1.5 exceeds loss mu=0.2"):
             liouville.evolve_numeric_expm_grid(rho0, params, [0.1])
-        steps = liouville.stability_steps(params, 8, 0.1)
         with pytest.warns(fock.GainWarning, match="pump nu=1.5 exceeds loss mu=0.2"):
-            liouville.evolve_numeric_rk4(rho0, params, 0.1, steps)
+            liouville.evolve_numeric_rk4_grid(rho0, params, [0.1])
 
     def test_states_at_one_point_share_block_exponentials(self):
         # Criterion 4 evolves three states at each (params, D, t): the blocks
@@ -514,7 +511,8 @@ def sector_reference(rho0, params, t):
     out = np.empty_like(rho0)
     for k in range(1 - dim, dim):
         rows, cols = liouville._sector_entries(dim, k)
-        block_exp = liouville.expm(t * liouville.liouvillian_sector(params, dim, k).real)
+        block = liouville._sector_block(liouville._literal_rhs(params, dim), k)
+        block_exp = liouville.expm(t * block.real)
         parts = block_exp @ np.stack([rho0[rows, cols].real, rho0[rows, cols].imag], axis=1)
         phase = np.exp(1j * (params.omega * k * np.array([t])))
         out[rows, cols] = phase * (parts[:, 0] + 1j * parts[:, 1])
@@ -544,7 +542,7 @@ class TestEvolveNumericExpmGrid:
         # has the bits of a one-time call and of the per-sector reference.
         dim = 7
         monkeypatch.setattr(liouville, "ORACLE_MAX_DIM", 10)
-        params = fock.ModelParams(omega=2.0, mu=1.0, nu=0.4, theta=0.3)
+        params = fock.ModelParams(omega=2.0, mu=1.0, nu=0.4)
         rho0 = random_interior_density(dim, dim - 1, np.random.default_rng(3))
         times = [0.0, 0.35, 0.35, 1.2, 3.0, 0.05, 2.5]
         liouville._cached_propagator.cache_clear()
@@ -575,9 +573,9 @@ class TestEvolveNumericExpmGrid:
         # evolved +k diagonal: a state that is Hermitian only to a tolerance
         # must still follow exp(t L) of the literal generator on every entry.
         dim = 7
-        params = fock.ModelParams(omega=1.3, mu=0.7, nu=0.4, theta=0.9)
+        params = fock.ModelParams(omega=1.3, mu=0.7, nu=0.4)
         rho0 = skewed_state(dim, 11)
-        lv = literal_liouvillian(params, dim)
+        lv = literal_liouvillian(params, dim, theta=0.9)
         for t, state in zip(
             (0.4, 1.5),
             liouville.evolve_numeric_expm_grid(rho0, params, [0.4, 1.5], tolerances=SKEW_TOLERANCES),
@@ -655,7 +653,7 @@ class TestEvolveNumericRk4:
         trunc = trunc_of(6)
         rho0 = fock.fock_state(0, trunc)
         params = fock.ModelParams(omega=1.0, mu=1.0, nu=0.0)
-        out = liouville.evolve_numeric_rk4(rho0, params, 1.0, 200)
+        out = liouville._rk4_segment(rho0, params, 1.0, 200)
         np.testing.assert_allclose(out, rho0, atol=1e-12)
 
     def test_fourth_order_convergence(self):
@@ -669,7 +667,7 @@ class TestEvolveNumericRk4:
         reference = liouville.evolve_numeric_expm_grid(rho0, params, [1.0])[0]
         errors = []
         for steps in (160, 320, 640):
-            approx = liouville.evolve_numeric_rk4(rho0, params, 1.0, steps)
+            approx = liouville._rk4_segment(rho0, params, 1.0, steps)
             errors.append(np.abs(approx - reference).max())
         assert 12.0 <= errors[0] / errors[1] <= 20.0
         assert 12.0 <= errors[1] / errors[2] <= 20.0
@@ -681,7 +679,7 @@ class TestEvolveNumericRk4:
         rng = np.random.default_rng(42)
         rho0 = random_interior_density(12, 8, rng)
         params = fock.ModelParams(omega=0.4, mu=0.3, nu=0.001)
-        via_rk4 = liouville.evolve_numeric_rk4(rho0, params, 1.0, 1000)
+        via_rk4 = liouville._rk4_segment(rho0, params, 1.0, 1000)
         via_expm = liouville.evolve_numeric_expm_grid(rho0, params, [1.0])[0]
         assert np.linalg.norm(via_rk4 - via_expm) <= 1e-8
 
@@ -690,13 +688,13 @@ class TestEvolveNumericRk4:
         # The same classic RK4 with the right-hand side written as dense
         # products of the phased operators; every level is populated, so the
         # top-level corner of the truncated a a^dag is exercised.
-        params = fock.ModelParams(omega=1.3, mu=0.7, nu=0.4, theta=0.9)
-        rhs = literal_rhs(params, dim)
+        params = fock.ModelParams(omega=1.3, mu=0.7, nu=0.4)
+        rhs = literal_rhs(params, dim, theta=0.9)
         t = 0.6
         steps = liouville.stability_steps(params, dim, t)
         rho0 = random_interior_density(dim, dim - 1, np.random.default_rng(dim))
         r = rk4_step_loop(rhs, rho0.copy(), t / steps, steps)
-        got = liouville.evolve_numeric_rk4(rho0, params, t, steps)
+        got = liouville._rk4_segment(rho0, params, t, steps)
         assert np.abs(got - r).max() <= 1e-14 * np.abs(r).max()
 
     @pytest.mark.parametrize("dim", [2, 7, 24])
@@ -707,7 +705,7 @@ class TestEvolveNumericRk4:
         # equal the literal step loop to rounding for any step count,
         # including the odd ones binary powering splits unevenly, with
         # gain (nu > mu), damping only (nu = 0) and pumping only (mu = 0).
-        params = fock.ModelParams(omega=1.3, mu=mu, nu=nu, theta=0.9)
+        params = fock.ModelParams(omega=1.3, mu=mu, nu=nu)
         rate = (params.omega + mu + nu) * dim
         if steps == "stability":
             t = 0.6
@@ -716,8 +714,8 @@ class TestEvolveNumericRk4:
             t = 0.99 * steps * liouville.RK4_STABILITY_LIMIT / rate
         assert liouville.stability_steps(params, dim, t) == steps
         rho0 = random_interior_density(dim, dim - 1, np.random.default_rng(dim))
-        r = rk4_step_loop(literal_rhs(params, dim), rho0.copy(), t / steps, steps)
-        got = liouville.evolve_numeric_rk4(rho0, params, t, steps)
+        r = rk4_step_loop(literal_rhs(params, dim, theta=0.9), rho0.copy(), t / steps, steps)
+        got = liouville._rk4_segment(rho0, params, t, steps)
         assert np.abs(got - r).max() <= 1e-14 * np.abs(r).max()
 
     def test_call_at_work_budget_finishes_at_once(self):
@@ -732,7 +730,7 @@ class TestEvolveNumericRk4:
         assert liouville.stability_steps(params, dim, 3.0) <= steps
         rho0 = fock.coherent_state(1.5, trunc_of(dim, support=dim - 1))
         start = time.perf_counter()
-        got = liouville.evolve_numeric_rk4(rho0, params, 3.0, steps)
+        got = liouville._rk4_segment(rho0, params, 3.0, steps)
         elapsed = time.perf_counter() - start
         reference = liouville.evolve_numeric_expm_grid(rho0, params, [3.0])[0]
         assert np.abs(got - reference).max() <= 1e-12
@@ -743,13 +741,10 @@ class TestEvolveNumericRk4:
         # the per-sector powers are raised once and read five more times.
         dim = 16
         params = fock.ModelParams(omega=2.0, mu=1.0, nu=0.4)
-        current = fock.coherent_state(1.0, trunc_of(dim, support=9))
-        times = np.linspace(0.0, 3.0, 7)
+        rho0 = fock.coherent_state(1.0, trunc_of(dim, support=9))
         liouville._rk4_powers.cache_clear()
         try:
-            for seg in np.diff(times):
-                steps = 2 * liouville.stability_steps(params, dim, float(seg))
-                current = liouville.evolve_numeric_rk4(current, params, float(seg), steps)
+            liouville.evolve_numeric_rk4_grid(rho0, params, np.linspace(0.0, 3.0, 7))
             info = liouville._rk4_powers.cache_info()
         finally:
             liouville._rk4_powers.cache_clear()
@@ -760,8 +755,8 @@ class TestEvolveNumericRk4:
         params = fock.ModelParams(omega=1.0, mu=0.5, nu=0.2)
         rho0 = fock.coherent_state(0.8, trunc_of(dim, support=7))
         steps = liouville.stability_steps(params, dim, 1.0)
-        coarse = liouville.evolve_numeric_rk4(rho0, params, 1.0, steps)
-        fine = liouville.evolve_numeric_rk4(rho0, params, 1.0, 2 * steps)
+        coarse = liouville._rk4_segment(rho0, params, 1.0, steps)
+        fine = liouville._rk4_segment(rho0, params, 1.0, 2 * steps)
         assert not np.array_equal(coarse, fine)
         np.testing.assert_allclose(coarse, fine, atol=1e-6)
 
@@ -771,24 +766,16 @@ class TestEvolveNumericRk4:
         # build_liouvillian act alike, so classic RK4 on the dense generator
         # is the reference.
         dim = 7
-        params = fock.ModelParams(omega=1.3, mu=0.7, nu=0.0, theta=0.9)
+        params = fock.ModelParams(omega=1.3, mu=0.7, nu=0.0)
         rho0 = skewed_state(dim, 12)
         lv = build_liouvillian(params, dim)
         t = 0.6
-        steps = liouville.stability_steps(params, dim, t)
+        steps = 2 * liouville.stability_steps(params, dim, t)
         expected = devectorize(
             rk4_step_loop(lambda v: lv @ v, liouville.vectorize(rho0), t / steps, steps), dim
         )
-        got = liouville.evolve_numeric_rk4(rho0, params, t, steps, tolerances=SKEW_TOLERANCES)
+        got = liouville.evolve_numeric_rk4_grid(rho0, params, [t], tolerances=SKEW_TOLERANCES)[0]
         assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
-
-    def test_rejects_unstable_step(self):
-        trunc = trunc_of(10)
-        rho0 = fock.fock_state(0, trunc)
-        params = fock.ModelParams(omega=5.0, mu=1.0, nu=0.0)
-        needed = liouville.stability_steps(params, 10, 2.0)
-        with pytest.raises(ValueError):
-            liouville.evolve_numeric_rk4(rho0, params, 2.0, needed - 1)
 
     def test_rejects_step_count_over_budget(self, monkeypatch):
         # omega = 1e8 at D = 24, t = 3 would need 7.2e10 steps. The call must
@@ -805,14 +792,14 @@ class TestEvolveNumericRk4:
         monkeypatch.setattr(liouville, "_literal_rhs", no_stepping)
         rho0 = fock.fock_state(0, trunc_of(24))
         with pytest.raises(ValueError, match=r"^7\.200e\+10 RK4 steps at D = 24 exceed the work"):
-            liouville.evolve_numeric_rk4(rho0, params, 3.0, needed)
+            liouville._rk4_segment(rho0, params, 3.0, needed)
 
     def test_count_past_the_double_range_prints_compactly(self, monkeypatch):
         # A step count need not fit a float; the message rounds it exactly.
         monkeypatch.setattr(liouville, "_literal_rhs", None)  # set-up would fail
         rho0 = fock.fock_state(0, trunc_of(2))
         with pytest.raises(ValueError, match=r"^1\.235e\+400 RK4 steps at D = 2 exceed"):
-            liouville.evolve_numeric_rk4(rho0, fock.ModelParams(mu=1.0), 1.0, 12346 * 10**396)
+            liouville._rk4_segment(rho0, fock.ModelParams(mu=1.0), 1.0, 12346 * 10**396)
 
     def test_rejects_work_over_budget(self, monkeypatch):
         # omega = 1e4 at D = 24, t = 1: 2.4e6 steps, but steps x D^2 = 1.4e9
@@ -827,7 +814,7 @@ class TestEvolveNumericRk4:
         monkeypatch.setattr(liouville, "_literal_rhs", no_stepping)
         rho0 = fock.fock_state(0, trunc_of(24))
         with pytest.raises(ValueError, match="work budget"):
-            liouville.evolve_numeric_rk4(rho0, params, 1.0, steps)
+            liouville._rk4_segment(rho0, params, 1.0, steps)
 
     def test_stability_steps_edge_cases(self):
         assert liouville.stability_steps(fock.ModelParams(), 10, 5.0) == 1
@@ -835,14 +822,14 @@ class TestEvolveNumericRk4:
 
 
 def rk4_segment_loop(rho0, params, times):
-    # The grid walk the command line once ran itself: one fully checked
-    # call per positive segment, at twice the stability step count.
+    # The grid walk the command line once ran itself: one call per
+    # positive segment, at twice the stability step count.
     out, current, prev_t = [], rho0, 0.0
     for t in times:
         seg = float(t) - prev_t
         if seg > 0:
             steps = 2 * liouville.stability_steps(params, len(rho0), seg)
-            current = liouville.evolve_numeric_rk4(current, params, seg, steps)
+            current = liouville._rk4_segment(current, params, seg, steps)
         out.append(current)
         prev_t = float(t)
     return out

@@ -126,17 +126,6 @@ class TestEvolveAnalytic:
         direct = propagator.evolve_analytic_grid(rho0, params, [1.5])[0][0]
         assert observables.frobenius_distance(stepped, direct) <= 1e-8
 
-    def test_theta_invariance(self):
-        rho0 = interior_state(14, 8, seed=3)
-        outs = [
-            propagator.evolve_analytic_grid(
-                rho0, fock.ModelParams(omega=1.5, mu=1.0, nu=0.4, theta=theta), [0.8]
-            )[0][0]
-            for theta in (0.0, np.pi / 3, np.pi)
-        ]
-        np.testing.assert_allclose(outs[0], outs[1], atol=1e-12)
-        np.testing.assert_allclose(outs[0], outs[2], atol=1e-12)
-
     def test_degenerate_rates_run_through_limit_branch(self):
         rho0 = fock.fock_state(2, trunc_of(20))
         params = fock.ModelParams(omega=1.0, mu=0.5, nu=0.5)
@@ -277,8 +266,8 @@ class TestPureLoss:
         target = np.exp(-mu * t) * n0
         via_expm = liouville.evolve_numeric_expm_grid(rho0, params, [t])[0]
         assert abs(observables.expect_n(via_expm) - target) <= 1e-8
-        steps = 2 * liouville.stability_steps(params, len(rho0), t)
-        assert abs(observables.expect_n(liouville.evolve_numeric_rk4(rho0, params, t, steps)) - target) <= 1e-8
+        via_rk4 = liouville.evolve_numeric_rk4_grid(rho0, params, [t])[0]
+        assert abs(observables.expect_n(via_rk4) - target) <= 1e-8
 
 
 def _on_matrix(layout, evolved):
@@ -339,7 +328,7 @@ _EQUIVALENCE_CASES = [
 class TestBandSeriesEquivalence:
     """The band routine against dense a^m X a^dag^m products with theta != 0."""
 
-    PARAMS = fock.ModelParams(omega=2.3, mu=1.0, nu=0.4, theta=0.9)
+    PARAMS = fock.ModelParams(omega=2.3, mu=1.0, nu=0.4)
     T = 0.8
 
     def assert_close(self, got, want, x):
@@ -353,7 +342,7 @@ class TestBandSeriesEquivalence:
         prefactor = coeffs.prefactor
         log_f, phase = coeffs.log_f, params.omega * t
         left, right = complex(-log_f, -phase), complex(-log_f, phase)
-        want = dense_series(mat, coeffs.e_coef, left, right, coeffs.g_coef, prefactor, params.theta)
+        want = dense_series(mat, coeffs.e_coef, left, right, coeffs.g_coef, prefactor, 0.9)
         got = _series_on_matrix(mat, coeffs.e_coef, left, coeffs.g_coef, prefactor)
         self.assert_close(got, want, mat)
         if is_state:
@@ -366,7 +355,7 @@ class TestBandSeriesEquivalence:
         mu, omega, t = params.mu, params.omega, self.T
         weight = -np.expm1(-mu * t)
         exponent = -(0.5 * mu + 1j * omega) * t
-        want = dense_pure_loss(mat, params, t)
+        want = dense_pure_loss(mat, params, t, theta=0.9)
         self.assert_close(_series_on_matrix(mat, weight, exponent), want, mat)
         if is_state:
             self.assert_close(propagator.evolve_analytic_grid(mat, params, [t])[0][0], want, mat)
@@ -613,7 +602,7 @@ class TestAnalyticGrid:
         # default budget. The escape distance is checked against its
         # definition, a dim-2D run minus the zero-padded dim-D run.
         rho0 = fock.coherent_state(1.0 + 0.5j, trunc_of(24, support=9))
-        params = fock.ModelParams(omega=2 * np.pi, mu=1.0, nu=0.4, theta=0.3)
+        params = fock.ModelParams(omega=2 * np.pi, mu=1.0, nu=0.4)
         times = np.linspace(0.0, 3.0, 101)
         band_bytes = propagator._layout(rho0).values.nbytes
         assert 1 < times.size * band_bytes / propagator.BAND_CHUNK_BYTES < times.size

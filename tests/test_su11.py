@@ -158,7 +158,7 @@ class TestDisentanglingCoefficients:
     def test_disentangling_identity_on_grid(self):
         for mu, nu, t in parameter_grid(100, seed=23):
             lhs = su11.flow(mu, nu, t)
-            rhs = disentangled_product_2x2(su11.disentangling_coefficients(mu, nu, t))
+            rhs = disentangled_product_2x2([su11.disentangling_coefficients(mu, nu, t)])[0]
             assert scaled_max_residual(lhs, rhs) <= 1e-12
 
     def test_stacked_products_equal_single_ones(self):
@@ -168,7 +168,7 @@ class TestDisentanglingCoefficients:
         stacked = disentangled_product_2x2(coeffs)
         assert stacked.shape == (len(coeffs), 2, 2)
         for c, product in zip(coeffs, stacked):
-            np.testing.assert_array_equal(product, disentangled_product_2x2(c))
+            np.testing.assert_array_equal(product, disentangled_product_2x2([c])[0])
 
     def test_scaling_positive_everywhere(self):
         for mu, nu, t in parameter_grid(200, seed=3):
