@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -79,7 +79,11 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Measured deviations of a candidate density matrix, with pass flags."""
+    """Measured deviations of a candidate density matrix, with pass flags.
+
+    The report of a stack of matrices holds an array over the stack in
+    each field, ``ok`` included.
+    """
 
     hermiticity_dev: float
     trace_dev: float
@@ -90,7 +94,11 @@ class ValidationReport:
 
     @property
     def ok(self) -> bool:
-        return self.hermitian_ok and self.trace_ok and self.positive_ok
+        return self.hermitian_ok & self.trace_ok & self.positive_ok
+
+    def row(self, k: int) -> "ValidationReport":
+        """The report of state k, from the report of a stack."""
+        return ValidationReport(*(getattr(self, f.name)[k].item() for f in fields(self)))
 
     def describe(self) -> str:
         return (
@@ -199,24 +207,41 @@ def mixture_state(terms: list[tuple[int, float]], trunc: TruncationConfig) -> np
     return m
 
 
-def validate_density(rho, tolerances) -> ValidationReport:
-    """Measure Hermiticity, trace and positivity deviations of a candidate state.
+def validate_density(rho, tolerances, *, diagonal: bool | None = None) -> ValidationReport:
+    """Measure Hermiticity, trace and positivity deviations of a candidate state, or of a stack.
 
-    ``tolerances`` is a :class:`qdho.config.ToleranceConfig`. Hermiticity
-    is judged against ``hermiticity_tol`` relative to the matrix scale, the
-    trace deviation absolutely against ``trace_tol``, and positivity as
-    smallest eigenvalue >= -``positivity_tol`` (LAPACK ``eigvalsh`` on the
-    Hermitian part, which shares no code with the evolution paths). This is
-    a reporting operation and never raises for a bad state.
+    ``rho`` is one D x D matrix, or a (T, D, D) stack of them, whose report
+    holds an array over the stack in each field (:meth:`ValidationReport.row`
+    gives one state's report). ``tolerances`` is a
+    :class:`qdho.config.ToleranceConfig`. Hermiticity is judged against
+    ``hermiticity_tol`` relative to the matrix scale, the trace deviation
+    absolutely against ``trace_tol``, and positivity as smallest eigenvalue
+    >= -``positivity_tol`` (LAPACK ``eigvalsh`` on the Hermitian part,
+    which shares no code with the evolution paths). A stack with no
+    nonzero entry off its diagonals (``diagonal``; None tests it) is
+    measured on its diagonals alone: the zeros off them change no maximum,
+    and a diagonal matrix is its own spectrum, so the numbers are those of
+    the whole matrices. This is a reporting operation and never raises for
+    a bad state.
     """
     m = np.asarray(rho, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    scale = max(1.0, float(np.abs(m).max()))
-    herm_dev = float(np.abs(m - m.conj().T).max())
-    trace_dev = abs(complex(np.trace(m)) - 1.0)
-    min_eig = _min_eigenvalue(0.5 * (m + m.conj().T))
-    return ValidationReport(
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    stack = m if m.ndim == 3 else m[None]
+    if diagonal is None:
+        diagonal = _is_diagonal(stack)
+    if diagonal:
+        x = np.diagonal(stack, 0, 1, 2)
+        adjoint, axes = x.conj(), 1
+    else:
+        x = stack
+        adjoint, axes = x.conj().swapaxes(1, 2), (1, 2)
+    scale = np.maximum(1.0, np.abs(x).max(axis=axes))
+    herm_dev = np.abs(x - adjoint).max(axis=axes)
+    trace_dev = np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0)
+    hermitian = 0.5 * (x + adjoint)
+    min_eig = hermitian.real.min(axis=1) if diagonal else np.linalg.eigvalsh(hermitian)[:, 0]
+    report = ValidationReport(
         hermiticity_dev=herm_dev,
         trace_dev=trace_dev,
         min_eigenvalue=min_eig,
@@ -224,22 +249,19 @@ def validate_density(rho, tolerances) -> ValidationReport:
         trace_ok=trace_dev <= tolerances.trace_tol,
         positive_ok=min_eig >= -tolerances.positivity_tol,
     )
-
-
-def _min_eigenvalue(h: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian h.
-
-    A diagonal h is its own spectrum, so the answer is its smallest
-    diagonal entry; any other h goes to ``eigvalsh`` whole.
-    """
-    if _is_diagonal(h):
-        return float(h.diagonal().real.min())
-    return float(np.linalg.eigvalsh(h)[0])
+    return report if m.ndim == 3 else report.row(0)
 
 
 def _is_diagonal(x: np.ndarray) -> bool:
-    """Whether the square x has no nonzero entry off its diagonal."""
-    return np.count_nonzero(x) == np.count_nonzero(x.diagonal())
+    """Whether the square x, or every matrix of the stack x, has no nonzero entry off its diagonal.
+
+    In the row-major order of an n x n matrix the entries off the diagonal
+    are the n - 1 runs of n between its n diagonal entries.
+    """
+    n = x.shape[-1]
+    lead = x.shape[:-2]
+    runs = x.reshape(lead + (n * n,))[..., 1:].reshape(lead + (n - 1, n + 1))
+    return not runs[..., :n].any()
 
 
 def _check_finite(states: np.ndarray) -> None:

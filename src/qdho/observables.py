@@ -1,7 +1,8 @@
 """Scalar diagnostics of density matrices: moments, purity, distances, populations.
 
 A state is a square array, read as complex: one D x D slice of an evolved
-(times, D, D) grid, or a state builder's result.
+(times, D, D) grid, or what a state constructor returns. ``expect_n`` and
+``photon_distribution`` also take a whole (T, D, D) stack.
 """
 
 from __future__ import annotations
@@ -9,18 +10,21 @@ from __future__ import annotations
 import numpy as np
 
 
-def expect_n(rho) -> float:
-    """Mean excitation number Tr(N rho).
+def expect_n(rho):
+    """Mean excitation number Tr(N rho), of one state or of each of a (T, D, D) stack.
 
     The number operator is diag(0, 1, ..., D-1) for every operator phase.
-    The imaginary part must vanish to 1e-10.
+    The imaginary part must vanish to 1e-10; the first state where it does
+    not raises ArithmeticError. A stack gives an array over T.
     """
     mat = np.asarray(rho, dtype=complex)
-    n_diag = np.arange(mat.shape[0], dtype=float)
-    val = complex(np.sum(n_diag * np.diag(mat)))
-    if abs(val.imag) > 1e-10:
-        raise ArithmeticError(f"Tr(N rho) has imaginary part {val.imag:.3e}")
-    return val.real
+    n_diag = np.arange(mat.shape[-1], dtype=float)
+    val = np.sum(n_diag * np.diagonal(mat, 0, -2, -1), axis=-1)
+    imag = np.atleast_1d(val.imag)
+    bad = np.flatnonzero(np.abs(imag) > 1e-10)
+    if bad.size:
+        raise ArithmeticError(f"Tr(N rho) has imaginary part {imag[bad[0]]:.3e}")
+    return val.real if mat.ndim > 2 else float(val.real)
 
 
 def purity(rho) -> float:
@@ -42,5 +46,5 @@ def frobenius_distance(a, b) -> float:
 
 
 def photon_distribution(rho) -> np.ndarray:
-    """Diagonal populations (p_0, ..., p_{D-1}) as a real vector."""
-    return np.real(np.diag(np.asarray(rho, dtype=complex))).copy()
+    """Diagonal populations (p_0, ..., p_{D-1}) as a real vector; a stack gives one row per state."""
+    return np.real(np.diagonal(np.asarray(rho, dtype=complex), 0, -2, -1)).copy()

@@ -63,7 +63,10 @@ MUTANTS = [
      "series layout: every state taken as diagonal"),
     ("propagator.py", "if _is_diagonal(rho):", "if False:",
      "series layout: no state taken as diagonal"),
-    ("fock.py", "if _is_diagonal(h):", "if True:", "positivity check: every state taken as diagonal"),
+    ("fock.py", "diagonal = _is_diagonal(stack)", "diagonal = True",
+     "state checks: every state taken as diagonal"),
+    ("cli.py", "diagonal = _is_diagonal(states)", "diagonal = True",
+     "evolve row checks: every grid taken as diagonal"),
     ("config.py", "MAX_DIM = 256", "MAX_DIM = 257", "config dimension budget 256 -> 257"),
     ("config.py", "MAX_GRID_POINTS = 100_000", "MAX_GRID_POINTS = 100_001",
      "config grid budget 100,000 -> 100,001 points"),
@@ -83,17 +86,28 @@ MUTANTS = [
 
 #: Changes that cannot alter any output, and why; not run.
 EQUIVALENT = [
-    ("propagator.py", "BAND_CHUNK_BYTES", "each time's series runs the same arithmetic "
-     "whatever other times share its chunk"),
+    ("propagator.py", "BAND_CHUNK_BYTES", "each time's series, and each CSV row's checks, "
+     "run the same arithmetic whatever other times share their chunk"),
     ("liouville.py", "lru_cache maxsize of _sector_order, _cached_propagator, _rk4_powers",
      "the caches are keyed by every argument and hold read-only results, so a size "
      "changes only what is recomputed"),
     ("classical.py", "lru_cache maxsize of _rk4_power",
      "the cache is keyed by every argument and holds read-only results, so a size "
      "changes only what is recomputed"),
-    ("fock.py", "_min_eigenvalue's 'if _is_diagonal(h):' forced false",
-     "eigvalsh of a diagonal matrix returns its diagonal, so only the time moves: the "
-     "three evolve_diagonal ops took 35 ms in process against 23 ms (best of 7, one BLAS thread)"),
+    ("fock.py", "validate_density's 'diagonal = _is_diagonal(stack)' forced false",
+     "eigvalsh of a diagonal matrix returns its diagonal and the zeros off it change no "
+     "maximum, so only the time moves: the three evolve_diagonal ops took 8.6 ms in process "
+     "against 7.3 ms (best of 7, one BLAS thread)"),
+    ("cli.py", "cmd_evolve's 'diagonal = _is_diagonal(states)' forced false",
+     "the row checks of a diagonal grid then read whole states, chunk by chunk, and get the "
+     "same numbers, as above; only the time and the chunks move: the three evolve_diagonal "
+     "ops took 18.5 ms in process against 7.3 ms (best of 7, one BLAS thread)"),
+    ("propagator.py", "_TERMS_PER_BLOCK",
+     "a block carries each source's last term and each position's total into the next, so "
+     "every term sees the same operations in the same order whatever the block size"),
+    ("propagator.py", "_BLOCKED_ROW_MAX",
+     "the diagonal series in blocks and term by term run the same operations in the same "
+     "order, so the size that picks one changes only the time"),
 ]
 
 

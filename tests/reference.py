@@ -1,16 +1,18 @@
-"""Dense reference constructions that only the tests use.
+"""Dense reference constructions and step-by-step forms that only the tests use.
 
 The oracles in :mod:`qdho.liouville` run by sectors and never form the
 D^2 x D^2 Liouvillian, and the closed form never forms an operator
 matrix; these full-size objects pin what the sectors, the series, the
-vectorization convention and the truncation certificate stand for.
+vectorization convention and the truncation certificate stand for. The
+step-by-step forms, one numpy step per series term and one check per CSV
+row, pin the bits of the blocked and stacked forms the program runs.
 """
 
 import math
 
 import numpy as np
 
-from qdho import config, fock, liouville, su11, verification
+from qdho import cli, config, fock, liouville, observables, su11, verification
 
 #: 1e-10 on Hermiticity, trace and positivity alike: the bound the
 #: validation tests hold a candidate state to.
@@ -157,3 +159,85 @@ def dense_disentangling_superop_residual(dim: int, n_states: int, seed: int) -> 
         for vec in states:
             worst = max(worst, float(np.linalg.norm(lhs_op @ vec - rhs_op @ vec)))
     return worst
+
+
+def stepwise_series(layout, lower_weight, left_exp, raise_weight, scale):
+    """:func:`qdho.propagator._series` as one numpy step per series term, on either layout.
+
+    Each term is the previous one shifted one level and scaled, held on its
+    box of slots (see ``_series``); a time stops adding terms once its own
+    term vanishes, and a series ends once its box is empty.
+    """
+    values, i, j, row_step = layout
+    n = values.shape[-1]
+    levels = np.arange(n)
+    shape = (len(scale),) + values.shape
+    lower_w = np.sqrt((i + 1.0) * (j + 1.0))
+    raise_w = np.sqrt(i * j.astype(float))
+
+    def series(z, weight, shift_w, step):
+        total = np.broadcast_to(z, shape).copy()
+        occupied = z.reshape((-1,) + values.shape).any(axis=0)
+        rows, positions = np.flatnonzero(occupied.any(axis=1)), np.flatnonzero(occupied.any(axis=0))
+        if not rows.size:
+            return total
+        r0, r1 = int(rows[0]), int(rows[-1]) + 1
+        p0, p1 = int(positions[0]), int(positions[-1]) + 1
+        term = np.broadcast_to(z, shape)[..., r0:r1, p0:p1]
+        n_rows, rs = values.shape[0], row_step * step
+        weight = weight[:, None, None]
+        live = np.ones(shape[0], dtype=bool)
+        for m in range(1, n):
+            new_r0, new_r1 = max(r0 + rs, 0), min(r1 + rs, n_rows)
+            new_p0, new_p1 = max(p0 + step, 0), min(p1 + step, n)
+            if new_r0 >= new_r1 or new_p0 >= new_p1:
+                break
+            term = shift_w[new_r0:new_r1, new_p0:new_p1] * term[
+                ..., new_r0 - rs - r0 : new_r1 - rs - r0, new_p0 - step - p0 : new_p1 - step - p0
+            ]
+            np.multiply(weight / m, term, out=term)
+            live &= term.view(float).any(axis=(1, 2))
+            if not live.any():
+                break
+            r0, r1, p0, p1 = new_r0, new_r1, new_p0, new_p1
+            window = total[..., r0:r1, p0:p1]
+            np.add(window, term, out=window, where=live[:, None, None])
+        return total
+
+    out = series(values, lower_weight, lower_w, -1)
+    left = np.exp(left_exp[:, None] * levels)[:, i]
+    out = left * out * np.exp(left_exp.conj()[:, None] * levels)[:, j]
+    out = series(out, raise_weight, raise_w, 1)
+    return scale[:, None, None] * out
+
+
+def rowwise_evolve_csv(cfg, times, states) -> str:
+    """The CSV of ``qdho evolve`` on given grid states, checked and measured one row at a time.
+
+    Each row runs :func:`qdho.fock.validate_density` on its own state, then
+    ``expect_n``, ``purity`` and the populations; the first row that fails
+    its checks raises :class:`qdho.cli.ToleranceFailure`, and a row whose
+    Tr(N rho) is not real raises ArithmeticError.
+    """
+    k_max = min(cfg.photon_levels, cfg.trunc.dim - 1)
+    header = (
+        ["t", "trace_re", "expect_n", "purity"]
+        + [f"p{k}" for k in range(k_max + 1)]
+        + ["min_eigenvalue"]
+    )
+    lines = [",".join(header)]
+    row = ",".join(["%.16e"] * len(header))
+    for t, rho in zip(times, states):
+        report = fock.validate_density(rho, cfg.tolerances)
+        if not report.ok:
+            raise cli.ToleranceFailure(
+                f"state invariants failed at t={float(t):.6g}: {report.describe()}"
+            )
+        dist = observables.photon_distribution(rho)
+        values = (
+            [float(t), float(np.trace(rho).real), observables.expect_n(rho), observables.purity(rho)]
+            + [float(dist[k]) for k in range(k_max + 1)]
+            + [report.min_eigenvalue]
+        )
+        lines.append(row % tuple(values))
+    return "\n".join(lines) + "\n"

@@ -11,6 +11,7 @@ import pytest
 
 import cli_runs
 import qdho.su11
+import reference
 from qdho import classical, cli, config, fock, liouville, propagator, verification
 
 QUANTUM_CONFIG = """
@@ -351,14 +352,16 @@ class TestCmdEvolve:
         assert checked == [24]
         assert evolved == [48] * 3
 
-    @pytest.mark.parametrize("method", ["analytic", "expm", "rk4"])
-    def test_grid_validates_rho0_once(self, tmp_path, monkeypatch, method):
-        # One check of rho0 for the whole grid, then one per CSV row.
+    @staticmethod
+    def validate_calls(tmp_path, monkeypatch, method, state_lines=None):
+        """Shapes given to validate_density by one 101-point evolve at D = 24."""
         text = (
             COMPARE_CONFIG.replace("nu = 0.4", "nu = 0.0")
             .replace("num_points = 3", "num_points = 101")
             .replace("method = analytic", f"method = {method}")
         )
+        if state_lines:
+            text = text.replace("kind = coherent\nre = 1.0\nim = 0.0", state_lines)
         cfg = config.load_run_config(write(tmp_path, text))
         calls = []
         original = fock.validate_density
@@ -370,7 +373,149 @@ class TestCmdEvolve:
         monkeypatch.setattr(fock, "validate_density", counting_validate)
         monkeypatch.setattr(cli, "validate_density", counting_validate)
         cli.cmd_evolve(cfg)
-        assert len(calls) == 102
+        return calls
+
+    @pytest.mark.parametrize("method", ["analytic", "expm", "rk4"])
+    def test_grid_validates_rho0_once(self, tmp_path, monkeypatch, method):
+        # One check of rho0 for the whole grid, then one stacked check per
+        # chunk: a coherent state at D = 24 is 9,216 bytes, 28 a chunk.
+        calls = self.validate_calls(tmp_path, monkeypatch, method)
+        assert calls == [(24, 24)] + [(28, 24, 24)] * 3 + [(17, 24, 24)]
+
+    @pytest.mark.parametrize("method", ["analytic", "expm", "rk4"])
+    def test_diagonal_grid_is_one_chunk(self, tmp_path, monkeypatch, method):
+        # A diagonal grid is checked on its diagonals, 384 bytes a state.
+        calls = self.validate_calls(
+            tmp_path, monkeypatch, method, "kind = mixture\nterms = 0:0.5 9:0.5"
+        )
+        assert calls == [(24, 24), (101, 24, 24)]
+
+
+def _grid_of(tmp_path, text):
+    """(config, times, states) of an analytic run of the config text."""
+    cfg = config.load_run_config(write(tmp_path, text))
+    times = cfg.grid.times()
+    rho0 = cli.build_initial_state(cfg.state, cfg.trunc)
+    return cfg, times, cli._evolve_on_grid(rho0, cfg, times)
+
+
+def _outcome(run):
+    """The CSV ``run()`` returns, or the type and text of what it raises."""
+    try:
+        return run()
+    except (cli.ToleranceFailure, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+MIXTURE_GRID = COMPARE_CONFIG.replace(
+    "kind = coherent\nre = 1.0\nim = 0.0", "kind = mixture\nterms = 0:0.25 3:0.5 5:0.25"
+).replace("num_points = 3", "num_points = 7")
+#: Seven times at D = 24: a diagonal grid and a matrix grid.
+GRIDS = {
+    "mixture": MIXTURE_GRID,
+    "coherent": COMPARE_CONFIG.replace("num_points = 3", "num_points = 7"),
+}
+
+
+def _off_trace(states, k):
+    states[k, 1, 1] += 1e-6
+
+
+def _not_hermitian(states, k):
+    states[k, 0, 1] += 1e-6
+
+
+def _negative(states, k):
+    # Level 2 hands its population and 1e-6 more to level 3: same trace.
+    states[k, 3, 3] += states[k, 2, 2] + 1e-6
+    states[k, 2, 2] = -1e-6
+
+
+def _imaginary_mean(states, k):
+    # Tr(N rho) gains 2e-10 i on level 20; the diagonal stays Hermitian to 2e-11.
+    states[k, 20, 20] += 1e-11j
+
+
+class TestStackedRows:
+    """cmd_evolve's stacked row checks against the row-by-row form of tests/reference.py."""
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 3 * 24 * 16, 2 * 24 * 24 * 16, None])
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            {},
+            {3: [_off_trace]},
+            {3: [_not_hermitian]},
+            {3: [_negative]},
+            {2: [_imaginary_mean], 4: [_off_trace]},
+            {2: [_off_trace], 4: [_imaginary_mean]},
+            {3: [_imaginary_mean, _not_hermitian]},
+            {5: [_imaginary_mean]},
+        ],
+        ids=["good", "trace", "hermiticity", "positivity", "mean first", "trace first",
+             "same row", "imaginary mean"],
+    )
+    @pytest.mark.parametrize("grid", ["mixture", "coherent"])
+    def test_same_csv_or_failure_as_row_by_row(
+        self, tmp_path, monkeypatch, grid, faults, chunk_bytes
+    ):
+        cfg, times, states = _grid_of(tmp_path, GRIDS[grid])
+        states = states.copy()
+        for k, changes in faults.items():
+            for change in changes:
+                change(states, k)
+        if chunk_bytes is not None:
+            monkeypatch.setattr(propagator, "BAND_CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(cli, "_evolve_on_grid", lambda rho0, cfg, times: states)
+        got = _outcome(lambda: cli.cmd_evolve(cfg))
+        want = _outcome(lambda: reference.rowwise_evolve_csv(cfg, times, states))
+        assert got == want
+        # Every fault above fails its row: then no CSV comes out.
+        assert isinstance(got, tuple) == bool(faults)
+
+    def test_failure_names_its_own_row(self, tmp_path, monkeypatch):
+        cfg, times, states = _grid_of(tmp_path, MIXTURE_GRID)
+        states = states.copy()
+        _off_trace(states, 4)
+        monkeypatch.setattr(cli, "_evolve_on_grid", lambda rho0, cfg, times: states)
+        report = fock.validate_density(states[4], cfg.tolerances)
+        with pytest.raises(cli.ToleranceFailure) as failure:
+            cli.cmd_evolve(cfg)
+        assert str(failure.value) == f"state invariants failed at t=0.666667: {report.describe()}"
+        assert re.search(r"trace_dev=\S+ \(FAIL\)", str(failure.value))
+
+    def test_imaginary_mean_exits_3(self, tmp_path, monkeypatch, capsys):
+        cfg_path = write(tmp_path, MIXTURE_GRID)
+        cfg, times, states = _grid_of(tmp_path, MIXTURE_GRID)
+        states = states.copy()
+        _imaginary_mean(states, 5)
+        monkeypatch.setattr(cli, "_evolve_on_grid", lambda rho0, cfg, times: states)
+        assert cli.main(["evolve", "--config", cfg_path]) == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err == "numeric failure: Tr(N rho) has imaginary part 2.000e-10\n"
+
+    @pytest.mark.parametrize("grid", ["mixture", "coherent"])
+    @pytest.mark.parametrize("certify", [False, True])
+    @pytest.mark.parametrize(
+        "chunk_bytes, terms_per_block, blocked_row_max",
+        [(1, 16, 3072), (3 * 24 * 16, 3, 3072), (20_000, 1, 3072), (3 * 24 * 16, 16, 0)],
+    )
+    def test_chunk_edges_keep_the_csv(
+        self, tmp_path, monkeypatch, grid, certify, chunk_bytes, terms_per_block,
+        blocked_row_max,
+    ):
+        # Small budgets put the edges of the series' chunks of times, of the
+        # row checks' chunks and of the diagonal series' blocks of terms
+        # inside the grid, and a zero row budget runs the diagonal series
+        # term by term; the bytes of the CSV stay those of the default run.
+        cfg = dataclasses.replace(
+            config.load_run_config(write(tmp_path, GRIDS[grid])), check_truncation=certify
+        )
+        default = cli.cmd_evolve(cfg)
+        monkeypatch.setattr(propagator, "BAND_CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(propagator, "_TERMS_PER_BLOCK", terms_per_block)
+        monkeypatch.setattr(propagator, "_BLOCKED_ROW_MAX", blocked_row_max)
+        assert cli.cmd_evolve(cfg) == default
 
 
 class TestCmdCompare:
@@ -1012,13 +1157,17 @@ class TestMainEntry:
                 assert abs(float(a) - float(b)) <= 1e-10
 
     def test_numeric_failure_exits_3(self, tmp_path, monkeypatch):
+        # The rows take <N> of a whole chunk of states in one call.
         cfg_path = write(tmp_path, QUANTUM_CONFIG)
+        shapes = []
 
-        def explode(*args, **kwargs):
+        def explode(rho):
+            shapes.append(np.shape(rho))
             raise ArithmeticError("synthetic numeric breakdown")
 
         monkeypatch.setattr(cli.observables, "expect_n", explode)
         assert cli.main(["evolve", "--config", cfg_path]) == cli.EXIT_NUMERIC
+        assert shapes == [(2, 7, 7)]
 
     @pytest.mark.parametrize(
         "error, detail",

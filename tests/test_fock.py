@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qdho import config, fock, liouville, propagator
+from qdho.verification import random_interior_density
 from reference import TIGHT_TOLERANCES, ladder
 
 
@@ -230,6 +231,66 @@ class TestValidateDensity:
     def test_constructors_pass_validation(self, make):
         report = fock.validate_density(make(trunc_of(18)), TIGHT_TOLERANCES)
         assert report.ok, report.describe()
+
+
+def _stack(kind, rng):
+    """Five candidate states at D = 12: diagonal ones, or full Hermitian-ish ones, some bad."""
+    if kind == "diagonal":
+        weights = rng.random((5, 12))
+        weights /= weights.sum(axis=1, keepdims=True)
+        mats = [np.diag(w + 1e-12j * rng.normal(size=12)) for w in weights]
+        mats[2][4, 4] = -1e-3
+        mats[4][0, 0] += 1e-6
+    else:
+        mats = [random_interior_density(12, 9, rng) for _ in range(5)]
+        mats[1] = mats[1] + 1e-9 * rng.normal(size=(12, 12))
+        mats[3] = mats[3] - 0.01 * np.eye(12)
+    return np.array(mats, dtype=complex)
+
+
+class TestValidateStack:
+    """validate_density on a (T, D, D) stack: the report of each state, field by field."""
+
+    @pytest.mark.parametrize("kind", ["diagonal", "full"])
+    def test_rows_are_the_one_state_reports(self, kind):
+        stack = _stack(kind, np.random.default_rng(len(kind)))
+        report = fock.validate_density(stack, TIGHT_TOLERANCES)
+        assert report.ok.shape == (5,)
+        assert not report.ok.all() and report.ok.any()
+        for k, state in enumerate(stack):
+            assert report.row(k) == fock.validate_density(state, TIGHT_TOLERANCES)
+            assert report.ok[k] == report.row(k).ok
+
+    def test_one_state_gives_python_scalars(self):
+        report = fock.validate_density(fock.fock_state(1, trunc_of(4)), TIGHT_TOLERANCES)
+        assert [type(value) for value in vars(report).values()] == [float] * 3 + [bool] * 3
+
+    @pytest.mark.parametrize("diagonal", [None, True, False])
+    def test_diagonal_stack_reads_the_same_either_way(self, diagonal):
+        # Measured on the diagonals or on the whole matrices, a diagonal
+        # stack gives the same bits.
+        stack = _stack("diagonal", np.random.default_rng(3))
+        want = fock.validate_density(stack, TIGHT_TOLERANCES)
+        got = fock.validate_density(stack, TIGHT_TOLERANCES, diagonal=diagonal)
+        for name, value in vars(want).items():
+            assert getattr(got, name).tobytes() == value.tobytes(), name
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 3, 4), (1, 2, 2, 2)])
+    def test_refuses_other_shapes(self, shape):
+        with pytest.raises(ValueError, match="expected a square matrix or a stack of them"):
+            fock.validate_density(np.zeros(shape), TIGHT_TOLERANCES)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_is_diagonal_reads_every_entry_off_the_diagonal(self, n):
+        stack = np.zeros((3, n, n), dtype=complex)
+        stack[:, range(n), range(n)] = 1.0
+        assert fock._is_diagonal(stack) and fock._is_diagonal(stack[1])
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    probe = stack.copy()
+                    probe[2, i, j] = 1e-300j
+                    assert not fock._is_diagonal(probe) and not fock._is_diagonal(probe[2])
 
 
 def _residue_block_hermitian(dim, g, rng):

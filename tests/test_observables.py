@@ -40,6 +40,34 @@ class TestExpectN:
         assert np.trace(n @ rho).real == observables.expect_n(rho) == 3.25
 
 
+class TestStackedObservables:
+    """expect_n and photon_distribution on a (T, D, D) stack: each state's value, bit for bit."""
+
+    def stack(self):
+        rng = np.random.default_rng(8)
+        noise = 1e-13j * rng.normal(size=(6, 16))
+        return np.array([random_hermitian(16, rng) + np.diag(row) for row in noise])
+
+    def test_equal_the_one_state_values(self):
+        stack = self.stack()
+        means, populations = observables.expect_n(stack), observables.photon_distribution(stack)
+        for k, state in enumerate(stack):
+            assert means[k].tobytes() == np.float64(observables.expect_n(state)).tobytes()
+            assert populations[k].tobytes() == observables.photon_distribution(state).tobytes()
+
+    def test_refuses_the_first_imaginary_mean(self):
+        stack = self.stack()
+        stack[2, 5, 5] += 3e-11j  # Im Tr(N rho) = 1.5e-10
+        stack[4, 5, 5] += 1e-9j
+        with pytest.raises(ArithmeticError) as stacked:
+            observables.expect_n(stack)
+        with pytest.raises(ArithmeticError) as single:
+            observables.expect_n(stack[2])
+        assert str(stacked.value) == str(single.value)
+        assert 1.4e-10 < float(str(single.value).split()[-1]) < 1.6e-10
+        assert observables.expect_n(stack[:2]).shape == (2,)
+
+
 class TestPurity:
     def test_pure_states(self):
         assert observables.purity(fock.fock_state(2, trunc_of(5))) == 1.0

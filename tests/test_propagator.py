@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qdho import config, fock, liouville, observables, propagator, su11
 from qdho.verification import random_interior_density
-from reference import TIGHT_TOLERANCES, dense_pure_loss, dense_series
+from reference import TIGHT_TOLERANCES, dense_pure_loss, dense_series, stepwise_series
 
 
 def trunc_of(dim, support=None):
@@ -748,6 +748,100 @@ class TestWindowedBandSeries:
         times = [0.0, 1e-300, 1e-3, 3.0]
         for rho0 in (_COHERENT_24, _zero_padded(_COHERENT_24), _full_rank_state(24, 6)):
             assert _series_matches_reference(rho0, _DAMPED, times) == 1
+
+
+# name: (diagonal state, params); each runs zero-padded to 2D as a certified run does.
+_DIAGONAL_CASES = {
+    "mixture with gaps": (
+        fock.mixture_state([(1, 0.1), (6, 0.2), (14, 0.3), (20, 0.4)], trunc_of(48, support=23)),
+        _DAMPED,
+    ),
+    "thermal": (fock.thermal_state(0.5, trunc_of(40)), _DAMPED),
+    "vacuum": (fock.fock_state(0, trunc_of(32)), fock.ModelParams(omega=1.0, mu=1.0, nu=0.3)),
+    "top level": (fock.fock_state(31, trunc_of(32)), _DAMPED),
+    "nu = 0": (fock.fock_state(17, trunc_of(40)), fock.ModelParams(omega=2.0, mu=1.0, nu=0.0)),
+    "mu = 0": (fock.fock_state(3, trunc_of(40)), fock.ModelParams(omega=2.0, mu=0.0, nu=0.4)),
+    "mu = nu": (fock.fock_state(5, trunc_of(40)), fock.ModelParams(omega=2.0, mu=0.7, nu=0.7)),
+}
+
+
+class TestBlockedDiagonalSeries:
+    """The diagonal layout's blocked series against the one-step-per-term loop, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "dim, support, levels",
+        # The certified Fock mixtures of the benchmark's evolve_diagonal workload.
+        [(64, 15, (0, 3, 7, 12)), (96, 23, (1, 6, 14, 20))],
+    )
+    def test_certified_grid_equals_stepwise_loop(self, dim, support, levels):
+        rho0 = fock.mixture_state(
+            list(zip(levels, (0.1, 0.2, 0.3, 0.4))), trunc_of(dim, support=support)
+        )
+        times = np.linspace(0.0, 3.0, 11)
+        blocked = propagator.evolve_analytic_grid(rho0, _DAMPED, times, certify=True)
+        with mock.patch.object(propagator, "_series", stepwise_series):
+            stepwise = propagator.evolve_analytic_grid(rho0, _DAMPED, times, certify=True)
+        assert blocked[0].tobytes() == stepwise[0].tobytes()
+        assert blocked[1].tobytes() == stepwise[1].tobytes()
+
+    @pytest.mark.parametrize("terms_per_block", [1, 2, 5, 16, 1000])
+    @pytest.mark.parametrize("name", list(_DIAGONAL_CASES))
+    def test_series_equals_stepwise_loop(self, name, terms_per_block):
+        # t = 0 stops both series at once, t = 1e-300 a few terms in by
+        # underflow, t = 1e-3 far below the top of the doubled space; t = 40
+        # runs every term.
+        rho0, params = _DIAGONAL_CASES[name]
+        layout = propagator._layout(rho0, 2 * len(rho0))
+        assert layout.row_step == 0
+        weights = _analytic_weights(params, [0.0, 1e-300, 1e-3, 0.3, 3.0, 40.0])
+        want = stepwise_series(layout, *weights)
+        with mock.patch.object(propagator, "_TERMS_PER_BLOCK", terms_per_block):
+            got = propagator._series(layout, *weights)
+        assert got.tobytes() == want.tobytes()
+
+
+    def test_large_grids_take_the_loop_with_the_same_bits(self):
+        # 101 times over 64 occupied levels is past _BLOCKED_ROW_MAX, where
+        # the diagonal series runs the per-term loop; forced into blocks it
+        # gives the same bits.
+        rho0 = fock.thermal_state(1.0, trunc_of(64, support=31))
+        layout = propagator._layout(rho0, 128)
+        weights = _analytic_weights(_DAMPED, np.linspace(0.0, 3.0, 101))
+        assert 101 * 64 > propagator._BLOCKED_ROW_MAX
+        blocks = mock.Mock(wraps=propagator._diagonal_series)
+        with mock.patch.object(propagator, "_diagonal_series", blocks) as spy:
+            default = propagator._series(layout, *weights)
+        assert spy.call_count == 0
+        with mock.patch.object(propagator, "_BLOCKED_ROW_MAX", 10**9):
+            blocked = propagator._series(layout, *weights)
+        assert blocked.tobytes() == default.tobytes()
+        assert default.tobytes() == stepwise_series(layout, *weights).tobytes()
+
+    def test_signed_zeros_equal_stepwise_loop(self):
+        # Diagonals of +-0, +-1, 0.5 and 2 (not states) under weights that
+        # vanish (0), underflow (1e-300) or flood (1e200). Where a time's
+        # terms vanish the loop stops adding them and the blocks add -0.0;
+        # only the signs of zeros would show a difference. Runs that leave
+        # the finite numbers are refused anyway and are skipped.
+        rng = np.random.default_rng(11)
+        compared = 0
+        for _ in range(400):
+            d = int(rng.integers(2, 10))
+            rho = np.diag(rng.choice([0.0, -0.0, 1.0, -1.0, 0.5, 2.0], size=d)).astype(complex)
+            t = int(rng.integers(1, 3))
+            weights = (
+                rng.choice([0.0, 1e-300, 0.5, 1e200], size=t),
+                rng.choice([0.0, -1.0, 1.0], size=t) + 1j * rng.choice([0.0, 1.0, 2.0], size=t),
+                rng.choice([0.0, 1e-300, 0.5, 1e200], size=t),
+                rng.choice([1.0, 0.5], size=t),
+            )
+            layout = propagator._layout(rho)
+            with np.errstate(all="ignore"):
+                got, want = propagator._series(layout, *weights), stepwise_series(layout, *weights)
+            if np.isfinite(want).all():
+                compared += 1
+                assert got.tobytes() == want.tobytes()
+        assert compared > 150
 
 
 class TestLayoutChoice:
