@@ -105,10 +105,13 @@ def sandwich_check(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
 def k_superoperators(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(K0, K+, K-, K3) as real dense D^2 x D^2 matrices on D = ``dim`` levels.
 
-    Built from the real shift b (sqrt(1), ..., sqrt(D-1) on its
-    superdiagonal) and N = diag(0, ..., D-1): the phase of a cancels
-    from every K. Raises ValueError, before allocating anything, when D
-    exceeds ``DENSE_MAX_DIM``.
+    K+ = kron(b^T, b^T) and K- = kron(b, b), from the real shift b
+    (sqrt(1), ..., sqrt(D-1) on its superdiagonal): the phase of a cancels
+    from every K. K0 = kron(N, I) - kron(I, N) and K3 = (kron(N, I) +
+    kron(I, N) + I)/2, N = diag(0, ..., D-1), are diagonal, i - j and
+    (i + j + 1)/2 on the entry (i, j), and are built as such, with the same
+    bits and no kron temporaries. Raises ValueError, before allocating
+    anything, when D exceeds ``DENSE_MAX_DIM``.
     """
     if dim > DENSE_MAX_DIM:
         gigabytes = 4 * 8 * dim**4 / 1e9
@@ -117,13 +120,9 @@ def k_superoperators(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
             f"their budget is D <= {DENSE_MAX_DIM}"
         )
     b = np.diag(np.sqrt(np.arange(1, dim)), 1)
-    n = np.diag(np.arange(dim, dtype=float))
-    eye = np.eye(dim)
-    k0 = np.kron(n, eye) - np.kron(eye, n)
-    k_plus = np.kron(b.T, b.T)
-    k_minus = np.kron(b, b)
-    k3 = 0.5 * (np.kron(n, eye) + np.kron(eye, n) + np.kron(eye, eye))
-    return k0, k_plus, k_minus, k3
+    # Row i D + j of a superoperator acts on the entry (i, j).
+    i, j = np.divmod(np.arange(dim * dim, dtype=float), dim)
+    return np.diag(i - j), np.kron(b.T, b.T), np.kron(b, b), np.diag(0.5 * (i + j + 1.0))
 
 
 def expm(m: np.ndarray) -> np.ndarray:

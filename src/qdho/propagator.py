@@ -165,22 +165,24 @@ class _Layout(NamedTuple):
 def _layout(rho: np.ndarray, n: int | None = None) -> _Layout:
     """rho, zero-padded to n levels (default its own), laid out for the series.
 
-    A diagonal rho runs on its diagonal alone, one row of n entries (i, i)
-    whose shifts keep the row (row step 0). Any other rho runs on the
-    n x n matrix itself, whose shifts move rows and columns alike (row
-    step 1). Zero-padding keeps a state diagonal or not, so a certified run
+    A diagonal rho runs on its diagonal alone, padded to one row of n
+    entries (i, i) whose shifts keep the row (row step 0); no n x n matrix
+    is built for it. Any other rho runs on the n x n matrix itself, whose
+    shifts move rows and columns alike (row step 1). Zero-padding keeps a state diagonal or not, so a certified run
     gets the layout of its dim-D run; the series conserves k = j - i, so a
     diagonal state stays diagonal.
     """
     d = rho.shape[0]
     n = d if n is None else n
+    levels = np.arange(n)
+    if _is_diagonal(rho):
+        row = np.zeros((1, n), dtype=complex)
+        row[0, :d] = rho.diagonal()
+        return _Layout(row, levels[None, :], levels[None, :], 0)
     mat = rho
     if n > d:
         mat = np.zeros((n, n), dtype=complex)
         mat[:d, :d] = rho
-    levels = np.arange(n)
-    if _is_diagonal(rho):
-        return _Layout(mat.diagonal()[None, :], levels[None, :], levels[None, :], 0)
     return _Layout(mat, levels[:, None], levels[None, :], 1)
 
 

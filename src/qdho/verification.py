@@ -5,10 +5,22 @@ fixed tolerance. Residuals between matrices whose entries can exceed unity
 are scaled by max(1, scale of either side): an absolute 1e-12 would dip
 below one ulp once entries reach ~1e5, while the scaled figure still trips
 on any formula or sign error.
+
+The seeded draws come from the standard library's ``random.Random(seed)``,
+whose ``random()`` gives the same sequence for a seed on every Python
+version (numpy promises no such thing for its generators, and loading
+them costs ~5 MB of RSS): (mu, nu, t) each uniform in [0, 5), and each
+real and imaginary part of a random matrix uniform in [-1, 1). The K0
+suite reads each K at its nonzero entries only, so no suite holds a
+dense D^2 x D^2 temporary beside the superoperators themselves. The
+tests draw their own points from numpy, in ``tests/reference.py``, around
+:data:`EDGE_POINTS` and :func:`interior_density`.
 """
 
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,17 +53,44 @@ def scaled_max_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
     return float(np.abs(np.asarray(lhs) - np.asarray(rhs)).max()) / scale
 
 
+#: The 11 (mu, nu, t) rows every parameter grid ends with: for each of
+#: three (mu, t), the exactly degenerate mu = nu and two near it; then
+#: mu = nu = 0 and a pure-loss point (nu = 0).
+EDGE_POINTS = tuple(
+    row
+    for mu, t in ((1.0, 2.0), (3.5, 0.7), (0.4, 4.0))
+    for row in ((mu, mu, t), (mu, mu + 1e-9, t), (mu + 1e-3, mu, t))
+) + ((0.0, 0.0, 3.0), (2.0, 0.0, 1.0))
+
+
 def parameter_grid(count: int, seed: int = 421) -> list[tuple[float, float, float]]:
-    """Seeded (mu, nu, t) points in [0, 5]^3 plus exact and near-degenerate rows."""
-    rng = np.random.default_rng(seed)
-    pts = [tuple(rng.uniform(0.0, 5.0, size=3)) for _ in range(count)]
-    for mu, t in ((1.0, 2.0), (3.5, 0.7), (0.4, 4.0)):
-        pts.append((mu, mu, t))  # exactly degenerate
-        pts.append((mu, mu + 1e-9, t))
-        pts.append((mu + 1e-3, mu, t))
-    pts.append((0.0, 0.0, 3.0))
-    pts.append((2.0, 0.0, 1.0))
-    return pts
+    """``count`` seeded (mu, nu, t) points, each uniform in [0, 5), then :data:`EDGE_POINTS`."""
+    rng = random.Random(seed)
+    pts = [(5.0 * rng.random(), 5.0 * rng.random(), 5.0 * rng.random()) for _ in range(count)]
+    return pts + list(EDGE_POINTS)
+
+
+def _uniform_complex(rng: random.Random, shape: tuple[int, ...]) -> np.ndarray:
+    """Seeded complex entries, each real and imaginary part uniform in [-1, 1)."""
+    parts = np.array([rng.random() for _ in range(2 * math.prod(shape))])
+    return (2.0 * parts - 1.0).view(complex).reshape(shape)
+
+
+def interior_density(g: np.ndarray, dim: int) -> np.ndarray:
+    """g g^dag / Tr(g g^dag), a unit-trace PSD block on the first levels, zero-padded to ``dim``."""
+    block = g.shape[0]
+    rho_block = g @ g.conj().T
+    rho_block /= np.trace(rho_block).real
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[:block, :block] = rho_block
+    return rho
+
+
+def superop_states(dim: int, n_states: int, seed: int) -> list[np.ndarray]:
+    """The seeded densities of :func:`suite_disentangling_superop`, on levels 0..D-4."""
+    rng = random.Random(seed)
+    block = (dim - 3, dim - 3)
+    return [interior_density(_uniform_complex(rng, block), dim) for _ in range(n_states)]
 
 
 def disentangled_product_2x2(coeffs, generators=None) -> np.ndarray:
@@ -78,15 +117,12 @@ def disentangled_product_2x2(coeffs, generators=None) -> np.ndarray:
 
 def suite_sandwich_identity(seed: int = 7) -> SuiteResult:
     """vec(A X B) = kron(A, B^T) vec(X) on random triples at several dims."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     worst = 0.0
     count = 0
     for dim in (2, 3, 5, 8):
         for _ in range(25):
-            a, x, b = (
-                rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-                for _ in range(3)
-            )
+            a, x, b = (_uniform_complex(rng, (dim, dim)) for _ in range(3))
             worst = max(worst, liouville.sandwich_check(a, x, b))
             count += 1
     return SuiteResult("vectorization-sandwich", count, worst, 1e-12)
@@ -117,11 +153,11 @@ def suite_disentangling_2x2(count: int = 200, seed: int = 421) -> SuiteResult:
 
 def suite_gauss_reconstruction(count: int = 50, seed: int = 17) -> SuiteResult:
     """upper @ diag @ lower reproduces the decomposed determinant-one matrix."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     worst = 0.0
     mats = []
     for _ in range(count):
-        a, b, c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        a, b, c = _uniform_complex(rng, (3,))
         if abs(a) < 0.1:
             a += 1.0
         mats.append(np.array([[a, b], [c, (1.0 + b * c) / a]]))
@@ -141,16 +177,21 @@ def suite_k0_commutativity(dims: tuple[int, ...] = (4, 8, 16)) -> SuiteResult:
     [K0, X]_ab = (d_a - d_b) X_ab, and reads exactly 0 wherever
     K0 X - X K0 does. d is i - j on the entry (i, j), so a zero commutator
     means X keeps k = j - i: X has no entry outside the sector blocks that
-    :func:`suite_disentangling_superop` exponentiates.
+    :func:`suite_disentangling_superop` exponentiates. Both checks read
+    only the nonzero entries of each K, where any nonzero term must sit,
+    so no dense D^2 x D^2 temporary is built.
     """
     worst = 0.0
     for dim in dims:
         k0, k_plus, k_minus, k3 = liouville.k_superoperators(dim)
         d = np.diagonal(k0)
-        worst = max(worst, float(np.abs(k0 - np.diag(d)).max()))
-        gaps = d[:, None] - d[None, :]
+        rows, cols = np.nonzero(k0)
+        off = rows != cols
+        worst = max(worst, float(np.abs(k0[rows[off], cols[off]]).max(initial=0.0)))
         for other in (k_plus, k_minus, k3):
-            worst = max(worst, float(np.abs(gaps * other).max()))
+            rows, cols = np.nonzero(other)
+            gaps = (d[rows] - d[cols]) * other[rows, cols]
+            worst = max(worst, float(np.abs(gaps).max(initial=0.0)))
     return SuiteResult("k0-commutativity", 3 * len(dims), worst, 1e-14)
 
 
@@ -168,7 +209,6 @@ def suite_disentangling_superop(
     member's max-row-sum norm nor its squaring count. A (params, state)
     pair's residual is its 2-norm over all sectors.
     """
-    rng = np.random.default_rng(seed)
     index = _padded_sector_index(dim)
     # (2D - 1, D, D) stacks of blocks and (2D - 1, D, 1) stacks of columns.
     k_plus, k_minus, k3 = (
@@ -176,8 +216,8 @@ def suite_disentangling_superop(
         for op in liouville.k_superoperators(dim)[1:]
     )
     states = [
-        np.append(liouville.vectorize(random_interior_density(dim, dim - 4, rng)), 0.0)[index, None]
-        for _ in range(n_states)
+        np.append(liouville.vectorize(rho), 0.0)[index, None]
+        for rho in superop_states(dim, n_states, seed)
     ]
     # Pump amplitudes kept small: the raising ladder of the factored form
     # needs roughly nu*t*D levels of headroom, so at this dim the identity
@@ -209,17 +249,6 @@ def _padded_sector_index(dim: int) -> np.ndarray:
     for row, span in zip(index, spans):
         row[: span.stop - span.start] = order[span]
     return index
-
-
-def random_interior_density(dim: int, support: int, rng: np.random.Generator) -> np.ndarray:
-    """Random unit-trace PSD matrix populating only levels 0..support."""
-    block = support + 1
-    g = rng.standard_normal((block, block)) + 1j * rng.standard_normal((block, block))
-    rho_block = g @ g.conj().T
-    rho_block /= np.trace(rho_block).real
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[:block, :block] = rho_block
-    return rho
 
 
 def run_identity_suites() -> list[SuiteResult]:

@@ -82,6 +82,15 @@ MUTANTS = [
      "sector expm oracle budget D <= 128 -> 129"),
     ("liouville.py", "DENSE_MAX_DIM = 64", "DENSE_MAX_DIM = 65",
      "dense superoperator budget D <= 64 -> 65"),
+    ("verification.py", 'return SuiteResult("disentangling-2x2", len(pts), worst, 1e-12)',
+     'return SuiteResult("disentangling-2x2", len(pts), worst, 1e-9)',
+     "verify disentangling-2x2 tolerance 1e-12 -> 1e-9"),
+    ("verification.py",
+     'return SuiteResult("disentangling-superop", len(params) * n_states, worst, 1e-9)',
+     'return SuiteResult("disentangling-superop", len(params) * n_states, worst, 1e-6)',
+     "verify disentangling-superop tolerance 1e-9 -> 1e-6"),
+    ("verification.py", "for other in (k_plus, k_minus, k3):", "for other in (k_plus, k_minus):",
+     "verify k0-commutativity no longer checks K3"),
 ]
 
 #: Changes that cannot alter any output, and why; not run.

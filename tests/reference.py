@@ -133,19 +133,50 @@ def literal_liouvillian(params: fock.ModelParams, dim: int, theta: float = 0.0) 
     )
 
 
+def parameter_grid(count: int, seed: int = 421) -> list[tuple[float, float, float]]:
+    """Seeded (mu, nu, t) points in [0, 5]^3 from numpy, then the verify grid's edge rows.
+
+    The tests' own grid: its draws are pinned by the tests that read it,
+    while :func:`qdho.verification.parameter_grid` draws from the standard
+    library.
+    """
+    rng = np.random.default_rng(seed)
+    pts = [tuple(rng.uniform(0.0, 5.0, size=3)) for _ in range(count)]
+    return pts + list(verification.EDGE_POINTS)
+
+
+def random_interior_density(dim: int, support: int, rng: np.random.Generator) -> np.ndarray:
+    """Random unit-trace PSD matrix populating only levels 0..support."""
+    block = support + 1
+    g = rng.standard_normal((block, block)) + 1j * rng.standard_normal((block, block))
+    return verification.interior_density(g, dim)
+
+
+def kron_superoperators(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(K0, K+, K-, K3) on D = ``dim`` levels, each as a sum of Kronecker products.
+
+    K0 = kron(N, I) - kron(I, N), K+ = kron(b^T, b^T), K- = kron(b, b) and
+    K3 = (kron(N, I) + kron(I, N) + kron(I, I))/2, with the real shift b and
+    N = diag(0, ..., D-1): the construction :func:`qdho.liouville.k_superoperators`
+    must equal bit for bit.
+    """
+    b = np.diag(np.sqrt(np.arange(1, dim)), 1)
+    n = np.diag(np.arange(dim, dtype=float))
+    eye = np.eye(dim)
+    k0 = np.kron(n, eye) - np.kron(eye, n)
+    k3 = 0.5 * (np.kron(n, eye) + np.kron(eye, n) + np.kron(eye, eye))
+    return k0, np.kron(b.T, b.T), np.kron(b, b), k3
+
+
 def dense_disentangling_superop_residual(dim: int, n_states: int, seed: int) -> float:
     """:func:`qdho.verification.suite_disentangling_superop` on the dense superoperators.
 
     Both sides are exponentiated as D^2 x D^2 matrices, with no use of the
-    sectors; the residual of a (params, state) pair is the 2-norm of the
-    difference of the evolved vectors.
+    sectors, on the suite's own states; the residual of a (params, state)
+    pair is the 2-norm of the difference of the evolved vectors.
     """
-    rng = np.random.default_rng(seed)
     k0, k_plus, k_minus, k3 = liouville.k_superoperators(dim)
-    states = [
-        liouville.vectorize(verification.random_interior_density(dim, dim - 4, rng))
-        for _ in range(n_states)
-    ]
+    states = [liouville.vectorize(rho) for rho in verification.superop_states(dim, n_states, seed)]
     params = ((1.0, 0.0, 0.8), (2.0, 0.0, 0.5), (0.8, 0.001, 1.0), (0.002, 0.002, 1.0))
     lhs_ops = liouville.expm(
         np.array([t * (nu * k_plus + mu * k_minus - (mu + nu) * k3) for mu, nu, t in params])

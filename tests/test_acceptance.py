@@ -29,13 +29,8 @@ from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from qdho import classical, cli, config, fock, liouville, observables, propagator, su11
-from qdho.verification import (
-    disentangled_product_2x2,
-    parameter_grid,
-    random_interior_density,
-    scaled_max_residual,
-)
-from reference import TIGHT_TOLERANCES, dense_pure_loss
+from qdho.verification import disentangled_product_2x2, scaled_max_residual
+from reference import TIGHT_TOLERANCES, dense_pure_loss, parameter_grid, random_interior_density
 
 GRID_STATES = ("coherent", "fock3", "thermal")
 GRID_PARAMS = ((1.0, 0.0, 0.0), (1.0, 0.4, 2 * np.pi), (0.5, 0.5, 1.0), (0.2, 0.6, 3.0))

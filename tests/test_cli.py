@@ -675,19 +675,36 @@ class TestCmdVerify:
         for line in report.strip().split("\n")[:-1]:
             assert "identity=" in line and "max_residual=" in line and "tol=" in line
 
-    def test_sign_flip_mutation_is_caught(self, monkeypatch):
-        # Flip the sign of the lowering-series amplitude and verify the
-        # disentangling suites notice.
+    @pytest.mark.parametrize(
+        "field, factor, failing",
+        [
+            # The sign of the lowering-series amplitude: both disentangling
+            # suites notice.
+            ("e_coef", -1.0, ("disentangling-2x2", "disentangling-superop")),
+            # Relative errors, each putting one suite's residual between its
+            # tolerance and 1000 times it: a tolerance 1000 times looser
+            # would pass them.
+            ("e_coef", 1 + 1e-11, ("disentangling-2x2",)),
+            ("g_coef", 1 + 1e-11, ("disentangling-2x2",)),
+            ("log_f", 1 + 1e-12, ("disentangling-2x2",)),
+            ("e_coef", 1 + 1e-8, ("disentangling-superop",)),
+            ("g_coef", 1 + 1e-6, ("disentangling-superop",)),
+            ("log_f", 1 + 1e-8, ("disentangling-superop",)),
+        ],
+    )
+    def test_sign_flip_mutation_is_caught(self, monkeypatch, field, factor, failing):
         original = qdho.su11.disentangling_coefficients
 
-        def flipped(mu, nu, t):
+        def mutated(mu, nu, t):
             c = original(mu, nu, t)
-            return dataclasses.replace(c, e_coef=-c.e_coef)
+            return dataclasses.replace(c, **{field: factor * getattr(c, field)})
 
-        monkeypatch.setattr(qdho.su11, "disentangling_coefficients", flipped)
+        monkeypatch.setattr(qdho.su11, "disentangling_coefficients", mutated)
         suites = {s.name: s for s in verification.run_identity_suites()}
-        assert not suites["disentangling-2x2"].passed
-        assert not suites["disentangling-superop"].passed
+        for name in failing:
+            assert not suites[name].passed
+            if factor > 0:
+                assert suites[name].max_residual < 1000 * suites[name].tolerance
         report, code = cli.cmd_verify()
         assert code == cli.EXIT_TOLERANCE
         assert "RESULT fail" in report
@@ -699,6 +716,9 @@ class TestCmdVerify:
             (0, 0, 1, 1e-3),
             # K+ couples entry (0, 0), sector 0, to entry (0, 1), sector 1.
             (1, 0, 1, 1.0),
+            # K- and K3 each couple the same two entries, either way round.
+            (2, 1, 0, 1.0),
+            (3, 0, 1, 1.0),
         ],
     )
     def test_sector_mixing_mutation_is_caught(self, monkeypatch, which, row, col, value):

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from qdho import config, fock, liouville, propagator
-from qdho.verification import random_interior_density
-from reference import TIGHT_TOLERANCES, ladder
+from reference import TIGHT_TOLERANCES, ladder, random_interior_density
 
 
 def trunc_of(dim, support=None):

@@ -10,14 +10,15 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from qdho import config, fock, liouville, su11, verification
-from qdho.verification import random_interior_density
 from reference import (
     build_liouvillian,
     dense_disentangling_superop_residual,
     devectorize,
+    kron_superoperators,
     ladder,
     literal_liouvillian,
     literal_rhs,
+    random_interior_density,
 )
 
 
@@ -129,6 +130,29 @@ class TestKSuperoperators:
                     np.testing.assert_array_equal(k, expected)
                 else:
                     np.testing.assert_allclose(k, expected, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("dim", range(1, 17))
+    def test_equals_the_kron_construction(self, dim):
+        # K0 and K3 are built as diagonals, K+ and K- by kron: the same
+        # dtype, shape and bytes as the four sums of Kronecker products.
+        pairs = zip(liouville.k_superoperators(dim), kron_superoperators(dim), strict=True)
+        for got, want in pairs:
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+
+    def test_peak_memory_is_its_outputs(self):
+        # The kron sums of K0 and K3 held two more D^2 x D^2 temporaries
+        # (a peak of 1.5 x the outputs at D = 16); the diagonals hold none.
+        liouville.k_superoperators(16)  # warm numpy's caches outside the trace
+        tracemalloc.start()
+        try:
+            ops = liouville.k_superoperators(16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        outputs = sum(op.nbytes for op in ops)
+        assert outputs == 4 * 8 * 16**4
+        assert peak <= 1.25 * outputs
 
     def test_size_budget_admits_every_criterion_4_dimension(self):
         # Criterion 4 may run the sector oracles at up to 64 levels. The

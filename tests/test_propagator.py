@@ -8,8 +8,13 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from qdho import config, fock, liouville, observables, propagator, su11
-from qdho.verification import random_interior_density
-from reference import TIGHT_TOLERANCES, dense_pure_loss, dense_series, stepwise_series
+from reference import (
+    TIGHT_TOLERANCES,
+    dense_pure_loss,
+    dense_series,
+    random_interior_density,
+    stepwise_series,
+)
 
 
 def trunc_of(dim, support=None):

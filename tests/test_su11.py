@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from qdho import liouville, su11
-from qdho.verification import disentangled_product_2x2, parameter_grid, scaled_max_residual
+from qdho.verification import disentangled_product_2x2, scaled_max_residual
+from reference import parameter_grid
 
 
 def taylor_expm_2x2(m):
