@@ -237,7 +237,7 @@ def cmd_verify() -> tuple[str, int]:
     """Run every identity suite and report residuals."""
     suites = verification.run_identity_suites()
     lines = [s.describe() for s in suites]
-    worst = max(s.max_residual for s in suites)
+    worst = float(np.max([s.max_residual for s in suites]))  # a NaN propagates
     ok = all(s.passed for s in suites)
     lines.append(f"RESULT {'pass' if ok else 'fail'} max_residual={worst:.6e}")
     return "\n".join(lines) + "\n", EXIT_OK if ok else EXIT_TOLERANCE

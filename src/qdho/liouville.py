@@ -168,10 +168,15 @@ def expm(m: np.ndarray) -> np.ndarray:
     total = eye + scaled / _EXPM_DEGREE
     for k in range(_EXPM_DEGREE - 1, 0, -1):
         total = eye + (scaled @ total) / k
+    # Ranked by squaring count, descending, the members still squaring at
+    # each level are a prefix; they are scattered back once at the end.
+    order = np.argsort(-squarings, kind="stable")
+    ranked, counts = total[order], squarings[order]
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         for done in range(int(squarings.max(initial=0))):
-            pending = np.flatnonzero(squarings > done)
-            total[pending] = total[pending] @ total[pending]
+            pending = ranked[: np.count_nonzero(counts > done)]
+            pending[...] = pending @ pending
+    total[order] = ranked
     if not np.isfinite(total).all():
         raise ValueError("expm result overflows double precision")
     return total.reshape(shape)

@@ -1,10 +1,13 @@
 """One-shot numerical verification of every operator identity in the library.
 
-Each suite measures a max residual over a seeded grid and compares it to a
-fixed tolerance. Residuals between matrices whose entries can exceed unity
-are scaled by max(1, scale of either side): an absolute 1e-12 would dip
-below one ulp once entries reach ~1e5, while the scaled figure still trips
-on any formula or sign error.
+Each suite measures one residual per point of its seeded grid, as one
+array, and :func:`_result` compares its ``np.max`` to a fixed tolerance.
+``np.max`` propagates a NaN, which compares False against any tolerance,
+so a NaN residual fails its suite (Python's ``max`` would drop it).
+Residuals between matrices whose entries can exceed unity are scaled by
+max(1, scale of either side): an absolute 1e-12 would dip below one ulp
+once entries reach ~1e5, while the scaled figure still trips on any
+formula or sign error.
 
 The seeded draws come from the standard library's ``random.Random(seed)``,
 whose ``random()`` gives the same sequence for a seed on every Python
@@ -47,10 +50,23 @@ class SuiteResult:
         )
 
 
-def scaled_max_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    """Max-norm difference scaled by max(1, magnitude of either side)."""
-    scale = max(1.0, float(np.abs(lhs).max()), float(np.abs(rhs).max()))
-    return float(np.abs(np.asarray(lhs) - np.asarray(rhs)).max()) / scale
+def scaled_max_residual(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Max-norm difference scaled by max(1, magnitude of either side).
+
+    ``lhs`` and ``rhs`` are matrices or stacks of them, of one shape
+    (..., m, n); the result holds one residual per member, shape (...),
+    each with the bits of the call on that pair alone. A member holding a
+    NaN reads NaN.
+    """
+    lhs, rhs = np.asarray(lhs), np.asarray(rhs)
+    scale = np.maximum(np.abs([lhs, rhs]).max(axis=(0, -2, -1)), 1.0)
+    return np.abs(lhs - rhs).max(axis=(-2, -1)) / scale
+
+
+def _result(name: str, residuals, tolerance: float) -> SuiteResult:
+    """A suite's result: one residual per grid point, folded by ``np.max``, which keeps a NaN."""
+    residuals = np.asarray(residuals)
+    return SuiteResult(name, residuals.size, float(np.max(residuals)), tolerance)
 
 
 #: The 11 (mu, nu, t) rows every parameter grid ends with: for each of
@@ -118,81 +134,69 @@ def disentangled_product_2x2(coeffs, generators=None) -> np.ndarray:
 def suite_sandwich_identity(seed: int = 7) -> SuiteResult:
     """vec(A X B) = kron(A, B^T) vec(X) on random triples at several dims."""
     rng = random.Random(seed)
-    worst = 0.0
-    count = 0
-    for dim in (2, 3, 5, 8):
-        for _ in range(25):
-            a, x, b = (_uniform_complex(rng, (dim, dim)) for _ in range(3))
-            worst = max(worst, liouville.sandwich_check(a, x, b))
-            count += 1
-    return SuiteResult("vectorization-sandwich", count, worst, 1e-12)
+    residuals = [
+        liouville.sandwich_check(*(_uniform_complex(rng, (dim, dim)) for _ in range(3)))
+        for dim in (2, 3, 5, 8)
+        for _ in range(25)
+    ]
+    return _result("vectorization-sandwich", residuals, 1e-12)
 
 
 def suite_su11_commutators() -> SuiteResult:
     """[k3, k+-] = +-k+-, [k+, k-] = -2 k3 on the defining matrices."""
     k_plus, k_minus, k3 = su11.k_generators()
-    residues = [
-        np.abs(_comm(k3, k_plus) - k_plus).max(),
-        np.abs(_comm(k3, k_minus) + k_minus).max(),
-        np.abs(_comm(k_plus, k_minus) + 2.0 * k3).max(),
-    ]
-    return SuiteResult("su11-2x2-commutators", 3, float(max(residues)), 1e-15)
+    cases = ((k3, k_plus, k_plus), (k3, k_minus, -k_minus), (k_plus, k_minus, -2.0 * k3))
+    residuals = [np.abs(a @ b - b @ a - expected).max() for a, b, expected in cases]
+    return _result("su11-2x2-commutators", residuals, 1e-15)
 
 
 def suite_disentangling_2x2(count: int = 200, seed: int = 421) -> SuiteResult:
     """Closed-form flow equals the product of its three disentangled factors."""
-    worst = 0.0
     pts = parameter_grid(count, seed)
-    products = disentangled_product_2x2(
-        [su11.disentangling_coefficients(mu, nu, t) for mu, nu, t in pts]
-    )
-    for (mu, nu, t), rhs in zip(pts, products):
-        worst = max(worst, scaled_max_residual(su11.flow(mu, nu, t), rhs))
-    return SuiteResult("disentangling-2x2", len(pts), worst, 1e-12)
+    flows = np.array([su11.flow(*p) for p in pts])
+    products = disentangled_product_2x2([su11.disentangling_coefficients(*p) for p in pts])
+    return _result("disentangling-2x2", scaled_max_residual(flows, products), 1e-12)
 
 
 def suite_gauss_reconstruction(count: int = 50, seed: int = 17) -> SuiteResult:
     """upper @ diag @ lower reproduces the decomposed determinant-one matrix."""
     rng = random.Random(seed)
-    worst = 0.0
     mats = []
     for _ in range(count):
         a, b, c = _uniform_complex(rng, (3,))
         if abs(a) < 0.1:
             a += 1.0
         mats.append(np.array([[a, b], [c, (1.0 + b * c) / a]]))
-    for mu, nu, t in ((2.0, 1.0, 1.0), (1.0, 0.0, 2.0), (0.5, 0.5, 3.0)):
-        mats.append(su11.flow(mu, nu, t))
-    for m in mats:
-        upper, diag, lower = su11.gauss_decompose(m)
-        worst = max(worst, scaled_max_residual(upper @ diag @ lower, m))
-    return SuiteResult("gauss-reconstruction", len(mats), worst, 1e-12)
+    mats += [su11.flow(*p) for p in ((2.0, 1.0, 1.0), (1.0, 0.0, 2.0), (0.5, 0.5, 3.0))]
+    upper, diag, lower = (np.array(f) for f in zip(*map(su11.gauss_decompose, mats)))
+    residuals = scaled_max_residual(upper @ diag @ lower, np.array(mats))
+    return _result("gauss-reconstruction", residuals, 1e-12)
 
 
 def suite_k0_commutativity(dims: tuple[int, ...] = (4, 8, 16)) -> SuiteResult:
     """K0 is diagonal and commutes with K+, K- and K3 exactly, even on the truncated space.
 
     K0's off-diagonal entries must be exactly 0; the largest of them counts
-    into the residual. With K0 = diag(d) the commutator is entrywise,
-    [K0, X]_ab = (d_a - d_b) X_ab, and reads exactly 0 wherever
+    into each commutator's residual. With K0 = diag(d) the commutator is
+    entrywise, [K0, X]_ab = (d_a - d_b) X_ab, and reads exactly 0 wherever
     K0 X - X K0 does. d is i - j on the entry (i, j), so a zero commutator
     means X keeps k = j - i: X has no entry outside the sector blocks that
     :func:`suite_disentangling_superop` exponentiates. Both checks read
     only the nonzero entries of each K, where any nonzero term must sit,
     so no dense D^2 x D^2 temporary is built.
     """
-    worst = 0.0
+    residuals = []
     for dim in dims:
         k0, k_plus, k_minus, k3 = liouville.k_superoperators(dim)
         d = np.diagonal(k0)
         rows, cols = np.nonzero(k0)
         off = rows != cols
-        worst = max(worst, float(np.abs(k0[rows[off], cols[off]]).max(initial=0.0)))
+        off_diagonal = np.abs(k0[rows[off], cols[off]]).max(initial=0.0)
         for other in (k_plus, k_minus, k3):
             rows, cols = np.nonzero(other)
             gaps = (d[rows] - d[cols]) * other[rows, cols]
-            worst = max(worst, float(np.abs(gaps).max(initial=0.0)))
-    return SuiteResult("k0-commutativity", 3 * len(dims), worst, 1e-14)
+            residuals.append(np.maximum(off_diagonal, np.abs(gaps).max(initial=0.0)))
+    return _result("k0-commutativity", residuals, 1e-14)
 
 
 def suite_disentangling_superop(
@@ -231,11 +235,11 @@ def suite_disentangling_superop(
         [su11.disentangling_coefficients(mu, nu, t) for mu, nu, t in params],
         (k_plus, k_minus, k3),
     )
-    worst = 0.0
-    for lhs_op, rhs_op in zip(lhs_ops, rhs_ops):
-        for vec in states:
-            worst = max(worst, float(np.linalg.norm(lhs_op @ vec - rhs_op @ vec)))
-    return SuiteResult("disentangling-superop", len(params) * n_states, worst, 1e-9)
+    residuals = [
+        [np.linalg.norm(lhs_op @ vec - rhs_op @ vec) for vec in states]
+        for lhs_op, rhs_op in zip(lhs_ops, rhs_ops)
+    ]
+    return _result("disentangling-superop", residuals, 1e-9)
 
 
 def _padded_sector_index(dim: int) -> np.ndarray:
@@ -261,7 +265,3 @@ def run_identity_suites() -> list[SuiteResult]:
         suite_k0_commutativity(),
         suite_disentangling_superop(),
     ]
-
-
-def _comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from qdho import config, fock, liouville, su11, verification
@@ -312,6 +312,14 @@ def expm_stacks(draw):
     return np.array(members).reshape(*lead, n, n)
 
 
+def _mixed_squarings_stack() -> np.ndarray:
+    """Skew-Hermitian members needing no squaring or 5 and more, in a seeded shuffled order."""
+    rng = np.random.default_rng(1618)
+    scales = rng.permutation([0.0, 1e-3, 0.2, 0.3, 30.0, 60.0, 300.0, 0.0, 45.0])
+    g = rng.standard_normal((len(scales), 4, 4)) + 1j * rng.standard_normal((len(scales), 4, 4))
+    return scales[:, None, None] * (g - g.conj().transpose(0, 2, 1)) / 8.0
+
+
 class TestExpm:
     def test_zero_matrix(self):
         np.testing.assert_array_equal(liouville.expm(np.zeros((3, 3))), np.eye(3))
@@ -343,6 +351,7 @@ class TestExpm:
     @seed(1919933723341870616631211952982404918363271232063352631479916467602800511913858517151605755206377867864690221037242)
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(stack=expm_stacks())
+    @example(stack=_mixed_squarings_stack())
     def test_stack_equals_member_loop(self, stack):
         # Each member keeps its own scaling and squarings around the same
         # fixed-degree Taylor polynomial, so a stack gives the bits of one
@@ -351,6 +360,14 @@ class TestExpm:
         flat = stack.reshape(-1, *stack.shape[-2:])
         expected = np.array([liouville.expm(x) for x in flat]).reshape(stack.shape)
         assert np.array_equal(got, expected)
+
+    def test_mixed_squarings_example_is_shuffled(self):
+        # The explicit example above squares its members 0 times and 5 or
+        # more times, neither group sorted first.
+        norms = np.abs(_mixed_squarings_stack()).sum(axis=-1).max(axis=-1)
+        squarings = [math.ceil(math.log2(x / 0.5)) if x > 0.5 else 0 for x in norms]
+        assert 0 in squarings and min(s for s in squarings if s) >= 5
+        assert squarings != sorted(squarings) and squarings != sorted(squarings, reverse=True)
 
     @pytest.mark.parametrize("c", [1e-3, 0.3, 7.5, 1e3, 2.0 - 3.0j])
     def test_nilpotent_generator_is_exact(self, c):
